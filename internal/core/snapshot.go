@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/ident"
 	"repro/internal/snapshot"
@@ -240,7 +240,7 @@ func (s *StaticRVP) SnapshotTo(enc *snapshot.Encoder) {
 	for id := range s.clients {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	enc.U32(uint32(len(ids)))
 	for _, id := range ids {
 		enc.U64(uint64(id))

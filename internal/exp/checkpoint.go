@@ -1,12 +1,13 @@
 package exp
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/adversary"
 	"repro/internal/core"
@@ -87,6 +88,18 @@ func SnapshotFileName(round int) string {
 	return fmt.Sprintf("round-%08d.snap", round)
 }
 
+// removeStaleTemps deletes the temp files of snapshot writes that never
+// reached their rename — a predecessor killed mid-write leaves one behind
+// (hundreds of MiB at 100k peers) and nothing else would ever claim it; one
+// run owns a checkpoint directory at a time. Best effort: a temp that cannot
+// be removed only wastes disk. Finished snapshots never match the pattern.
+func removeStaleTemps(dir string) {
+	stale, _ := filepath.Glob(filepath.Join(dir, snapshot.TempPattern("round-*.snap")))
+	for _, name := range stale {
+		os.Remove(name)
+	}
+}
+
 // ckState is the live checkpoint wiring of one run.
 type ckState struct {
 	spec *CheckpointSpec
@@ -102,12 +115,14 @@ type ckState struct {
 }
 
 // installCheckpoint arms the barrier checkpoint hook when the config asks for
-// one. resumedFrom is the snapshot time for resumed runs, -1 for fresh ones.
+// one, after clearing the directory of a killed predecessor's temp files.
+// resumedFrom is the snapshot time for resumed runs, -1 for fresh ones.
 func (st *runState) installCheckpoint(resumedFrom int64) {
 	spec := st.cfg.Checkpoint
 	if spec == nil {
 		return
 	}
+	removeStaleTemps(spec.Dir)
 	c := &ckState{spec: spec}
 	if spec.EveryRounds > 0 {
 		c.everyMs = int64(spec.EveryRounds) * st.cfg.PeriodMs
@@ -141,15 +156,21 @@ func (st *runState) checkpointBarrier(now int64) bool {
 	return false
 }
 
-// writeSnapshot captures the world at the given barrier time and writes it
-// atomically (temp file plus rename: a kill mid-write never leaves a partial
-// file under the final name) into the checkpoint directory.
+// writeSnapshot captures the world at the given barrier time into the
+// checkpoint directory, streaming the encoding straight into the file (see
+// snapshot.Writer): atomic temp plus rename, so a kill mid-write never leaves
+// a partial file under the final name.
 func (st *runState) writeSnapshot(now int64) (string, error) {
 	if err := os.MkdirAll(st.ck.spec.Dir, 0o755); err != nil {
 		return "", fmt.Errorf("exp: checkpoint dir: %w", err)
 	}
 	path := filepath.Join(st.ck.spec.Dir, SnapshotFileName(int(now/st.cfg.PeriodMs)))
-	if err := snapshot.WriteFile(path, st.snapshotPayload(now)); err != nil {
+	w, err := snapshot.Create(path)
+	if err != nil {
+		return "", err
+	}
+	st.snapshotInto(w.Encoder(), now)
+	if err := w.Commit(); err != nil {
 		return "", err
 	}
 	return path, nil
@@ -161,10 +182,8 @@ type tickKey struct {
 	actor, seq uint64
 }
 
-// snapshotPayload serializes the complete world state at barrier time now.
-func (st *runState) snapshotPayload(now int64) []byte {
-	enc := &snapshot.Encoder{}
-
+// snapshotInto serializes the complete world state at barrier time now.
+func (st *runState) snapshotInto(enc *snapshot.Encoder, now int64) {
 	enc.Section(secExp)
 	enc.I64(now)
 	cfgJSON, err := json.Marshal(st.cfg)
@@ -176,7 +195,7 @@ func (st *runState) snapshotPayload(now int64) []byte {
 	for id := range st.rvpOf {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	enc.U32(uint32(len(ids)))
 	for _, id := range ids {
 		enc.U64(uint64(id))
@@ -197,15 +216,14 @@ func (st *runState) snapshotPayload(now int64) []byte {
 	}
 	// Global key order: shard-count-invariant bytes, and the resuming run's
 	// per-shard subsequences stay sorted whatever its shard count.
-	sort.Slice(ticks, func(a, b int) bool {
-		x, y := &ticks[a], &ticks[b]
-		if x.at != y.at {
-			return x.at < y.at
+	slices.SortFunc(ticks, func(x, y tickKey) int {
+		if c := cmp.Compare(x.at, y.at); c != 0 {
+			return c
 		}
-		if x.actor != y.actor {
-			return x.actor < y.actor
+		if c := cmp.Compare(x.actor, y.actor); c != 0 {
+			return c
 		}
-		return x.seq < y.seq
+		return cmp.Compare(x.seq, y.seq)
 	})
 	enc.U32(uint32(len(ticks)))
 	for _, tk := range ticks {
@@ -296,7 +314,6 @@ func (st *runState) snapshotPayload(now int64) []byte {
 		enc.U64(d.stats.GatewayFailures)
 		enc.I64(int64(d.stats.PartitionRounds))
 	}
-	return enc.Bytes()
 }
 
 // ResumeOptions parameterizes Resume. The zero value resumes the snapshot

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -343,4 +344,110 @@ func TestResumeRejectsHostileSnapshots(t *testing.T) {
 			}
 		}
 	})
+}
+
+// snapshotPayload is the in-memory twin of writeSnapshot: the same
+// snapshotInto body through a zero Encoder. The streaming tests compare the
+// file a barrier writes against it.
+func (st *runState) snapshotPayload(now int64) []byte {
+	enc := &snapshot.Encoder{}
+	st.snapshotInto(enc, now)
+	return enc.Bytes()
+}
+
+// TestStreamedSnapshotMatchesEncode pins the streaming writer's contract at
+// the level that matters: the file the barrier hook writes is byte-identical
+// to the envelope of the whole payload encoded in memory — on worlds whose
+// payload spans several chunks, stopped mid-round with datagrams in flight.
+func TestStreamedSnapshotMatchesEncode(t *testing.T) {
+	legs := []struct {
+		name string
+		sc   *scenario.Scenario
+	}{
+		{"quiescent", nil},
+		{"storm", ckStorm()},
+		{"adversary", ckAdversarial()},
+	}
+	for _, leg := range legs {
+		leg := leg
+		t.Run(leg.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := ckTestConfig(leg.sc)
+			cfg.N, cfg.Rounds = 1000, 20
+			cfg = cfg.Defaults()
+			if err := cfg.validate(); err != nil {
+				t.Fatal(err)
+			}
+			// Stop half a round past round 16: the storm's partition is in
+			// force, the adversaries are active, shuffles are in flight.
+			stopAt := 16*cfg.PeriodMs + cfg.PeriodMs/2
+			cfg.Checkpoint = &CheckpointSpec{Dir: t.TempDir()}
+			st := newRunState(cfg)
+			cfg.Checkpoint.Stop = func() bool { return st.kern.Now() >= stopAt }
+			st.build()
+			st.bootstrap()
+			st.schedule()
+			st.armGlobals(-1)
+			st.installCheckpoint(-1)
+			st.kern.RunUntil(int64(cfg.Rounds) * cfg.PeriodMs)
+			if st.ck.interrupted == nil {
+				t.Fatalf("run did not stop at the barrier: %v", st.ck.err)
+			}
+
+			got, err := os.ReadFile(st.ck.interrupted.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := st.snapshotPayload(st.kern.Now())
+			if len(payload) < 3<<20 {
+				t.Fatalf("payload of %d bytes does not span several chunks", len(payload))
+			}
+			if !bytes.Equal(got, snapshot.Encode(payload)) {
+				t.Fatalf("streamed file (%d bytes) differs from Encode of the in-memory payload (%d bytes)",
+					len(got), len(payload))
+			}
+			names, err := os.ReadDir(cfg.Checkpoint.Dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(names) != 1 {
+				t.Errorf("checkpoint directory holds %d entries, want the one snapshot", len(names))
+			}
+		})
+	}
+}
+
+// TestCheckpointRemovesStaleTemps plants the temp file a SIGKILL mid-write
+// leaves behind and requires the next run on the directory to remove it —
+// and nothing else: finished snapshots and foreign files stay.
+func TestCheckpointRemovesStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	stale := filepath.Join(dir, ".round-00000030.snap.tmp123456789")
+	keep := []string{
+		filepath.Join(dir, SnapshotFileName(7)),
+		filepath.Join(dir, "notes.tmp"),
+		filepath.Join(dir, ".round-notes"),
+	}
+	for _, name := range append(keep, stale) {
+		if err := os.WriteFile(name, []byte("left behind"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := ckTestConfig(nil)
+	cfg.Rounds = 12
+	cfg.Checkpoint = &CheckpointSpec{Dir: dir, EveryRounds: 10}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("stale temp survived: stat err = %v", err)
+	}
+	for _, name := range keep {
+		if b, err := os.ReadFile(name); err != nil || string(b) != "left behind" {
+			t.Errorf("%s was touched: %q, %v", filepath.Base(name), b, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, SnapshotFileName(10))); err != nil {
+		t.Errorf("the run's own snapshot is missing: %v", err)
+	}
 }

@@ -20,7 +20,9 @@
 package nat
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ident"
@@ -595,7 +597,7 @@ func (d *Device) SnapshotTo(enc *snapshot.Encoder) {
 				rules = append(rules, sl)
 			}
 		}
-		sort.Slice(rules, func(a, b int) bool { return rules[a].key < rules[b].key })
+		slices.SortFunc(rules, func(a, b filterSlot) int { return cmp.Compare(a.key, b.key) })
 		enc.U32(uint32(len(rules)))
 		for _, r := range rules {
 			enc.U64(r.key)

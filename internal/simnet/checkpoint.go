@@ -1,7 +1,7 @@
 package simnet
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/ident"
@@ -52,14 +52,6 @@ func (n *Network) EachPeer(fn func(p *Peer)) {
 	}
 }
 
-// flightEntry is one in-flight datagram in canonical (key-sorted) order.
-type flightEntry struct {
-	at         int64
-	actor, seq uint64
-	jittered   bool
-	d          delivery
-}
-
 // SnapshotTo serializes the network's complete state: address allocators,
 // the partition flag, every peer (with its NAT device and traffic counters)
 // in attachment order, every in-flight datagram in scheduler-key order, and
@@ -93,33 +85,24 @@ func (n *Network) SnapshotTo(enc *snapshot.Encoder) {
 	}
 
 	enc.Section(secMsgs)
-	var flight []flightEntry
+	var flight []outEntry
 	for i := range n.shards {
 		sh := &n.shards[i]
 		// Lane events fire in exact ring order: pair the scheduler's lane
 		// keys with the ring's deliveries positionally.
 		j := 0
 		sh.sched.EachLane(func(at int64, actor, seq uint64) {
-			flight = append(flight, flightEntry{at: at, actor: actor, seq: seq, d: *sh.inflight.At(j)})
+			flight = append(flight, outEntry{at: at, actor: actor, seq: seq, d: *sh.inflight.At(j)})
 			j++
 		})
 		if j != sh.inflight.Len() {
 			panic("simnet: lane events and in-flight ring out of step")
 		}
 		for _, e := range sh.jit {
-			flight = append(flight, flightEntry{at: e.at, actor: e.actor, seq: e.seq, jittered: true, d: e.d})
+			flight = append(flight, outEntry{at: e.at, actor: e.actor, seq: e.seq, jittered: true, d: e.d})
 		}
 	}
-	sort.Slice(flight, func(a, b int) bool {
-		x, y := &flight[a], &flight[b]
-		if x.at != y.at {
-			return x.at < y.at
-		}
-		if x.actor != y.actor {
-			return x.actor < y.actor
-		}
-		return x.seq < y.seq
-	})
+	slices.SortFunc(flight, keyCompare)
 	enc.U32(uint32(len(flight)))
 	for i := range flight {
 		e := &flight[i]

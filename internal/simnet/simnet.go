@@ -278,11 +278,6 @@ type Network struct {
 	// metrics registry for the live ops endpoint (see SetObs).
 	counters *NetCounters
 
-	// prefSink accumulates the values loaded by delivery prefetching (see
-	// prefetchNext) so the compiler cannot elide the loads. Its value is
-	// meaningless and never read.
-	prefSink uint64
-
 	// perDatagram disables batched lane delivery: every lane event delivers
 	// exactly one datagram, as the pre-batching engine did. The batched and
 	// per-datagram paths are bit-identical by construction — LaneContinue
@@ -348,6 +343,12 @@ type netShard struct {
 	jit     jitHeap
 	jitFire func()
 	jitSeq  uint64
+
+	// prefSink accumulates the values loaded by delivery prefetching (see
+	// prefetchNext) so the compiler cannot elide the loads. Its value is
+	// meaningless and never read; it lives here, not on Network, because
+	// every shard's goroutine writes it.
+	prefSink uint64
 
 	// resolvedPriv/resolvedPeer memoize the last NAT-admitted private
 	// endpoint → peer resolution. Private endpoints are allocated once and
@@ -1082,7 +1083,7 @@ func (n *Network) deliverNext(i int) {
 			// so each destination's lines are cold random accesses the
 			// out-of-order window can otherwise only start fetching once
 			// the current Receive retires.
-			n.prefetchNext(sh.inflight.Peek())
+			n.prefetchNext(sh, sh.inflight.Peek())
 		}
 		n.deliver(i, d.srcEP, d.to, d.msg, d.size)
 		sh.pool.Put(d.msg)
@@ -1098,20 +1099,20 @@ func (n *Network) deliverNext(i int) {
 // are warm when the datagram is actually delivered. It mutates nothing;
 // resolution still happens in resolve, and prefSink only keeps the loads
 // observable to the compiler.
-func (n *Network) prefetchNext(d *delivery) {
+func (n *Network) prefetchNext(sh *netShard, d *delivery) {
 	s := n.pubSlotFor(d.to.IP)
 	if s == nil {
 		return
 	}
 	if p := s.peer; p != nil {
-		n.prefSink += uint64(p.Addr.Port) + p.Seq
+		sh.prefSink += uint64(p.Addr.Port) + p.Seq
 		return
 	}
 	if s.dev != nil {
 		priv, v := s.dev.Prefetch(d.srcEP, d.to)
-		n.prefSink += v
+		sh.prefSink += v
 		if p := n.privatePeerAt(priv); p != nil {
-			n.prefSink += uint64(p.Addr.Port) + p.Seq
+			sh.prefSink += uint64(p.Addr.Port) + p.Seq
 		}
 	}
 }

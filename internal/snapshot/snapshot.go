@@ -27,6 +27,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -94,26 +96,129 @@ func Decode(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteFile writes an enveloped payload atomically: temp file plus rename,
-// so a kill mid-write leaves no partial snapshot under the final name.
+// WriteFile writes an enveloped payload atomically through the streaming
+// Writer: a kill mid-write leaves no partial snapshot under the final name.
 func WriteFile(path string, payload []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
+	w, err := Create(path)
 	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
+		return err
 	}
-	if _, err := tmp.Write(Encode(payload)); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("snapshot: %w", err)
+	w.enc.raw(payload)
+	return w.Commit()
+}
+
+// chunkSize is how much payload a streaming Encoder buffers before spilling
+// to its Writer: large enough that hashing and write(2) run at full speed,
+// small enough that a capture's transient heap stays a rounding error next
+// to the world it serializes.
+const chunkSize = 1 << 20
+
+// tempFile is what a Writer needs of the file it streams into (*os.File;
+// tests substitute one that fails on demand).
+type tempFile interface {
+	io.Writer
+	io.WriterAt
+	io.Closer
+	Name() string
+}
+
+// Writer streams one snapshot file: the payload encoded through Encoder()
+// leaves in chunkSize pieces, each folded into a running SHA-256 and appended
+// to a temp file beside the final path, so no whole-payload buffer ever
+// exists. One goroutine does the hashing and writing, fed by two alternating
+// buffers, so encoding the next chunk overlaps the I/O of the last. Commit
+// finishes the envelope and renames the temp file into place; it must be
+// called, also to stop that goroutine. The bytes on disk are exactly
+// Encode(payload).
+//
+// Write errors are sticky: after the first one the Encoder keeps accepting
+// (and discarding) fields, and Commit reports the error and removes the temp
+// file. A process killed before Commit's rename leaves only the temp file
+// (see TempPattern), whose length field still holds the zero placeholder.
+type Writer struct {
+	enc  Encoder
+	path string
+	f    tempFile
+	// sum and err belong to the writing goroutine until done closes.
+	sum hash.Hash
+	err error
+	// full carries filled buffers to the writing goroutine, free carries
+	// them back; done closes once full is closed and drained.
+	full, free chan []byte
+	done       chan struct{}
+}
+
+// TempPattern returns the os.CreateTemp pattern (also a valid glob) of the
+// temp files a Writer for a file named base leaves in base's directory until
+// Commit: dotfiles, so listings of finished snapshots never see them.
+func TempPattern(base string) string { return "." + base + ".tmp*" }
+
+// Create starts a snapshot file that Commit will publish at path.
+func Create(path string) (*Writer, error) {
+	return create(path, func(dir, pattern string) (tempFile, error) {
+		return os.CreateTemp(dir, pattern)
+	})
+}
+
+func create(path string, open func(dir, pattern string) (tempFile, error)) (*Writer, error) {
+	f, err := open(filepath.Dir(path), TempPattern(filepath.Base(path)))
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("snapshot: %w", err)
+	w := &Writer{
+		path: path, f: f, sum: sha256.New(),
+		full: make(chan []byte), free: make(chan []byte, 1), done: make(chan struct{}),
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("snapshot: %w", err)
+	// A field is at most 8 bytes, so a buffer never grows past its chunk.
+	w.enc = Encoder{buf: make([]byte, 0, chunkSize+8), out: w}
+	w.free <- make([]byte, 0, chunkSize+8)
+	// The payload length is only known at Commit: write a zero placeholder
+	// now and patch it then.
+	var hdr [len(Magic) + 8]byte
+	copy(hdr[:], Magic)
+	_, w.err = f.Write(hdr[:])
+	go func() {
+		defer close(w.done)
+		for chunk := range w.full {
+			if w.err == nil {
+				w.sum.Write(chunk)
+				_, w.err = w.f.Write(chunk)
+			}
+			w.free <- chunk
+		}
+	}()
+	return w, nil
+}
+
+// Encoder returns the encoder the payload is written through. It is valid
+// until Commit.
+func (w *Writer) Encoder() *Encoder { return &w.enc }
+
+// Commit flushes the buffered tail, appends the checksum, patches the payload
+// length into the header, closes the temp file and renames it to the final
+// path. On any error — of this call or an earlier chunk — nothing appears
+// under the final name and the temp file is removed.
+func (w *Writer) Commit() error {
+	w.enc.flush()
+	close(w.full)
+	<-w.done
+	if w.err == nil {
+		_, w.err = w.f.Write(w.sum.Sum(nil))
+	}
+	if w.err == nil {
+		var n [8]byte
+		binary.BigEndian.PutUint64(n[:], uint64(w.enc.spilled))
+		_, w.err = w.f.WriteAt(n[:], int64(len(Magic)))
+	}
+	if err := w.f.Close(); w.err == nil {
+		w.err = err
+	}
+	if w.err == nil {
+		w.err = os.Rename(w.f.Name(), w.path)
+	}
+	if w.err != nil {
+		os.Remove(w.f.Name())
+		return fmt.Errorf("snapshot: %w", w.err)
 	}
 	return nil
 }
@@ -128,16 +233,61 @@ func ReadFile(path string) ([]byte, error) {
 }
 
 // Encoder serializes payload state as fixed-width big-endian fields. The
-// zero Encoder is ready to use; Bytes returns the accumulated payload.
+// zero Encoder is ready to use and accumulates the payload in memory (Bytes
+// returns it); the Encoder of a Writer spills to the snapshot file as it
+// goes.
 type Encoder struct {
 	buf []byte
+	// out, when non-nil, takes buf whenever it reaches chunkSize and hands
+	// back an empty one; spilled counts the bytes already handed over.
+	out     *Writer
+	spilled int
 }
 
-// Bytes returns the encoded payload.
-func (e *Encoder) Bytes() []byte { return e.buf }
+// Bytes returns the encoded payload of an in-memory Encoder.
+func (e *Encoder) Bytes() []byte {
+	if e.out != nil {
+		panic("snapshot: Bytes on a streaming Encoder")
+	}
+	return e.buf
+}
 
 // Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
+func (e *Encoder) Len() int { return e.spilled + len(e.buf) }
+
+// spill runs after every append: a streaming Encoder hands a full buffer to
+// its Writer and continues in the other one. Chunks therefore end on field
+// boundaries; only raw byte strings are split across them.
+func (e *Encoder) spill() {
+	if e.out != nil && len(e.buf) >= chunkSize {
+		e.flush()
+	}
+}
+
+// flush is kept out of line so that spill, and with it every field method,
+// stays within the inliner's budget: the per-field cost is one compare.
+//
+//go:noinline
+func (e *Encoder) flush() {
+	e.spilled += len(e.buf)
+	e.out.full <- e.buf
+	e.buf = (<-e.out.free)[:0]
+}
+
+// raw appends bytes verbatim, a streaming Encoder in pieces that fit its
+// buffer.
+func (e *Encoder) raw(b []byte) {
+	if e.out == nil {
+		e.buf = append(e.buf, b...)
+		return
+	}
+	for len(b) > 0 {
+		n := min(len(b), chunkSize-len(e.buf))
+		e.buf = append(e.buf, b[:n]...)
+		b = b[n:]
+		e.spill()
+	}
+}
 
 // Section writes a 4-byte tag delimiting a payload section. Tags cost
 // nothing at scale and turn a writer/reader schema drift into an immediate
@@ -147,10 +297,14 @@ func (e *Encoder) Section(tag string) {
 		panic("snapshot: section tags are exactly 4 bytes")
 	}
 	e.buf = append(e.buf, tag...)
+	e.spill()
 }
 
 // U8 writes one byte.
-func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
+func (e *Encoder) U8(v uint8) {
+	e.buf = append(e.buf, v)
+	e.spill()
+}
 
 // Bool writes a bool as one byte.
 func (e *Encoder) Bool(v bool) {
@@ -162,13 +316,22 @@ func (e *Encoder) Bool(v bool) {
 }
 
 // U16 writes a big-endian uint16.
-func (e *Encoder) U16(v uint16) { e.buf = binary.BigEndian.AppendUint16(e.buf, v) }
+func (e *Encoder) U16(v uint16) {
+	e.buf = binary.BigEndian.AppendUint16(e.buf, v)
+	e.spill()
+}
 
 // U32 writes a big-endian uint32.
-func (e *Encoder) U32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
+func (e *Encoder) U32(v uint32) {
+	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
+	e.spill()
+}
 
 // U64 writes a big-endian uint64.
-func (e *Encoder) U64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
+func (e *Encoder) U64(v uint64) {
+	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
+	e.spill()
+}
 
 // I64 writes a big-endian int64.
 func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
@@ -179,7 +342,7 @@ func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 // Bytes32 writes a length-prefixed byte string (uint32 length).
 func (e *Encoder) Bytes32(b []byte) {
 	e.U32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
+	e.raw(b)
 }
 
 // Endpoint writes an ident.Endpoint.
