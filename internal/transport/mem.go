@@ -17,6 +17,8 @@ import (
 // the discrete-event simulator.
 type Switch struct {
 	latency time.Duration
+	// deliveries recycles in-flight datagrams (see delivery).
+	deliveries sync.Pool
 
 	mu     sync.Mutex
 	ports  map[ident.Endpoint]*MemTransport // by receive endpoint (private for natted)
@@ -31,13 +33,15 @@ type natAttachment struct {
 }
 
 // NewSwitch creates an empty switch with the given one-way delivery latency
-// (zero is allowed and keeps delivery asynchronous).
+// (zero is allowed: Send then queues the datagram at the receiver itself, and
+// the receiver still sees it asynchronously).
 func NewSwitch(latency time.Duration) *Switch {
 	return &Switch{
-		latency: latency,
-		ports:   make(map[ident.Endpoint]*MemTransport),
-		nats:    make(map[ident.IP]*natAttachment),
-		nextIP:  0x0a000001,
+		latency:    latency,
+		deliveries: sync.Pool{New: newDelivery},
+		ports:      make(map[ident.Endpoint]*MemTransport),
+		nats:       make(map[ident.IP]*natAttachment),
+		nextIP:     0x0a000001,
 	}
 }
 
@@ -46,6 +50,7 @@ var errClosed = errors.New("transport: closed")
 
 // MemTransport is one attachment to a Switch.
 type MemTransport struct {
+	receiver
 	sw    *Switch
 	local ident.Endpoint
 	dev   *nat.Device // nil for public attachments
@@ -53,10 +58,30 @@ type MemTransport struct {
 
 	mu     sync.Mutex
 	closed bool
-	recv   chan Packet
+	// inbox is the attachment's socket buffer once a handler is set (nil
+	// before): deliveries wait here for the reading goroutine.
+	inbox chan *delivery
 }
 
-var _ Transport = (*MemTransport)(nil)
+var _ Handled = (*MemTransport)(nil)
+
+// delivery is one datagram in flight through the switch. Deliveries are
+// pooled together with their payload buffer and their bound run function, so
+// a Send to an attachment with a handler allocates nothing: the handler
+// borrows buf, and the latency timer needs no closure.
+type delivery struct {
+	sw       *Switch
+	from, to ident.Endpoint
+	n        int
+	buf      [MaxDatagram]byte
+	run      func() // d.deliver, bound once
+}
+
+func newDelivery() any {
+	d := new(delivery)
+	d.run = d.deliver
+	return d
+}
 
 // Attach adds a public endpoint to the switch and returns its transport.
 func (s *Switch) Attach() *MemTransport {
@@ -64,7 +89,7 @@ func (s *Switch) Attach() *MemTransport {
 	defer s.mu.Unlock()
 	ep := ident.Endpoint{IP: ident.IP(s.nextIP), Port: 9000}
 	s.nextIP++
-	t := &MemTransport{sw: s, local: ep, start: time.Now(), recv: make(chan Packet, 256)}
+	t := &MemTransport{sw: s, local: ep, start: time.Now(), receiver: newReceiver()}
 	s.ports[ep] = t
 	return t
 }
@@ -82,7 +107,7 @@ func (s *Switch) AttachSibling(t *MemTransport, port uint16) *MemTransport {
 	if _, taken := s.ports[ep]; taken {
 		panic(fmt.Sprintf("transport: sibling endpoint %v already attached", ep))
 	}
-	sib := &MemTransport{sw: s, local: ep, start: time.Now(), recv: make(chan Packet, 256)}
+	sib := &MemTransport{sw: s, local: ep, start: time.Now(), receiver: newReceiver()}
 	s.ports[ep] = sib
 	return sib
 }
@@ -98,7 +123,7 @@ func (s *Switch) AttachNAT(class ident.NATClass, ruleTTL time.Duration) (*MemTra
 	pubIP := ident.IP(s.nextIP)
 	s.nextIP++
 	dev := nat.NewDevice(class, pubIP, ruleTTL.Milliseconds())
-	t := &MemTransport{sw: s, local: priv, dev: dev, start: time.Now(), recv: make(chan Packet, 256)}
+	t := &MemTransport{sw: s, local: priv, dev: dev, start: time.Now(), receiver: newReceiver()}
 	s.ports[priv] = t
 	s.nats[pubIP] = &natAttachment{dev: dev, tr: t}
 	// Join handshake: allocate the advertised mapping toward a well-known
@@ -124,9 +149,6 @@ func (s *Switch) OpenHole(a, b *MemTransport, aAdv, bAdv ident.Endpoint) {
 // LocalAddr implements Transport.
 func (t *MemTransport) LocalAddr() ident.Endpoint { return t.local }
 
-// Packets implements Transport.
-func (t *MemTransport) Packets() <-chan Packet { return t.recv }
-
 // Send implements Transport: the datagram leaves through the sender's NAT
 // (if any), traverses the switch, and is admitted or dropped by the
 // receiver's NAT.
@@ -149,51 +171,86 @@ func (t *MemTransport) Send(to ident.Endpoint, data []byte) error {
 		from = t.dev.Outbound(time.Since(t.start).Milliseconds(), t.local, to)
 		t.sw.mu.Unlock()
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-
-	deliver := func() {
-		t.sw.deliver(from, to, buf)
-	}
+	d := t.sw.deliveries.Get().(*delivery)
+	d.sw, d.from, d.to = t.sw, from, to
+	d.n = copy(d.buf[:], data)
 	if t.sw.latency > 0 {
-		time.AfterFunc(t.sw.latency, deliver)
+		time.AfterFunc(t.sw.latency, d.run)
 	} else {
-		go deliver()
+		d.deliver()
 	}
 	return nil
 }
 
-func (s *Switch) deliver(from, to ident.Endpoint, data []byte) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+// deliver carries the datagram to its destination attachment, if the
+// receiver's NAT admits it, and recycles the delivery unless the attachment
+// kept it.
+func (d *delivery) deliver() {
+	if target := d.sw.route(d.from, d.to); target == nil || !target.receive(d) {
+		d.sw.deliveries.Put(d)
 	}
-	target, ok := s.ports[to]
-	if !ok {
-		// A NAT mapping?
-		if att, natted := s.nats[to.IP]; natted {
-			now := time.Since(att.tr.start).Milliseconds()
-			priv, admitted := att.dev.Inbound(now, from, to)
-			if admitted {
-				target, ok = s.ports[priv]
-			}
+}
+
+// route resolves a destination endpoint to the attachment behind it; nil
+// means the datagram is silently dropped, as UDP through a NAT would be.
+func (s *Switch) route(from, to ident.Endpoint) *MemTransport {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	if target, ok := s.ports[to]; ok {
+		return target
+	}
+	// A NAT mapping?
+	if att, natted := s.nats[to.IP]; natted {
+		now := time.Since(att.tr.start).Milliseconds()
+		if priv, admitted := att.dev.Inbound(now, from, to); admitted {
+			return s.ports[priv]
 		}
 	}
-	s.mu.Unlock()
-	if !ok || target == nil {
-		return // silently dropped, as UDP through a NAT would be
+	return nil
+}
+
+// receive queues a delivered datagram: the delivery itself on the inbox when
+// a handler reads it (the result says the attachment kept d), a copy of its
+// bytes on Packets otherwise. A full queue drops, as a socket buffer would.
+func (t *MemTransport) receive(d *delivery) (kept bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return false
 	}
-	target.mu.Lock()
-	defer target.mu.Unlock()
-	if target.closed {
-		return
+	if t.inbox == nil {
+		t.enqueue(Packet{From: d.from, Data: append([]byte(nil), d.buf[:d.n]...)})
+		return false
 	}
 	select {
-	case target.recv <- Packet{From: from, Data: data}:
+	case t.inbox <- d:
+		return true
 	default:
-		// Receiver queue full: drop, as a socket buffer would.
+		t.dropped.Add(1)
+		return false
 	}
+}
+
+// SetHandler implements Handled: it starts the attachment's reading
+// goroutine, which calls h for every delivery with the delivery's own buffer
+// and exits when Close closes the inbox.
+func (t *MemTransport) SetHandler(h func(Packet)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed || t.inbox != nil {
+		return
+	}
+	inbox := make(chan *delivery, recvQueue)
+	t.inbox = inbox
+	go func() {
+		for d := range inbox {
+			h(Packet{From: d.from, Data: d.buf[:d.n]})
+			d.sw.deliveries.Put(d)
+		}
+	}()
 }
 
 // Close implements Transport.
@@ -205,6 +262,9 @@ func (t *MemTransport) Close() error {
 	}
 	t.closed = true
 	close(t.recv)
+	if t.inbox != nil {
+		close(t.inbox)
+	}
 	t.sw.detach(t)
 	return nil
 }

@@ -4,22 +4,26 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ident"
 )
 
-// UDPTransport carries protocol datagrams over an IPv4 UDP socket.
+// UDPTransport carries protocol datagrams over an IPv4 UDP socket. It reads
+// and writes with netip addresses, so neither direction allocates.
 type UDPTransport struct {
-	conn  *net.UDPConn
-	local ident.Endpoint
-	recv  chan Packet
+	receiver
+	conn    *net.UDPConn
+	local   ident.Endpoint
+	handler atomic.Pointer[func(Packet)]
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
-var _ Transport = (*UDPTransport)(nil)
+var _ Handled = (*UDPTransport)(nil)
 
 // ListenUDP opens a UDP socket on the given address ("ip:port"; ":0" picks a
 // free port on all interfaces) and starts its read loop.
@@ -32,75 +36,74 @@ func ListenUDP(addr string) (*UDPTransport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %q: %w", addr, err)
 	}
-	local, err := toEndpoint(conn.LocalAddr())
-	if err != nil {
+	ua, ok := conn.LocalAddr().(*net.UDPAddr)
+	if !ok {
 		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("transport: not a UDP address: %v", conn.LocalAddr())
 	}
-	t := &UDPTransport{conn: conn, local: local, recv: make(chan Packet, 256)}
+	// A wildcard listen reports 0.0.0.0 (or no IP at all): the zero IP.
+	local, _ := toEndpoint(ua.AddrPort())
+	local.Port = uint16(ua.Port)
+	t := &UDPTransport{receiver: newReceiver(), conn: conn, local: local}
 	go t.readLoop()
 	return t, nil
 }
 
-// toEndpoint converts a net.Addr carrying an IPv4 UDP address.
-func toEndpoint(a net.Addr) (ident.Endpoint, error) {
-	ua, ok := a.(*net.UDPAddr)
-	if !ok {
-		return ident.Zero, fmt.Errorf("transport: not a UDP address: %v", a)
+// toEndpoint converts an IPv4 (or IPv4-mapped) socket address; ok is false
+// for anything else.
+func toEndpoint(ap netip.AddrPort) (ident.Endpoint, bool) {
+	a := ap.Addr().Unmap()
+	if !a.Is4() {
+		return ident.Zero, false
 	}
-	ip4 := ua.IP.To4()
-	if ip4 == nil {
-		// A wildcard listen reports "::" or 0.0.0.0; represent as zero IP.
-		ip4 = net.IPv4zero.To4()
-	}
+	b := a.As4()
 	return ident.Endpoint{
-		IP:   ident.IP(uint32(ip4[0])<<24 | uint32(ip4[1])<<16 | uint32(ip4[2])<<8 | uint32(ip4[3])),
-		Port: uint16(ua.Port),
-	}, nil
+		IP:   ident.IP(uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])),
+		Port: ap.Port(),
+	}, true
 }
 
-// toUDPAddr converts back to the net representation.
-func toUDPAddr(e ident.Endpoint) *net.UDPAddr {
-	return &net.UDPAddr{
-		IP:   net.IPv4(byte(e.IP>>24), byte(e.IP>>16), byte(e.IP>>8), byte(e.IP)),
-		Port: int(e.Port),
-	}
+// toAddrPort converts back to the net representation.
+func toAddrPort(e ident.Endpoint) netip.AddrPort {
+	ip := [4]byte{byte(e.IP >> 24), byte(e.IP >> 16), byte(e.IP >> 8), byte(e.IP)}
+	return netip.AddrPortFrom(netip.AddrFrom4(ip), e.Port)
 }
 
+// readLoop is the socket's only reader. With a handler set it calls the
+// handler on this goroutine with the read buffer itself; otherwise it copies
+// the datagram and queues it on Packets.
 func (t *UDPTransport) readLoop() {
 	defer close(t.recv)
 	buf := make([]byte, MaxDatagram)
 	for {
-		n, from, err := t.conn.ReadFromUDP(buf)
+		n, from, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // closed or fatal; channel closure signals the node
 		}
-		ep, err := toEndpoint(from)
-		if err != nil {
+		ep, ok := toEndpoint(from)
+		if !ok {
 			continue
 		}
-		data := make([]byte, n)
-		copy(data, buf[:n])
-		select {
-		case t.recv <- Packet{From: ep, Data: data}:
-		default:
-			// Reader too slow: drop, as the kernel buffer would.
+		if h := t.handler.Load(); h != nil {
+			(*h)(Packet{From: ep, Data: buf[:n]})
+			continue
 		}
+		t.enqueue(Packet{From: ep, Data: append([]byte(nil), buf[:n]...)})
 	}
 }
 
+// SetHandler implements Handled.
+func (t *UDPTransport) SetHandler(h func(Packet)) { t.handler.Store(&h) }
+
 // LocalAddr implements Transport.
 func (t *UDPTransport) LocalAddr() ident.Endpoint { return t.local }
-
-// Packets implements Transport.
-func (t *UDPTransport) Packets() <-chan Packet { return t.recv }
 
 // Send implements Transport.
 func (t *UDPTransport) Send(to ident.Endpoint, data []byte) error {
 	if len(data) > MaxDatagram {
 		return fmt.Errorf("transport: datagram of %d bytes exceeds limit %d", len(data), MaxDatagram)
 	}
-	_, err := t.conn.WriteToUDP(data, toUDPAddr(to))
+	_, err := t.conn.WriteToUDPAddrPort(data, toAddrPort(to))
 	if err != nil && errors.Is(err, net.ErrClosed) {
 		return errClosed
 	}

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -130,15 +131,28 @@ func getDesc(b []byte) (view.Descriptor, error) {
 	return d, nil
 }
 
-// Marshal encodes the message.
+// Marshal encodes the message into a fresh buffer of exactly its size.
 func (m *Message) Marshal() ([]byte, error) {
+	b, err := m.AppendMarshal(make([]byte, 0, m.Size()))
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// AppendMarshal appends the encoding of the message to dst and returns the
+// extended slice; with a reused buffer of sufficient capacity it performs no
+// allocation. On error dst is returned unchanged.
+func (m *Message) AppendMarshal(dst []byte) ([]byte, error) {
 	if !m.Kind.valid() {
-		return nil, fmt.Errorf("wire: cannot marshal invalid kind %v", m.Kind)
+		return dst, fmt.Errorf("wire: cannot marshal invalid kind %v", m.Kind)
 	}
 	if len(m.Entries) > MaxEntries {
-		return nil, fmt.Errorf("wire: %d entries exceed limit %d", len(m.Entries), MaxEntries)
+		return dst, fmt.Errorf("wire: %d entries exceed limit %d", len(m.Entries), MaxEntries)
 	}
-	b := make([]byte, m.Size())
+	size := m.Size()
+	dst = slices.Grow(dst, size)
+	b := dst[len(dst) : len(dst)+size]
 	b[0] = version
 	b[1] = byte(m.Kind)
 	b[2] = m.Hops
@@ -152,51 +166,67 @@ func (m *Message) Marshal() ([]byte, error) {
 		binary.BigEndian.PutUint32(b[off+descSize:], e.RouteTTL)
 		off += entrySize
 	}
-	return b, nil
+	return dst[:len(dst)+size], nil
 }
 
-// Unmarshal decodes a message. Errors identify truncation, version mismatch,
-// and invalid field values; they wrap ErrMalformed.
+// Unmarshal decodes a message into a fresh Message. Errors identify
+// truncation, version mismatch, and invalid field values; they wrap
+// ErrMalformed.
 func Unmarshal(b []byte) (*Message, error) {
+	m := new(Message)
+	if err := UnmarshalInto(m, b); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// UnmarshalInto decodes b into m, overwriting every field and reusing the
+// capacity of m.Entries: a receive loop that decodes into one long-lived
+// message allocates nothing per datagram. The decoded message does not alias
+// b. It applies exactly Unmarshal's validation; after an error m holds a
+// partial decode and must not be used.
+func UnmarshalInto(m *Message, b []byte) error {
 	if len(b) < headerSize {
-		return nil, fmt.Errorf("%w: %d bytes, need at least %d", ErrMalformed, len(b), headerSize)
+		return fmt.Errorf("%w: %d bytes, need at least %d", ErrMalformed, len(b), headerSize)
 	}
 	if b[0] != version {
-		return nil, fmt.Errorf("%w: unknown version %d", ErrMalformed, b[0])
+		return fmt.Errorf("%w: unknown version %d", ErrMalformed, b[0])
 	}
-	m := &Message{Kind: Kind(b[1]), Hops: b[2]}
+	*m = Message{Kind: Kind(b[1]), Hops: b[2], Entries: m.Entries[:0]}
 	if !m.Kind.valid() {
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrMalformed, b[1])
+		return fmt.Errorf("%w: unknown kind %d", ErrMalformed, b[1])
 	}
 	var err error
 	if m.Src, err = getDesc(b[3:]); err != nil {
-		return nil, fmt.Errorf("%w: src: %v", ErrMalformed, err)
+		return fmt.Errorf("%w: src: %v", ErrMalformed, err)
 	}
 	if m.Dst, err = getDesc(b[3+descSize:]); err != nil {
-		return nil, fmt.Errorf("%w: dst: %v", ErrMalformed, err)
+		return fmt.Errorf("%w: dst: %v", ErrMalformed, err)
 	}
 	if m.Via, err = getDesc(b[3+2*descSize:]); err != nil {
-		return nil, fmt.Errorf("%w: via: %v", ErrMalformed, err)
+		return fmt.Errorf("%w: via: %v", ErrMalformed, err)
 	}
 	n := int(binary.BigEndian.Uint16(b[3+3*descSize:]))
 	if n > MaxEntries {
-		return nil, fmt.Errorf("%w: %d entries exceed limit %d", ErrMalformed, n, MaxEntries)
+		return fmt.Errorf("%w: %d entries exceed limit %d", ErrMalformed, n, MaxEntries)
 	}
 	if len(b) != headerSize+n*entrySize {
-		return nil, fmt.Errorf("%w: %d bytes for %d entries, want %d", ErrMalformed, len(b), n, headerSize+n*entrySize)
+		return fmt.Errorf("%w: %d bytes for %d entries, want %d", ErrMalformed, len(b), n, headerSize+n*entrySize)
 	}
-	if n > 0 {
+	if n > cap(m.Entries) {
 		m.Entries = make([]ViewEntry, n)
-		off := headerSize
-		for i := range m.Entries {
-			if m.Entries[i].Desc, err = getDesc(b[off:]); err != nil {
-				return nil, fmt.Errorf("%w: entry %d: %v", ErrMalformed, i, err)
-			}
-			m.Entries[i].RouteTTL = binary.BigEndian.Uint32(b[off+descSize:])
-			off += entrySize
-		}
 	}
-	return m, nil
+	m.Entries = m.Entries[:n]
+	off := headerSize
+	for i := range m.Entries {
+		e := &m.Entries[i]
+		if e.Desc, err = getDesc(b[off:]); err != nil {
+			return fmt.Errorf("%w: entry %d: %v", ErrMalformed, i, err)
+		}
+		e.RouteTTL = binary.BigEndian.Uint32(b[off+descSize:])
+		off += entrySize
+	}
+	return nil
 }
 
 // ErrMalformed is wrapped by every Unmarshal error.

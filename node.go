@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/boot"
 	"repro/internal/core"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -79,19 +81,25 @@ type Stats = core.Stats
 // Node runs the Nylon protocol in real time over a Transport. Create with
 // NewNode, then Start. All methods are safe for concurrent use.
 type Node struct {
-	cfg    Config
+	cfg   Config
+	start time.Time
+
+	// mu is the engine mutex: it serializes every engine call and guards
+	// the fields below, on whichever goroutine delivers a packet. It stays
+	// valid after Close, when a handler may still be finishing a packet.
+	mu     sync.Mutex
 	engine *core.Nylon
-	start  time.Time
+	// Reused for every packet (DESIGN.md, "Live datapath"): the engine's
+	// message pool, the decode target and the encode buffer.
+	msgs wire.Pool
+	in   wire.Message
+	out  []byte
+	// sampleRNG drives Sample, apart from the engine's stream so that
+	// serving samples never perturbs the protocol.
+	sampleRNG *rand.Rand
 
-	// requests serializes access to the engine with the run loop.
-	requests chan func()
-	done     chan struct{}
-	wg       sync.WaitGroup
-
-	// mu guards engine access before Start, when no run loop exists yet.
-	mu      sync.Mutex
-	started bool
-
+	malformed atomic.Uint64 // datagrams that failed to decode
+	wg        sync.WaitGroup
 	startOnce sync.Once
 	closeOnce sync.Once
 }
@@ -111,9 +119,13 @@ func NewNode(cfg Config) (*Node, error) {
 	if !cfg.NAT.Valid() {
 		return nil, fmt.Errorf("nylon: invalid NAT class %v", cfg.NAT)
 	}
-	self := Descriptor{ID: cfg.ID, Addr: cfg.Advertise, Class: cfg.NAT}
-	engine := core.NewNylon(core.Config{
-		Self:         self,
+	n := &Node{
+		cfg:       cfg,
+		out:       make([]byte, 0, transport.MaxDatagram),
+		sampleRNG: rand.New(rand.NewSource(cfg.Seed ^ 0x53616d706c65)), // "Sample"
+	}
+	n.engine = core.NewNylon(core.Config{
+		Self:         Descriptor{ID: cfg.ID, Addr: cfg.Advertise, Class: cfg.NAT},
 		ViewSize:     cfg.ViewSize,
 		Selection:    cfg.Selection,
 		Merge:        cfg.Merge,
@@ -124,13 +136,8 @@ func NewNode(cfg Config) (*Node, error) {
 		// Deployed nodes must shed departed peers: evict targets that
 		// never answer.
 		EvictUnanswered: true,
+		Msgs:            &n.msgs,
 	})
-	n := &Node{
-		cfg:      cfg,
-		engine:   engine,
-		requests: make(chan func(), 16),
-		done:     make(chan struct{}),
-	}
 	return n, nil
 }
 
@@ -140,8 +147,10 @@ func (n *Node) Start() {
 		n.mu.Lock()
 		n.start = time.Now()
 		n.engine.Bootstrap(0, n.cfg.Bootstrap)
-		n.started = true
 		n.mu.Unlock()
+		if h, ok := n.cfg.Transport.(transport.Handled); ok {
+			h.SetHandler(n.handlePacket)
+		}
 		n.wg.Add(1)
 		go n.run()
 	})
@@ -149,34 +158,42 @@ func (n *Node) Start() {
 
 func (n *Node) now() int64 { return time.Since(n.start).Milliseconds() }
 
-// run is the single goroutine owning the engine.
+// run drives the shuffling period and reads Packets: the whole receive path of
+// a transport without a handler; with one, only the datagrams queued before
+// Start. Either way Close closes the channel, which ends the loop.
 func (n *Node) run() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.Period)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-n.done:
-			return
 		case <-ticker.C:
+			n.mu.Lock()
 			n.dispatch(n.engine.Tick(n.now()))
+			n.mu.Unlock()
 		case pkt, ok := <-n.cfg.Transport.Packets():
 			if !ok {
 				return
 			}
-			if boot.IsBoot(pkt.Data) {
-				n.handleBoot(pkt.Data)
-				continue
-			}
-			msg, err := wire.Unmarshal(pkt.Data)
-			if err != nil {
-				continue // hostile or corrupt datagram
-			}
-			n.dispatch(n.engine.Receive(n.now(), pkt.From, msg))
-		case req := <-n.requests:
-			req()
+			n.handlePacket(pkt)
 		}
 	}
+}
+
+// handlePacket takes one datagram through the engine and sends the answers,
+// without allocating. pkt.Data is not retained.
+func (n *Node) handlePacket(pkt Packet) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if boot.IsBoot(pkt.Data) {
+		n.handleBoot(pkt.Data)
+		return
+	}
+	if err := wire.UnmarshalInto(&n.in, pkt.Data); err != nil {
+		n.malformed.Add(1) // hostile or corrupt datagram
+		return
+	}
+	n.dispatch(n.engine.Receive(n.now(), pkt.From, &n.in))
 }
 
 // handleBoot processes introducer-protocol datagrams arriving on the shared
@@ -187,11 +204,12 @@ func (n *Node) run() {
 // before they gossip.
 func (n *Node) handleBoot(data []byte) {
 	m, err := boot.Unmarshal(data)
-	if err != nil || m.Kind != boot.KindPunch {
+	if err != nil {
+		n.malformed.Add(1)
 		return
 	}
 	joiner := m.Self
-	if joiner.ID.IsNil() || joiner.ID == n.cfg.ID || joiner.Addr.IsZero() {
+	if m.Kind != boot.KindPunch || joiner.ID.IsNil() || joiner.ID == n.cfg.ID || joiner.Addr.IsZero() {
 		return
 	}
 	// Reply only on first contact, so two nodes punching each other do not
@@ -205,45 +223,15 @@ func (n *Node) handleBoot(data []byte) {
 	n.engine.Bootstrap(n.now(), []Descriptor{joiner})
 }
 
+// dispatch sends the engine's commands and recycles their messages.
 func (n *Node) dispatch(sends []core.Send) {
 	for _, s := range sends {
-		data, err := s.Msg.Marshal()
-		if err != nil {
-			continue
+		var err error
+		if n.out, err = s.Msg.AppendMarshal(n.out[:0]); err == nil {
+			// Best effort, like UDP itself.
+			_ = n.cfg.Transport.Send(s.To, n.out)
 		}
-		// Best effort, like UDP itself.
-		_ = n.cfg.Transport.Send(s.To, data)
-	}
-}
-
-// inLoop runs fn with exclusive engine access: on the run-loop goroutine
-// once started, directly under the mutex before that. After Close, fn runs
-// directly too — the loop is gone and nothing else touches the engine.
-func (n *Node) inLoop(fn func()) bool {
-	n.mu.Lock()
-	started := n.started
-	n.mu.Unlock()
-	if !started {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		fn()
-		return true
-	}
-	doneCh := make(chan struct{})
-	select {
-	case n.requests <- func() { fn(); close(doneCh) }:
-	case <-n.done:
-		n.wg.Wait()
-		fn()
-		return true
-	}
-	select {
-	case <-doneCh:
-		return true
-	case <-n.done:
-		n.wg.Wait()
-		fn()
-		return true
+		n.msgs.Put(s.Msg)
 	}
 }
 
@@ -252,17 +240,18 @@ func (n *Node) Self() Descriptor { return n.engine.Self() }
 
 // View returns a snapshot of the current partial view.
 func (n *Node) View() []Descriptor {
-	var out []Descriptor
-	n.inLoop(func() { out = n.engine.View().Entries() })
-	return out
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.engine.View().Entries()
 }
 
 // Sample returns up to k peers drawn uniformly at random from the current
 // view — the "peer sampling service" interface.
 func (n *Node) Sample(k int) []Descriptor {
-	entries := n.View()
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	entries := n.engine.View().Entries()
+	n.sampleRNG.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
 	if k < len(entries) {
 		entries = entries[:k]
 	}
@@ -271,16 +260,26 @@ func (n *Node) Sample(k int) []Descriptor {
 
 // Stats returns a snapshot of the protocol counters.
 func (n *Node) Stats() Stats {
-	var out Stats
-	n.inLoop(func() { out = *n.engine.Stats() })
-	return out
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return *n.engine.Stats()
 }
 
-// Close stops the node and closes its transport. It is idempotent.
+// Drops counts the datagrams that reached the socket but not the protocol:
+// those that failed to decode, and those the transport discarded on a full
+// Packets queue (zero when the transport does not count them).
+func (n *Node) Drops() (malformed, queueFull uint64) {
+	if c, ok := n.cfg.Transport.(transport.DropCounter); ok {
+		queueFull = c.Dropped()
+	}
+	return n.malformed.Load(), queueFull
+}
+
+// Close stops the node and closes its transport. It is idempotent. A handler
+// may still be finishing one packet when Close returns; its sends then fail.
 func (n *Node) Close() error {
 	var err error
 	n.closeOnce.Do(func() {
-		close(n.done)
 		err = n.cfg.Transport.Close()
 		n.wg.Wait()
 	})
