@@ -273,8 +273,8 @@ func (st *runState) sampleAdversary(withRefs bool) advViewSample {
 
 // measureAdversary fills the Result's adversary block: view penetration,
 // indegree concentration, and the honest-only partition resistance over the
-// already-computed usable edges.
-func (st *runState) measureAdversary(res *Result, aliveIDs []ident.NodeID, edges []graph.Edge) {
+// already-walked usable edges.
+func (st *runState) measureAdversary(res *Result, w *overlayWalk) {
 	a := st.adv
 	s := st.sampleAdversary(true)
 	res.Adversary.AdversaryCount = a.count
@@ -288,17 +288,17 @@ func (st *runState) measureAdversary(res *Result, aliveIDs []ident.NodeID, edges
 	}
 	res.Adversary.TopKIndegreeShare = s.topKShare(k)
 
-	honestIDs := make([]ident.NodeID, 0, len(aliveIDs))
-	for _, id := range aliveIDs {
+	honestIDs := make([]ident.NodeID, 0, len(w.ids))
+	for _, id := range w.ids {
 		if a.honest(id) {
 			honestIDs = append(honestIDs, id)
 		}
 	}
-	honestEdges := make([]graph.Edge, 0, len(edges))
-	for _, e := range edges {
+	honestEdges := make([]graph.Edge, 0, len(w.edges))
+	for _, e := range w.edges {
 		if a.honest(e.From) && a.honest(e.To) {
 			honestEdges = append(honestEdges, e)
 		}
 	}
-	res.Adversary.HonestCluster = graph.BiggestClusterFraction(honestIDs, honestEdges)
+	res.Adversary.HonestCluster = w.dense.BiggestClusterFraction(len(st.peers), honestIDs, honestEdges)
 }

@@ -369,13 +369,22 @@ func configsMatch(a, b Config) bool {
 	return errA == nil && errB == nil && string(aj) == string(bj)
 }
 
-// ResumeFile resumes a run from a snapshot file (see Resume).
+// ResumeFile resumes a run from a snapshot file (see Resume) without ever
+// holding its payload: the file is verified whole first (snapshot.Open), then
+// streamed through the decoder that rebuilds the world. A damaged file fails
+// with its typed error before anything of opt — the hub, the checkpoint
+// directory — has been touched.
 func ResumeFile(path string, opt ResumeOptions) (Result, error) {
-	payload, err := snapshot.ReadFile(path)
+	r, err := snapshot.Open(path)
 	if err != nil {
 		return Result{}, err
 	}
-	return Resume(payload, opt)
+	st, err := restoreWorld(r.Decoder(), opt)
+	r.Close() // read-only: nothing to lose
+	if err != nil {
+		return Result{}, err
+	}
+	return st.runToHorizon()
 }
 
 // Resume reconstructs the world from a verified snapshot payload and runs it
@@ -386,19 +395,29 @@ func ResumeFile(path string, opt ResumeOptions) (Result, error) {
 // (snapshot.ErrCorrupt and friends) before any events run: the world under
 // construction is discarded whole, never half-resumed.
 func Resume(payload []byte, opt ResumeOptions) (Result, error) {
-	dec := snapshot.NewDecoder(payload)
+	st, err := restoreWorld(snapshot.NewDecoder(payload), opt)
+	if err != nil {
+		return Result{}, err
+	}
+	return st.runToHorizon()
+}
+
+// restoreWorld decodes a whole snapshot payload into a freshly wired run
+// state, ready to run on from the snapshot time.
+func restoreWorld(dec *snapshot.Decoder, opt ResumeOptions) (*runState, error) {
 	dec.Section(secExp)
 	resumeT := dec.I64()
+	// Copied: the decoder's bytes die with its next read.
 	cfgJSON := append([]byte(nil), dec.Bytes32()...)
 	if dec.Err() != nil {
-		return Result{}, dec.Err()
+		return nil, dec.Err()
 	}
 	var cfg Config
 	if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
-		return Result{}, fmt.Errorf("%w: config: %v", snapshot.ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: config: %v", snapshot.ErrCorrupt, err)
 	}
 	if opt.Config != nil && !configsMatch(cfg, *opt.Config) {
-		return Result{}, fmt.Errorf("%w: snapshot is of a different experiment point", ErrConfigMismatch)
+		return nil, fmt.Errorf("%w: snapshot is of a different experiment point", ErrConfigMismatch)
 	}
 	if opt.Workers > 0 {
 		cfg.Workers = opt.Workers
@@ -413,19 +432,17 @@ func Resume(payload []byte, opt ResumeOptions) (Result, error) {
 	cfg.Obs = opt.Obs
 	cfg = cfg.Defaults()
 	if err := cfg.validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if resumeT < 0 || resumeT > int64(cfg.Rounds)*cfg.PeriodMs {
-		return Result{}, fmt.Errorf("%w: snapshot time %d outside the run horizon", snapshot.ErrCorrupt, resumeT)
+		return nil, fmt.Errorf("%w: snapshot time %d outside the run horizon", snapshot.ErrCorrupt, resumeT)
 	}
 
 	st := newRunState(cfg)
 	if err := st.restore(dec, resumeT); err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	end := int64(st.cfg.Rounds) * st.cfg.PeriodMs
-	st.kern.RunUntil(end)
-	return st.finish(end)
+	return st, nil
 }
 
 // drvState is the decoded scenario-driver state, held until the payload fully

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/snapshot"
 	"repro/internal/view"
@@ -449,5 +450,51 @@ func TestCheckpointRemovesStaleTemps(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, SnapshotFileName(10))); err != nil {
 		t.Errorf("the run's own snapshot is missing: %v", err)
+	}
+}
+
+// TestResumeFileRejectsBeforeTouchingAnything pins the order the streaming
+// restore keeps: a damaged file is rejected, with its typed error, before a
+// byte of it is decoded — so the hub the caller passed is still unbound and
+// the checkpoint directory it named still does not exist. (A file that only
+// fails its second pass is discarded with the world built from it, like a
+// payload that fails to decode; by then the hub is bound.)
+func TestResumeFileRejectsBeforeTouchingAnything(t *testing.T) {
+	cfg := ckTestConfig(ckStorm())
+	_, dir := runCheckpointed(t, cfg, 10)
+	data, err := os.ReadFile(filepath.Join(dir, SnapshotFileName(20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), data...)
+	flipped[len(data)-40] ^= 1 // the last payload bytes: a decoder would be done by then
+	foreign := append([]byte(nil), data...)
+	copy(foreign, "nylon-snap/v9\n")
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"truncated", data[:len(data)-1], snapshot.ErrTruncated},
+		{"bit-flipped", flipped, snapshot.ErrChecksum},
+		{"wrong-version", foreign, snapshot.ErrVersion},
+		{"trailing-bytes", append(append([]byte(nil), data...), 0), snapshot.ErrCorrupt},
+	} {
+		path := filepath.Join(t.TempDir(), "bad.snap")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		hub := obs.NewHub()
+		ckDir := filepath.Join(t.TempDir(), "never-created")
+		_, err := ResumeFile(path, ResumeOptions{Obs: hub, Checkpoint: &CheckpointSpec{Dir: ckDir, EveryRounds: 5}})
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+		if hub.Health() != nil || hub.Timing() != nil {
+			t.Errorf("%s: the rejected file's world was bound to the caller's hub", tc.name)
+		}
+		if _, err := os.Stat(ckDir); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: the checkpoint directory was touched: stat err = %v", tc.name, err)
+		}
 	}
 }

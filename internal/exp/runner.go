@@ -147,10 +147,9 @@ type runState struct {
 	// flight, when Config.Flight is set, watches the health samples for
 	// anomalies and freezes forensic bundles; nil otherwise.
 	flight *flightState
-	// sampleIDs and sampleEdges are the periodic sampler's run-lifetime
-	// scratch (see sampleOverlay).
-	sampleIDs   []ident.NodeID
-	sampleEdges []graph.Edge
+	// walk is the measurement plane's latest result and run-lifetime scratch
+	// (see walkOverlay).
+	walk overlayWalk
 
 	// Static-RVP assignment state, kept on the run so scenario joins can
 	// extend it: rvpOf pins each natted peer to its fixed public RVP,
@@ -175,7 +174,11 @@ func Run(cfg Config) (Result, error) {
 	st.schedule()
 	st.armGlobals(-1)
 	st.installCheckpoint(-1)
+	return st.runToHorizon()
+}
 
+// runToHorizon runs a wired world to the end of its run and measures it.
+func (st *runState) runToHorizon() (Result, error) {
 	end := int64(st.cfg.Rounds) * st.cfg.PeriodMs
 	st.kern.RunUntil(end)
 	return st.finish(end)
@@ -741,7 +744,9 @@ func (st *runState) nylonUsable(now int64, q *simnet.Peer, d view.Descriptor) bo
 		if !ok {
 			return false
 		}
-		rvp, ok := eng.Routes().Next(d.ID, now)
+		// Peek, not Next: these are other peers' tables, and measuring must
+		// leave them as it found them.
+		rvp, ok := eng.Routes().Peek(d.ID, now)
 		if !ok {
 			return false
 		}
@@ -768,114 +773,49 @@ func (st *runState) nylonUsable(now int64, q *simnet.Peer, d view.Descriptor) bo
 // worlds (selection counts, drop statistics) without any locking: the run
 // is over, every shard has quiesced.
 func (st *runState) measure(end int64, warmupBytes []uint64) Result {
-	now := st.kern.Now()
 	res := Result{Cfg: st.cfg, Drops: st.net.Drops()}
-	selections := st.selections
-
-	aliveIDs := make([]ident.NodeID, 0, len(st.peers))
-	edges := make([]graph.Edge, 0, len(st.peers)*st.cfg.ViewSize)
-	nattedRatios := make([]float64, 0, len(st.peers))
-	var staleSum, staleCount float64
-	var initiated, completed, noroute, chainHops, chainSamples uint64
-	var relayDenied, advDrops, hopLimitDrops uint64
-
-	var alive, alivePublic, aliveNatted int
-	var bytesAll, bytesPublic, bytesNatted float64
+	w := st.walkOverlay(st.kern.Now(), warmupBytes)
+	sums := &w.sums
+	alive := len(w.ids)
 	warmupAt := int64(st.cfg.Rounds) / 3 * st.cfg.PeriodMs
 	seconds := float64(end-warmupAt) / 1000
 
-	for i, p := range st.peers {
-		if !p.Alive {
-			continue
-		}
-		alive++
-		aliveIDs = append(aliveIDs, p.ID)
-		delta := float64(p.BytesSent + p.BytesRecv)
-		if i < len(warmupBytes) {
-			delta -= float64(warmupBytes[i])
-		}
-		bytesAll += delta
-		if p.Class == ident.Public {
-			alivePublic++
-			bytesPublic += delta
-		} else {
-			aliveNatted++
-			bytesNatted += delta
-		}
-
-		s := p.Engine.Stats()
-		initiated += s.ShufflesInitiated
-		completed += s.ShufflesCompleted
-		noroute += s.NoRoute
-		chainHops += s.ChainHopsTotal
-		chainSamples += s.ChainSamples
-		relayDenied += s.RelayDenied
-		advDrops += s.AdversaryDrops
-		hopLimitDrops += s.HopLimitDrops
-
-		v := p.Engine.View()
-		var nonStale, nonStaleNatted int
-		for j, l := 0, v.Len(); j < l; j++ {
-			d := v.At(j)
-			// Entries referencing departed peers count as stale only
-			// in churn scenarios; graph edges always require life.
-			usable := st.usableEdge(now, p, d)
-			if usable {
-				nonStale++
-				if d.Class.Natted() {
-					nonStaleNatted++
-				}
-				edges = append(edges, graph.Edge{From: p.ID, To: d.ID})
-			}
-			staleCount++
-			if !usable {
-				staleSum++
-			}
-		}
-		if nonStale > 0 {
-			nattedRatios = append(nattedRatios, float64(nonStaleNatted)/float64(nonStale))
-		}
-	}
-
 	res.AlivePeers = alive
 	res.TotalPeers = len(st.peers)
-	if staleCount > 0 {
-		res.StaleFraction = staleSum / staleCount
-	}
-	res.NattedNonStale = stats.Mean(nattedRatios)
-	res.BiggestCluster = graph.BiggestClusterFraction(aliveIDs, edges)
+	res.StaleFraction = w.staleFraction()
+	res.NattedNonStale = stats.Mean(w.natted)
+	res.BiggestCluster = w.biggestCluster(len(st.peers))
 	if seconds > 0 && alive > 0 {
-		res.BytesPerSecAll = bytesAll / seconds / float64(alive)
-		if alivePublic > 0 {
-			res.BytesPerSecPublic = bytesPublic / seconds / float64(alivePublic)
+		res.BytesPerSecAll = float64(sums.bytesPublic+sums.bytesNatted) / seconds / float64(alive)
+		if sums.alivePublic > 0 {
+			res.BytesPerSecPublic = float64(sums.bytesPublic) / seconds / float64(sums.alivePublic)
 		}
-		if aliveNatted > 0 {
-			res.BytesPerSecNatted = bytesNatted / seconds / float64(aliveNatted)
+		if sums.aliveNatted > 0 {
+			res.BytesPerSecNatted = float64(sums.bytesNatted) / seconds / float64(sums.aliveNatted)
 		}
 	}
-	if chainSamples > 0 {
-		res.AvgChainLen = float64(chainHops) / float64(chainSamples)
+	if sums.chainSamples > 0 {
+		res.AvgChainLen = float64(sums.chainHops) / float64(sums.chainSamples)
 	}
-	if initiated > 0 {
-		res.CompletionRate = float64(completed) / float64(initiated)
-		res.NoRouteRate = float64(noroute) / float64(initiated)
+	if sums.initiated > 0 {
+		res.CompletionRate = float64(sums.completed) / float64(sums.initiated)
+		res.NoRouteRate = float64(sums.noroute) / float64(sums.initiated)
 	}
 
 	if st.adv != nil {
-		st.measureAdversary(&res, aliveIDs, edges)
-		res.Adversary.RelayDenied = relayDenied
-		res.Adversary.AdversaryDrops = advDrops
-		res.Adversary.HopLimitDrops = hopLimitDrops
+		st.measureAdversary(&res, w)
+		res.Adversary.RelayDenied = sums.relayDenied
+		res.Adversary.AdversaryDrops = sums.advDrops
+		res.Adversary.HopLimitDrops = sums.hopLimitDrops
 	}
 
-	deg := graph.InDegrees(aliveIDs, edges)
-	res.InDegree = graph.Summarize(deg)
+	res.InDegree = w.dense.InDegree(len(st.peers), w.ids, w.edges)
 	// Randomness: chi-square over how often each alive peer was selected
 	// as a gossip target during the measurement window (the sample stream;
 	// the paper uses the diehard suite on the same stream).
-	counts := make([]int, 0, len(aliveIDs))
-	for _, id := range aliveIDs {
-		counts = append(counts, int(selections[id]))
+	counts := make([]int, 0, alive)
+	for _, id := range w.ids {
+		counts = append(counts, int(st.selections[id]))
 	}
 	if len(counts) > 1 {
 		if chi2, dof, err := stats.ChiSquareUniform(counts); err == nil && dof > 0 {

@@ -81,48 +81,15 @@ func recoveryFrom(series []SamplePoint) Recovery {
 	return r
 }
 
-// sampleOverlay is the periodic sampler: the same usable-edge semantics as
-// overlaySnapshot, but reading views in place (view.At) into run-lifetime
-// scratch, so a sample copies no descriptors and allocates only while the
-// population outgrows the scratch. Exact staleness depends on the viewing
-// peer (NAT admission, RVP chain walks — see DESIGN.md §9), so the walk
-// itself cannot move into the incremental accumulators; what could, did.
-func (st *runState) sampleOverlay(now int64) (aliveIDs []ident.NodeID, edges []graph.Edge, staleFraction float64) {
-	aliveIDs = st.sampleIDs[:0]
-	edges = st.sampleEdges[:0]
-	var stale, total int
-	for _, p := range st.peers {
-		if !p.Alive {
-			continue
-		}
-		aliveIDs = append(aliveIDs, p.ID)
-		v := p.Engine.View()
-		for j, l := 0, v.Len(); j < l; j++ {
-			d := v.At(j)
-			total++
-			if st.usableEdge(now, p, d) {
-				edges = append(edges, graph.Edge{From: p.ID, To: d.ID})
-			} else {
-				stale++
-			}
-		}
-	}
-	st.sampleIDs, st.sampleEdges = aliveIDs, edges
-	if total > 0 {
-		staleFraction = float64(stale) / float64(total)
-	}
-	return aliveIDs, edges, staleFraction
-}
-
-// verifySample cross-checks one zero-copy sample against the legacy
+// verifySample cross-checks one sample of the chunked walk against the legacy
 // full-copy sweep (overlaySnapshot) and the incremental health accumulators.
 // Divergence means a bug in the observability layer, so it panics rather
 // than letting the series silently skew.
-func (st *runState) verifySample(now int64, aliveIDs []ident.NodeID, edges []graph.Edge, stale float64) {
+func (st *runState) verifySample(now int64, w *overlayWalk) {
 	refIDs, refEdges, refStale := st.overlaySnapshot(now)
-	if !slices.Equal(aliveIDs, refIDs) || !slices.Equal(edges, refEdges) || stale != refStale {
+	if stale := w.staleFraction(); !slices.Equal(w.ids, refIDs) || !slices.Equal(w.edges, refEdges) || stale != refStale {
 		panic(fmt.Sprintf("exp: sample diverges from reference sweep (%d vs %d ids, %d vs %d edges, stale %v vs %v)",
-			len(aliveIDs), len(refIDs), len(edges), len(refEdges), stale, refStale))
+			len(w.ids), len(refIDs), len(w.edges), len(refEdges), stale, refStale))
 	}
 	st.verifyAccumulators()
 }
@@ -165,11 +132,13 @@ func (st *runState) verifyAccumulators() {
 	}
 }
 
-// overlaySnapshot walks every alive peer's view once and returns the usable
-// edge set plus the stale fraction, copying entries out through EntriesInto.
-// The final measurement builds on the same semantics; the periodic series
-// uses the zero-copy sampleOverlay, for which this remains the
-// independently-coded reference (Config.VerifySamples).
+// overlaySnapshot walks every alive peer's view once, serially, and returns
+// the usable edge set plus the stale fraction, copying entries out through
+// EntriesInto. The final measurement and the periodic series use the chunked,
+// zero-copy walkOverlay, for which this remains the independently coded
+// reference (Config.VerifySamples). Exact staleness depends on the viewing
+// peer (NAT admission, RVP chain walks — see DESIGN.md §9), so neither walk
+// can move into the incremental accumulators; what could, did.
 func (st *runState) overlaySnapshot(now int64) (aliveIDs []ident.NodeID, edges []graph.Edge, staleFraction float64) {
 	var stale, total float64
 	aliveIDs = make([]ident.NodeID, 0, len(st.peers))
@@ -215,15 +184,15 @@ func (st *runState) scheduleSeries(after int64) {
 		}
 		st.kern.Global().At(int64(r)*st.cfg.PeriodMs, func() {
 			now := st.now()
-			aliveIDs, edges, stale := st.sampleOverlay(now)
+			w := st.walkOverlay(now, nil)
 			if st.cfg.VerifySamples {
-				st.verifySample(now, aliveIDs, edges, stale)
+				st.verifySample(now, w)
 			}
 			pt := SamplePoint{
 				Round:          r,
-				BiggestCluster: graph.BiggestClusterFraction(aliveIDs, edges),
-				StaleFraction:  stale,
-				AlivePeers:     len(aliveIDs),
+				BiggestCluster: w.biggestCluster(len(st.peers)),
+				StaleFraction:  w.staleFraction(),
+				AlivePeers:     len(w.ids),
 			}
 			if st.scn != nil {
 				pt.Joins, pt.Leaves = st.scn.stats.Joins, st.scn.stats.Leaves

@@ -159,3 +159,62 @@ func TestUnionFindMatchesBFS(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDenseMatchesOracle compares Dense against the map-keyed oracle on random
+// graphs with everything the overlay produces and a few things it should not:
+// dead nodes (slots outside the node set), self-loops, duplicate edges, edges
+// from and to dead nodes, endpoints outside 1..n, a duplicated node, and an
+// empty node set — through one Dense reused across shrinking and growing n.
+func TestDenseMatchesOracle(t *testing.T) {
+	var g Dense
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(80)
+		var nodes []ident.NodeID
+		for i := 0; i < n; i++ {
+			if rng.Float64() < 0.8 {
+				nodes = append(nodes, ident.NodeID(i+1))
+			}
+		}
+		if len(nodes) > 0 && rng.Intn(4) == 0 {
+			nodes = append(nodes, nodes[rng.Intn(len(nodes))])
+		}
+		var edges []Edge
+		for i, m := 0, rng.Intn(3*n); i < m; i++ {
+			// IDs 0 and n+1..n+2 are unknown endpoints.
+			e := Edge{From: ident.NodeID(rng.Intn(n + 3)), To: ident.NodeID(rng.Intn(n + 3))}
+			edges = append(edges, e)
+			if rng.Intn(5) == 0 {
+				edges = append(edges, e, Edge{From: e.From, To: e.From})
+			}
+		}
+		if got, want := g.BiggestClusterFraction(n, nodes, edges), BiggestClusterFraction(nodes, edges); got != want {
+			t.Logf("seed %d: biggest cluster %v, oracle %v", seed, got, want)
+			return false
+		}
+		if got, want := g.InDegree(n, nodes, edges), Summarize(InDegrees(nodes, edges)); got != want {
+			t.Logf("seed %d: in-degree %+v, oracle %+v", seed, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDenseSteadyStateAllocs pins the point of the scratch: a sample over a
+// population no larger than one already seen allocates nothing.
+func TestDenseSteadyStateAllocs(t *testing.T) {
+	nodes := ids(1, 2, 3, 5, 6)
+	edges := []Edge{{1, 2}, {2, 3}, {5, 6}, {6, 4}, {4, 1}}
+	var g Dense
+	g.BiggestClusterFraction(6, nodes, edges)
+	g.InDegree(6, nodes, edges)
+	if n := testing.AllocsPerRun(100, func() {
+		g.BiggestClusterFraction(6, nodes, edges)
+		g.InDegree(6, nodes, edges)
+	}); n != 0 {
+		t.Errorf("warm Dense allocates %v times per sample", n)
+	}
+}

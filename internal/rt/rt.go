@@ -213,6 +213,29 @@ func (t *Table) find(dest ident.NodeID) int {
 	}
 }
 
+// lookup is find for Peek: the same probe, reading the memo's answer neither
+// in nor out. It repeats find's loop instead of being called by it because
+// find is the per-datagram path, where the extra call measured 2 ns per memo
+// miss.
+func (t *Table) lookup(dest ident.NodeID) int {
+	if len(t.slots) == 0 {
+		return -1
+	}
+	mask := len(t.slots) - 1
+	fp := fpBits(dest)
+	for j := t.home(dest); ; j = (j + 1) & mask {
+		cell := t.slots[j]
+		if cell == 0 {
+			return -1
+		}
+		if cell&^slotRowMask == fp {
+			if row := int(cell & slotRowMask); t.dest(row-1) == dest {
+				return row - 1
+			}
+		}
+	}
+}
+
 // Warm touches the index cell and row a subsequent find(dest) will read,
 // with pure loads and no mutation, returning the loaded bits so callers can
 // fold them into a sink the compiler cannot elide. Issuing the probes for a
@@ -397,6 +420,21 @@ func (t *Table) Next(dest ident.NodeID, now int64) (view.Descriptor, bool) {
 	}
 	if t.expire(i) < now {
 		t.removeAt(i)
+		return view.Descriptor{}, false
+	}
+	return t.in.At(t.rvpH(i)), true
+}
+
+// Peek is Next for observers: the same answer, with the table left exactly as
+// it was. Where Next purges the expired row it trips over and leaves the row
+// it found in the find memo, Peek probes the index past the memo and leaves
+// expired rows for the owner's own Next or Purge. Measurement reads
+// other peers' tables through it — from several goroutines at once, which only
+// a pure read allows — so that sampling a run never changes what the run, or a
+// snapshot of it, holds afterwards.
+func (t *Table) Peek(dest ident.NodeID, now int64) (view.Descriptor, bool) {
+	i := t.lookup(dest)
+	if i < 0 || t.expire(i) < now {
 		return view.Descriptor{}, false
 	}
 	return t.in.At(t.rvpH(i)), true

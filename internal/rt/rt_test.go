@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -173,4 +174,71 @@ func TestRefreshVia(t *testing.T) {
 	if got := tb.TTL(5, 0); got != 500 {
 		t.Errorf("TTL(5) after shorter refresh = %d, want 500", got)
 	}
+}
+
+// TestPeekIsAPureRead pins Peek against Next: the same answer for live,
+// expired and absent routes, with the table — rows in storage order, length,
+// expiry bound, find memo — left as it was, where Next deletes the expired
+// row it meets; and safe to call from many goroutines at once (run under
+// -race), which a find-memo write would not be.
+func TestPeekIsAPureRead(t *testing.T) {
+	type row struct {
+		dest     ident.NodeID
+		rvp      view.Descriptor
+		expireAt int64
+	}
+	dump := func(tb *Table) (rows []row) {
+		tb.EachRow(func(dest ident.NodeID, rvp view.Descriptor, expireAt int64) {
+			rows = append(rows, row{dest, rvp, expireAt})
+		})
+		return rows
+	}
+	build := func() *Table {
+		tb := New(1)
+		for id := uint64(2); id < 40; id++ {
+			tb.Set(ident.NodeID(id), d(id+100), int64(id)*10) // expires at 20..390
+		}
+		return tb
+	}
+	const now = 200 // routes 2..19 have expired, 20..39 live
+	peeked, nexted := build(), build()
+	before := dump(peeked)
+	memoDest, memoRow := peeked.memoDest, peeked.memoRow
+	for id := ident.NodeID(1); id < 45; id++ {
+		got, ok := peeked.Peek(id, now)
+		want, wantOK := nexted.Next(id, now)
+		if got != want || ok != wantOK {
+			t.Fatalf("Peek(%d) = %v, %v; Next = %v, %v", id, got, ok, want, wantOK)
+		}
+	}
+	if after := dump(peeked); len(after) != len(before) || peeked.Len() != 38 {
+		t.Fatalf("Peek changed the row count: %d rows, Len %d, were %d", len(after), peeked.Len(), len(before))
+	} else {
+		for i := range before {
+			if before[i] != after[i] {
+				t.Fatalf("Peek moved row %d: %v, was %v", i, after[i], before[i])
+			}
+		}
+	}
+	if peeked.MinExpireBound() != 20 || peeked.memoDest != memoDest || peeked.memoRow != memoRow {
+		t.Errorf("Peek touched the bookkeeping: bound %d, memo (%d, %d), was (%d, %d)",
+			peeked.MinExpireBound(), peeked.memoDest, peeked.memoRow, memoDest, memoRow)
+	}
+	if nexted.Len() != 20 {
+		t.Fatalf("Next left %d rows, want the 20 live ones: the comparison above compared nothing", nexted.Len())
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := ident.NodeID(1); id < 45; id++ {
+				if _, ok := peeked.Peek(id, now); ok != (id >= 20 && id < 40) {
+					t.Errorf("concurrent Peek(%d) = %v", id, ok)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

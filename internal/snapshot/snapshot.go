@@ -14,6 +14,13 @@
 // (ErrVersion). Readers verify the whole envelope before decoding a single
 // payload byte, so a rejected snapshot can never half-mutate a world.
 //
+// Neither direction ever holds a whole payload: Writer streams the encoding
+// into the file in fixed chunks, and Reader streams it back out — one pass
+// that only hashes (the verification above), then one that feeds a Decoder
+// chunk by chunk. Decode, ReadFile and NewDecoder are the in-memory forms of
+// the same envelope check and the same Decoder, for payloads that are small or
+// already in hand.
+//
 // The payload itself is written through Encoder and read back through
 // Decoder: fixed-width big-endian integers, length-prefixed byte strings,
 // and explicit section tags. Nothing in the encoding depends on map
@@ -108,9 +115,10 @@ func WriteFile(path string, payload []byte) error {
 }
 
 // chunkSize is how much payload a streaming Encoder buffers before spilling
-// to its Writer: large enough that hashing and write(2) run at full speed,
-// small enough that a capture's transient heap stays a rounding error next
-// to the world it serializes.
+// to its Writer, and how much a Reader reads at a time: large enough that
+// hashing, write(2) and read(2) run at full speed, small enough that the
+// transient heap of a capture or a resume stays a rounding error next to the
+// world it serializes.
 const chunkSize = 1 << 20
 
 // tempFile is what a Writer needs of the file it streams into (*os.File;
@@ -223,7 +231,8 @@ func (w *Writer) Commit() error {
 	return nil
 }
 
-// ReadFile reads and verifies a snapshot file, returning its payload.
+// ReadFile reads and verifies a snapshot file, returning its payload whole.
+// Open streams the same file without ever holding it.
 func ReadFile(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -364,31 +373,53 @@ func (e *Encoder) Desc(d view.Descriptor) {
 // failure, so decode paths can run straight-line and check once per
 // section. A fresh Decoder over a verified payload never panics on hostile
 // input — every read bounds-checks.
+//
+// NewDecoder reads a payload held in memory; the Decoder of a Reader is fed
+// the payload of a snapshot file chunk by chunk as it goes. Both are the one
+// type and take every field through the same code: a field that straddles two
+// chunks is assembled in a scratch buffer, which an in-memory payload — one
+// chunk — never needs.
 type Decoder struct {
-	buf []byte
-	off int
+	buf []byte // the current chunk; the whole payload when src is nil
+	off int    // read position within buf
 	err error
+	// total is the payload length: len(buf) in memory, the length a Reader's
+	// first pass checked against the file otherwise. base counts the bytes of
+	// the chunks already handed back to src.
+	total int
+	base  int
+	// src, when non-nil, supplies the next chunk whenever buf runs out; spill
+	// holds a field assembled across chunks.
+	src   *Reader
+	spill []byte
 }
 
 // NewDecoder returns a decoder over a payload.
-func NewDecoder(payload []byte) *Decoder { return &Decoder{buf: payload} }
+func NewDecoder(payload []byte) *Decoder { return &Decoder{buf: payload, total: len(payload)} }
 
 // Err returns the sticky decode error, nil if none.
 func (d *Decoder) Err() error { return d.err }
 
+// pos returns the payload offset of the next unread byte.
+func (d *Decoder) pos() int { return d.base + d.off }
+
 // Remaining returns the number of unread payload bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+func (d *Decoder) Remaining() int { return d.total - d.pos() }
 
 // Finish reports success only if no decode error occurred and the payload
-// was consumed exactly.
+// was consumed exactly — and, on the Decoder of a Reader, only if the bytes
+// decoded were the bytes the Reader's first pass verified.
 func (d *Decoder) Finish() error {
 	if d.err != nil {
 		return d.err
 	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("%w: %d undecoded trailing bytes", ErrCorrupt, len(d.buf)-d.off)
+	if d.Remaining() != 0 {
+		return fmt.Errorf("%w: %d undecoded trailing bytes", ErrCorrupt, d.Remaining())
 	}
-	return nil
+	if d.src != nil {
+		d.next() // the payload is exhausted: this only collects the verdict
+	}
+	return d.err
 }
 
 // Fail records a semantic decode failure (a value that parsed but cannot
@@ -402,24 +433,66 @@ func (d *Decoder) fail(format string, args ...any) {
 	}
 }
 
+// take returns the next n payload bytes, nil after a failure. The slice is
+// valid until the next read.
 func (d *Decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || len(d.buf)-d.off < n {
-		d.fail("need %d bytes at offset %d, have %d", n, d.off, len(d.buf)-d.off)
-		return nil
+	if d.err != nil || n < 0 || len(d.buf)-d.off < n {
+		return d.takeAcross(n)
 	}
 	b := d.buf[d.off : d.off+n]
 	d.off += n
 	return b
 }
 
+// takeAcross is take's slow path: a failure, or a field that continues in
+// the chunks to come.
+func (d *Decoder) takeAcross(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n < 0 || d.Remaining() < n {
+		d.fail("need %d bytes at offset %d, have %d", n, d.pos(), d.Remaining())
+		return nil
+	}
+	out := d.spill[:0]
+	for len(out) < n {
+		if d.off == len(d.buf) && !d.next() {
+			return nil
+		}
+		m := min(n-len(out), len(d.buf)-d.off)
+		out = append(out, d.buf[d.off:d.off+m]...)
+		d.off += m
+	}
+	d.spill = out
+	return out
+}
+
+// next hands the exhausted chunk back to the Reader and waits for the one
+// after it. Past the last chunk it reports false, with the Reader's verdict
+// on the second pass (nil: the file still is what the first pass verified) as
+// the decoder's error.
+func (d *Decoder) next() bool {
+	r := d.src
+	if d.buf != nil {
+		r.free <- d.buf
+	}
+	d.base += len(d.buf)
+	d.off = 0
+	d.buf = <-r.full
+	if d.buf != nil {
+		return true
+	}
+	if d.err = r.err; d.err == nil && d.Remaining() > 0 {
+		d.fail("payload ended %d bytes early", d.Remaining())
+	}
+	return false
+}
+
 // Section consumes and verifies a section tag written by Encoder.Section.
 func (d *Decoder) Section(tag string) {
 	b := d.take(4)
 	if b != nil && string(b) != tag {
-		d.fail("section %q, want %q at offset %d", b, tag, d.off-4)
+		d.fail("section %q, want %q at offset %d", b, tag, d.pos()-4)
 	}
 }
 
@@ -440,7 +513,7 @@ func (d *Decoder) Bool() bool {
 	case 1:
 		return true
 	default:
-		d.fail("invalid bool byte at offset %d", d.off-1)
+		d.fail("invalid bool byte at offset %d", d.pos()-1)
 		return false
 	}
 }
@@ -479,7 +552,7 @@ func (d *Decoder) I64() int64 { return int64(d.U64()) }
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Bytes32 reads a length-prefixed byte string. The returned slice aliases
-// the payload; copy it if it must outlive the decoder's buffer.
+// the decoder's buffers and is valid until the next read: copy it to keep it.
 func (d *Decoder) Bytes32() []byte {
 	n := int(d.U32())
 	return d.take(n)
@@ -488,7 +561,9 @@ func (d *Decoder) Bytes32() []byte {
 // Count reads a uint32 element count and validates it against what the
 // remaining payload could possibly hold (elemSize is a lower bound on the
 // encoded size of one element), so hostile counts fail fast instead of
-// driving huge allocations.
+// driving huge allocations. On a streaming decoder the remaining payload is
+// what the envelope declares and the Reader's first pass found in the file,
+// not what happens to be buffered.
 func (d *Decoder) Count(elemSize int) int {
 	n := int(d.U32())
 	if d.err != nil {
