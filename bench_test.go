@@ -10,7 +10,6 @@
 package nylon
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -307,10 +306,10 @@ func BenchmarkSimulation1kPeers(b *testing.B) {
 }
 
 // reportEventsPerSec reports executed simulator events per wall-clock second
-// over the benchmark loop — the delivery engine's throughput headline (README
-// "Throughput"; scripts/bench_check.sh guards its floor). events is the total
-// EventsProcessed across all b.N iterations; EventsProcessed is part of the
-// determinism contract, so only the wall clock can move this metric.
+// over the benchmark loop — the delivery engine's throughput headline. events
+// is the total EventsProcessed across all b.N iterations; EventsProcessed is
+// part of the determinism contract, so only the wall clock can move this
+// metric.
 func reportEventsPerSec(b *testing.B, events uint64) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(events)/s, "events/s")
@@ -320,7 +319,7 @@ func reportEventsPerSec(b *testing.B, events uint64) {
 // reportBytesPerPeer reports the total bytes allocated per simulated peer
 // over the benchmark loop: the deferred completion reads the monotone
 // TotalAlloc counter, so GC cannot hide anything. B/peer is the memory
-// headline the scale benchmarks track (scripts/bench_check.sh guards it).
+// headline the scale benchmarks track.
 func reportBytesPerPeer(b *testing.B, peers int) func() {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -370,28 +369,6 @@ func BenchmarkSimulation10kPeers(b *testing.B) {
 		events += runPoint(b, cfg, int64(i+1)).EventsProcessed
 	}
 	reportEventsPerSec(b, events)
-}
-
-// BenchmarkSimulation10kPeersWorkers sweeps the sharded kernel's worker
-// count over the paper-scale run — the README "Scaling" table. Results are
-// bit-identical across the sweep (see TestWorkerCountInvariance); only the
-// wall clock moves. Skipped under -short; run with -benchtime 1x.
-func BenchmarkSimulation10kPeersWorkers(b *testing.B) {
-	if testing.Short() {
-		b.Skip("worker sweep skipped in -short mode")
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			cfg := benchCfg(exp.ProtoNylon, 80)
-			cfg.N, cfg.Rounds = 10_000, 40
-			cfg.Workers = w
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				events += runPoint(b, cfg, int64(i+1)).EventsProcessed
-			}
-			reportEventsPerSec(b, events)
-		})
-	}
 }
 
 // BenchmarkSimulation100kPeers is the 10×-paper-scale population the sharded

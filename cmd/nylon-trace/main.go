@@ -1,13 +1,13 @@
 // Command nylon-trace queries recorded network traces: the JSON-lines files
-// written by nylon-sim/nylon-scenario -trace-out and the forensic bundles
-// frozen by the flight recorder (-flight). It filters by peer, op, wire kind
+// written by nylon-sim -trace-out and the forensic bundles frozen by the
+// flight recorder (-flight). It filters by peer, op, wire kind
 // and virtual-time window, reconstructs causal forwarding chains
 // (-follow), and condenses a trace into per-op and per-shard drop tables
 // (-summary).
 //
 // Examples:
 //
-//	nylon-scenario -f storm.json -trace-out run.trace
+//	nylon-sim -f storm.json -trace-out run.trace
 //	nylon-trace -summary run.trace
 //	nylon-trace -op drop-nat -peer n7 run.trace
 //	nylon-trace -follow n3 bundles/bundle-eclipse-r0042.json

@@ -236,9 +236,6 @@ func Unwrap(e core.Engine) core.Engine {
 	return e
 }
 
-// Inner returns the wrapped honest engine.
-func (e *Engine) Inner() core.Engine { return e.inner }
-
 // Strategy returns the wrapper's attack strategy.
 func (e *Engine) Strategy() Strategy { return e.cfg.Strategy }
 

@@ -15,19 +15,19 @@ import (
 	"syscall"
 )
 
-// RejectResumeOverrides exits with a usage error when any of the named flags
-// was set on the command line. The resume-flow commands call it so that a
-// flag fixing an experiment parameter a snapshot already carries fails loudly
-// instead of being silently ignored.
-func RejectResumeOverrides(name string, banned ...string) {
+// FirstSet returns the first of the named flags that was set on fs's command
+// line, or "" when none was: how a command rejects flags that contradict
+// another (an experiment parameter beside -resume, whose snapshot fixes it)
+// loudly instead of ignoring them.
+func FirstSet(fs *flag.FlagSet, names ...string) string {
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, b := range banned {
-		if set[b] {
-			fmt.Fprintf(os.Stderr, "%s: -%s cannot be combined with -resume: the snapshot fixes the experiment parameters\n", name, b)
-			os.Exit(2)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, n := range names {
+		if set[n] {
+			return n
 		}
 	}
+	return ""
 }
 
 // NotifyStop returns a context cancelled by the first SIGINT or SIGTERM, and

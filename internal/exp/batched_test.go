@@ -24,8 +24,8 @@ func TestBatchedDeliveryInvariance(t *testing.T) {
 		return s
 	}
 	// The adversary corpus file carries the churn timeline; the Byzantine
-	// cohort itself is injected by the harness (as cmd/nylon-scenario's
-	// -adversary flag does), so wrapped engines and relay denials are on
+	// cohort itself is injected by the harness (as nylon-sim's -adversary
+	// flag does), so wrapped engines and relay denials are on
 	// the delivery path under test.
 	adv := load("adversary-churn.json")
 	adv.Adversaries = []scenario.Adversary{{Strategy: "lying-rvp", Fraction: 0.2}}
@@ -37,6 +37,19 @@ func TestBatchedDeliveryInvariance(t *testing.T) {
 		{"quiescent", nil, 0},
 		{"storm", load("storm.json"), 80}, // past the round-70 flash crowd
 		{"adversary", adv, 0},
+	}
+	// Per-datagram delivery is the network's reference switch, not a Config
+	// field: the reference leg is Run with that switch thrown on the wired
+	// network before the first event.
+	runPerDatagram := func(t *testing.T, cfg Config) Result {
+		t.Helper()
+		st := wireWorld(t, cfg)
+		st.net.SetPerDatagramDelivery(true)
+		res, err := st.runToHorizon()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return normalize(res)
 	}
 	for _, leg := range legs {
 		leg := leg
@@ -53,8 +66,7 @@ func TestBatchedDeliveryInvariance(t *testing.T) {
 				cfg.Workers = grid.workers
 				cfg.Shards = grid.shards
 				batched := runCorpus(t, cfg)
-				cfg.PerDatagramDelivery = true
-				perDatagram := runCorpus(t, cfg)
+				perDatagram := runPerDatagram(t, cfg)
 				if !reflect.DeepEqual(batched, perDatagram) {
 					t.Errorf("workers=%d shards=%d: batched delivery diverged from per-datagram:\nbatched:      %+v\nper-datagram: %+v",
 						grid.workers, grid.shards, batched, perDatagram)

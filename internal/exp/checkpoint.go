@@ -62,7 +62,7 @@ const (
 	secScn  = "scn!"
 )
 
-// ErrConfigMismatch reports a Resume whose caller-expected config does not
+// ErrConfigMismatch reports a resume whose caller-expected config does not
 // match the snapshot's (ResumeOptions.Config). The sweep's prefix cache
 // treats it — like every snapshot error — as "re-run from scratch".
 var ErrConfigMismatch = errors.New("exp: snapshot config mismatch")
@@ -338,7 +338,7 @@ type ResumeOptions struct {
 	// Like Checkpoint it is host wiring a snapshot never carries.
 	Obs *obs.Hub
 	// Config, when non-nil, is the config the caller expects the snapshot to
-	// carry. Resume fails with ErrConfigMismatch unless they agree on
+	// carry. ResumeFile fails with ErrConfigMismatch unless they agree on
 	// everything but execution shape, scenario and host wiring — the guard
 	// that keeps the sweep's prefix cache from resuming the wrong world.
 	Config *Config
@@ -355,7 +355,6 @@ func normalizeForMatch(c Config) Config {
 	c.Obs = nil
 	c.Flight = nil
 	c.Checkpoint = nil
-	c.PerDatagramDelivery = false
 	c.TraceCapacity = 0
 	c.VerifySamples = false
 	return c
@@ -369,11 +368,17 @@ func configsMatch(a, b Config) bool {
 	return errA == nil && errB == nil && string(aj) == string(bj)
 }
 
-// ResumeFile resumes a run from a snapshot file (see Resume) without ever
-// holding its payload: the file is verified whole first (snapshot.Open), then
-// streamed through the decoder that rebuilds the world. A damaged file fails
-// with its typed error before anything of opt — the hub, the checkpoint
-// directory — has been touched.
+// ResumeFile reconstructs the world from a snapshot file and runs it to the
+// horizon. The resumed run is bit-identical to the capturing run having
+// continued (for any worker or shard count), unless opt branches it.
+//
+// The payload is never held whole: the file is verified first
+// (snapshot.Open), then streamed through the decoder that rebuilds the world.
+// A damaged file fails with its typed envelope error before anything of opt —
+// the hub, the checkpoint directory — has been touched; a payload that is
+// corrupt, truncated or semantically invalid under a valid envelope fails
+// with snapshot.ErrCorrupt before any event runs, and the world under
+// construction is discarded whole, never half-resumed.
 func ResumeFile(path string, opt ResumeOptions) (Result, error) {
 	r, err := snapshot.Open(path)
 	if err != nil {
@@ -381,21 +386,6 @@ func ResumeFile(path string, opt ResumeOptions) (Result, error) {
 	}
 	st, err := restoreWorld(r.Decoder(), opt)
 	r.Close() // read-only: nothing to lose
-	if err != nil {
-		return Result{}, err
-	}
-	return st.runToHorizon()
-}
-
-// Resume reconstructs the world from a verified snapshot payload and runs it
-// to the horizon. The resumed run is bit-identical to the capturing run
-// having continued (for any worker or shard count), unless opt branches it.
-//
-// Corrupt, truncated or semantically invalid payloads fail with a typed error
-// (snapshot.ErrCorrupt and friends) before any events run: the world under
-// construction is discarded whole, never half-resumed.
-func Resume(payload []byte, opt ResumeOptions) (Result, error) {
-	st, err := restoreWorld(snapshot.NewDecoder(payload), opt)
 	if err != nil {
 		return Result{}, err
 	}

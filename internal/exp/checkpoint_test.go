@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -276,12 +278,16 @@ func TestResumeRejectsHostileSnapshots(t *testing.T) {
 	// The remaining cases corrupt the payload and re-seal it under a fresh,
 	// valid envelope: the decode itself must reject them, typed, without the
 	// checksum's help.
-	payload, err := snapshot.Decode(data)
+	payload, err := snapshot.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resealed := func(mutate func(p []byte) []byte) error {
-		_, err := Resume(mutate(append([]byte(nil), payload...)), ResumeOptions{})
+		p := filepath.Join(t.TempDir(), "resealed.snap")
+		if err := snapshot.WriteFile(p, mutate(append([]byte(nil), payload...))); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ResumeFile(p, ResumeOptions{})
 		return err
 	}
 
@@ -361,6 +367,13 @@ func (st *runState) snapshotPayload(now int64) []byte {
 // to the envelope of the whole payload encoded in memory — on worlds whose
 // payload spans several chunks, stopped mid-round with datagrams in flight.
 func TestStreamedSnapshotMatchesEncode(t *testing.T) {
+	// sealed is the nylon-snap/v1 envelope of a payload held in memory,
+	// written out longhand: magic, length, payload, SHA-256.
+	sealed := func(payload []byte) []byte {
+		out := binary.BigEndian.AppendUint64([]byte(snapshot.Magic), uint64(len(payload)))
+		sum := sha256.Sum256(payload)
+		return append(append(out, payload...), sum[:]...)
+	}
 	legs := []struct {
 		name string
 		sc   *scenario.Scenario
@@ -403,7 +416,7 @@ func TestStreamedSnapshotMatchesEncode(t *testing.T) {
 			if len(payload) < 3<<20 {
 				t.Fatalf("payload of %d bytes does not span several chunks", len(payload))
 			}
-			if !bytes.Equal(got, snapshot.Encode(payload)) {
+			if !bytes.Equal(got, sealed(payload)) {
 				t.Fatalf("streamed file (%d bytes) differs from Encode of the in-memory payload (%d bytes)",
 					len(got), len(payload))
 			}

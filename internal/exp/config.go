@@ -194,14 +194,6 @@ type Config struct {
 	// excluded from serialization.
 	Flight *obs.FlightSpec `json:"-"`
 
-	// PerDatagramDelivery disables the network's batched lane delivery:
-	// every delivery event dispatches exactly one datagram, as the
-	// pre-batching engine did. Results are bit-identical either way —
-	// TestBatchedDeliveryInvariance pins it — so this is a debugging and
-	// bisection knob, not an experiment parameter; excluded from
-	// serialization so sweep cache keys ignore it.
-	PerDatagramDelivery bool `json:"-"`
-
 	// VerifySamples re-derives every periodic series sample through the
 	// legacy full-copy EntriesInto sweep and cross-checks the zero-copy
 	// sampler and the incremental health accumulators against it, panicking
@@ -211,7 +203,7 @@ type Config struct {
 
 	// Checkpoint, when non-nil, arms crash-survivable checkpointing: the
 	// run serializes its complete state into Dir at round boundaries (see
-	// internal/snapshot and Resume). Host wiring like Obs — a checkpointed
+	// internal/snapshot and ResumeFile). Host wiring like Obs — a checkpointed
 	// run's simulation is bit-identical to an unchecked one — and excluded
 	// from serialization, so a snapshot never embeds its own spec.
 	Checkpoint *CheckpointSpec `json:"-"`

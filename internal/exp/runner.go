@@ -208,7 +208,6 @@ func newRunState(cfg Config) *runState {
 	// Result.Cfg reports what actually ran.
 	st.cfg.Workers = st.kern.Workers()
 	st.net = simnet.NewSharded(st.kern, cfg.LatencyMs)
-	st.net.SetPerDatagramDelivery(cfg.PerDatagramDelivery)
 	if cap := cfg.traceCapacity(); cap > 0 {
 		// Per-shard rings written lock-free from the delivery path, merged
 		// on demand in scheduler-key order: tracing works at any worker and

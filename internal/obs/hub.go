@@ -121,7 +121,7 @@ func (h *Hub) PublishSample(round, alive int, cluster, stale float64) {
 }
 
 // KernelTable renders the end-of-run phase-timing and overlay-health table
-// (the -metrics output of nylon-sim and nylon-scenario).
+// (the -metrics output of nylon-sim).
 func KernelTable(h *Hub) string {
 	t, he := h.Timing(), h.Health()
 	if t == nil {

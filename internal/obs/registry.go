@@ -14,7 +14,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -299,11 +298,4 @@ func (r *Registry) JSONValues() map[string]any {
 		}
 	}
 	return out
-}
-
-// WriteJSON renders JSONValues as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.JSONValues())
 }

@@ -15,8 +15,8 @@ func EventsPerSec(events uint64, wall time.Duration) float64 {
 }
 
 // ThroughputLine renders the canonical one-line run-throughput summary the
-// CLIs print; exp.Result wraps it so nylon-sim, nylon-scenario, and the
-// experiment runner all compute events/s in exactly one place.
+// CLIs print; exp.Result wraps it so nylon-sim and the experiment runner
+// compute events/s in exactly one place.
 func ThroughputLine(events uint64, wall time.Duration, workers, shards int) string {
 	return fmt.Sprintf("%d events in %v (%.0f events/s, %d workers × %d shards)",
 		events, wall.Round(time.Millisecond), EventsPerSec(events, wall), workers, shards)

@@ -25,9 +25,9 @@
 // execute the run. For them every event carries an explicit (actor, seq) key
 // — the scheduling peer and its private event counter — instead of the
 // scheduler-local sequence number: ties at one virtual time resolve by
-// (actor, seq), which is a pure function of the simulated world. The legacy
-// At/LaneAt entry points keep the scheduler-local counter (with actor 0), so
-// single-scheduler hosts behave exactly as before.
+// (actor, seq), which is a pure function of the simulated world. At keeps the
+// scheduler-local counter (with actor 0): the kernel's global queue, whose
+// events run single-threaded at barriers, schedules through it.
 package sim
 
 // event is a scheduled callback, stored inline in the heap slice. A nil fn
@@ -160,7 +160,7 @@ func (q *Ring[T]) tail() *T {
 }
 
 // SetLaneFn installs the callback shared by all lane events. It must be set
-// (once) before the first LaneAt call; hosts use a method value bound to
+// (once) before the first LaneAtKey call; hosts use a method value bound to
 // their dispatcher so scheduling stays allocation-free.
 func (s *Scheduler) SetLaneFn(fn func()) {
 	if fn == nil {
@@ -169,28 +169,10 @@ func (s *Scheduler) SetLaneFn(fn func()) {
 	s.laneFn = fn
 }
 
-// LaneAt schedules one lane event at time t, which must be monotone: not
-// earlier than any lane event still pending (constant-latency delivery
-// queues satisfy this by construction). The event runs laneFn, interleaved
-// with At events in exact (time, scheduling order) — LaneAt draws from the
-// same sequence counter as At.
-func (s *Scheduler) LaneAt(t int64) {
-	if s.laneFn == nil {
-		panic("sim: LaneAt without SetLaneFn")
-	}
-	if t < s.now {
-		t = s.now
-	}
-	if s.lane.Len() > 0 && t < s.lane.tail().at {
-		panic("sim: LaneAt time regressed")
-	}
-	s.seq++
-	s.lane.Push(laneEntry{at: t, seq: s.seq})
-}
-
 // LaneAtKey schedules one lane event at time t with an explicit (actor, seq)
-// ordering key. The full key must be monotone: not before the key of any
-// lane event still pending. The sharded network's barrier merge pushes its
+// ordering key; it runs laneFn, interleaved with heap events in exact key
+// order. The full key must be monotone: not before the key of any lane
+// event still pending. The sharded network's barrier merge pushes its
 // sorted per-window batches through here; batches from successive windows
 // never overlap in time, so the invariant holds by construction.
 func (s *Scheduler) LaneAtKey(t int64, actor, seq uint64) {
@@ -263,7 +245,7 @@ func (s *Scheduler) At(t int64, fn func()) {
 // key derived from the simulated world (the scheduling peer and its private
 // event counter), never from scheduler-local state: the resulting order is
 // invariant under the shard and worker count. Keys must be unique per
-// (t, actor); actors 0 is reserved for the legacy At/LaneAt counter.
+// (t, actor); actor 0 is reserved for At's scheduler-local counter.
 func (s *Scheduler) AtKey(t int64, actor, seq uint64, fn func()) {
 	if fn == nil {
 		panic("sim: AtKey called with nil fn")
@@ -274,9 +256,6 @@ func (s *Scheduler) AtKey(t int64, actor, seq uint64, fn func()) {
 	s.pending = append(s.pending, event{at: t, actor: actor, seq: seq, fn: fn})
 	s.siftUp(len(s.pending) - 1)
 }
-
-// After schedules fn to run d milliseconds from now.
-func (s *Scheduler) After(d int64, fn func()) { s.At(s.now+d, fn) }
 
 const heapArity = 4
 
@@ -482,7 +461,7 @@ func (s *Scheduler) EachTick(fn func(at int64, actor, seq uint64)) {
 
 // EachLane visits every pending lane event in FIFO (and hence key) order.
 // Checkpoint writers pair the keys with the host's own in-flight payload
-// queue, which LaneAt-style scheduling keeps in lockstep with the lane.
+// queue, which LaneAtKey scheduling keeps in lockstep with the lane.
 func (s *Scheduler) EachLane(fn func(at int64, actor, seq uint64)) {
 	for i := 0; i < s.lane.n; i++ {
 		e := &s.lane.buf[(s.lane.head+i)%len(s.lane.buf)]

@@ -16,13 +16,13 @@ func TestAtStepZeroAllocs(t *testing.T) {
 	fn := func() { n++ }
 	// Warm the heap slice to its steady-state capacity.
 	for i := 0; i < 256; i++ {
-		s.After(int64(i%16), fn)
+		s.At(s.Now()+int64(i%16), fn)
 	}
 	s.Drain()
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.After(3, fn)
-		s.After(1, fn)
-		s.After(2, fn)
+		s.At(s.Now()+3, fn)
+		s.At(s.Now()+1, fn)
+		s.At(s.Now()+2, fn)
 		s.Step()
 		s.Step()
 		s.Step()

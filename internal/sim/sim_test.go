@@ -35,15 +35,15 @@ func TestFIFOWithinSameInstant(t *testing.T) {
 	}
 }
 
-func TestAfterAndNow(t *testing.T) {
+func TestNowInsideEvent(t *testing.T) {
 	var s Scheduler
 	var at int64
 	s.At(10, func() {
-		s.After(5, func() { at = s.Now() })
+		s.At(s.Now()+5, func() { at = s.Now() })
 	})
 	s.RunUntil(100)
 	if at != 15 {
-		t.Errorf("nested After fired at %d, want 15", at)
+		t.Errorf("event scheduled 5 ms after Now fired at %d, want 15", at)
 	}
 }
 

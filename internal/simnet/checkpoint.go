@@ -55,11 +55,8 @@ func (n *Network) EachPeer(fn func(p *Peer)) {
 // SnapshotTo serializes the network's complete state: address allocators,
 // the partition flag, every peer (with its NAT device and traffic counters)
 // in attachment order, every in-flight datagram in scheduler-key order, and
-// the drop totals. Sharded networks only; capture must run at a barrier.
+// the drop totals. Capture must run at a barrier.
 func (n *Network) SnapshotTo(enc *snapshot.Encoder) {
-	if n.kern == nil {
-		panic("simnet: SnapshotTo on a standalone network")
-	}
 	enc.Section(secNet)
 	enc.U32(n.nextPublicIP)
 	enc.U32(n.nextPrivateIP)
@@ -135,15 +132,12 @@ func (n *Network) SnapshotTo(enc *snapshot.Encoder) {
 }
 
 // RestoreFrom rebuilds the state captured by SnapshotTo into this freshly
-// constructed, empty sharded network. engineFor is called once per restored
+// constructed, empty network. engineFor is called once per restored
 // peer, in attachment order, to build its engine (the host restores engine
 // state afterwards via EachPeer in the same order). On corrupt input the
 // decoder's sticky error is set and the network must be discarded — the
 // caller checks the error before letting the world run.
 func (n *Network) RestoreFrom(dec *snapshot.Decoder, engineFor func(p *Peer) core.Engine) {
-	if n.kern == nil {
-		panic("simnet: RestoreFrom on a standalone network")
-	}
 	if len(n.bySlot) != 0 {
 		panic("simnet: RestoreFrom on a non-empty network")
 	}

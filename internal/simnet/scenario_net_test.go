@@ -38,7 +38,7 @@ func sinkFactory() (EngineFactory, *[]*sinkEngine) {
 }
 
 func ping(net *Network, from, to *Peer) {
-	msg := wire.NewMessage()
+	msg := net.ShardPool(from.Shard).Get()
 	msg.Kind = wire.KindPing
 	msg.Src, msg.Dst, msg.Via = from.Descriptor(), to.Descriptor(), from.Descriptor()
 	net.Send(from, core.Send{To: to.Addr, ToID: to.ID, Msg: msg})
@@ -161,7 +161,7 @@ func TestPartitionAppliesToInFlight(t *testing.T) {
 
 	ping(net, a, b)
 	b.Side = 1
-	sched.At(latency/2, func() { net.SetPartitionActive(true) })
+	sched.Global().At(latency/2, func() { net.SetPartitionActive(true) })
 	sched.RunUntil(1000)
 
 	if got := (*engines)[1].received; got != 0 {

@@ -22,10 +22,6 @@
 // (time, sender, per-sender seq) order. A peer's state — engine, NAT device,
 // traffic counters — is touched only by its own shard's events or at
 // barriers, so windows run lock-free.
-//
-// The standalone constructor New attaches a single-shard network directly to
-// one sim.Scheduler with immediate (non-staged) delivery; unit tests and
-// small hosts drive that exactly as before the kernel existed.
 package simnet
 
 import (
@@ -235,7 +231,6 @@ func (x *peerIndex) grow(bySlot []*Peer) {
 // this removes two heap objects per peer plus the map's bucket overhead, and
 // keeps neighbouring peers' counters on neighbouring cache lines.
 type Network struct {
-	kern    *sim.ShardedScheduler // nil in standalone mode
 	latency int64
 
 	idx      peerIndex
@@ -318,9 +313,7 @@ func (n *Network) LeakCheck() error {
 type netShard struct {
 	idx   int
 	sched *sim.Scheduler
-	// pool recycles wire messages consumed on this shard. It is nil in
-	// standalone mode, where the shared wire pool serves (a nil *wire.Pool
-	// delegates to it).
+	// pool recycles wire messages consumed on this shard.
 	pool *wire.Pool
 	// shared is the per-shard engine state (descriptor intern table,
 	// exchange scratch) handed to every engine of the shard's peers.
@@ -336,13 +329,9 @@ type netShard struct {
 	// jit stores link-delayed deliveries inline, ordered by the same
 	// (at, actor, seq) key as their scheduler events, so the heap head is
 	// always the datagram of the jit event firing now. jitFire is the one
-	// reused callback those events carry — replacing the per-datagram
-	// closure both in standalone sends and at barrier merges — and jitSeq
-	// orders standalone entries the way the scheduler's internal sequence
-	// orders their events (both count the same At calls).
+	// reused callback those events carry, replacing a per-datagram closure.
 	jit     jitHeap
 	jitFire func()
-	jitSeq  uint64
 
 	// prefSink accumulates the values loaded by delivery prefetching (see
 	// prefetchNext) so the compiler cannot elide the loads. Its value is
@@ -361,7 +350,6 @@ type netShard struct {
 	// destination shard; the barrier drains them (see flush). outUnsorted
 	// flags a run whose keys regressed at append time (link-delayed
 	// arrivals): sorted runs merge at the barrier, unsorted ones re-sort.
-	// Unused in standalone mode, which delivers immediately.
 	out         [][]outEntry
 	outUnsorted []bool
 	// merge is the barrier's reusable gather-and-sort scratch; runScratch,
@@ -582,60 +570,37 @@ func (n *Network) privatePeerAt(ep ident.Endpoint) *Peer {
 	return nil
 }
 
-// New creates an empty standalone network driven directly by the given
-// scheduler with the given one-way latency in milliseconds: one shard,
-// immediate delivery scheduling, the shared wire pool. Unit tests and
-// single-threaded hosts use it; experiment runs go through NewSharded.
-func New(sched *sim.Scheduler, latencyMs int64) *Network {
-	n := newNetwork(nil, []*sim.Scheduler{sched}, latencyMs)
-	return n
-}
-
-// NewSharded creates an empty network over the sharded kernel: one network
-// shard per kernel shard, per-shard wire pools, and cross-shard traffic
-// staged in outboxes that drain at the kernel's barriers.
+// NewSharded creates an empty network over the sharded kernel, with the
+// given one-way latency in milliseconds: one network shard per kernel shard,
+// per-shard wire pools, and cross-shard traffic staged in outboxes that
+// drain at the kernel's barriers.
 func NewSharded(kern *sim.ShardedScheduler, latencyMs int64) *Network {
-	scheds := make([]*sim.Scheduler, kern.Shards())
-	for i := range scheds {
-		scheds[i] = kern.Shard(i)
-	}
-	n := newNetwork(kern, scheds, latencyMs)
-	kern.SetBarrierFn(n.flush)
-	return n
-}
-
-func newNetwork(kern *sim.ShardedScheduler, scheds []*sim.Scheduler, latencyMs int64) *Network {
 	if latencyMs < 0 {
 		panic("simnet: negative latency")
 	}
 	n := &Network{
-		kern:          kern,
 		latency:       latencyMs,
 		nextPublicIP:  pubIPBase,
 		nextPrivateIP: privIPBase,
-		shards:        make([]netShard, len(scheds)),
+		shards:        make([]netShard, kern.Shards()),
 		baseIntern:    &intern.Descriptors{},
 	}
 	for i := range n.shards {
 		sh := &n.shards[i]
 		sh.idx = i
-		sh.sched = scheds[i]
+		sh.sched = kern.Shard(i)
 		sh.shared = core.NewShared()
 		sh.shared.Intern = intern.NewLayered(n.baseIntern)
-		if kern != nil {
-			sh.pool = &wire.Pool{}
-			sh.out = make([][]outEntry, len(scheds))
-			sh.outUnsorted = make([]bool, len(scheds))
-		}
+		sh.pool = &wire.Pool{}
+		sh.out = make([][]outEntry, len(n.shards))
+		sh.outUnsorted = make([]bool, len(n.shards))
 		i := i
 		sh.sched.SetLaneFn(func() { n.deliverNext(i) })
 		sh.jitFire = func() { n.jitNext(i) }
 	}
+	kern.SetBarrierFn(n.flush)
 	return n
 }
-
-// Latency returns the one-way delivery latency in milliseconds.
-func (n *Network) Latency() int64 { return n.latency }
 
 // Shards returns the shard count.
 func (n *Network) Shards() int { return len(n.shards) }
@@ -647,9 +612,8 @@ func (n *Network) ShardOf(id ident.NodeID) int {
 	return int(uint64(id-1) % uint64(len(n.shards)))
 }
 
-// ShardPool returns shard i's wire message pool (nil in standalone mode,
-// meaning the shared pool). Engines built for a shard's peers must allocate
-// from it.
+// ShardPool returns shard i's wire message pool. Engines built for a shard's
+// peers must allocate from it.
 func (n *Network) ShardPool(i int) *wire.Pool { return n.shards[i].pool }
 
 // ShardShared returns shard i's shared engine state (descriptor intern
@@ -714,9 +678,6 @@ func (n *Network) SetPartitionActive(active bool) { n.partitionOn = active }
 
 // PartitionActive reports whether a partition is in force.
 func (n *Network) PartitionActive() bool { return n.partitionOn }
-
-// Scheduler returns shard 0's scheduler — the scheduler, in standalone mode.
-func (n *Network) Scheduler() *sim.Scheduler { return n.shards[0].sched }
 
 // barrierNow returns the current virtual time for barrier-context and setup
 // code (all shard clocks agree there).
@@ -890,30 +851,11 @@ func (n *Network) Send(from *Peer, s core.Send) {
 	at := now + n.latency + extra
 	d := delivery{srcEP: srcEP, to: s.To, msg: s.Msg, size: size}
 
-	if n.kern == nil {
-		// Standalone mode: schedule delivery immediately on the single
-		// scheduler, exactly as before the kernel existed.
-		if extra > 0 {
-			// Jittered deliveries are not monotone, so they cannot ride
-			// the lane: the datagram waits in the jit heap and a reused
-			// callback goes through the scheduler's heap. jitSeq tracks
-			// the scheduler's internal sequence across these At calls, so
-			// the jit heap pops in exactly the event firing order.
-			sh.jitSeq++
-			sh.jit.push(jitEntry{at: at, seq: sh.jitSeq, d: d})
-			sh.sched.At(at, sh.jitFire)
-			return
-		}
-		sh.inflight.Push(d)
-		sh.sched.LaneAt(at)
-		return
-	}
-
-	// Sharded mode: stage into the destination shard's mailbox; the
-	// barrier merges and schedules it. The destination shard is the
-	// endpoint owner's — ownership never changes once an IP is allocated,
-	// so resolving the shard at send time is safe (NAT admission still
-	// happens at delivery time, on the owning shard).
+	// Stage into the destination shard's mailbox; the barrier merges and
+	// schedules it. The destination shard is the endpoint owner's —
+	// ownership never changes once an IP is allocated, so resolving the
+	// shard at send time is safe (NAT admission still happens at delivery
+	// time, on the owning shard).
 	from.Seq++
 	owner, ok := n.OwnerOfIP(s.To.IP)
 	if !ok {

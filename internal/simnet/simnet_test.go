@@ -44,9 +44,11 @@ func genericFactory(seed int64) EngineFactory {
 	}
 }
 
-func newNet() (*sim.Scheduler, *Network) {
-	sched := &sim.Scheduler{}
-	return sched, New(sched, latency)
+// newNet returns a network on a one-shard kernel: sends stage in the shard's
+// outbox and the kernel's barriers (one per latency window) schedule them.
+func newNet() (*sim.ShardedScheduler, *Network) {
+	kern := sim.NewSharded(1, 1, latency)
+	return kern, NewSharded(kern, latency)
 }
 
 func TestPublicPeersExchangeDirectly(t *testing.T) {
@@ -370,8 +372,7 @@ func TestAddPeerUPnPValidation(t *testing.T) {
 // IDs crafted to collide in the index's fingerprint home slots must all
 // resolve, and misses must stay misses.
 func TestPeerIndexGrowthAndAdversarialIDs(t *testing.T) {
-	var sched sim.Scheduler
-	n := New(&sched, 50)
+	_, n := newNet()
 	factory := func(self view.Descriptor) core.Engine {
 		return core.NewGeneric(core.Config{
 			Self: self, ViewSize: 4, RNG: rand.New(rand.NewSource(int64(self.ID))),

@@ -21,7 +21,8 @@ type srcFile interface {
 // whole envelope has verified.
 //
 // Open runs the first pass: the file goes through SHA-256 in chunkSize pieces
-// and is rejected with the error Decode would give its bytes. One pass that
+// and is rejected with the typed envelope error its damage calls for (see the
+// package comment). One pass that
 // decoded while it hashed could only report a damaged file after a world had
 // been half-built from it — and bound to the caller's observability hub.
 //
@@ -53,7 +54,7 @@ type Reader struct {
 }
 
 // Open opens a snapshot file and verifies its whole envelope. Damage is
-// reported with the typed errors of Decode; a file that cannot be opened or
+// reported with the typed envelope errors; a file that cannot be opened or
 // read, with the I/O error.
 func Open(path string) (*Reader, error) {
 	return open(path, func(path string) (srcFile, error) { return os.Open(path) })
@@ -73,12 +74,34 @@ func open(path string, openFile func(path string) (srcFile, error)) (*Reader, er
 	return r, nil
 }
 
+// ReadFile reads and verifies a snapshot file in one pass and returns its
+// payload whole; nothing is returned of a file that fails the envelope check.
+// Open streams the same file without ever holding it.
+func ReadFile(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	r := &Reader{f: f}
+	var payload []byte
+	err = r.scan(func(chunk []byte) []byte {
+		payload = append(payload, chunk...)
+		return chunk
+	})
+	if err != nil {
+		return nil, err
+	}
+	return payload, nil
+}
+
 // errChanged reports a second pass that met other bytes than the first.
 var errChanged = fmt.Errorf("%w: file changed while it was read", ErrChecksum)
 
-// scan reads the envelope front to back, checking what Decode checks in the
-// order Decode checks it. Each piece of payload is passed to emit, which
-// returns the buffer for the next piece, or nil to abandon the scan.
+// scan reads the envelope front to back — magic, declared length, payload,
+// trailer, nothing after it, checksum — and is the one parser of it. Each
+// piece of payload is passed to emit, which returns the buffer for the next
+// piece, or nil to abandon the scan.
 func (r *Reader) scan(emit func(chunk []byte) []byte) error {
 	if _, err := r.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("snapshot: %w", err)

@@ -17,9 +17,9 @@
 // Neither direction ever holds a whole payload: Writer streams the encoding
 // into the file in fixed chunks, and Reader streams it back out — one pass
 // that only hashes (the verification above), then one that feeds a Decoder
-// chunk by chunk. Decode, ReadFile and NewDecoder are the in-memory forms of
-// the same envelope check and the same Decoder, for payloads that are small or
-// already in hand.
+// chunk by chunk. ReadFile and NewDecoder are the in-memory forms of the same
+// envelope check and the same Decoder, for payloads that are small or already
+// in hand.
 //
 // The payload itself is written through Encoder and read back through
 // Decoder: fixed-width big-endian integers, length-prefixed byte strings,
@@ -65,44 +65,6 @@ var (
 	ErrCorrupt = errors.New("snapshot: corrupt payload")
 )
 
-// Encode wraps a payload in the envelope.
-func Encode(payload []byte) []byte {
-	out := make([]byte, 0, len(Magic)+8+len(payload)+sha256.Size)
-	out = append(out, Magic...)
-	out = binary.BigEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	sum := sha256.Sum256(payload)
-	return append(out, sum[:]...)
-}
-
-// Decode verifies the envelope and returns the payload.
-func Decode(data []byte) ([]byte, error) {
-	if len(data) < len(Magic) {
-		return nil, ErrTruncated
-	}
-	if string(data[:len(Magic)]) != Magic {
-		return nil, ErrVersion
-	}
-	rest := data[len(Magic):]
-	if len(rest) < 8 {
-		return nil, ErrTruncated
-	}
-	n := binary.BigEndian.Uint64(rest)
-	rest = rest[8:]
-	if uint64(len(rest)) < n+sha256.Size {
-		return nil, ErrTruncated
-	}
-	if uint64(len(rest)) > n+sha256.Size {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, uint64(len(rest))-n-sha256.Size)
-	}
-	payload := rest[:n]
-	sum := sha256.Sum256(payload)
-	if string(sum[:]) != string(rest[n:]) {
-		return nil, ErrChecksum
-	}
-	return payload, nil
-}
-
 // WriteFile writes an enveloped payload atomically through the streaming
 // Writer: a kill mid-write leaves no partial snapshot under the final name.
 func WriteFile(path string, payload []byte) error {
@@ -136,8 +98,8 @@ type tempFile interface {
 // exists. One goroutine does the hashing and writing, fed by two alternating
 // buffers, so encoding the next chunk overlaps the I/O of the last. Commit
 // finishes the envelope and renames the temp file into place; it must be
-// called, also to stop that goroutine. The bytes on disk are exactly
-// Encode(payload).
+// called, also to stop that goroutine. The bytes on disk are exactly the
+// envelope of the package comment around the encoded payload.
 //
 // Write errors are sticky: after the first one the Encoder keeps accepting
 // (and discarding) fields, and Commit reports the error and removes the temp
@@ -229,16 +191,6 @@ func (w *Writer) Commit() error {
 		return fmt.Errorf("snapshot: %w", w.err)
 	}
 	return nil
-}
-
-// ReadFile reads and verifies a snapshot file, returning its payload whole.
-// Open streams the same file without ever holding it.
-func ReadFile(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
 }
 
 // Encoder serializes payload state as fixed-width big-endian fields. The

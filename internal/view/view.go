@@ -185,9 +185,6 @@ func NewShared(self ident.NodeID, maxSize int, sc *Scratch) *View {
 // the view's first entry if the observer's tallies are to be complete.
 func (v *View) SetObserver(o Observer) { v.obs = o }
 
-// MaxSize returns the view's capacity.
-func (v *View) MaxSize() int { return v.maxSize }
-
 // Len returns the number of entries currently held.
 func (v *View) Len() int { return len(v.entries) }
 
@@ -599,15 +596,6 @@ func (v *View) ApplyExchange(policy Merge, received, sent []Descriptor, rng *ran
 		}
 	}
 	v.sc.union = union[:0]
-}
-
-func indexIn(ds []Descriptor, id ident.NodeID) int {
-	for i, d := range ds {
-		if d.ID == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // Validate checks the structural invariants of the view: no self entry, no

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/ident"
 )
 
 // The reference implementations below are verbatim copies of the pre-scratch
@@ -40,6 +42,15 @@ func refMoveOldestToEnd(ds []Descriptor, h int) {
 		}
 	}
 	copy(ds, append(rest, tail...))
+}
+
+func indexIn(ds []Descriptor, id ident.NodeID) int {
+	for i, d := range ds {
+		if d.ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 func refPrepareExchange(v *View, policy Merge, rng *rand.Rand) []Descriptor {
