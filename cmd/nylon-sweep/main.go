@@ -19,9 +19,11 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -31,27 +33,37 @@ import (
 	"repro/internal/sweep"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, cliutil.NotifyStop)) }
+
+// run is the whole command. Once the flags have parsed it returns the exit
+// status instead of exiting, so the ops endpoint's deferred Close runs on
+// every path out. notifyStop arms the context that winds the sweep down.
+func run(args []string, stdout, stderr io.Writer, notifyStop func(io.Writer, string) (context.Context, func() bool)) int {
+	fs := flag.NewFlagSet("nylon-sweep", flag.ExitOnError)
 	var (
-		specPath = flag.String("spec", "", "sweep spec JSON file (required)")
-		out      = flag.String("out", "", "run directory (default sweep-out/<spec name>)")
-		workers  = flag.Int("workers", 0, "parallel jobs (0 = one per core; results are identical for any value)")
-		seeds    = flag.Int("seeds", 0, "override the spec's seed count with seeds 1..N")
-		n        = flag.Int("n", 0, "override the spec's base peer count")
-		rounds   = flag.Int("rounds", 0, "override the spec's base round count")
-		resume   = flag.Bool("resume", false, "require an existing run directory for this exact spec (fails on a hash mismatch instead of silently starting over)")
-		verbose  = flag.Bool("v", false, "log each executed job with progress (done/total, jobs/s, ETA)")
-		httpAddr = flag.String("http", "", "serve the live ops endpoint (/metrics, /debug/vars, /debug/pprof) on this address")
-		ckEvery  = flag.Int("checkpoint-every", 0, "checkpoint every running job's world every N rounds into <run dir>/snapshots/; an interrupted sweep then resumes each unfinished job mid-run instead of from round zero (0 = off)")
+		specPath = fs.String("spec", "", "sweep spec JSON file (required)")
+		out      = fs.String("out", "", "run directory (default sweep-out/<spec name>)")
+		workers  = fs.Int("workers", 0, "parallel jobs (0 = one per core; results are identical for any value)")
+		seeds    = fs.Int("seeds", 0, "override the spec's seed count with seeds 1..N")
+		n        = fs.Int("n", 0, "override the spec's base peer count")
+		rounds   = fs.Int("rounds", 0, "override the spec's base round count")
+		resume   = fs.Bool("resume", false, "require an existing run directory for this exact spec (fails on a hash mismatch instead of silently starting over)")
+		verbose  = fs.Bool("v", false, "log each executed job with progress (done/total, jobs/s, ETA)")
+		httpAddr = fs.String("http", "", "serve the live ops endpoint (/metrics, /debug/vars, /debug/pprof) on this address")
+		ckEvery  = fs.Int("checkpoint-every", 0, "checkpoint every running job's world every N rounds into <run dir>/snapshots/; an interrupted sweep then resumes each unfinished job mid-run instead of from round zero (0 = off)")
 	)
-	flag.Parse()
+	fs.Parse(args) // exits 2 on a malformed command line, before anything is open
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "nylon-sweep:", err)
+		return 1
+	}
 	if *specPath == "" {
-		fatal(fmt.Errorf("-spec sweep.json is required"))
+		return fatal(fmt.Errorf("-spec sweep.json is required"))
 	}
 
 	spec, err := sweep.LoadSpec(*specPath)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if *seeds > 0 {
 		spec.Seeds, spec.SeedList = *seeds, nil
@@ -65,7 +77,7 @@ func main() {
 
 	grid, err := sweep.Expand(spec, filepath.Dir(*specPath))
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
 	dir := *out
@@ -80,55 +92,55 @@ func main() {
 	if *resume {
 		prev, err := os.ReadFile(markerPath)
 		if err != nil {
-			fatal(fmt.Errorf("-resume: no resumable run in %s (%w)", dir, err))
+			return fatal(fmt.Errorf("-resume: no resumable run in %s (%w)", dir, err))
 		}
 		if string(prev) != grid.SpecHash {
-			fatal(fmt.Errorf("-resume: %s was produced by a different spec (hash %.12s…, want %.12s…)",
+			return fatal(fmt.Errorf("-resume: %s was produced by a different spec (hash %.12s…, want %.12s…)",
 				dir, prev, grid.SpecHash))
 		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if err := os.WriteFile(markerPath, []byte(grid.SpecHash), 0o644); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
 	// SIGINT/SIGTERM cancel the same context that StopAfter-style shutdown
 	// uses inside Execute: dequeuing stops, and with -checkpoint-every armed
 	// every in-flight job snapshots at its next round barrier before exiting.
-	ctx, _ := cliutil.NotifyStop(os.Stderr, "nylon-sweep")
+	ctx, _ := notifyStop(stderr, "nylon-sweep")
 	opts := sweep.Options{Workers: *workers, Ctx: ctx, CheckpointEveryRounds: *ckEvery}
 	if *verbose {
-		opts.Log = os.Stderr
+		opts.Log = stderr
 	}
 	if *httpAddr != "" {
 		opts.Obs = obs.NewHub()
 		srv, err := obs.Serve(*httpAddr, opts.Obs)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "ops endpoint listening on http://%s\n", srv.Addr)
+		fmt.Fprintf(stderr, "ops endpoint listening on http://%s\n", srv.Addr)
 	}
 	start := time.Now()
 	results, stats, err := sweep.Execute(grid, dir, opts)
 	if errors.Is(err, sweep.ErrStopped) {
-		fmt.Fprintf(os.Stderr, "nylon-sweep: stopped (%s); rerun the same command to resume\n", stats)
-		os.Exit(130)
+		fmt.Fprintf(stderr, "nylon-sweep: stopped (%s); rerun the same command to resume\n", stats)
+		return 130
 	}
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	wall := time.Since(start)
 
 	art, err := sweep.Aggregate(grid, results)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	artJSON, err := art.JSON()
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	for _, f := range []struct {
 		name string
@@ -139,17 +151,13 @@ func main() {
 		{"bands.csv", []byte(art.BandsCSV())},
 	} {
 		if err := os.WriteFile(filepath.Join(dir, f.name), f.data, 0o644); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
 
-	fmt.Printf("# sweep %q: %d scenarios × %d variants × %d seeds (spec %.12s…)\n",
+	fmt.Fprintf(stdout, "# sweep %q: %d scenarios × %d variants × %d seeds (spec %.12s…)\n",
 		spec.Name, len(grid.Scenarios), len(spec.Variants), len(grid.Seeds), grid.SpecHash)
-	fmt.Printf("# %s in %v (%d workers) → %s\n\n", stats, wall.Round(time.Millisecond), stats.Workers, dir)
-	fmt.Print(art.Text())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nylon-sweep:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "# %s in %v (%d workers) → %s\n\n", stats, wall.Round(time.Millisecond), stats.Workers, dir)
+	fmt.Fprint(stdout, art.Text())
+	return 0
 }

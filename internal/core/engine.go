@@ -50,14 +50,6 @@ type Shared struct {
 	resp []view.Descriptor
 	recv []view.Descriptor
 	out  []Send
-	// lastVia/lastViaH memoize the last distinct via descriptor any engine
-	// of the shard interned (valid because every engine's routing table
-	// shares the Intern table above, and Intern is idempotent). Delivery
-	// batches arrive grouped by sender, so a sender's whole batch interns
-	// its descriptor once for the shard even as it scatters across many
-	// destination engines.
-	lastVia  view.Descriptor
-	lastViaH intern.Handle
 }
 
 // NewShared returns an empty Shared ready to hand to every engine of one

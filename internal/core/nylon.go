@@ -52,27 +52,8 @@ type Nylon struct {
 	// command slice — lives in sh, shared across the shard's engines.
 	reqSent []view.Descriptor
 	sh      *Shared
-	// Route-refresh memo: the per-datagram update_next_RVP(Via, Via,
-	// HOLE_TIMEOUT) is idempotent within one virtual instant for one
-	// observed Via descriptor — the stored expiry is always <= now +
-	// HoleTimeout, so the refresh unconditionally rewrites the row, and
-	// nothing else can displace a live direct row within the same instant
-	// (all other install paths use strictly earlier expiries and indirect
-	// RVPs, which the replacement policy rejects; removals only touch
-	// expired rows). Receive therefore skips the table walk entirely when
-	// the same (descriptor, virtual time) repeats — a batch of datagrams
-	// from one sender refreshes its route once — and reuses the interned
-	// handle it recorded. lastViaAt doubles as the generation stamp: any
-	// clock advance invalidates the memo by key mismatch.
-	lastVia   view.Descriptor
-	lastViaH  intern.Handle
-	lastViaAt int64
 	// tick counts Tick calls, driving the thinned purge cadence below.
 	tick uint64
-	// warmSink accumulates the values loaded by the routing-table warm
-	// passes (see installRoutes) so the compiler cannot elide the loads.
-	// Its value is meaningless and never read.
-	warmSink uint64
 }
 
 // purgeEvery is the Tick cadence at which expired routing-table rows are
@@ -184,11 +165,6 @@ func (n *Nylon) resolveHop(dest view.Descriptor, now int64) (view.Descriptor, bo
 // the swapper bookkeeping.
 func (n *Nylon) buffer(now int64, m *wire.Message, buf []view.Descriptor) []view.Descriptor {
 	sent := n.view.PrepareExchangeInto(n.cfg.Merge, n.cfg.RNG, buf)
-	var w uint64
-	for i := range sent {
-		w += n.routes.Warm(sent[i].ID) // overlap the TTL lookups' misses
-	}
-	n.warmSink += w
 	m.Entries = append(m.Entries[:0], wire.ViewEntry{Desc: n.Self()})
 	for _, d := range sent {
 		e := wire.ViewEntry{Desc: d}
@@ -210,15 +186,6 @@ func (n *Nylon) buffer(now int64, m *wire.Message, buf []view.Descriptor) []view
 // interned handle when the caller already has it (0 otherwise); all entries
 // share one via, so it is interned at most once here.
 func (n *Nylon) installRoutes(now int64, entries []wire.ViewEntry, via view.Descriptor, viaH intern.Handle) {
-	// Warm pass: touch every entry's index cell and row before the install
-	// loop below walks them. The probes are independent, so their cache
-	// misses — the table is one random peer's out of tens of thousands —
-	// resolve in parallel instead of one per loop iteration.
-	var w uint64
-	for i := range entries {
-		w += n.routes.Warm(entries[i].Desc.ID)
-	}
-	n.warmSink += w
 	for _, e := range entries {
 		if !e.Desc.Class.Natted() || e.RouteTTL == 0 || e.Desc.ID == n.cfg.Self.ID {
 			continue
@@ -327,31 +294,13 @@ func (n *Nylon) Tick(now int64) []Send {
 // Receive implements Engine: Fig. 6 lines 15-46.
 func (n *Nylon) Receive(now int64, from ident.Endpoint, msg *wire.Message) []Send {
 	// update_next_RVP(p, p, HOLE_TIMEOUT): the transport sender reached us,
-	// so a direct return path exists. Record its observed endpoint. The
-	// memo (see lastVia) collapses repeated refreshes of one Via within one
-	// virtual instant to a single table walk and descriptor hash.
+	// so a direct return path exists. Record its observed endpoint.
 	via := msg.Via
 	via.Addr = from
 	var viaH intern.Handle
 	if via.ID != n.cfg.Self.ID && !via.ID.IsNil() {
-		if via == n.lastVia && now == n.lastViaAt {
-			// This engine already wrote this via's direct row at this
-			// instant; the handle of an unchanged descriptor never
-			// changes, so both the write and the intern can be skipped.
-			viaH = n.lastViaH
-		} else {
-			if via == n.sh.lastVia {
-				// Another delivery on this shard (possibly to a
-				// different engine — the tables share one intern)
-				// interned this descriptor already.
-				viaH = n.sh.lastViaH
-			} else {
-				viaH = n.routes.Intern(via)
-				n.sh.lastVia, n.sh.lastViaH = via, viaH
-			}
-			n.routes.SetInterned(via.ID, via.ID, viaH, now+n.cfg.HoleTimeout)
-			n.lastVia, n.lastViaH, n.lastViaAt = via, viaH, now
-		}
+		viaH = n.routes.Intern(via)
+		n.routes.SetInterned(via.ID, via.ID, viaH, now+n.cfg.HoleTimeout)
 		if n.cfg.RefreshRoutesOnTraffic {
 			// §4 offers this reading — TTLs updated "every time a
 			// message from one RVP stored in the routing table is

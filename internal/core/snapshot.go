@@ -10,11 +10,8 @@ import (
 
 // This file implements checkpoint capture and restore for the four engines.
 // Capture runs at a kernel barrier, when no engine call is in flight, so the
-// per-call scratch in Shared is dead and never serialized; the same goes for
-// pure memo/cache state (Nylon's lastVia memo, the routing table's find memo,
-// warmSink), which a restored engine simply re-derives at full fidelity —
-// every memo is a strict performance cache whose absence changes no
-// observable behaviour, a property the snapshot/resume invariance test pins.
+// per-call scratch in Shared is dead and never serialized. The engines keep
+// no memo or cache beside it, so everything else they hold is captured.
 //
 // Restore methods assume a freshly constructed engine (same constructor
 // arguments as the original: the host re-creates engines structurally from

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/snapshot"
 )
@@ -176,12 +176,6 @@ func (st *runState) writeSnapshot(now int64) (string, error) {
 	return path, nil
 }
 
-// tickKey is one pending shuffle-tick event.
-type tickKey struct {
-	at         int64
-	actor, seq uint64
-}
-
 // snapshotInto serializes the complete world state at barrier time now.
 func (st *runState) snapshotInto(enc *snapshot.Encoder, now int64) {
 	enc.Section(secExp)
@@ -208,28 +202,18 @@ func (st *runState) snapshotInto(enc *snapshot.Encoder, now int64) {
 
 	enc.Section(secKern)
 	enc.U64(st.kern.Processed())
-	var ticks []tickKey
+	var ticks []sim.Key // pending shuffle-tick events
 	for i := 0; i < st.kern.Shards(); i++ {
-		st.kern.Shard(i).EachTick(func(at int64, actor, seq uint64) {
-			ticks = append(ticks, tickKey{at: at, actor: actor, seq: seq})
-		})
+		st.kern.Shard(i).EachTick(func(k sim.Key) { ticks = append(ticks, k) })
 	}
 	// Global key order: shard-count-invariant bytes, and the resuming run's
 	// per-shard subsequences stay sorted whatever its shard count.
-	slices.SortFunc(ticks, func(x, y tickKey) int {
-		if c := cmp.Compare(x.at, y.at); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.actor, y.actor); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.seq, y.seq)
-	})
+	slices.SortFunc(ticks, sim.Key.Compare)
 	enc.U32(uint32(len(ticks)))
 	for _, tk := range ticks {
-		enc.I64(tk.at)
-		enc.U64(tk.actor)
-		enc.U64(tk.seq)
+		enc.I64(tk.At)
+		enc.U64(tk.Actor)
+		enc.U64(tk.Seq)
 	}
 
 	st.net.SnapshotTo(enc)
@@ -266,8 +250,7 @@ func (st *runState) snapshotInto(enc *snapshot.Encoder, now int64) {
 	for _, v := range st.selections {
 		enc.U32(uint32(v))
 	}
-	warmupAt := int64(st.cfg.Rounds) / 3 * st.cfg.PeriodMs
-	warmupTaken := now >= warmupAt
+	warmupTaken := now >= st.measureAfter
 	enc.Bool(warmupTaken)
 	if warmupTaken {
 		enc.U32(uint32(len(*st.warmup)))
@@ -474,9 +457,9 @@ func (st *runState) restore(dec *snapshot.Decoder, resumeT int64) error {
 	dec.Section(secKern)
 	processed := dec.U64()
 	nTicks := dec.Count(8 + 8 + 8)
-	ticks := make([]tickKey, nTicks)
+	ticks := make([]sim.Key, nTicks)
 	for i := range ticks {
-		ticks[i] = tickKey{at: dec.I64(), actor: dec.U64(), seq: dec.U64()}
+		ticks[i] = sim.Key{At: dec.I64(), Actor: dec.U64(), Seq: dec.U64()}
 	}
 	if dec.Err() != nil {
 		return dec.Err()
@@ -621,18 +604,14 @@ func (st *runState) restore(dec *snapshot.Decoder, resumeT int64) error {
 		return fmt.Errorf("%w: %d selection counters for %d peers", snapshot.ErrCorrupt, nSel, len(st.peers))
 	}
 	for i, tk := range ticks {
-		if tk.actor < 1 || tk.actor > uint64(len(st.peers)) {
-			return fmt.Errorf("%w: tick %d names actor %d outside the roster", snapshot.ErrCorrupt, i, tk.actor)
+		if tk.Actor < 1 || tk.Actor > uint64(len(st.peers)) {
+			return fmt.Errorf("%w: tick %d names actor %d outside the roster", snapshot.ErrCorrupt, i, tk.Actor)
 		}
-		if tk.at < resumeT {
-			return fmt.Errorf("%w: tick %d at %d predates the snapshot time %d", snapshot.ErrCorrupt, i, tk.at, resumeT)
+		if tk.At < resumeT {
+			return fmt.Errorf("%w: tick %d at %d predates the snapshot time %d", snapshot.ErrCorrupt, i, tk.At, resumeT)
 		}
-		if i > 0 {
-			prev := ticks[i-1]
-			if tk.at < prev.at || (tk.at == prev.at && (tk.actor < prev.actor ||
-				(tk.actor == prev.actor && tk.seq <= prev.seq))) {
-				return fmt.Errorf("%w: tick %d out of key order", snapshot.ErrCorrupt, i)
-			}
+		if i > 0 && ticks[i-1].Compare(tk) >= 0 {
+			return fmt.Errorf("%w: tick %d out of key order", snapshot.ErrCorrupt, i)
 		}
 	}
 
@@ -650,8 +629,8 @@ func (st *runState) restore(dec *snapshot.Decoder, resumeT int64) error {
 		st.kern.Shard(i).SetTickFn(st.tickActor)
 	}
 	for _, tk := range ticks {
-		p := st.peers[tk.actor-1]
-		st.kern.Shard(p.Shard).TickAtKey(tk.at, tk.actor, tk.seq)
+		p := st.peers[tk.Actor-1]
+		st.kern.Shard(p.Shard).TickAtKey(tk.At, tk.Actor, tk.Seq)
 	}
 	st.armGlobals(resumeT)
 	if st.scn != nil && scnPresent {

@@ -130,7 +130,9 @@ type runState struct {
 	// the final sums are order-independent, so a single int32 per peer
 	// replaces what used to be one int per peer *per shard*. The slice is
 	// replaced only at barriers (scenario joins).
-	selections   []int32
+	selections []int32
+	// measureAfter is the warm-up boundary, a third of the horizon:
+	// selections and byte rates are measured from there on.
 	measureAfter int64
 
 	// scn drives the environment timeline; nil when the scenario is nil
@@ -262,9 +264,8 @@ func newRunState(cfg Config) *runState {
 // reflected in the restored state.
 func (st *runState) armGlobals(after int64) {
 	cfg := st.cfg
-	warmupAt := int64(cfg.Rounds) / 3 * cfg.PeriodMs
-	if warmupAt > after {
-		st.warmup = st.snapshotBytesAt(warmupAt)
+	if st.measureAfter > after {
+		st.warmup = st.snapshotBytesAt(st.measureAfter)
 	} else if st.warmup == nil {
 		st.warmup = &[]uint64{}
 	}
@@ -776,8 +777,7 @@ func (st *runState) measure(end int64, warmupBytes []uint64) Result {
 	w := st.walkOverlay(st.kern.Now(), warmupBytes)
 	sums := &w.sums
 	alive := len(w.ids)
-	warmupAt := int64(st.cfg.Rounds) / 3 * st.cfg.PeriodMs
-	seconds := float64(end-warmupAt) / 1000
+	seconds := float64(end-st.measureAfter) / 1000
 
 	res.AlivePeers = alive
 	res.TotalPeers = len(st.peers)

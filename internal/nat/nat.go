@@ -439,26 +439,6 @@ func (d *Device) Inbound(now int64, from, to ident.Endpoint) (ident.Endpoint, bo
 	return s.key.private, true
 }
 
-// Prefetch touches the state Inbound(now, from, to) would read — the port
-// index, the session, and the sender's filter slot — with pure loads and no
-// mutation, and returns the session's private endpoint (zero if no session
-// owns `to`). Hosts call it for a queued datagram ahead of its delivery so
-// the lines are cached when Inbound runs; the sink return folds the loaded
-// values so the loads survive the compiler.
-func (d *Device) Prefetch(from, to ident.Endpoint) (priv ident.Endpoint, sink uint64) {
-	i := d.sessionByPublic(to)
-	if i < 0 {
-		return ident.Zero, 0
-	}
-	s := &d.sessions[i]
-	sink = uint64(s.lastUse)
-	if f := &s.filters; len(f.slots) > 0 {
-		sl := &f.slots[f.hashSlot(packEP(d.filterKey(from)))]
-		sink += sl.key + uint64(sl.expire)
-	}
-	return s.key.private, sink
-}
-
 // Pinhole installs an explicit permanent port mapping for the private
 // endpoint, as NAT-PMP or UPnP IGD would (the paper's related work discusses
 // these as an alternative to traversal, with the caveat that not all devices

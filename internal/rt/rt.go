@@ -103,14 +103,6 @@ type Table struct {
 	// Backward-shift deletion keeps it tombstone-free, so its load is
 	// always exactly nrows/len(slots).
 	slots []slot
-	// memoDest/memoRow cache the last successful find: the per-datagram
-	// pattern installs a route for a peer and immediately looks the same
-	// peer up again (install src → answer src), so a one-entry cache
-	// removes the second index probe and its row load. memoRow is -1 when
-	// empty; removeAt invalidates it (rows move), in-place rewrites and
-	// appends keep it valid (row indices are stable).
-	memoDest ident.NodeID
-	memoRow  int
 	// minExpire is a conservative lower bound on the earliest expiry of any
 	// row (maxInt64 when empty): installs lower it, removals and refreshes
 	// only raise the true minimum and leave it untouched. Purge skips its
@@ -161,7 +153,6 @@ func (t *Table) appendRow(d ident.NodeID, h intern.Handle, e int64) {
 	}
 	t.nrows++
 	t.setRow(t.nrows-1, d, h, e)
-	t.memoDest, t.memoRow = d, t.nrows-1
 }
 
 // New returns an empty routing table owned by the given peer, with a private
@@ -179,7 +170,7 @@ func NewShared(self ident.NodeID, in *intern.Descriptors) *Table {
 	if in == nil {
 		panic("rt: NewShared called with nil intern table")
 	}
-	return &Table{self: self, in: in, minExpire: noExpiry, memoRow: -1}
+	return &Table{self: self, in: in, minExpire: noExpiry}
 }
 
 // fpOf returns the index fingerprint of a destination ID: Fibonacci hashing,
@@ -189,35 +180,9 @@ func fpOf(id ident.NodeID) uint32 {
 	return uint32((uint64(id) * 0x9e3779b97f4a7c15) >> 32)
 }
 
-// find returns the row index of dest, or -1.
+// find returns the row index of dest, or -1. It must stay a pure read: Peek
+// runs it from several goroutines at once.
 func (t *Table) find(dest ident.NodeID) int {
-	if t.memoRow >= 0 && t.memoDest == dest {
-		return t.memoRow
-	}
-	if len(t.slots) == 0 {
-		return -1
-	}
-	mask := len(t.slots) - 1
-	fp := fpBits(dest)
-	for j := t.home(dest); ; j = (j + 1) & mask {
-		cell := t.slots[j]
-		if cell == 0 {
-			return -1
-		}
-		if cell&^slotRowMask == fp {
-			if row := int(cell & slotRowMask); t.dest(row-1) == dest {
-				t.memoDest, t.memoRow = dest, row-1
-				return row - 1
-			}
-		}
-	}
-}
-
-// lookup is find for Peek: the same probe, reading the memo's answer neither
-// in nor out. It repeats find's loop instead of being called by it because
-// find is the per-datagram path, where the extra call measured 2 ns per memo
-// miss.
-func (t *Table) lookup(dest ident.NodeID) int {
 	if len(t.slots) == 0 {
 		return -1
 	}
@@ -234,25 +199,6 @@ func (t *Table) lookup(dest ident.NodeID) int {
 			}
 		}
 	}
-}
-
-// Warm touches the index cell and row a subsequent find(dest) will read,
-// with pure loads and no mutation, returning the loaded bits so callers can
-// fold them into a sink the compiler cannot elide. Issuing the probes for a
-// whole batch of destinations back-to-back lets their cache misses resolve
-// in parallel, where the branchy install loop that follows walks the same
-// dependent load chains one at a time. Only the home cell is probed: at the
-// index's 2/3 load bound almost every find resolves there or in the
-// adjacent cell of the same cache line.
-func (t *Table) Warm(dest ident.NodeID) uint64 {
-	if len(t.slots) == 0 {
-		return 0
-	}
-	cell := t.slots[t.home(dest)]
-	if row := int(cell & slotRowMask); row > 0 && row <= t.nrows {
-		return uint64(cell) + uint64(t.rowAt(row-1).expire)
-	}
-	return uint64(cell)
 }
 
 // slotOf returns the index position whose cell points at row i. The row must
@@ -339,7 +285,6 @@ func (t *Table) removeAt(i int) {
 	}
 	t.setRow(last, 0, 0, 0)
 	t.nrows = last
-	t.memoRow = -1
 	if last == 0 {
 		t.minExpire = noExpiry
 	}
@@ -426,14 +371,13 @@ func (t *Table) Next(dest ident.NodeID, now int64) (view.Descriptor, bool) {
 }
 
 // Peek is Next for observers: the same answer, with the table left exactly as
-// it was. Where Next purges the expired row it trips over and leaves the row
-// it found in the find memo, Peek probes the index past the memo and leaves
-// expired rows for the owner's own Next or Purge. Measurement reads
-// other peers' tables through it — from several goroutines at once, which only
-// a pure read allows — so that sampling a run never changes what the run, or a
-// snapshot of it, holds afterwards.
+// it was. Where Next purges the expired row it trips over, Peek leaves expired
+// rows for the owner's own Next or Purge. Measurement reads other peers'
+// tables through it — from several goroutines at once, which only a pure read
+// allows — so that sampling a run never changes what the run, or a snapshot of
+// it, holds afterwards.
 func (t *Table) Peek(dest ident.NodeID, now int64) (view.Descriptor, bool) {
-	i := t.lookup(dest)
+	i := t.find(dest)
 	if i < 0 || t.expire(i) < now {
 		return view.Descriptor{}, false
 	}

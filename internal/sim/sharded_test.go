@@ -43,6 +43,31 @@ func TestAtKeyOrderingMatchesSort(t *testing.T) {
 	}
 }
 
+// TestKeyCompare walks the order one component at a time: time decides first,
+// then the actor, then the actor's sequence number, and only a key equal in
+// all three compares equal.
+func TestKeyCompare(t *testing.T) {
+	for _, tc := range []struct {
+		a, b Key
+		want int
+	}{
+		{Key{At: 1, Actor: 9, Seq: 9}, Key{At: 2, Actor: 1, Seq: 1}, -1}, // time outranks actor and seq
+		{Key{At: -1, Actor: 1, Seq: 1}, Key{At: 0, Actor: 1, Seq: 1}, -1},
+		{Key{At: 5, Actor: 1, Seq: 9}, Key{At: 5, Actor: 2, Seq: 1}, -1}, // actor outranks seq
+		{Key{At: 5, Actor: 0, Seq: 7}, Key{At: 5, Actor: 1 << 63, Seq: 7}, -1},
+		{Key{At: 5, Actor: 3, Seq: 1}, Key{At: 5, Actor: 3, Seq: 2}, -1},
+		{Key{At: 5, Actor: 3, Seq: 2}, Key{At: 5, Actor: 3, Seq: 2}, 0},
+		{Key{}, Key{}, 0},
+	} {
+		if got := tc.a.Compare(tc.b); got != tc.want {
+			t.Errorf("%+v.Compare(%+v) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
+		if got := tc.b.Compare(tc.a); got != -tc.want {
+			t.Errorf("%+v.Compare(%+v) = %d, want %d", tc.b, tc.a, got, -tc.want)
+		}
+	}
+}
+
 // TestLaneAtKeyMergesWithHeapByKey checks the lane and the heap interleave
 // in exact key order, and that a key regression on the lane panics.
 func TestLaneAtKeyMergesWithHeapByKey(t *testing.T) {

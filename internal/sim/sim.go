@@ -30,27 +30,48 @@
 // events run single-threaded at barriers, schedules through it.
 package sim
 
+// Key is the total order of simulation events: virtual time, then the
+// scheduling actor, then that actor's private sequence number. Every queue
+// that holds events or their payloads — the scheduler's heap and lane, the
+// network's staged and link-delayed datagrams, the checkpoint sections that
+// list them — orders by it, so a run is the same sequence on any shard or
+// worker count.
+type Key struct {
+	At    int64 // virtual time, ms
+	Actor uint64
+	Seq   uint64
+}
+
+// Compare returns -1, 0 or +1 as k orders before, equal to or after o. It is
+// written out instead of chaining cmp.Compare because this form fits the
+// inliner's budget and the heap sifts call it once per level.
+func (k Key) Compare(o Key) int {
+	switch {
+	case k.At != o.At:
+		if k.At < o.At {
+			return -1
+		}
+		return 1
+	case k.Actor != o.Actor:
+		if k.Actor < o.Actor {
+			return -1
+		}
+		return 1
+	case k.Seq < o.Seq:
+		return -1
+	case k.Seq > o.Seq:
+		return 1
+	}
+	return 0
+}
+
 // event is a scheduled callback, stored inline in the heap slice. A nil fn
 // marks a tick event: it runs the scheduler's shared tickFn with the event's
 // actor, so periodic per-actor work (every simulated peer's shuffle loop)
 // needs no per-actor closure — the event itself is the whole allocation.
 type event struct {
-	at    int64 // virtual time, ms
-	actor uint64
-	seq   uint64
-	fn    func()
-}
-
-// before reports whether e fires before o: earlier time, then earlier
-// (actor, seq) key.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	if e.actor != o.actor {
-		return e.actor < o.actor
-	}
-	return e.seq < o.seq
+	Key
+	fn func()
 }
 
 // Scheduler is a discrete-event loop over virtual time. The zero Scheduler is
@@ -60,10 +81,10 @@ func (e *event) before(o *event) bool {
 type Scheduler struct {
 	now     int64
 	seq     uint64
-	pending []event // 4-ary min-heap ordered by (at, actor, seq)
-	// lane is the monotone FIFO source (see SetLaneFn); laneFn runs for
-	// each of its events.
-	lane   Ring[laneEntry]
+	pending []event // 4-ary min-heap ordered by Key
+	// lane is the monotone FIFO source (see SetLaneFn): only the firing
+	// coordinates are stored, laneFn runs for each of its events.
+	lane   Ring[Key]
 	laneFn func()
 	// tickFn is the shared callback of fn-less tick events (see TickAtKey).
 	tickFn func(actor uint64)
@@ -81,25 +102,6 @@ type Scheduler struct {
 	// executing (see CurrentKey).
 	curActor uint64
 	curSeq   uint64
-}
-
-// laneEntry is one lane event: only its firing coordinates are stored, the
-// callback is the shared laneFn.
-type laneEntry struct {
-	at    int64
-	actor uint64
-	seq   uint64
-}
-
-// laneBefore reports whether l fires before the (at, actor, seq) key.
-func (l *laneEntry) laneBefore(at int64, actor, seq uint64) bool {
-	if l.at != at {
-		return l.at < at
-	}
-	if l.actor != actor {
-		return l.actor < actor
-	}
-	return l.seq < seq
 }
 
 // Ring is a growable FIFO ring buffer. Hosts with their own monotone event
@@ -182,10 +184,11 @@ func (s *Scheduler) LaneAtKey(t int64, actor, seq uint64) {
 	if t < s.now {
 		t = s.now
 	}
-	if s.lane.Len() > 0 && !s.lane.tail().laneBefore(t, actor, seq) {
+	k := Key{At: t, Actor: actor, Seq: seq}
+	if s.lane.Len() > 0 && s.lane.tail().Compare(k) >= 0 {
 		panic("sim: LaneAtKey key regressed")
 	}
-	s.lane.Push(laneEntry{at: t, actor: actor, seq: seq})
+	s.lane.Push(k)
 }
 
 // SetTickFn installs the callback shared by all tick events (see TickAtKey).
@@ -211,7 +214,7 @@ func (s *Scheduler) TickAtKey(t int64, actor, seq uint64) {
 	if t < s.now {
 		t = s.now
 	}
-	s.pending = append(s.pending, event{at: t, actor: actor, seq: seq})
+	s.pending = append(s.pending, event{Key: Key{At: t, Actor: actor, Seq: seq}})
 	s.siftUp(len(s.pending) - 1)
 }
 
@@ -236,7 +239,7 @@ func (s *Scheduler) At(t int64, fn func()) {
 		t = s.now
 	}
 	s.seq++
-	s.pending = append(s.pending, event{at: t, seq: s.seq, fn: fn})
+	s.pending = append(s.pending, event{Key: Key{At: t, Seq: s.seq}, fn: fn})
 	s.siftUp(len(s.pending) - 1)
 }
 
@@ -253,7 +256,7 @@ func (s *Scheduler) AtKey(t int64, actor, seq uint64, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
-	s.pending = append(s.pending, event{at: t, actor: actor, seq: seq, fn: fn})
+	s.pending = append(s.pending, event{Key: Key{At: t, Actor: actor, Seq: seq}, fn: fn})
 	s.siftUp(len(s.pending) - 1)
 }
 
@@ -264,7 +267,7 @@ func (s *Scheduler) siftUp(i int) {
 	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !e.before(&h[parent]) {
+		if e.Compare(h[parent].Key) >= 0 {
 			break
 		}
 		h[i] = h[parent]
@@ -288,11 +291,11 @@ func (s *Scheduler) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if h[c].before(&h[best]) {
+			if h[c].Compare(h[best].Key) < 0 {
 				best = c
 			}
 		}
-		if !h[best].before(&e) {
+		if h[best].Compare(e.Key) >= 0 {
 			break
 		}
 		h[i] = h[best]
@@ -325,15 +328,15 @@ func (s *Scheduler) next() (at int64, fromLane bool, ok bool) {
 	case !heapOK && !laneOK:
 		return 0, false, false
 	case !heapOK:
-		return s.lane.Peek().at, true, true
+		return s.lane.Peek().At, true, true
 	case !laneOK:
-		return s.pending[0].at, false, true
+		return s.pending[0].At, false, true
 	}
 	h, l := &s.pending[0], s.lane.Peek()
-	if l.at < h.at || (l.at == h.at && (l.actor < h.actor || (l.actor == h.actor && l.seq < h.seq))) {
-		return l.at, true, true
+	if l.Compare(h.Key) < 0 {
+		return l.At, true, true
 	}
-	return h.at, false, true
+	return h.At, false, true
 }
 
 // NextAt returns the fire time of the earliest pending event without
@@ -351,22 +354,25 @@ func (s *Scheduler) NextAt() (at int64, ok bool) {
 // being delivered.
 func (s *Scheduler) CurrentKey() (actor, seq uint64) { return s.curActor, s.curSeq }
 
+// enter makes k the event now executing: the clock, CurrentKey and the
+// processed count move together.
+func (s *Scheduler) enter(k Key) {
+	s.now = k.At
+	s.curActor, s.curSeq = k.Actor, k.Seq
+	s.processed++
+}
+
 // runNext executes the earliest pending event.
 func (s *Scheduler) runNext(fromLane bool) {
 	if fromLane {
-		e := s.lane.Pop()
-		s.now = e.at
-		s.curActor, s.curSeq = e.actor, e.seq
-		s.processed++
+		s.enter(s.lane.Pop())
 		s.laneFn()
 		return
 	}
 	e := s.pop()
-	s.now = e.at
-	s.curActor, s.curSeq = e.actor, e.seq
-	s.processed++
+	s.enter(e.Key)
 	if e.fn == nil {
-		s.tickFn(e.actor)
+		s.tickFn(e.Actor)
 		return
 	}
 	e.fn()
@@ -378,9 +384,8 @@ func (s *Scheduler) runNext(fromLane bool) {
 // the driving loop's deadline — advancing the clock and the processed count
 // exactly as the main loop's pop would. Hosts whose laneFn delivers one item
 // per event call this in a loop to handle a whole run of back-to-back lane
-// events inside one callback, amortizing per-run state (destination
-// resolution, device lookups) over the run without changing execution order:
-// the batch ends precisely where an interleaved heap event would have
+// events inside one callback, amortizing dispatch without changing execution
+// order: the batch ends precisely where an interleaved heap event would have
 // preempted it, or where the RunUntil/RunBefore loop would have stopped.
 // Because the check runs against the live heap, events scheduled by the
 // items themselves are honoured mid-run. Outside a bounded loop it always
@@ -390,51 +395,38 @@ func (s *Scheduler) LaneContinue() bool {
 		return false
 	}
 	l := s.lane.Peek()
-	if l.at > s.limit || (l.at == s.limit && s.limitExcl) {
+	if s.pastLimit(l.At) || (len(s.pending) > 0 && l.Compare(s.pending[0].Key) >= 0) {
 		return false
 	}
-	if len(s.pending) > 0 {
-		h := &s.pending[0]
-		if !(l.at < h.at || (l.at == h.at && (l.actor < h.actor || (l.actor == h.actor && l.seq < h.seq)))) {
-			return false
-		}
-	}
-	e := s.lane.Pop()
-	s.now = e.at
-	s.curActor, s.curSeq = e.actor, e.seq
-	s.processed++
+	s.enter(s.lane.Pop())
 	return true
+}
+
+// pastLimit reports whether an event at the given time lies beyond the
+// deadline of the bounded loop currently executing.
+func (s *Scheduler) pastLimit(at int64) bool {
+	return at > s.limit || (at == s.limit && s.limitExcl)
 }
 
 // RunUntil executes events in order until the queue is empty or the next
 // event is later than deadline. The clock ends at deadline (or at the last
 // event, whichever is later) so subsequent scheduling is consistent.
-func (s *Scheduler) RunUntil(deadline int64) {
-	prevLimit, prevSet, prevExcl := s.limit, s.limitSet, s.limitExcl
-	s.limit, s.limitSet, s.limitExcl = deadline, true, false
-	for {
-		at, fromLane, ok := s.next()
-		if !ok || at > deadline {
-			break
-		}
-		s.runNext(fromLane)
-	}
-	s.limit, s.limitSet, s.limitExcl = prevLimit, prevSet, prevExcl
-	if s.now < deadline {
-		s.now = deadline
-	}
-}
+func (s *Scheduler) RunUntil(deadline int64) { s.run(deadline, false) }
 
 // RunBefore executes events in order while they fire strictly before
 // deadline, then advances the clock to deadline. It is the window-phase
 // primitive of the sharded kernel: events at exactly deadline belong to the
 // next window (they run after the barrier's global events).
-func (s *Scheduler) RunBefore(deadline int64) {
+func (s *Scheduler) RunBefore(deadline int64) { s.run(deadline, true) }
+
+// run is the bounded loop behind RunUntil (excl false) and RunBefore (excl
+// true).
+func (s *Scheduler) run(deadline int64, excl bool) {
 	prevLimit, prevSet, prevExcl := s.limit, s.limitSet, s.limitExcl
-	s.limit, s.limitSet, s.limitExcl = deadline, true, true
+	s.limit, s.limitSet, s.limitExcl = deadline, true, excl
 	for {
 		at, fromLane, ok := s.next()
-		if !ok || at >= deadline {
+		if !ok || s.pastLimit(at) {
 			break
 		}
 		s.runNext(fromLane)
@@ -451,10 +443,10 @@ func (s *Scheduler) RunBefore(deadline int64) {
 // a closure cannot be serialized, so hosts re-arm those structurally on
 // restore (the network's jitter events from its jitter heap, the experiment
 // harness's global timeline from the config).
-func (s *Scheduler) EachTick(fn func(at int64, actor, seq uint64)) {
+func (s *Scheduler) EachTick(fn func(Key)) {
 	for i := range s.pending {
 		if s.pending[i].fn == nil {
-			fn(s.pending[i].at, s.pending[i].actor, s.pending[i].seq)
+			fn(s.pending[i].Key)
 		}
 	}
 }
@@ -462,10 +454,9 @@ func (s *Scheduler) EachTick(fn func(at int64, actor, seq uint64)) {
 // EachLane visits every pending lane event in FIFO (and hence key) order.
 // Checkpoint writers pair the keys with the host's own in-flight payload
 // queue, which LaneAtKey scheduling keeps in lockstep with the lane.
-func (s *Scheduler) EachLane(fn func(at int64, actor, seq uint64)) {
-	for i := 0; i < s.lane.n; i++ {
-		e := &s.lane.buf[(s.lane.head+i)%len(s.lane.buf)]
-		fn(e.at, e.actor, e.seq)
+func (s *Scheduler) EachLane(fn func(Key)) {
+	for i := 0; i < s.lane.Len(); i++ {
+		fn(*s.lane.At(i))
 	}
 }
 

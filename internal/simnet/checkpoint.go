@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ident"
 	"repro/internal/nat"
+	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -88,24 +89,24 @@ func (n *Network) SnapshotTo(enc *snapshot.Encoder) {
 		// Lane events fire in exact ring order: pair the scheduler's lane
 		// keys with the ring's deliveries positionally.
 		j := 0
-		sh.sched.EachLane(func(at int64, actor, seq uint64) {
-			flight = append(flight, outEntry{at: at, actor: actor, seq: seq, d: *sh.inflight.At(j)})
+		sh.sched.EachLane(func(k sim.Key) {
+			flight = append(flight, outEntry{Key: k, d: *sh.inflight.At(j)})
 			j++
 		})
 		if j != sh.inflight.Len() {
 			panic("simnet: lane events and in-flight ring out of step")
 		}
 		for _, e := range sh.jit {
-			flight = append(flight, outEntry{at: e.at, actor: e.actor, seq: e.seq, jittered: true, d: e.d})
+			flight = append(flight, outEntry{Key: e.Key, jittered: true, d: e.d})
 		}
 	}
-	slices.SortFunc(flight, keyCompare)
+	slices.SortFunc(flight, compareOut)
 	enc.U32(uint32(len(flight)))
 	for i := range flight {
 		e := &flight[i]
-		enc.I64(e.at)
-		enc.U64(e.actor)
-		enc.U64(e.seq)
+		enc.I64(e.At)
+		enc.U64(e.Actor)
+		enc.U64(e.Seq)
 		enc.Bool(e.jittered)
 		enc.Endpoint(e.d.srcEP)
 		enc.Endpoint(e.d.to)
@@ -221,22 +222,19 @@ func (n *Network) RestoreFrom(dec *snapshot.Decoder, engineFor func(p *Peer) cor
 
 	dec.Section(secMsgs)
 	nMsgs := dec.Count(8 + 8 + 8 + 1 + 6 + 6 + 2 + 3*19 + 4 + 8 + 4)
-	var prevAt int64
-	var prevActor, prevSeq uint64
+	var prev sim.Key
 	for i := 0; i < nMsgs; i++ {
-		at := dec.I64()
-		actor, seq := dec.U64(), dec.U64()
+		k := sim.Key{At: dec.I64(), Actor: dec.U64(), Seq: dec.U64()}
 		jittered := dec.Bool()
 		// The writer sorts entries by strictly increasing key; enforce that
 		// before any shard-lane push, because a lane rejects (by design, with
 		// a panic — it is a host-bug detector) keys that regress. Hostile
 		// input must fail the decode, not trip the detector.
-		if i > 0 && (at < prevAt || (at == prevAt && (actor < prevActor ||
-			(actor == prevActor && seq <= prevSeq)))) {
+		if i > 0 && prev.Compare(k) >= 0 {
 			dec.Fail("in-flight datagram %d out of key order", i)
 			return
 		}
-		prevAt, prevActor, prevSeq = at, actor, seq
+		prev = k
 		srcEP, to := dec.Endpoint(), dec.Endpoint()
 		kind := wire.Kind(dec.U8())
 		hops := dec.U8()
@@ -269,13 +267,7 @@ func (n *Network) RestoreFrom(dec *snapshot.Decoder, engineFor func(p *Peer) cor
 		// Keys re-distribute to the resuming run's shards: this shard's
 		// sub-sequence of the globally sorted list stays sorted, so the lane
 		// accepts every key and fires in the original global order.
-		if jittered {
-			sh.jit.push(jitEntry{at: at, actor: actor, seq: seq, d: d})
-			sh.sched.AtKey(at, actor, seq, sh.jitFire)
-		} else {
-			sh.inflight.Push(d)
-			sh.sched.LaneAtKey(at, actor, seq)
-		}
+		n.scheduleEntry(sh, &outEntry{Key: k, jittered: jittered, d: d})
 	}
 
 	dec.Section(secDrop)

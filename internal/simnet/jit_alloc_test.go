@@ -2,8 +2,10 @@ package simnet
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestJitHeapZeroAllocs locks in the arena property of the link-delay heap:
@@ -14,15 +16,15 @@ func TestJitHeapZeroAllocs(t *testing.T) {
 	var h jitHeap
 	// Warm the slice to its steady-state capacity.
 	for i := 0; i < 256; i++ {
-		h.push(jitEntry{at: int64(i % 31), seq: uint64(i)})
+		h.push(jitEntry{Key: sim.Key{At: int64(i % 31), Seq: uint64(i)}})
 	}
 	for len(h) > 0 {
 		h.pop()
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		h.push(jitEntry{at: 3, seq: 1})
-		h.push(jitEntry{at: 1, seq: 2})
-		h.push(jitEntry{at: 2, seq: 3})
+		h.push(jitEntry{Key: sim.Key{At: 3, Seq: 1}})
+		h.push(jitEntry{Key: sim.Key{At: 1, Seq: 2}})
+		h.push(jitEntry{Key: sim.Key{At: 2, Seq: 3}})
 		h.pop()
 		h.pop()
 		h.pop()
@@ -39,22 +41,20 @@ func TestJitHeapOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n = 4000
 	var h jitHeap
-	want := make([]jitEntry, 0, n)
+	want := make([]sim.Key, 0, n)
 	for i := 0; i < n; i++ {
-		e := jitEntry{
-			at:    int64(rng.Intn(53)), // dense: plenty of equal-time ties
-			actor: uint64(rng.Intn(7)),
-			seq:   uint64(i),
+		k := sim.Key{
+			At:    int64(rng.Intn(53)), // dense: plenty of equal-time ties
+			Actor: uint64(rng.Intn(7)),
+			Seq:   uint64(i),
 		}
-		want = append(want, e)
-		h.push(e)
+		want = append(want, k)
+		h.push(jitEntry{Key: k})
 	}
-	sort.Slice(want, func(a, b int) bool { return jitLess(&want[a], &want[b]) })
+	slices.SortFunc(want, sim.Key.Compare)
 	for i := range want {
-		got := h.pop()
-		if got.at != want[i].at || got.actor != want[i].actor || got.seq != want[i].seq {
-			t.Fatalf("pop %d: got (%d,%d,%d), want (%d,%d,%d)",
-				i, got.at, got.actor, got.seq, want[i].at, want[i].actor, want[i].seq)
+		if got := h.pop().Key; got != want[i] {
+			t.Fatalf("pop %d: got %+v, want %+v", i, got, want[i])
 		}
 	}
 	if len(h) != 0 {

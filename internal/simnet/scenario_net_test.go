@@ -1,10 +1,12 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ident"
+	"repro/internal/sim"
 	"repro/internal/view"
 	"repro/internal/wire"
 )
@@ -195,5 +197,67 @@ func TestQuiescentSendZeroAlloc(t *testing.T) {
 	// cycle must be allocation-free.
 	if allocs > 0 {
 		t.Errorf("quiescent send+deliver allocates %.1f per round, want 0", allocs)
+	}
+}
+
+// keyEngine records the scheduler key under which each datagram reaches it.
+type keyEngine struct {
+	sinkEngine
+	sched *sim.Scheduler
+	got   []sim.Key
+}
+
+func (e *keyEngine) Receive(now int64, _ ident.Endpoint, _ *wire.Message) []core.Send {
+	actor, seq := e.sched.CurrentKey()
+	e.got = append(e.got, sim.Key{At: now, Actor: actor, Seq: seq})
+	return nil
+}
+
+// TestFlushSchedulesInKeyOrder stages runs for one destination shard and
+// requires its lane and jit heap together to fire in exactly sim.Key order,
+// whichever way the barrier brought the runs together: one sorted run
+// scheduled in place, three sorted runs whose keys interleave, and three runs
+// one of which a link-delayed datagram left out of order.
+func TestFlushSchedulesInKeyOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		senders []ident.NodeID // shard = (id-1) % 4; the destination, peer 4, owns shard 3
+		delays  []int64        // per send, in send order
+	}{
+		{"one sorted run", []ident.NodeID{1, 5, 9}, nil},
+		{"sorted runs interleave", []ident.NodeID{1, 5, 2, 6, 3, 7}, nil},
+		{"a link delay regresses a run", []ident.NodeID{1, 5, 2, 6, 3, 7}, []int64{30, 0, 0, 20, 0, 0, 20, 0, 10, 0, 0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			kern := sim.NewSharded(4, 1, latency)
+			net := NewSharded(kern, latency)
+			dst := &keyEngine{sched: kern.Shard(3)}
+			to := net.AddPeer(4, ident.Public, holeTimeout, func(d view.Descriptor) core.Engine { return dst })
+			factory, _ := sinkFactory()
+			policy := &scriptedPolicy{delays: tc.delays}
+			net.SetLinkPolicy(policy)
+
+			var want []sim.Key
+			for _, id := range tc.senders {
+				from := net.AddPeer(id, ident.Public, holeTimeout, factory)
+				for k := 0; k < 2; k++ {
+					var delay int64
+					if policy.calls < len(tc.delays) {
+						delay = tc.delays[policy.calls]
+					}
+					ping(net, from, to)
+					want = append(want, sim.Key{At: latency + delay, Actor: uint64(id), Seq: from.Seq})
+				}
+			}
+			slices.SortFunc(want, sim.Key.Compare)
+			kern.RunUntil(1000)
+
+			if !slices.Equal(dst.got, want) {
+				t.Errorf("deliveries fired as\n%v, want key order\n%v", dst.got, want)
+			}
+			if err := net.LeakCheck(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

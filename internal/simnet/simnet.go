@@ -333,31 +333,14 @@ type netShard struct {
 	jit     jitHeap
 	jitFire func()
 
-	// prefSink accumulates the values loaded by delivery prefetching (see
-	// prefetchNext) so the compiler cannot elide the loads. Its value is
-	// meaningless and never read; it lives here, not on Network, because
-	// every shard's goroutine writes it.
-	prefSink uint64
-
-	// resolvedPriv/resolvedPeer memoize the last NAT-admitted private
-	// endpoint → peer resolution. Private endpoints are allocated once and
-	// never reassigned, so the memo can never go stale; it turns the
-	// back-to-back deliveries of a batched lane run into one lookup.
-	resolvedPriv ident.Endpoint
-	resolvedPeer *Peer
-
 	// out stages datagrams sent by this shard's peers, one slice per
 	// destination shard; the barrier drains them (see flush). outUnsorted
 	// flags a run whose keys regressed at append time (link-delayed
-	// arrivals): sorted runs merge at the barrier, unsorted ones re-sort.
+	// arrivals).
 	out         [][]outEntry
 	outUnsorted []bool
-	// merge is the barrier's reusable gather-and-sort scratch; runScratch,
-	// mergeCur and mergeHeap are the sorted-run merge's reusable cursors.
-	merge      []outEntry
-	runScratch [][]outEntry
-	mergeCur   []int
-	mergeHeap  []int32
+	// merge is the barrier's reusable gather-and-sort scratch.
+	merge []outEntry
 
 	// tr is this shard's trace ring (nil when tracing is off — the
 	// zero-cost fast path, one nil check per event).
@@ -405,22 +388,11 @@ func (n *Network) drop(sh *netShard, cause trace.DropCause, from, to ident.Endpo
 	sh.trace(trace.DropCauses[cause].Op, from, to, msg, size)
 }
 
-// jitEntry is one link-delayed delivery waiting in a shard's jit heap.
+// jitEntry is one link-delayed delivery waiting in a shard's jit heap, under
+// the same key as its scheduler event.
 type jitEntry struct {
-	at         int64
-	actor, seq uint64
-	d          delivery
-}
-
-// jitLess orders jit entries exactly like the scheduler orders their events.
-func jitLess(a, b *jitEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.actor != b.actor {
-		return a.actor < b.actor
-	}
-	return a.seq < b.seq
+	sim.Key
+	d delivery
 }
 
 // jitHeap is a 4-ary min-heap of link-delayed deliveries, mirroring the
@@ -435,7 +407,7 @@ func (h *jitHeap) push(e jitEntry) {
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !jitLess(&e, &s[parent]) {
+		if e.Compare(s[parent].Key) >= 0 {
 			break
 		}
 		s[i] = s[parent]
@@ -462,11 +434,11 @@ func (h *jitHeap) pop() jitEntry {
 			best := first
 			last := min(first+4, n)
 			for c := first + 1; c < last; c++ {
-				if jitLess(&s[c], &s[best]) {
+				if s[c].Compare(s[best].Key) < 0 {
 					best = c
 				}
 			}
-			if !jitLess(&s[best], &e) {
+			if s[best].Compare(e.Key) >= 0 {
 				break
 			}
 			s[i] = s[best]
@@ -484,36 +456,18 @@ type delivery struct {
 	size      uint64
 }
 
-// outEntry is one staged cross-barrier datagram: the delivery plus its
-// deterministic ordering key and arrival time.
+// outEntry is one staged cross-barrier datagram: the delivery under its
+// deterministic ordering key — (arrival time including any link-policy delay,
+// sender, per-sender seq), the worker- and shard-count-invariant merge order
+// of the barrier.
 type outEntry struct {
-	at         int64 // arrival time, including any link-policy delay
-	actor, seq uint64
-	jittered   bool // true: arrives later than the base latency → heap
-	d          delivery
+	sim.Key
+	jittered bool // true: arrives later than the base latency → heap
+	d        delivery
 }
 
-// keyCompare orders staged datagrams by (arrival, sender, per-sender seq) —
-// the worker- and shard-count-invariant merge order of the barrier.
-func keyCompare(a, b outEntry) int {
-	switch {
-	case a.at != b.at:
-		if a.at < b.at {
-			return -1
-		}
-		return 1
-	case a.actor != b.actor:
-		if a.actor < b.actor {
-			return -1
-		}
-		return 1
-	case a.seq < b.seq:
-		return -1
-	case a.seq > b.seq:
-		return 1
-	}
-	return 0
-}
+// compareOut orders staged datagrams by key, for slices.SortFunc.
+func compareOut(a, b outEntry) int { return a.Compare(b.Key) }
 
 // bootstrapDst is the well-known endpoint natted peers "contact" at join time
 // to allocate their first NAT mapping, standing in for a STUN-style
@@ -702,20 +656,26 @@ func (n *Network) AddPeer(id ident.NodeID, class ident.NATClass, ruleTTL int64, 
 		p.Addr = p.Priv
 		n.pubs = append(n.pubs, pubSlot{peer: p})
 	} else {
-		privIP := ident.IP(n.nextPrivateIP)
-		n.nextPrivateIP++
-		pubIP := ident.IP(n.nextPublicIP)
-		n.nextPublicIP++
-		p.Priv = ident.Endpoint{IP: privIP, Port: 9000}
-		p.Device = n.newDevice(class, pubIP, ruleTTL)
-		n.pubs = append(n.pubs, pubSlot{dev: p.Device, owner: p})
-		n.privs = append(n.privs, p)
+		n.attachNAT(p, ruleTTL)
 		// Join handshake: allocate the advertised mapping.
 		p.Addr = p.Device.Outbound(n.barrierNow(), p.Priv, bootstrapDst)
 	}
 	n.baseIntern.Intern(p.Descriptor())
 	p.Engine = f(p.Descriptor())
 	return p
+}
+
+// attachNAT puts p behind a NAT device of its own: the next private IP for
+// the peer, the next public IP for the device.
+func (n *Network) attachNAT(p *Peer, ruleTTL int64) {
+	privIP := ident.IP(n.nextPrivateIP)
+	n.nextPrivateIP++
+	pubIP := ident.IP(n.nextPublicIP)
+	n.nextPublicIP++
+	p.Priv = ident.Endpoint{IP: privIP, Port: 9000}
+	p.Device = n.newDevice(p.Class, pubIP, ruleTTL)
+	n.pubs = append(n.pubs, pubSlot{dev: p.Device, owner: p})
+	n.privs = append(n.privs, p)
 }
 
 // newPeer allocates a peer in the slab and registers it in the slot index.
@@ -748,14 +708,7 @@ func (n *Network) AddPeerUPnP(id ident.NodeID, class ident.NATClass, ruleTTL int
 	}
 	p := n.newPeer(id, class)
 	p.Advertised = ident.Public
-	privIP := ident.IP(n.nextPrivateIP)
-	n.nextPrivateIP++
-	pubIP := ident.IP(n.nextPublicIP)
-	n.nextPublicIP++
-	p.Priv = ident.Endpoint{IP: privIP, Port: 9000}
-	p.Device = n.newDevice(class, pubIP, ruleTTL)
-	n.pubs = append(n.pubs, pubSlot{dev: p.Device, owner: p})
-	n.privs = append(n.privs, p)
+	n.attachNAT(p, ruleTTL)
 	p.Addr = p.Device.Pinhole(p.Priv)
 	n.baseIntern.Intern(p.Descriptor())
 	p.Engine = f(p.Descriptor())
@@ -865,11 +818,11 @@ func (n *Network) Send(from *Peer, s core.Send) {
 		sh.pool.Put(s.Msg)
 		return
 	}
-	e := outEntry{at: at, actor: uint64(from.ID), seq: from.Seq, jittered: extra > 0, d: d}
+	e := outEntry{Key: sim.Key{At: at, Actor: uint64(from.ID), Seq: from.Seq}, jittered: extra > 0, d: d}
 	q := sh.out[owner.Shard]
-	if k := len(q); k > 0 && keyCompare(q[k-1], e) > 0 {
-		// A link-delayed arrival regressed the run's key order; the
-		// barrier will sort this run instead of merging it.
+	if k := len(q); k > 0 && q[k-1].Compare(e.Key) > 0 {
+		// A link-delayed arrival regressed the run's key order: the
+		// barrier must sort it.
 		sh.outUnsorted[owner.Shard] = true
 	}
 	sh.out[owner.Shard] = append(q, e)
@@ -882,128 +835,64 @@ func (n *Network) Send(from *Peer, s core.Send) {
 // — and jittered ones wait in the shard's jit heap behind reused heap
 // events with the same key.
 //
-// Each source run is already key-sorted by construction — virtual time
-// advances monotonically within a window and same-instant events execute in
+// Each source run is key-sorted by construction — virtual time advances
+// monotonically within a window and same-instant events execute in
 // (actor, seq) order, which is also the order staged sends draw their keys —
-// so the runs k-way merge straight into the destination's queues, with
-// ~log(runs) comparisons per datagram instead of a sort's log(total) and no
-// gather copy. A run whose producer saw a key regression at append time
-// (link-delayed arrivals) falls back to the gather-and-sort path; both
-// produce the identical keyCompare order, which the invariance tests pin.
+// unless a link-delayed arrival regressed it at append time. A destination
+// fed by one sorted run schedules it in place; anything else is gathered and
+// sorted by key.
 func (n *Network) flush() {
 	// Barrier context: no shard worker is running, so this is the one safe
 	// place to serve a live trace read posted by another goroutine.
 	n.traces.ServeTap()
 	for di := range n.shards {
 		dst := &n.shards[di]
-		runs := dst.runScratch[:0]
-		sorted := true
+		var run []outEntry // what dst schedules
+		runs, sorted := 0, true
 		for si := range n.shards {
 			src := &n.shards[si]
-			if len(src.out[di]) > 0 {
-				runs = append(runs, src.out[di])
-				if src.outUnsorted[di] {
-					sorted = false
-				}
+			if out := src.out[di]; len(out) > 0 {
+				runs++
+				run = out
+				sorted = sorted && !src.outUnsorted[di]
 			}
 		}
-		if len(runs) > 0 {
-			if sorted {
-				n.mergeSortedRuns(dst, runs)
-			} else {
-				batch := dst.merge[:0]
-				for _, run := range runs {
-					batch = append(batch, run...)
-				}
-				slices.SortFunc(batch, keyCompare)
-				for i := range batch {
-					n.scheduleEntry(dst, &batch[i])
-				}
-				// Drop message references from the scratch so stale slots
-				// never alias live pool entries.
-				for i := range batch {
-					batch[i].d.msg = nil
-				}
-				dst.merge = batch[:0]
-			}
+		if runs == 0 {
+			continue
+		}
+		if runs > 1 || !sorted {
+			run = dst.merge[:0]
 			for si := range n.shards {
-				src := &n.shards[si]
-				if run := src.out[di]; len(run) > 0 {
-					for i := range run {
-						run[i].d.msg = nil
-					}
-					src.out[di] = run[:0]
-					src.outUnsorted[di] = false
-				}
+				run = append(run, n.shards[si].out[di]...)
 			}
+			slices.SortFunc(run, compareOut)
+			dst.merge = run
 		}
-		dst.runScratch = runs[:0]
+		for i := range run {
+			n.scheduleEntry(dst, &run[i])
+		}
+		// Drop message references from the scratch and the outboxes so
+		// stale slots never alias live pool entries.
+		clear(dst.merge)
+		dst.merge = dst.merge[:0]
+		for si := range n.shards {
+			src := &n.shards[si]
+			clear(src.out[di])
+			src.out[di] = src.out[di][:0]
+			src.outUnsorted[di] = false
+		}
 	}
 }
 
 // scheduleEntry queues one merged datagram on its destination shard.
 func (n *Network) scheduleEntry(dst *netShard, e *outEntry) {
 	if e.jittered {
-		dst.jit.push(jitEntry{at: e.at, actor: e.actor, seq: e.seq, d: e.d})
-		dst.sched.AtKey(e.at, e.actor, e.seq, dst.jitFire)
+		dst.jit.push(jitEntry{Key: e.Key, d: e.d})
+		dst.sched.AtKey(e.At, e.Actor, e.Seq, dst.jitFire)
 	} else {
 		dst.inflight.Push(e.d)
-		dst.sched.LaneAtKey(e.at, e.actor, e.seq)
+		dst.sched.LaneAtKey(e.At, e.Actor, e.Seq)
 	}
-}
-
-// mergeSortedRuns schedules the key-sorted source runs in exact merged key
-// order, using a small binary heap of run cursors. Keys never collide across
-// runs (a sender stages on exactly one shard and its seq is unique), so the
-// merge needs no stability tie-break.
-func (n *Network) mergeSortedRuns(dst *netShard, runs [][]outEntry) {
-	if len(runs) == 1 {
-		run := runs[0]
-		for i := range run {
-			n.scheduleEntry(dst, &run[i])
-		}
-		return
-	}
-	cur := dst.mergeCur[:0]
-	for range runs {
-		cur = append(cur, 0)
-	}
-	h := dst.mergeHeap[:0]
-	for r := range runs {
-		h = append(h, int32(r))
-		for i := len(h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if keyCompare(runs[h[i]][cur[h[i]]], runs[h[p]][cur[h[p]]]) >= 0 {
-				break
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
-	}
-	for len(h) > 0 {
-		r := h[0]
-		n.scheduleEntry(dst, &runs[r][cur[r]])
-		cur[r]++
-		if cur[r] == len(runs[r]) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		for i := 0; ; {
-			c := 2*i + 1
-			if c >= len(h) {
-				break
-			}
-			if c+1 < len(h) && keyCompare(runs[h[c+1]][cur[h[c+1]]], runs[h[c]][cur[h[c]]]) < 0 {
-				c++
-			}
-			if keyCompare(runs[h[c]][cur[h[c]]], runs[h[i]][cur[h[i]]]) >= 0 {
-				break
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
-	dst.mergeCur, dst.mergeHeap = cur[:0], h[:0]
 }
 
 // deliverNext completes shard i's oldest in-flight datagrams: lane events
@@ -1011,50 +900,18 @@ func (n *Network) mergeSortedRuns(dst *netShard, runs [][]outEntry) {
 // queue head is always the datagram the event belongs to. After each
 // delivery the loop asks the scheduler to extend the run (LaneContinue):
 // back-to-back lane events — the overwhelming majority under constant
-// latency — are handled as one batch event, amortizing dispatch and keeping
-// the shard's resolve memo hot, while every datagram still advances the
-// clock and the processed count individually and any interleaved heap event
-// ends the batch exactly where per-datagram execution would have run it.
+// latency — are handled as one batch event, amortizing dispatch, while every
+// datagram still advances the clock and the processed count individually and
+// any interleaved heap event ends the batch exactly where per-datagram
+// execution would have run it.
 func (n *Network) deliverNext(i int) {
 	sh := &n.shards[i]
 	for {
 		d := sh.inflight.Pop()
-		if sh.inflight.Len() > 0 {
-			// Warm the next datagram's destination state while this one is
-			// processed: deliveries in a batch hop between unrelated peers,
-			// so each destination's lines are cold random accesses the
-			// out-of-order window can otherwise only start fetching once
-			// the current Receive retires.
-			n.prefetchNext(sh, sh.inflight.Peek())
-		}
 		n.deliver(i, d.srcEP, d.to, d.msg, d.size)
 		sh.pool.Put(d.msg)
 		if n.perDatagram || !sh.sched.LaneContinue() {
 			return
-		}
-	}
-}
-
-// prefetchNext touches the destination state of a queued delivery with pure
-// loads — the public slot, the owning peer, and for natted destinations the
-// NAT session, its filter slot and the private peer — so those cache lines
-// are warm when the datagram is actually delivered. It mutates nothing;
-// resolution still happens in resolve, and prefSink only keeps the loads
-// observable to the compiler.
-func (n *Network) prefetchNext(sh *netShard, d *delivery) {
-	s := n.pubSlotFor(d.to.IP)
-	if s == nil {
-		return
-	}
-	if p := s.peer; p != nil {
-		sh.prefSink += uint64(p.Addr.Port) + p.Seq
-		return
-	}
-	if s.dev != nil {
-		priv, v := s.dev.Prefetch(d.srcEP, d.to)
-		sh.prefSink += v
-		if p := n.privatePeerAt(priv); p != nil {
-			sh.prefSink += uint64(p.Addr.Port) + p.Seq
 		}
 	}
 }
@@ -1121,15 +978,11 @@ func (n *Network) resolve(sh *netShard, now int64, srcEP, to ident.Endpoint, msg
 		n.drop(sh, trace.DropNAT, srcEP, to, msg, size)
 		return nil, false
 	}
-	if priv == sh.resolvedPriv && sh.resolvedPeer != nil {
-		return sh.resolvedPeer, true
-	}
 	p := n.privatePeerAt(priv)
 	if p == nil {
 		n.drop(sh, trace.DropAddr, srcEP, to, msg, size)
 		return nil, false
 	}
-	sh.resolvedPriv, sh.resolvedPeer = priv, p
 	return p, true
 }
 
@@ -1150,36 +1003,28 @@ func (n *Network) Tick(p *Peer) {
 // communication with it is impossible). Barrier-context only: it reads both
 // peers' devices.
 func (n *Network) Reachable(now int64, q *Peer, d view.Descriptor) bool {
-	if !d.Class.Natted() {
-		return true
-	}
-	dev := n.deviceAt(d.Addr.IP)
-	if dev == nil {
-		return false
-	}
-	src, ok := n.wouldSendFrom(now, q, d.Addr)
-	if !ok {
-		// q would allocate a fresh, unpredictable mapping; only
-		// IP-level filters can match it. Model it as port 0, which no
-		// installed port-specific rule equals.
-		src = ident.Endpoint{IP: n.publicIPOf(q)}
-	}
-	return dev.WouldAdmit(now, src, d.Addr)
+	return !d.Class.Natted() || n.wouldAdmit(now, q, d.Addr)
 }
 
 // ReachableEndpoint is Reachable for a raw endpoint (e.g. a learned,
 // hole-punched mapping rather than an advertised one): it reports whether a
 // datagram sent now by q to addr would reach a live mapping or public peer.
 func (n *Network) ReachableEndpoint(now int64, q *Peer, addr ident.Endpoint) bool {
-	if n.publicPeerAt(addr) != nil {
-		return true
-	}
+	return n.publicPeerAt(addr) != nil || n.wouldAdmit(now, q, addr)
+}
+
+// wouldAdmit reports whether the NAT device owning addr's IP would admit a
+// datagram sent now by q to addr.
+func (n *Network) wouldAdmit(now int64, q *Peer, addr ident.Endpoint) bool {
 	dev := n.deviceAt(addr.IP)
 	if dev == nil {
 		return false
 	}
 	src, ok := n.wouldSendFrom(now, q, addr)
 	if !ok {
+		// q would allocate a fresh, unpredictable mapping; only
+		// IP-level filters can match it. Model it as port 0, which no
+		// installed port-specific rule equals.
 		src = ident.Endpoint{IP: n.publicIPOf(q)}
 	}
 	return dev.WouldAdmit(now, src, addr)

@@ -127,10 +127,6 @@ type Scratch struct {
 	tail  []Descriptor
 	ids   []uint64
 	ages  []int64
-	// cnt is markOldest's age histogram; only the prefix up to the call's
-	// maximum age is ever read or written, so it needs no clearing between
-	// calls.
-	cnt [256]uint16
 }
 
 // Observer receives view membership changes: one call per entry entering or
@@ -384,7 +380,7 @@ func (v *View) moveOldestToEnd(ds []Descriptor, h int) {
 	for i := range ds {
 		ages[i] = int64(ds[i].Age)
 	}
-	markOldest(ages, h, &v.sc.cnt)
+	markOldest(ages, h)
 	tail := v.sc.tail[:0]
 	w := 0
 	for i, d := range ds {
@@ -407,66 +403,11 @@ func (v *View) ageScratch(n int) []int64 {
 	return v.sc.ages[:n]
 }
 
-// markOldest sets ages[i] = -1 for the h oldest entries, ties resolved
-// toward the earlier index (the first index wins the argmax, so the marked
-// set matches repeated oldest-first removal exactly).
-//
-// The hot path is a counting select: descriptor ages count shuffle rounds,
-// so in any live view they are tiny — a 256-bucket histogram locates the
-// exact h-th-oldest threshold with nothing but predictable single-compare
-// loops, where the earlier top-h insertion buffer paid a branch mispredict
-// per insertion. Everything age-above-threshold is marked, plus the first
-// (earliest-index) survivors sitting exactly on the threshold — precisely
-// the set repeated oldest-first argmax removes.
-func markOldest(ages []int64, h int, cnt *[256]uint16) {
-	if h > len(ages) {
-		h = len(ages)
-	}
-	if h <= 0 {
-		return
-	}
-	maxA := int64(0)
-	for _, a := range ages {
-		if a < 0 || a > 255 {
-			markOldestGeneric(ages, h)
-			return
-		}
-		if a > maxA {
-			maxA = a
-		}
-	}
-	// The histogram is caller-owned scratch, zeroed only up to the observed
-	// maximum age — a few tens of bytes — instead of paying a 512-byte
-	// stack clear per call; stale counts beyond maxA are never read.
-	c := cnt[:maxA+1]
-	for i := range c {
-		c[i] = 0
-	}
-	for _, a := range ages {
-		c[a]++
-	}
-	need, th := h, maxA
-	for ; ; th-- {
-		c := int(cnt[th])
-		if need <= c {
-			break
-		}
-		need -= c
-	}
-	for i, a := range ages {
-		if a > th {
-			ages[i] = -1
-		} else if a == th && need > 0 {
-			ages[i] = -1
-			need--
-		}
-	}
-}
-
-// markOldestGeneric is markOldest for ages outside the histogram range
-// (never produced by the protocols, which age by one per round): repeated
-// argmax, the literal reference semantics.
-func markOldestGeneric(ages []int64, h int) {
+// markOldest sets ages[i] = -1 for the h oldest entries by repeated argmax,
+// ties resolved toward the earlier index. h must not exceed the number of
+// unmarked entries. Views hold a few dozen entries and h is a handful, so the
+// h passes stay in one or two cache lines.
+func markOldest(ages []int64, h int) {
 	for k := 0; k < h; k++ {
 		best, bestAge := 0, int64(-1)
 		for i, a := range ages {
@@ -535,7 +476,7 @@ func (v *View) ApplyExchange(policy Merge, received, sent []Descriptor, rng *ran
 	// Healing: drop min(h, size-c) oldest (ties resolved toward the earlier
 	// index, matching repeated oldest-first removal).
 	if drop := min(h, left-c); drop > 0 {
-		markOldest(ages, drop, &v.sc.cnt)
+		markOldest(ages, drop)
 		left -= drop
 	}
 	// Swapping: drop min(s, size-c) of the entries just sent.
