@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ident"
+	"repro/internal/snapshot"
 	"repro/internal/view"
 	"repro/internal/wire"
 	"repro/internal/xrand"
@@ -204,7 +205,7 @@ type Engine struct {
 	cfg   Config
 	rng   *rand.Rand
 	// src is rng's underlying source, kept so checkpoints can capture and
-	// replay the wrapper's private stream (see RNGState/SetRNGState).
+	// replay the wrapper's private stream (see State).
 	src  *xrand.SplitMix64
 	self ident.NodeID
 }
@@ -220,11 +221,9 @@ func Wrap(inner core.Engine, cfg Config, seed int64) core.Engine {
 	return &Engine{inner: inner, cfg: cfg, rng: rand.New(src), src: src, self: inner.Self().ID}
 }
 
-// RNGState returns the wrapper's private RNG stream state, for checkpoints.
-func (e *Engine) RNGState() uint64 { return e.src.State() }
-
-// SetRNGState restores a stream state captured by RNGState.
-func (e *Engine) SetRNGState(v uint64) { e.src.SetState(v) }
+// State walks the wrapper's own checkpoint state, the position of its private
+// RNG stream; the honest engine behind it (see Unwrap) walks its own.
+func (e *Engine) State(c *snapshot.Codec) { e.src.SetState(c.U64(e.src.State())) }
 
 // Unwrap returns the honest engine behind e, or e itself when unwrapped.
 // Hosts that type-switch on concrete engines (bootstrap, metrics) use it to

@@ -37,7 +37,7 @@ import (
 //
 //	exp!  snapshot time, config JSON, static-RVP assignments
 //	krn!  processed-event count, pending shuffle ticks (globally key-sorted)
-//	net!  the simulated network (see simnet.SnapshotTo): peers, NAT devices
+//	net!  the simulated network (see simnet.Network.State): peers, NAT devices
 //	msg!  in-flight datagrams in scheduler-key order
 //	drp!  drop totals
 //	eng!  per-peer engine state in attachment order: adversary wrapper and
@@ -169,134 +169,258 @@ func (st *runState) writeSnapshot(now int64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	st.snapshotInto(w.Encoder(), now)
+	st.capture(w.Codec(), now)
 	if err := w.Commit(); err != nil {
 		return "", err
 	}
 	return path, nil
 }
 
-// snapshotInto serializes the complete world state at barrier time now.
-func (st *runState) snapshotInto(enc *snapshot.Encoder, now int64) {
-	enc.Section(secExp)
-	enc.I64(now)
+// headerState walks the opening of the exp! section: the barrier time of the
+// snapshot and the config JSON. A restore needs both before a run state exists
+// to walk the rest into.
+func headerState(c *snapshot.Codec, now int64, cfgJSON []byte) (int64, []byte) {
+	c.Section(secExp)
+	return c.I64(now), c.Bytes32(cfgJSON)
+}
+
+// capture serializes the complete world state at barrier time now.
+func (st *runState) capture(c *snapshot.Codec, now int64) {
 	cfgJSON, err := json.Marshal(st.cfg)
 	if err != nil {
 		panic(fmt.Sprintf("exp: config does not marshal: %v", err)) // static shape, cannot fail
 	}
-	enc.Bytes32(cfgJSON)
+	headerState(c, now, cfgJSON)
+	st.state(c, now)
+}
+
+// engineState is what checkpointing needs of an engine beyond core.Engine:
+// its state walk. All four engines of internal/core have one.
+type engineState interface {
+	State(c *snapshot.Codec)
+}
+
+// state walks everything of the world that follows the payload's header, at
+// barrier time now: the one field list capture writes and restore reads. A
+// restore walks into this freshly wired run state, whose world it builds on
+// the way; the caller discards st whole if the codec ends in an error. The
+// processed-event count and the pending shuffle ticks are returned because
+// the kernel takes them only once the clocks are set (see restore).
+func (st *runState) state(c *snapshot.Codec, now int64) (processed uint64, ticks []sim.Key) {
+	// Remainder of exp!: static-RVP assignment state.
 	ids := make([]ident.NodeID, 0, len(st.rvpOf))
 	for id := range st.rvpOf {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	enc.U32(uint32(len(ids)))
+	if nRVP := c.Count(len(ids), 16); c.Restoring() {
+		ids = make([]ident.NodeID, nRVP)
+		st.rvpOf = make(map[ident.NodeID]ident.NodeID, nRVP)
+	}
 	for _, id := range ids {
-		enc.U64(uint64(id))
-		enc.U64(uint64(st.rvpOf[id]))
+		id = ident.NodeID(c.U64(uint64(id)))
+		st.rvpOf[id] = ident.NodeID(c.U64(uint64(st.rvpOf[id])))
 	}
-	enc.U32(uint32(len(st.publicIDs)))
-	for _, id := range st.publicIDs {
-		enc.U64(uint64(id))
+	if nPub := c.Count(len(st.publicIDs), 8); c.Restoring() {
+		st.publicIDs = make([]ident.NodeID, nPub)
 	}
-
-	enc.Section(secKern)
-	enc.U64(st.kern.Processed())
-	var ticks []sim.Key // pending shuffle-tick events
-	for i := 0; i < st.kern.Shards(); i++ {
-		st.kern.Shard(i).EachTick(func(k sim.Key) { ticks = append(ticks, k) })
-	}
-	// Global key order: shard-count-invariant bytes, and the resuming run's
-	// per-shard subsequences stay sorted whatever its shard count.
-	slices.SortFunc(ticks, sim.Key.Compare)
-	enc.U32(uint32(len(ticks)))
-	for _, tk := range ticks {
-		enc.I64(tk.At)
-		enc.U64(tk.Actor)
-		enc.U64(tk.Seq)
+	for i, id := range st.publicIDs {
+		st.publicIDs[i] = ident.NodeID(c.U64(uint64(id)))
 	}
 
-	st.net.SnapshotTo(enc)
+	c.Section(secKern)
+	processed = c.U64(st.kern.Processed())
+	if !c.Restoring() {
+		for i := 0; i < st.kern.Shards(); i++ {
+			st.kern.Shard(i).EachTick(func(k sim.Key) { ticks = append(ticks, k) })
+		}
+		// Global key order: shard-count-invariant bytes, and the resuming run's
+		// per-shard subsequences stay sorted whatever its shard count.
+		slices.SortFunc(ticks, sim.Key.Compare)
+	}
+	if nTicks := c.Count(len(ticks), 8+8+8); c.Restoring() {
+		ticks = make([]sim.Key, nTicks)
+	}
+	for i := range ticks {
+		tk := &ticks[i]
+		tk.At = c.I64(tk.At)
+		tk.Actor = c.U64(tk.Actor)
+		tk.Seq = c.U64(tk.Seq)
+	}
+	if c.Err() != nil {
+		return
+	}
 
-	enc.Section(secEng)
+	// The network restores peers in attachment order, calling back once per
+	// peer to build its engine — which replays adversary cohort registration
+	// in the original registration order — and wire the health accumulators
+	// before the eng! section replays views through their mutation hooks.
+	st.net.State(c, func(p *simnet.Peer) core.Engine {
+		idx := int(p.ID) - 1
+		for len(st.peers) <= idx {
+			st.peers = append(st.peers, nil)
+		}
+		st.peers[idx] = p
+		self := p.Descriptor()
+		if st.cfg.Protocol == ProtoStaticRVP && self.Class.Natted() {
+			// The engine's constructor panics on a natted peer without an RVP
+			// (a host bug, on the fresh path); a damaged assignment table must
+			// fail the restore instead. The RVP of a valid snapshot was attached
+			// before the peer that was assigned it.
+			if rvp := st.net.Peer(st.rvpOf[p.ID]); rvp == nil || rvp.Class != ident.Public {
+				c.Fail("natted peer %v has no public RVP attached before it", p.ID)
+				return nil
+			}
+		}
+		eng := st.engineFor(idx, self)
+		if st.health != nil {
+			st.health.AddPeer(p.ID)
+			eng.View().SetObserver(st.health.Observer(p.Shard))
+		}
+		return eng
+	})
+	if c.Restoring() && c.Err() == nil {
+		if len(st.peers) == 0 {
+			c.Fail("empty peer roster")
+		}
+		for i, p := range st.peers {
+			if p == nil {
+				c.Fail("peer roster has a hole at id %d", i+1)
+			}
+		}
+	}
+	if c.Err() != nil {
+		return
+	}
+
+	c.Section(secEng)
 	st.net.EachPeer(func(p *simnet.Peer) {
+		if c.Err() != nil {
+			return
+		}
 		// Adversary wrappers are rebuilt structurally on restore (cohort
 		// membership is a pure function of seed and peer index); only the
-		// wrapper's private RNG position is state.
-		if w, ok := p.Engine.(*adversary.Engine); ok {
-			enc.Bool(true)
-			enc.U64(w.RNGState())
-		} else {
-			enc.Bool(false)
+		// wrapper's private RNG position is state. A branch may change
+		// cohorts: a newly wrapped peer keeps its fresh seed-derived stream, a
+		// newly honest one reads past the old position and drops it.
+		w, _ := p.Engine.(*adversary.Engine)
+		if c.Bool(w != nil) {
+			if w != nil {
+				w.State(c)
+			} else {
+				c.U64(0)
+			}
 		}
-		enc.U64(st.engineSrcs[int(p.ID)-1].State())
-		switch e := adversary.Unwrap(p.Engine).(type) {
-		case *core.Nylon:
-			e.SnapshotTo(enc)
-		case *core.Generic:
-			e.SnapshotTo(enc)
-		case *core.ARRG:
-			e.SnapshotTo(enc)
-		case *core.StaticRVP:
-			e.SnapshotTo(enc)
-		default:
-			panic(fmt.Sprintf("exp: unknown engine %T", p.Engine))
-		}
+		src := st.engineSrcs[int(p.ID)-1]
+		src.SetState(c.U64(src.State()))
+		adversary.Unwrap(p.Engine).(engineState).State(c)
 	})
-
-	enc.Section(secRun)
-	enc.U64(st.rng.Src.State())
-	enc.U32(uint32(len(st.selections)))
-	for _, v := range st.selections {
-		enc.U32(uint32(v))
+	if c.Err() != nil {
+		return
 	}
-	warmupTaken := now >= st.measureAfter
-	enc.Bool(warmupTaken)
-	if warmupTaken {
-		enc.U32(uint32(len(*st.warmup)))
-		for _, b := range *st.warmup {
-			enc.U64(b)
-		}
-	}
-	enc.U32(uint32(len(*st.series)))
-	for _, pt := range *st.series {
-		enc.U32(uint32(pt.Round))
-		enc.F64(pt.BiggestCluster)
-		enc.F64(pt.StaleFraction)
-		enc.U32(uint32(pt.AlivePeers))
-		enc.U64(pt.Joins)
-		enc.U64(pt.Leaves)
-		enc.F64(pt.Eclipse)
-		enc.F64(pt.ColluderShare)
+	if c.Restoring() && st.health != nil {
+		// Close the books on dead peers: their replayed views froze at kill
+		// time, and Kill folds each one's entry count and accumulated
+		// indegree into the dead-side accumulators, exactly as the live run's
+		// incremental path did.
+		st.net.EachPeer(func(p *simnet.Peer) {
+			if !p.Alive {
+				st.health.Kill(p.ID, p.Engine.View().Len())
+			}
+		})
 	}
 
-	enc.Section(secScn)
-	if st.scn == nil {
-		enc.Bool(false)
-	} else {
-		d := st.scn
-		enc.Bool(true)
-		enc.U64(d.churnRNG.Src.State())
-		enc.U64(d.topoRNG.Src.State())
-		enc.U32(uint32(len(d.linkRNGs)))
-		for _, r := range d.linkRNGs {
-			enc.U64(r.Src.State())
-		}
-		enc.I64(d.jitterMs)
-		enc.F64(d.loss)
-		enc.F64(d.natRatio)
-		enc.F64(d.mix.RC)
-		enc.F64(d.mix.PRC)
-		enc.F64(d.mix.SYM)
-		enc.I64(int64(d.partSince))
-		enc.F64(d.partFraction)
-		enc.U32(uint32(d.partGen))
-		enc.I64(int64(d.healRound))
-		enc.U64(d.stats.Joins)
-		enc.U64(d.stats.Leaves)
-		enc.U64(d.stats.GatewayFailures)
-		enc.I64(int64(d.stats.PartitionRounds))
+	c.Section(secRun)
+	st.rng.Src.SetState(c.U64(st.rng.Src.State()))
+	if nSel := c.Count(len(st.selections), 4); c.Restoring() {
+		st.selections = make([]int32, nSel)
 	}
+	for i, v := range st.selections {
+		st.selections[i] = int32(c.U32(uint32(v)))
+	}
+	if c.Restoring() {
+		st.warmup, st.series = new([]uint64), new([]SamplePoint)
+	}
+	if c.Bool(now >= st.measureAfter) { // the warmup baseline has been taken
+		if n := c.Count(len(*st.warmup), 8); c.Restoring() {
+			*st.warmup = make([]uint64, n)
+		}
+		for i, b := range *st.warmup {
+			(*st.warmup)[i] = c.U64(b)
+		}
+	}
+	if nPts := c.Count(len(*st.series), 4+8+8+4+8+8+8+8); c.Restoring() {
+		*st.series = make([]SamplePoint, nPts)
+	}
+	for i := range *st.series {
+		(*st.series)[i].state(c)
+	}
+
+	c.Section(secScn)
+	if c.Restoring() && !st.cfg.Scenario.Quiescent() {
+		st.scn = newScenarioDriver(st)
+	}
+	d := st.scn
+	if c.Bool(d != nil) {
+		if d == nil {
+			// A branch dropped the scenario: walk its state into a driver that
+			// nothing runs.
+			d = newScenarioDriver(st)
+		}
+		d.state(c)
+	}
+	return
+}
+
+// state walks one sample of the health series.
+func (pt *SamplePoint) state(c *snapshot.Codec) {
+	pt.Round = int(c.U32(uint32(pt.Round)))
+	pt.BiggestCluster = c.F64(pt.BiggestCluster)
+	pt.StaleFraction = c.F64(pt.StaleFraction)
+	pt.AlivePeers = int(c.U32(uint32(pt.AlivePeers)))
+	pt.Joins = c.U64(pt.Joins)
+	pt.Leaves = c.U64(pt.Leaves)
+	pt.Eclipse = c.F64(pt.Eclipse)
+	pt.ColluderShare = c.F64(pt.ColluderShare)
+}
+
+// state walks the timeline counters.
+func (s *ScenarioStats) state(c *snapshot.Codec) {
+	s.Joins = c.U64(s.Joins)
+	s.Leaves = c.U64(s.Leaves)
+	s.GatewayFailures = c.U64(s.GatewayFailures)
+	s.PartitionRounds = int(c.I64(int64(s.PartitionRounds)))
+}
+
+// state walks the scenario driver: stream positions, the live link model and
+// arrival distribution, partition bookkeeping, timeline stats. Restoring
+// overlays them on a freshly constructed driver, so the snapshot's current
+// values win over the scenario's initial ones.
+func (d *scenarioDriver) state(c *snapshot.Codec) {
+	d.churnRNG.Src.SetState(c.U64(d.churnRNG.Src.State()))
+	d.topoRNG.Src.SetState(c.U64(d.topoRNG.Src.State()))
+	// A branch may change the population's link-policy need; apply what
+	// overlaps, keep fresh seed-derived streams for the rest.
+	nLink := c.Count(len(d.linkRNGs), 8)
+	for i := 0; i < nLink; i++ {
+		if i < len(d.linkRNGs) {
+			src := d.linkRNGs[i].Src
+			src.SetState(c.U64(src.State()))
+		} else {
+			c.U64(0)
+		}
+	}
+	d.jitterMs = c.I64(d.jitterMs)
+	d.loss = c.F64(d.loss)
+	d.natRatio = c.F64(d.natRatio)
+	d.mix.RC = c.F64(d.mix.RC)
+	d.mix.PRC = c.F64(d.mix.PRC)
+	d.mix.SYM = c.F64(d.mix.SYM)
+	d.partSince = int(c.I64(int64(d.partSince)))
+	d.partFraction = c.F64(d.partFraction)
+	d.partGen = int(c.U32(uint32(d.partGen)))
+	d.healRound = int(c.I64(int64(d.healRound)))
+	d.stats.state(c)
 }
 
 // ResumeOptions parameterizes Resume. The zero value resumes the snapshot
@@ -367,7 +491,7 @@ func ResumeFile(path string, opt ResumeOptions) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	st, err := restoreWorld(r.Decoder(), opt)
+	st, err := restoreWorld(r.Codec(), opt)
 	r.Close() // read-only: nothing to lose
 	if err != nil {
 		return Result{}, err
@@ -377,15 +501,13 @@ func ResumeFile(path string, opt ResumeOptions) (Result, error) {
 
 // restoreWorld decodes a whole snapshot payload into a freshly wired run
 // state, ready to run on from the snapshot time.
-func restoreWorld(dec *snapshot.Decoder, opt ResumeOptions) (*runState, error) {
-	dec.Section(secExp)
-	resumeT := dec.I64()
-	// Copied: the decoder's bytes die with its next read.
-	cfgJSON := append([]byte(nil), dec.Bytes32()...)
-	if dec.Err() != nil {
-		return nil, dec.Err()
+func restoreWorld(c *snapshot.Codec, opt ResumeOptions) (*runState, error) {
+	resumeT, cfgJSON := headerState(c, 0, nil)
+	if c.Err() != nil {
+		return nil, c.Err()
 	}
 	var cfg Config
+	// Unmarshalled before the next read: the codec's bytes die with it.
 	if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
 		return nil, fmt.Errorf("%w: config: %v", snapshot.ErrCorrupt, err)
 	}
@@ -412,196 +534,26 @@ func restoreWorld(dec *snapshot.Decoder, opt ResumeOptions) (*runState, error) {
 	}
 
 	st := newRunState(cfg)
-	if err := st.restore(dec, resumeT); err != nil {
+	if err := st.restore(c, resumeT); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-// drvState is the decoded scenario-driver state, held until the payload fully
-// validates.
-type drvState struct {
-	churn, topo                    uint64
-	link                           []uint64
-	jitterMs                       int64
-	loss                           float64
-	natRatio                       float64
-	rc, prc, sym                   float64
-	partSince                      int64
-	partFraction                   float64
-	partGen                        uint32
-	healRound                      int64
-	joins, leaves, gatewayFailures uint64
-	partitionRounds                int64
-}
-
-// restore rebuilds the world from the decoder (positioned after the exp!
+// restore rebuilds the world from the codec (positioned after the payload's
 // header) into this freshly wired run state. The whole payload decodes and
 // validates before any event is armed with side effects beyond st itself, so
 // a failure leaves nothing half-resumed — the caller discards st.
-func (st *runState) restore(dec *snapshot.Decoder, resumeT int64) error {
-	// Remainder of exp!: static-RVP assignment state.
-	nRVP := dec.Count(16)
-	if nRVP > 0 {
-		st.rvpOf = make(map[ident.NodeID]ident.NodeID, nRVP)
-	}
-	for i := 0; i < nRVP; i++ {
-		id := ident.NodeID(dec.U64())
-		st.rvpOf[id] = ident.NodeID(dec.U64())
-	}
-	nPub := dec.Count(8)
-	for i := 0; i < nPub; i++ {
-		st.publicIDs = append(st.publicIDs, ident.NodeID(dec.U64()))
-	}
-
-	dec.Section(secKern)
-	processed := dec.U64()
-	nTicks := dec.Count(8 + 8 + 8)
-	ticks := make([]sim.Key, nTicks)
-	for i := range ticks {
-		ticks[i] = sim.Key{At: dec.I64(), Actor: dec.U64(), Seq: dec.U64()}
-	}
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-
-	// The network restores peers in attachment order, calling back once per
-	// peer to build its engine — which replays adversary cohort registration
-	// in the original registration order — and wire the health accumulators
-	// before the eng! section replays views through their mutation hooks.
-	st.net.RestoreFrom(dec, func(p *simnet.Peer) core.Engine {
-		idx := int(p.ID) - 1
-		for len(st.peers) <= idx {
-			st.peers = append(st.peers, nil)
-		}
-		st.peers[idx] = p
-		eng := st.engineFor(idx, p.Descriptor())
-		if st.health != nil {
-			st.health.AddPeer(p.ID)
-			eng.View().SetObserver(st.health.Observer(p.Shard))
-		}
-		return eng
-	})
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	if len(st.peers) == 0 {
-		return fmt.Errorf("%w: empty peer roster", snapshot.ErrCorrupt)
-	}
-	for i, p := range st.peers {
-		if p == nil {
-			return fmt.Errorf("%w: peer roster has a hole at id %d", snapshot.ErrCorrupt, i+1)
-		}
-	}
-
-	dec.Section(secEng)
-	st.net.EachPeer(func(p *simnet.Peer) {
-		if dec.Err() != nil {
-			return
-		}
-		wrapped := dec.Bool()
-		var wrapState uint64
-		if wrapped {
-			wrapState = dec.U64()
-		}
-		srcState := dec.U64()
-		if dec.Err() != nil {
-			return
-		}
-		st.engineSrcs[int(p.ID)-1].SetState(srcState)
-		// A branch may change cohorts: apply the wrapper state only when the
-		// resumed engine is wrapped too. A newly wrapped peer keeps its fresh
-		// seed-derived stream; a newly honest peer drops the old state.
-		if w, ok := p.Engine.(*adversary.Engine); ok && wrapped {
-			w.SetRNGState(wrapState)
-		}
-		switch e := adversary.Unwrap(p.Engine).(type) {
-		case *core.Nylon:
-			e.RestoreFrom(dec)
-		case *core.Generic:
-			e.RestoreFrom(dec)
-		case *core.ARRG:
-			e.RestoreFrom(dec)
-		case *core.StaticRVP:
-			e.RestoreFrom(dec)
-		default:
-			dec.Fail("unknown engine %T", p.Engine)
-		}
-	})
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	if st.health != nil {
-		// Close the books on dead peers: their replayed views froze at kill
-		// time, and Kill folds each one's entry count and accumulated
-		// indegree into the dead-side accumulators, exactly as the live run's
-		// incremental path did.
-		st.net.EachPeer(func(p *simnet.Peer) {
-			if !p.Alive {
-				st.health.Kill(p.ID, p.Engine.View().Len())
-			}
-		})
-	}
-
-	dec.Section(secRun)
-	rootState := dec.U64()
-	nSel := dec.Count(4)
-	selections := make([]int32, nSel)
-	for i := range selections {
-		selections[i] = int32(dec.U32())
-	}
-	warmupTaken := dec.Bool()
-	var warmup []uint64
-	if warmupTaken {
-		warmup = make([]uint64, dec.Count(8))
-		for i := range warmup {
-			warmup[i] = dec.U64()
-		}
-	}
-	nPts := dec.Count(4 + 8 + 8 + 4 + 8 + 8 + 8 + 8)
-	series := make([]SamplePoint, nPts)
-	for i := range series {
-		series[i] = SamplePoint{
-			Round:          int(dec.U32()),
-			BiggestCluster: dec.F64(),
-			StaleFraction:  dec.F64(),
-			AlivePeers:     int(dec.U32()),
-			Joins:          dec.U64(),
-			Leaves:         dec.U64(),
-			Eclipse:        dec.F64(),
-			ColluderShare:  dec.F64(),
-		}
-	}
-
-	dec.Section(secScn)
-	scnPresent := dec.Bool()
-	var drv drvState
-	if scnPresent {
-		drv.churn = dec.U64()
-		drv.topo = dec.U64()
-		drv.link = make([]uint64, dec.Count(8))
-		for i := range drv.link {
-			drv.link[i] = dec.U64()
-		}
-		drv.jitterMs = dec.I64()
-		drv.loss = dec.F64()
-		drv.natRatio = dec.F64()
-		drv.rc, drv.prc, drv.sym = dec.F64(), dec.F64(), dec.F64()
-		drv.partSince = dec.I64()
-		drv.partFraction = dec.F64()
-		drv.partGen = dec.U32()
-		drv.healRound = dec.I64()
-		drv.joins, drv.leaves, drv.gatewayFailures = dec.U64(), dec.U64(), dec.U64()
-		drv.partitionRounds = dec.I64()
-	}
-	if err := dec.Finish(); err != nil {
+func (st *runState) restore(c *snapshot.Codec, resumeT int64) error {
+	processed, ticks := st.state(c, resumeT)
+	if err := c.Finish(); err != nil {
 		return err
 	}
 
 	// Semantic validation: a payload can parse and still describe an
 	// impossible world. Everything below must hold before arming anything.
-	if nSel != len(st.peers)+1 {
-		return fmt.Errorf("%w: %d selection counters for %d peers", snapshot.ErrCorrupt, nSel, len(st.peers))
+	if len(st.selections) != len(st.peers)+1 {
+		return fmt.Errorf("%w: %d selection counters for %d peers", snapshot.ErrCorrupt, len(st.selections), len(st.peers))
 	}
 	for i, tk := range ticks {
 		if tk.Actor < 1 || tk.Actor > uint64(len(st.peers)) {
@@ -614,17 +566,16 @@ func (st *runState) restore(dec *snapshot.Decoder, resumeT int64) error {
 			return fmt.Errorf("%w: tick %d out of key order", snapshot.ErrCorrupt, i)
 		}
 	}
-
-	// Adopt the decoded harness state and re-arm the world. Shard and global
-	// clocks are still at zero, so no At-style arming can clamp a restored
-	// time; the clocks jump to the barrier time last.
-	st.rng.Src.SetState(rootState)
-	st.selections = selections
-	if warmupTaken {
-		st.warmup = &warmup
+	// Scenario joins assign a natted newcomer one of these as its RVP for life.
+	for _, id := range st.publicIDs {
+		if p := st.net.Peer(id); p == nil || p.Class != ident.Public {
+			return fmt.Errorf("%w: RVP pool names %v, not a public peer of the roster", snapshot.ErrCorrupt, id)
+		}
 	}
-	st.series = &series
 
+	// Re-arm the world. Shard and global clocks are still at zero, so no
+	// At-style arming can clamp a restored time; the clocks jump to the
+	// barrier time last.
 	for i := 0; i < st.kern.Shards(); i++ {
 		st.kern.Shard(i).SetTickFn(st.tickActor)
 	}
@@ -633,31 +584,8 @@ func (st *runState) restore(dec *snapshot.Decoder, resumeT int64) error {
 		st.kern.Shard(p.Shard).TickAtKey(tk.At, tk.Actor, tk.Seq)
 	}
 	st.armGlobals(resumeT)
-	if st.scn != nil && scnPresent {
-		d := st.scn
-		d.churnRNG.Src.SetState(drv.churn)
-		d.topoRNG.Src.SetState(drv.topo)
-		// A branch may change the population's link-policy need; apply what
-		// overlaps, keep fresh seed-derived streams for the rest.
-		for i := 0; i < len(d.linkRNGs) && i < len(drv.link); i++ {
-			d.linkRNGs[i].Src.SetState(drv.link[i])
-		}
-		// Overlay the live model after arm()'s init so the snapshot's current
-		// values win over the scenario's initial ones.
-		d.jitterMs, d.loss = drv.jitterMs, drv.loss
-		d.natRatio = drv.natRatio
-		d.mix = NATMix{RC: drv.rc, PRC: drv.prc, SYM: drv.sym}
-		d.partSince = int(drv.partSince)
-		d.partFraction = drv.partFraction
-		d.partGen = int(drv.partGen)
-		d.stats = ScenarioStats{
-			Joins: drv.joins, Leaves: drv.leaves,
-			GatewayFailures: drv.gatewayFailures,
-			PartitionRounds: int(drv.partitionRounds),
-		}
-		if d.partSince >= 0 && drv.healRound > 0 && drv.healRound*st.cfg.PeriodMs > resumeT {
-			d.armHeal(int(drv.healRound))
-		}
+	if d := st.scn; d != nil && d.partSince >= 0 && d.healRound > 0 && int64(d.healRound)*st.cfg.PeriodMs > resumeT {
+		d.armHeal(d.healRound)
 	}
 
 	for i := 0; i < st.kern.Shards(); i++ {

@@ -87,7 +87,7 @@ func BenchmarkResume100kPeers(b *testing.B) {
 			b.Fatal(err)
 		}
 		t1 := time.Now()
-		resumed, err := restoreWorld(r.Decoder(), ResumeOptions{Workers: workers})
+		resumed, err := restoreWorld(r.Codec(), ResumeOptions{Workers: workers})
 		r.Close()
 		if err != nil {
 			b.Fatal(err)

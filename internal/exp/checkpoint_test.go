@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -73,60 +75,151 @@ func runCheckpointed(t *testing.T, cfg Config, everyRounds int) (Result, string)
 	return res, dir
 }
 
+// ckProtocols and ckLegs span the grid the checkpoint suites run over: every
+// engine's state walk under every kind of world state a snapshot can hold.
+var ckProtocols = []Protocol{ProtoNylon, ProtoGeneric, ProtoARRG, ProtoStaticRVP}
+
+type ckLeg struct {
+	name string
+	sc   *scenario.Scenario
+}
+
+func ckLegs() []ckLeg {
+	return []ckLeg{{"quiescent", nil}, {"storm", ckStorm()}, {"adversary", ckAdversarial()}}
+}
+
 // TestSnapshotResumeInvariance pins the tentpole contract: a run that
 // snapshots at round k and resumes is bit-identical to one that ran straight
-// through — across worker and shard counts on the resuming side, for a
-// quiescent run, a full scenario storm, and an adversarial cohort.
+// through — across worker and shard counts on the resuming side, for every
+// protocol, for a quiescent run, a full scenario storm, and an adversarial
+// cohort.
 func TestSnapshotResumeInvariance(t *testing.T) {
-	legs := []struct {
-		name string
-		sc   *scenario.Scenario
-	}{
-		{"quiescent", nil},
-		{"storm", ckStorm()},
-		{"adversary", ckAdversarial()},
-	}
-	for _, leg := range legs {
+	for _, leg := range ckLegs() {
 		leg := leg
 		t.Run(leg.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := ckTestConfig(leg.sc)
-			straight, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := normalizeResult(straight)
-
-			withCk, dir := runCheckpointed(t, cfg, 10)
-			if !reflect.DeepEqual(normalizeResult(withCk), want) {
-				t.Fatalf("enabling checkpoints perturbed the run")
-			}
-			names, _ := filepath.Glob(filepath.Join(dir, "*.snap"))
-			if len(names) < 3 {
-				t.Fatalf("expected snapshots every 10 rounds, found %v", names)
-			}
-
-			// Resume from round 10 (before the warmup baseline is taken) and
-			// round 20 (after it), across execution shapes.
-			for _, round := range []int{10, 20} {
-				path := filepath.Join(dir, SnapshotFileName(round))
-				for _, shape := range []struct{ workers, shards int }{
-					{1, 1}, {8, 1}, {1, 16}, {8, 16},
-				} {
-					res, err := ResumeFile(path, ResumeOptions{
-						Workers: shape.workers, Shards: shape.shards,
-					})
-					if err != nil {
-						t.Fatalf("resume round %d (%d workers, %d shards): %v",
-							round, shape.workers, shape.shards, err)
-					}
-					if !reflect.DeepEqual(normalizeResult(res), want) {
-						t.Errorf("resume from round %d with %d workers, %d shards diverges from straight-through",
-							round, shape.workers, shape.shards)
-					}
-				}
+			for _, proto := range ckProtocols {
+				proto := proto
+				t.Run(proto.String(), func(t *testing.T) {
+					t.Parallel()
+					cfg := ckTestConfig(leg.sc)
+					cfg.Protocol = proto
+					resumeInvariance(t, cfg)
+				})
 			}
 		})
+	}
+}
+
+// resumeInvariance runs cfg straight through, with checkpoints every 10
+// rounds, and resumed from rounds 10 and 20 at four execution shapes, and
+// requires one result of all of them.
+func resumeInvariance(t *testing.T, cfg Config) {
+	straight, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := normalizeResult(straight)
+
+	withCk, dir := runCheckpointed(t, cfg, 10)
+	if !reflect.DeepEqual(normalizeResult(withCk), want) {
+		t.Fatalf("enabling checkpoints perturbed the run")
+	}
+	names, _ := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if len(names) < 3 {
+		t.Fatalf("expected snapshots every 10 rounds, found %v", names)
+	}
+
+	// Resume from round 10 (before the warmup baseline is taken) and
+	// round 20 (after it), across execution shapes.
+	for _, round := range []int{10, 20} {
+		path := filepath.Join(dir, SnapshotFileName(round))
+		for _, shape := range []struct{ workers, shards int }{
+			{1, 1}, {8, 1}, {1, 16}, {8, 16},
+		} {
+			res, err := ResumeFile(path, ResumeOptions{
+				Workers: shape.workers, Shards: shape.shards,
+			})
+			if err != nil {
+				t.Fatalf("resume round %d (%d workers, %d shards): %v",
+					round, shape.workers, shape.shards, err)
+			}
+			if !reflect.DeepEqual(normalizeResult(res), want) {
+				t.Errorf("resume from round %d with %d workers, %d shards diverges from straight-through",
+					round, shape.workers, shape.shards)
+			}
+		}
+	}
+}
+
+// statePastConfig returns what a snapshot payload holds after the exp! tag,
+// the snapshot time and the length-prefixed config JSON: the config echoes the
+// writing run's Workers and Shards, everything after it is world state.
+func statePastConfig(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	const hdr = 4 + 8 + 4
+	if len(payload) < hdr || string(payload[:4]) != secExp {
+		t.Fatalf("payload does not open with %q", secExp)
+	}
+	skip := hdr + int(binary.BigEndian.Uint32(payload[4+8:]))
+	if skip > len(payload) {
+		t.Fatalf("config length runs past the %d-byte payload", len(payload))
+	}
+	return payload[skip:]
+}
+
+// TestSnapshotBytesGolden pins the format's bytes: for every protocol and
+// world kind, the round-20 snapshot's state (see statePastConfig) has the
+// length and SHA-256 that testdata/snapshot_sha256.golden records — generated
+// by the code before the state walks replaced the hand-paired writers and
+// readers — whatever the worker and shard count of the writing run. A change
+// that moves these bytes is a format change: snapshots written before it no
+// longer resume to the same run. If that is intended, regenerate the golden
+// from this test's output and say so in the change.
+func TestSnapshotBytesGolden(t *testing.T) {
+	type cell struct{ name, line string }
+	var cells []*cell
+	// The group returns once its parallel cells have all finished.
+	t.Run("grid", func(t *testing.T) {
+		for _, proto := range ckProtocols {
+			for _, leg := range ckLegs() {
+				proto, leg := proto, leg
+				c := &cell{name: proto.String() + "/" + leg.name}
+				cells = append(cells, c)
+				t.Run(c.name, func(t *testing.T) {
+					t.Parallel()
+					for _, shape := range []struct{ workers, shards int }{{1, 1}, {2, 16}} {
+						cfg := ckTestConfig(leg.sc)
+						cfg.Protocol = proto
+						cfg.Workers, cfg.Shards = shape.workers, shape.shards
+						_, dir := runCheckpointed(t, cfg, 20)
+						payload, err := snapshot.ReadFile(filepath.Join(dir, SnapshotFileName(20)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						state := statePastConfig(t, payload)
+						line := fmt.Sprintf("%s %d %x", c.name, len(state), sha256.Sum256(state))
+						if c.line == "" {
+							c.line = line
+						} else if line != c.line {
+							t.Errorf("%d workers, %d shards wrote other bytes than 1 worker, 1 shard:\n%s\n%s",
+								shape.workers, shape.shards, line, c.line)
+						}
+					}
+				})
+			}
+		}
+	})
+	var b strings.Builder
+	for _, c := range cells {
+		b.WriteString(c.line + "\n")
+	}
+	want, err := os.ReadFile("testdata/snapshot_sha256.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("snapshot bytes moved (see the comment on this test); now:\n%s", got)
 	}
 }
 
@@ -353,12 +446,30 @@ func TestResumeRejectsHostileSnapshots(t *testing.T) {
 	})
 }
 
-// snapshotPayload is the in-memory twin of writeSnapshot: the same
-// snapshotInto body through a zero Encoder. The streaming tests compare the
-// file a barrier writes against it.
+// stopWorld runs cfg's world from time zero to the first barrier at least half
+// a round past the given round, where a Stop-triggered checkpoint (into a
+// temporary directory) ends the run, and returns the world as that barrier
+// left it: mid-round, with datagrams in flight.
+func stopWorld(tb testing.TB, cfg Config, round int) *runState {
+	tb.Helper()
+	spec := &CheckpointSpec{Dir: tb.TempDir()}
+	cfg.Checkpoint = spec
+	st := wireWorld(tb, cfg)
+	stopAt := int64(round)*st.cfg.PeriodMs + st.cfg.PeriodMs/2
+	spec.Stop = func() bool { return st.kern.Now() >= stopAt }
+	st.kern.RunUntil(int64(st.cfg.Rounds) * st.cfg.PeriodMs)
+	if st.ck.interrupted == nil {
+		tb.Fatalf("run did not stop at the barrier: %v", st.ck.err)
+	}
+	return st
+}
+
+// snapshotPayload is the in-memory twin of writeSnapshot: the same capture
+// through a zero Encoder. The streaming tests compare the file a barrier
+// writes against it.
 func (st *runState) snapshotPayload(now int64) []byte {
 	enc := &snapshot.Encoder{}
-	st.snapshotInto(enc, now)
+	st.capture(enc.Codec(), now)
 	return enc.Bytes()
 }
 
@@ -374,39 +485,15 @@ func TestStreamedSnapshotMatchesEncode(t *testing.T) {
 		sum := sha256.Sum256(payload)
 		return append(append(out, payload...), sum[:]...)
 	}
-	legs := []struct {
-		name string
-		sc   *scenario.Scenario
-	}{
-		{"quiescent", nil},
-		{"storm", ckStorm()},
-		{"adversary", ckAdversarial()},
-	}
-	for _, leg := range legs {
+	for _, leg := range ckLegs() {
 		leg := leg
 		t.Run(leg.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := ckTestConfig(leg.sc)
 			cfg.N, cfg.Rounds = 1000, 20
-			cfg = cfg.Defaults()
-			if err := cfg.validate(); err != nil {
-				t.Fatal(err)
-			}
-			// Stop half a round past round 16: the storm's partition is in
-			// force, the adversaries are active, shuffles are in flight.
-			stopAt := 16*cfg.PeriodMs + cfg.PeriodMs/2
-			cfg.Checkpoint = &CheckpointSpec{Dir: t.TempDir()}
-			st := newRunState(cfg)
-			cfg.Checkpoint.Stop = func() bool { return st.kern.Now() >= stopAt }
-			st.build()
-			st.bootstrap()
-			st.schedule()
-			st.armGlobals(-1)
-			st.installCheckpoint(-1)
-			st.kern.RunUntil(int64(cfg.Rounds) * cfg.PeriodMs)
-			if st.ck.interrupted == nil {
-				t.Fatalf("run did not stop at the barrier: %v", st.ck.err)
-			}
+			// Half a round past round 16: the storm's partition is in force,
+			// the adversaries are active, shuffles are in flight.
+			st := stopWorld(t, cfg, 16)
 
 			got, err := os.ReadFile(st.ck.interrupted.Path)
 			if err != nil {
@@ -420,7 +507,7 @@ func TestStreamedSnapshotMatchesEncode(t *testing.T) {
 				t.Fatalf("streamed file (%d bytes) differs from Encode of the in-memory payload (%d bytes)",
 					len(got), len(payload))
 			}
-			names, err := os.ReadDir(cfg.Checkpoint.Dir)
+			names, err := os.ReadDir(st.cfg.Checkpoint.Dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -510,4 +597,76 @@ func TestResumeFileRejectsBeforeTouchingAnything(t *testing.T) {
 			t.Errorf("%s: the checkpoint directory was touched: stat err = %v", tc.name, err)
 		}
 	}
+}
+
+// FuzzRestore drives restore-then-run with checksum-valid but damaged
+// payloads: one small storm world per protocol, stopped mid-round, is
+// overwritten with patch at offset off of its state (past the config JSON,
+// which has its own validation and the config-garbage case above). Whatever
+// the damage, the restore either fails with snapshot.ErrCorrupt or yields a
+// world that runs to its horizon; nothing panics.
+func FuzzRestore(f *testing.F) {
+	var payloads [][]byte // by position in ckProtocols
+	for i, proto := range ckProtocols {
+		cfg := ckTestConfig(ckStorm())
+		cfg.N, cfg.Rounds, cfg.Protocol = 24, 30, proto
+		st := stopWorld(f, cfg, 17)
+		payloads = append(payloads, st.snapshotPayload(st.kern.Now()))
+		f.Add(uint8(i), uint32(0), []byte(nil)) // undamaged: must restore and run
+	}
+	f.Fuzz(func(t *testing.T, which uint8, off uint32, patch []byte) {
+		payload := append([]byte(nil), payloads[int(which)%len(payloads)]...)
+		if state := statePastConfig(t, payload); int64(off) < int64(len(state)) {
+			copy(state[off:], patch)
+		}
+		st, err := restoreWorld(snapshot.NewDecoder(payload).Codec(), ResumeOptions{})
+		if err != nil {
+			if len(patch) == 0 || !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("restore of a payload with %d bytes patched: %v", len(patch), err)
+			}
+			return
+		}
+		if _, err := st.runToHorizon(); err != nil {
+			t.Fatalf("restored world did not reach its horizon: %v", err)
+		}
+	})
+}
+
+// walkCoversEveryField fills every field of a flat record with a distinct
+// non-zero value, captures it through its state walk and restores into the
+// zero value: what comes back differs iff the walk skips a field.
+func walkCoversEveryField[T any](t *testing.T, state func(*T, *snapshot.Codec)) {
+	t.Helper()
+	var want, got T
+	v := reflect.ValueOf(&want).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 1))
+		case reflect.Uint64:
+			f.SetUint(uint64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 1.5)
+		default:
+			t.Fatalf("%s.%s is a %s: teach the walk and this test", v.Type(), v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	enc := &snapshot.Encoder{}
+	state(&want, enc.Codec())
+	c := snapshot.NewDecoder(enc.Bytes()).Codec()
+	state(&got, c)
+	if err := c.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the walk of %s does not reach every field:\nrestored %+v\ncaptured %+v", v.Type(), got, want)
+	}
+}
+
+// TestRecordWalksCoverEveryField pins the walks of the harness's flat records
+// against their structs: a field added to SamplePoint or ScenarioStats and not
+// to its walk fails here instead of silently reading zero after a resume.
+func TestRecordWalksCoverEveryField(t *testing.T) {
+	walkCoversEveryField(t, (*SamplePoint).state)
+	walkCoversEveryField(t, (*ScenarioStats).state)
 }

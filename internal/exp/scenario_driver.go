@@ -98,6 +98,9 @@ func newScenarioDriver(st *runState) *scenarioDriver {
 		partSince: -1,
 	}
 	if d.sc.NeedsLinkPolicy() {
+		if l := d.sc.Link; l != nil {
+			d.jitterMs, d.loss = l.JitterMs, l.Loss
+		}
 		d.growLinkRNGs()
 	}
 	return d
@@ -119,15 +122,12 @@ func (d *scenarioDriver) growLinkRNGs() {
 // continuous-churn draw, then explicit events in corpus order. Resumed runs
 // pass the snapshot time; its past events already happened in the captured
 // world, and the restored driver state (link model, partition bookkeeping)
-// is overlaid after arming, so the init below stays overridable.
+// was overlaid on the constructor's initial values before arming.
 func (d *scenarioDriver) arm(after int64) {
 	cfg := d.st.cfg
 	period := cfg.PeriodMs
 
 	if d.sc.NeedsLinkPolicy() {
-		if l := d.sc.Link; l != nil {
-			d.jitterMs, d.loss = l.JitterMs, l.Loss
-		}
 		d.st.net.SetLinkPolicy(d)
 	}
 

@@ -550,93 +550,74 @@ func (d *Device) Sessions(now int64) []ident.Endpoint {
 	return eps
 }
 
-// SnapshotTo serializes the device's complete translation state — the port
-// allocator, every session in slice order, and every session's filter rules
-// — so a restored device is behaviourally identical to the original from the
-// snapshot time onward. Rules are emitted sorted by packed key: the filter
-// table is a hash whose slot order depends on insertion history, and the
-// snapshot encoding must not leak it (same state, same bytes). Expired
-// sessions and rules are included verbatim; they admit nothing either way,
-// but keeping them makes the capture exact rather than "equivalent".
-func (d *Device) SnapshotTo(enc *snapshot.Encoder) {
-	enc.U8(uint8(d.class))
-	enc.U32(uint32(d.publicIP))
-	enc.I64(d.ruleTTL)
-	enc.U16(d.nextPort)
-	enc.U32(uint32(len(d.sessions)))
-	for i := range d.sessions {
-		s := &d.sessions[i]
-		enc.Endpoint(s.key.private)
-		enc.Endpoint(s.key.dst)
-		enc.Endpoint(s.public)
-		enc.I64(s.lastUse)
-		enc.Bool(s.pinned)
-		rules := make([]filterSlot, 0, s.filters.used)
-		for _, sl := range s.filters.slots {
-			if sl.expire != 0 {
-				rules = append(rules, sl)
-			}
-		}
-		slices.SortFunc(rules, func(a, b filterSlot) int { return cmp.Compare(a.key, b.key) })
-		enc.U32(uint32(len(rules)))
-		for _, r := range rules {
-			enc.U64(r.key)
-			enc.I64(r.expire)
-		}
-	}
-}
-
-// RestoreDevice decodes a device serialized by SnapshotTo, returning it by
-// value for slab embedding (see MakeDevice). Sessions are re-adopted in the
+// State walks the device's complete translation state — the port allocator,
+// every session in slice order, and every session's filter rules — so a
+// restored device is behaviourally identical to the original from the
+// snapshot time onward. Expired sessions and rules are included verbatim; they
+// admit nothing either way, but keeping them makes the capture exact rather
+// than "equivalent".
+//
+// A capture walks the rules sorted by packed key: the filter table is a hash
+// whose slot order depends on insertion history, and the snapshot encoding
+// must not leak it (same state, same bytes). Restoring fills the zero Device,
+// in place for slab embedding (see MakeDevice). Sessions are re-adopted in the
 // serialized order, so the port index maps every public port to the same
 // session as the original; filter tables are rebuilt by inserting the rules,
 // which may land them in a different slot permutation or growth stage than
 // the original's insertion history produced — unobservable, since lookups
 // are key-addressed and rehash timing is housekeeping. On corrupt input the
-// decoder's sticky error is set and the zero Device returned; callers check
-// Decoder.Err before using the result.
-func RestoreDevice(dec *snapshot.Decoder) Device {
-	class := ident.NATClass(dec.U8())
-	publicIP := ident.IP(dec.U32())
-	ruleTTL := dec.I64()
-	nextPort := dec.U16()
-	if dec.Err() != nil {
-		return Device{}
+// codec's sticky error is set; callers check it before using the device.
+func (d *Device) State(c *snapshot.Codec) {
+	d.class = ident.NATClass(c.U8(uint8(d.class)))
+	d.publicIP = ident.IP(c.U32(uint32(d.publicIP)))
+	d.ruleTTL = c.I64(d.ruleTTL)
+	d.nextPort = c.U16(d.nextPort)
+	if c.Restoring() && c.Err() == nil && (!d.class.Natted() || !d.class.Valid() || d.ruleTTL <= 0) {
+		c.Fail("nat device with class %d, ruleTTL %d", d.class, d.ruleTTL)
 	}
-	if !class.Natted() || !class.Valid() || ruleTTL <= 0 {
-		dec.Fail("nat device with class %d, ruleTTL %d", class, ruleTTL)
-		return Device{}
-	}
-	d := MakeDevice(class, publicIP, ruleTTL)
-	nSess := dec.Count(6*3 + 8 + 1 + 4)
-	for i := 0; i < nSess; i++ {
-		s := session{
-			key:     sessionKey{private: dec.Endpoint(), dst: dec.Endpoint()},
-			public:  dec.Endpoint(),
-			lastUse: dec.I64(),
-			pinned:  dec.Bool(),
-			filters: filterTable{floor: d.filterFloor()},
-		}
-		nRules := dec.Count(8 + 8)
-		if dec.Err() != nil {
-			return Device{}
-		}
-		if s.public.IP != publicIP || s.public.Port < portBase {
-			dec.Fail("nat session with public endpoint %v outside device %v", s.public, publicIP)
-			return Device{}
-		}
-		for j := 0; j < nRules; j++ {
-			key, expire := dec.U64(), dec.I64()
-			if expire == 0 {
-				dec.Fail("nat filter rule with zero expiry")
-				return Device{}
+	nSess := c.Count(len(d.sessions), 6*3+8+1+4)
+	for i := 0; i < nSess && c.Err() == nil; i++ {
+		var fresh session // restoring, the session decodes into it and is adopted
+		var rules []filterSlot
+		s := &fresh
+		if c.Restoring() {
+			fresh.filters.floor = d.filterFloor()
+		} else {
+			s = &d.sessions[i]
+			rules = make([]filterSlot, 0, s.filters.used)
+			for _, sl := range s.filters.slots {
+				if sl.expire != 0 {
+					rules = append(rules, sl)
+				}
 			}
-			s.filters.set(key, expire, 0)
+			slices.SortFunc(rules, func(a, b filterSlot) int { return cmp.Compare(a.key, b.key) })
 		}
-		d.adopt(s)
+		s.key.private = c.Endpoint(s.key.private)
+		s.key.dst = c.Endpoint(s.key.dst)
+		s.public = c.Endpoint(s.public)
+		s.lastUse = c.I64(s.lastUse)
+		s.pinned = c.Bool(s.pinned)
+		nRules := c.Count(len(rules), 8+8)
+		if c.Restoring() && c.Err() == nil && (s.public.IP != d.publicIP || s.public.Port < portBase) {
+			c.Fail("nat session with public endpoint %v outside device %v", s.public, d.publicIP)
+		}
+		for j := 0; j < nRules && c.Err() == nil; j++ {
+			var r filterSlot
+			if !c.Restoring() {
+				r = rules[j]
+			}
+			r.key = c.U64(r.key)
+			r.expire = c.I64(r.expire)
+			if c.Restoring() && r.expire == 0 {
+				c.Fail("nat filter rule with zero expiry")
+			} else if c.Restoring() {
+				s.filters.set(r.key, r.expire, 0)
+			}
+		}
+		if c.Restoring() && c.Err() == nil {
+			d.adopt(*s)
+		}
 	}
-	d.nextPort = nextPort
-	return d
 }
 
 // DebugSizes reports internal table sizes for memory diagnostics: total

@@ -483,19 +483,6 @@ func (t *Table) MinExpireBound() int64 { return t.minExpire }
 // rows (any value MinExpireBound returned for the same rows is).
 func (t *Table) RestoreMinExpire(v int64) { t.minExpire = v }
 
-// Destinations returns the destinations with live routes at the given time,
-// sorted for determinism.
-func (t *Table) Destinations(now int64) []ident.NodeID {
-	out := make([]ident.NodeID, 0, t.nrows)
-	for i := 0; i < t.nrows; i++ {
-		if t.expire(i) >= now {
-			out = append(out, t.dest(i))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Get returns the raw entry for dest, if present and live.
 func (t *Table) Get(dest ident.NodeID, now int64) (Entry, bool) {
 	i := t.find(dest)

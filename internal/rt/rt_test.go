@@ -114,17 +114,6 @@ func TestPurge(t *testing.T) {
 	}
 }
 
-func TestDestinations(t *testing.T) {
-	tb := New(1)
-	tb.Set(9, d(3), 300)
-	tb.Set(5, d(3), 100)
-	tb.Set(7, d(3), 300)
-	got := tb.Destinations(200)
-	if len(got) != 2 || got[0] != 7 || got[1] != 9 {
-		t.Errorf("Destinations = %v, want [n7 n9]", got)
-	}
-}
-
 func TestString(t *testing.T) {
 	tb := New(1)
 	tb.Set(5, d(3), 100)

@@ -524,7 +524,8 @@ func (d *Decoder) Count(elemSize int) int {
 	if elemSize < 1 {
 		elemSize = 1
 	}
-	if n < 0 || n*elemSize > d.Remaining() {
+	// Divide, do not multiply: n*elemSize wraps where int is 32 bits.
+	if n < 0 || n > d.Remaining()/elemSize {
 		d.fail("count %d exceeds remaining payload (%d bytes)", n, d.Remaining())
 		return 0
 	}

@@ -62,70 +62,6 @@ func chiSquareCritical(dof, z float64) float64 {
 	return dof * t * t * t
 }
 
-// KSUniform performs a one-sample Kolmogorov–Smirnov test of the samples
-// (which must lie in [0,1)) against the uniform distribution, returning the
-// D statistic.
-func KSUniform(samples []float64) (float64, error) {
-	if len(samples) == 0 {
-		return 0, ErrNoData
-	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	n := float64(len(s))
-	var d float64
-	for i, x := range s {
-		if x < 0 || x >= 1 {
-			return 0, errors.New("stats: KS sample outside [0,1)")
-		}
-		lo := x - float64(i)/n
-		hi := float64(i+1)/n - x
-		if lo > d {
-			d = lo
-		}
-		if hi > d {
-			d = hi
-		}
-	}
-	return d, nil
-}
-
-// KSUniformOK reports whether the samples pass the KS uniformity test at the
-// 1% level (critical value 1.63/sqrt(n) for large n).
-func KSUniformOK(samples []float64) (bool, error) {
-	d, err := KSUniform(samples)
-	if err != nil {
-		return false, err
-	}
-	return d <= 1.63/math.Sqrt(float64(len(samples))), nil
-}
-
-// SerialCorrelation returns the lag-1 autocorrelation coefficient of the
-// series, a cheap detector of streak structure in the sampled-peer stream.
-func SerialCorrelation(series []float64) (float64, error) {
-	if len(series) < 3 {
-		return 0, ErrNoData
-	}
-	n := len(series)
-	var mean float64
-	for _, v := range series {
-		mean += v
-	}
-	mean /= float64(n)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := series[i] - mean
-		den += d * d
-		if i+1 < n {
-			num += d * (series[i+1] - mean)
-		}
-	}
-	if den == 0 {
-		return 0, nil
-	}
-	return num / den, nil
-}
-
 // Summary condenses a float series.
 type Summary struct {
 	N           int

@@ -51,65 +51,6 @@ func TestChiSquareUniformOKRejectsSkew(t *testing.T) {
 	}
 }
 
-func TestKSUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	samples := make([]float64, 10_000)
-	for i := range samples {
-		samples[i] = rng.Float64()
-	}
-	ok, err := KSUniformOK(samples)
-	if err != nil || !ok {
-		t.Errorf("uniform samples rejected: ok=%v err=%v", ok, err)
-	}
-	// Clustered samples must fail.
-	for i := range samples {
-		samples[i] = 0.5 + 0.01*rng.Float64()
-	}
-	ok, err = KSUniformOK(samples)
-	if err != nil || ok {
-		t.Errorf("clustered samples accepted: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestKSErrors(t *testing.T) {
-	if _, err := KSUniform(nil); !errors.Is(err, ErrNoData) {
-		t.Error("empty KS input did not yield ErrNoData")
-	}
-	if _, err := KSUniform([]float64{1.5}); err == nil {
-		t.Error("out-of-range KS sample accepted")
-	}
-}
-
-func TestSerialCorrelation(t *testing.T) {
-	// A strongly alternating series has correlation near -1.
-	alt := make([]float64, 1000)
-	for i := range alt {
-		alt[i] = float64(i % 2)
-	}
-	r, err := SerialCorrelation(alt)
-	if err != nil || r > -0.9 {
-		t.Errorf("alternating series correlation = %v, %v", r, err)
-	}
-	// An i.i.d. series has correlation near 0.
-	rng := rand.New(rand.NewSource(3))
-	iid := make([]float64, 10_000)
-	for i := range iid {
-		iid[i] = rng.Float64()
-	}
-	r, err = SerialCorrelation(iid)
-	if err != nil || math.Abs(r) > 0.05 {
-		t.Errorf("iid series correlation = %v, %v", r, err)
-	}
-	if _, err := SerialCorrelation([]float64{1, 2}); !errors.Is(err, ErrNoData) {
-		t.Error("short series did not yield ErrNoData")
-	}
-	// A constant series has zero variance and zero correlation.
-	r, err = SerialCorrelation([]float64{5, 5, 5, 5})
-	if err != nil || r != 0 {
-		t.Errorf("constant series correlation = %v, %v", r, err)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{4, 1, 3, 2})
 	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Mean != 2.5 || s.SampleTotal != 10 {

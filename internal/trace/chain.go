@@ -46,19 +46,6 @@ func (c ChainID) String() string { return fmt.Sprintf("%v:%d", c.Origin, c.Seq) 
 // Chain returns the event's chain identity.
 func (e Event) Chain() ChainID { return ChainID{Origin: e.Src, Seq: e.OriginSeq} }
 
-// Follow extracts the events of one chain from a merged trace, preserving
-// order. Events predating the stamp (OriginSeq 0 with a different origin)
-// never match a real chain because origin counters start at 1.
-func Follow(events []Event, id ChainID) []Event {
-	var out []Event
-	for _, e := range events {
-		if e.Src == id.Origin && e.OriginSeq == id.Seq {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Chains groups a merged trace by chain identity, preserving event order
 // within each chain and returning chain ids in first-appearance order.
 func Chains(events []Event) ([]ChainID, map[ChainID][]Event) {

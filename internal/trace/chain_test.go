@@ -29,18 +29,14 @@ func TestFollowAndVerifyChain(t *testing.T) {
 	all := append(append([]Event{}, noise[0]), chain...)
 	all = append(all, noise[1])
 
-	got := Follow(all, ChainID{Origin: origin, Seq: 1})
-	if len(got) != len(chain) {
-		t.Fatalf("Follow returned %d events, want %d", len(got), len(chain))
+	ids, byID := Chains(all)
+	got := byID[ChainID{Origin: origin, Seq: 1}]
+	if len(ids) != 3 || len(got) != len(chain) {
+		t.Fatalf("Chains: %d ids (%v), %d events of the chain, want %d", len(ids), ids, len(got), len(chain))
 	}
 	head, err := VerifyChain(got)
 	if err != nil || !head {
 		t.Errorf("VerifyChain: head=%v err=%v", head, err)
-	}
-
-	ids, byID := Chains(all)
-	if len(ids) != 3 || len(byID[ChainID{Origin: origin, Seq: 1}]) != 4 {
-		t.Errorf("Chains: %d ids (%v)", len(ids), ids)
 	}
 }
 

@@ -53,14 +53,6 @@ func (s *Sharded) Shards() int {
 	return len(s.rings)
 }
 
-// Capacity returns the per-ring (and merged-tail) capacity.
-func (s *Sharded) Capacity() int {
-	if s == nil {
-		return 0
-	}
-	return s.cap
-}
-
 // Shard returns shard i's ring for lock-free recording. Nil receiver or
 // out-of-range index yield a nil (no-op) ring.
 func (s *Sharded) Shard(i int) *Ring {
@@ -96,7 +88,7 @@ func (s *Sharded) OpTotal(op Op) uint64 {
 }
 
 // Merged k-way merges the per-shard rings by (At, Actor, Seq, Sub) and
-// returns the most recent Capacity events of the union, oldest first. The
+// returns the most recent cap events of the union, oldest first. The
 // result is bit-identical for any worker or shard count. Only call when no
 // shard worker can be recording: at a barrier, or after the run.
 func (s *Sharded) Merged() []Event {
@@ -106,7 +98,7 @@ func (s *Sharded) Merged() []Event {
 	return s.MergedTail(s.cap)
 }
 
-// MergedTail is Merged trimmed to the most recent n events (n <= Capacity
+// MergedTail is Merged trimmed to the most recent n events (n <= cap
 // is exact; larger n cannot see past the per-ring capacity).
 func (s *Sharded) MergedTail(n int) []Event {
 	if s == nil || n <= 0 {

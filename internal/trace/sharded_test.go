@@ -48,7 +48,7 @@ func TestOpTotalsSurviveEviction(t *testing.T) {
 func TestNilShardedIsNoOp(t *testing.T) {
 	var s *Sharded
 	s.Shard(0).Record(keyed(1, 1, 1, OpSend))
-	if s.Shards() != 0 || s.Total() != 0 || s.Merged() != nil || s.Capacity() != 0 {
+	if s.Shards() != 0 || s.Total() != 0 || s.Merged() != nil {
 		t.Error("nil Sharded not inert")
 	}
 	s.ServeTap()

@@ -239,22 +239,6 @@ func (r *Ring) Events() []Event {
 	return out
 }
 
-// Filter returns the held events matching the predicate, oldest first.
-func (r *Ring) Filter(keep func(Event) bool) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if keep(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Dump renders the held events one per line.
-func (r *Ring) Dump() string {
-	return Format(r.Events())
-}
-
 // Format renders events one per line.
 func Format(events []Event) string {
 	var b strings.Builder

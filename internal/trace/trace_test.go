@@ -58,23 +58,12 @@ func TestEviction(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	r := New(8)
-	r.Record(ev(1, OpSend))
-	r.Record(ev(2, OpDropNAT))
-	r.Record(ev(3, OpSend))
-	drops := r.Filter(func(e Event) bool { return e.Op == OpDropNAT })
-	if len(drops) != 1 || drops[0].At != 2 {
-		t.Errorf("Filter = %v", drops)
-	}
-}
-
 func TestDumpAndStrings(t *testing.T) {
 	r := New(2)
 	r.Record(ev(1, OpSend))
-	d := r.Dump()
+	d := Format(r.Events())
 	if !strings.Contains(d, "send") || !strings.Contains(d, "0.0.0.1:1") {
-		t.Errorf("Dump = %q", d)
+		t.Errorf("Format = %q", d)
 	}
 	for _, op := range []Op{OpSend, OpDeliver, OpDropNAT, OpDropAddr, OpDropDead, Op(99)} {
 		if op.String() == "" {

@@ -103,10 +103,3 @@ func Decide(src, dst ident.NATClass) Method {
 		return Relay
 	}
 }
-
-// NeedsRVP reports whether the method involves a rendez-vous peer at all.
-func (m Method) NeedsRVP() bool { return m != Direct }
-
-// EstablishesHole reports whether, after the handshake, the two peers can
-// exchange messages directly without further relaying.
-func (m Method) EstablishesHole() bool { return m == HolePunch || m == HolePunchModified }

@@ -62,23 +62,6 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
-func TestMethodPredicates(t *testing.T) {
-	if Direct.NeedsRVP() {
-		t.Error("Direct.NeedsRVP() = true")
-	}
-	for _, m := range []Method{HolePunch, HolePunchModified, Relay} {
-		if !m.NeedsRVP() {
-			t.Errorf("%v.NeedsRVP() = false", m)
-		}
-	}
-	if !HolePunch.EstablishesHole() || !HolePunchModified.EstablishesHole() {
-		t.Error("hole punching methods must establish holes")
-	}
-	if Direct.EstablishesHole() || Relay.EstablishesHole() {
-		t.Error("Direct/Relay must not claim to establish holes")
-	}
-}
-
 func TestDecideUnknownClassIsConservative(t *testing.T) {
 	if got := Decide(ident.Public, ident.NATClass(200)); got != Relay {
 		t.Errorf("Decide(Public, unknown) = %v, want Relay", got)
