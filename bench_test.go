@@ -1,10 +1,10 @@
 // Benchmarks regenerating, at reduced scale, every table and figure of the
 // paper (see DESIGN.md's experiment index) plus micro-benchmarks of the hot
-// substrates. Each figure bench runs one representative experiment point per
-// iteration and reports the headline metric alongside the timing, so
+// substrates. BenchmarkFigures has one sub-benchmark per exp.Figures entry
+// and reports the plotted values alongside the timing, so
 // `go test -bench=. -benchmem` doubles as a miniature reproduction run:
 //
-//	BenchmarkFig9ChainLength ... 3.02 chain-rvps
+//	BenchmarkFigures/9 ... 2.87 view=15
 //
 // The full-sweep reproduction lives in cmd/nylon-figs.
 package nylon
@@ -12,6 +12,7 @@ package nylon
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -59,160 +60,29 @@ func BenchmarkTableT1Traversal(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkFig2BiggestCluster runs the Fig. 2 point that shows partitioning:
-// the (rand, healer) baseline at 100% PRC NATs.
-func BenchmarkFig2BiggestCluster(b *testing.B) {
-	cfg := benchCfg(exp.ProtoGeneric, 100)
-	cfg.Mix = exp.NATMix{PRC: 1}
-	cfg.Rounds = 150
-	var last exp.Result
-	for i := 0; i < b.N; i++ {
-		last = runPoint(b, cfg, int64(i+1))
+// BenchmarkFigures regenerates every entry of exp.Figures at the reduced
+// scale through the runner nylon-figs uses, and reports the 90%-NAT row (the
+// last row, for figures with another axis) of each table column by column.
+// What the paper claims for each figure is in its table entry's comment.
+func BenchmarkFigures(b *testing.B) {
+	reduced := exp.Params{N: 250, Rounds: 80, Seeds: []int64{1}, NATPcts: []int{40, 90}, ViewSizes: []int{15}}
+	for _, fig := range exp.Figures {
+		fig := fig
+		b.Run(fig.ID, func(b *testing.B) {
+			var last []exp.Table
+			for i := 0; i < b.N; i++ {
+				if err := exp.RunFigures([]exp.Figure{fig}, reduced, func(_ exp.Figure, tables []exp.Table) { last = tables }); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, t := range last {
+				row := t.Rows[len(t.Rows)-1]
+				for c, v := range row.Values {
+					b.ReportMetric(v, strings.ReplaceAll(t.Columns[c+1], " ", "-"))
+				}
+			}
+		})
 	}
-	b.ReportMetric(last.BiggestCluster*100, "cluster-%")
-}
-
-// BenchmarkFig3StaleRefs runs the Fig. 3 point at 80% PRC NATs, view 15.
-func BenchmarkFig3StaleRefs(b *testing.B) {
-	cfg := benchCfg(exp.ProtoGeneric, 80)
-	cfg.Mix = exp.NATMix{PRC: 1}
-	var last exp.Result
-	for i := 0; i < b.N; i++ {
-		last = runPoint(b, cfg, int64(i+1))
-	}
-	b.ReportMetric(last.StaleFraction*100, "stale-%")
-}
-
-// BenchmarkFig4Randomness runs the Fig. 4 point at 40% PRC NATs: the natted
-// share of usable references (paper: ≈10% despite 40% natted population).
-func BenchmarkFig4Randomness(b *testing.B) {
-	cfg := benchCfg(exp.ProtoGeneric, 40)
-	cfg.Mix = exp.NATMix{PRC: 1}
-	var last exp.Result
-	for i := 0; i < b.N; i++ {
-		last = runPoint(b, cfg, int64(i+1))
-	}
-	b.ReportMetric(last.NattedNonStale*100, "natted-nonstale-%")
-}
-
-// BenchmarkCorrectness runs the §5 correctness point: Nylon at 90% NATs must
-// keep the overlay whole and the sample representative.
-func BenchmarkCorrectness(b *testing.B) {
-	cfg := benchCfg(exp.ProtoNylon, 90)
-	var last exp.Result
-	for i := 0; i < b.N; i++ {
-		last = runPoint(b, cfg, int64(i+1))
-	}
-	b.ReportMetric(last.BiggestCluster*100, "cluster-%")
-	b.ReportMetric(last.NattedNonStale*100, "natted-nonstale-%")
-	b.ReportMetric(last.ChiSquareStat, "chi2-per-dof")
-}
-
-// BenchmarkFig7Bandwidth measures Nylon's traffic at 80% NATs (paper: below
-// 350 B/s per peer).
-func BenchmarkFig7Bandwidth(b *testing.B) {
-	var nylon, ref exp.Result
-	for i := 0; i < b.N; i++ {
-		nylon = runPoint(b, benchCfg(exp.ProtoNylon, 80), int64(i+1))
-		ref = runPoint(b, benchCfg(exp.ProtoGeneric, 80), int64(i+1))
-	}
-	b.ReportMetric(nylon.BytesPerSecAll, "nylon-B/s")
-	b.ReportMetric(ref.BytesPerSecAll, "reference-B/s")
-}
-
-// BenchmarkFig8LoadBalance measures the public/natted load split under Nylon
-// (paper: within 10-20% of each other).
-func BenchmarkFig8LoadBalance(b *testing.B) {
-	var last exp.Result
-	for i := 0; i < b.N; i++ {
-		last = runPoint(b, benchCfg(exp.ProtoNylon, 80), int64(i+1))
-	}
-	b.ReportMetric(last.BytesPerSecPublic, "public-B/s")
-	b.ReportMetric(last.BytesPerSecNatted, "natted-B/s")
-}
-
-// BenchmarkFig9ChainLength measures the average RVP chain length at 90% NATs
-// (paper: below 4).
-func BenchmarkFig9ChainLength(b *testing.B) {
-	var last exp.Result
-	for i := 0; i < b.N; i++ {
-		last = runPoint(b, benchCfg(exp.ProtoNylon, 90), int64(i+1))
-	}
-	b.ReportMetric(last.AvgChainLen, "chain-rvps")
-}
-
-// BenchmarkFig10Churn removes 50% of the peers mid-run (paper: no partition).
-func BenchmarkFig10Churn(b *testing.B) {
-	cfg := benchCfg(exp.ProtoNylon, 60)
-	cfg.Rounds = 120
-	cfg.ChurnAtRound = 30
-	cfg.ChurnFraction = 0.5
-	var last exp.Result
-	for i := 0; i < b.N; i++ {
-		last = runPoint(b, cfg, int64(i+1))
-	}
-	b.ReportMetric(last.BiggestCluster*100, "cluster-%")
-}
-
-// BenchmarkAblationStaticRVP measures the load imbalance of the §4 strawman.
-func BenchmarkAblationStaticRVP(b *testing.B) {
-	var last exp.Result
-	for i := 0; i < b.N; i++ {
-		last = runPoint(b, benchCfg(exp.ProtoStaticRVP, 80), int64(i+1))
-	}
-	b.ReportMetric(last.BytesPerSecPublic, "public-B/s")
-	b.ReportMetric(last.BytesPerSecNatted, "natted-B/s")
-}
-
-// BenchmarkAblationARRG measures the cache baseline at 90% PRC NATs.
-func BenchmarkAblationARRG(b *testing.B) {
-	cfg := benchCfg(exp.ProtoARRG, 90)
-	cfg.Mix = exp.NATMix{PRC: 1}
-	var last exp.Result
-	for i := 0; i < b.N; i++ {
-		last = runPoint(b, cfg, int64(i+1))
-	}
-	b.ReportMetric(last.BiggestCluster*100, "cluster-%")
-	b.ReportMetric(last.NattedNonStale*100, "natted-nonstale-%")
-}
-
-// BenchmarkAblationHoleTimeout runs Nylon with an aggressive 15 s rule
-// lifetime.
-func BenchmarkAblationHoleTimeout(b *testing.B) {
-	cfg := benchCfg(exp.ProtoNylon, 80)
-	cfg.HoleTimeoutMs = 15_000
-	var last exp.Result
-	for i := 0; i < b.N; i++ {
-		last = runPoint(b, cfg, int64(i+1))
-	}
-	b.ReportMetric(last.CompletionRate*100, "completion-%")
-}
-
-// BenchmarkAblationPush runs the push-only baseline at 70% PRC NATs.
-func BenchmarkAblationPush(b *testing.B) {
-	cfg := benchCfg(exp.ProtoGeneric, 70)
-	cfg.Mix = exp.NATMix{PRC: 1}
-	cfg.PushPull = false
-	var last exp.Result
-	for i := 0; i < b.N; i++ {
-		last = runPoint(b, cfg, int64(i+1))
-	}
-	b.ReportMetric(last.BiggestCluster*100, "cluster-%")
-}
-
-// BenchmarkAblationEviction runs the A5 churn-recovery point with eviction
-// disabled.
-func BenchmarkAblationEviction(b *testing.B) {
-	cfg := benchCfg(exp.ProtoNylon, 60)
-	cfg.EvictUnanswered = false
-	cfg.Rounds = 120
-	cfg.ChurnAtRound = 30
-	cfg.ChurnFraction = 0.8
-	var last exp.Result
-	for i := 0; i < b.N; i++ {
-		last = runPoint(b, cfg, int64(i+1))
-	}
-	b.ReportMetric(last.BiggestCluster*100, "cluster-%")
 }
 
 // --- micro-benchmarks of the hot paths ---

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,52 +24,72 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command. Once the flags have parsed it returns the exit
+// status instead of exiting, so the ops endpoint closes on every path out.
+func run(args []string, stdout, stderr io.Writer) int {
+	var ids []string
+	for _, f := range exp.Figures {
+		ids = append(ids, f.ID)
+	}
+	fs := flag.NewFlagSet("nylon-figs", flag.ExitOnError)
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: "+strings.Join(exp.FigureOrder, ", ")+" or 'all'")
-		n       = flag.Int("n", 600, "number of peers (paper: 10000)")
-		rounds  = flag.Int("rounds", 210, "shuffling rounds to simulate (paper: ~2000 for churn)")
-		seeds   = flag.Int("seeds", 3, "number of seeds to average (paper: 30)")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		workers = flag.Int("workers", 0, "parallel simulation runs (0 = one per core; results are identical for any value)")
-		http    = flag.String("http", "", "serve the live ops endpoint (/debug/pprof for profiling long figure runs) on this address")
+		fig     = fs.String("fig", "all", "figure to regenerate: "+strings.Join(ids, ", ")+" or 'all'")
+		n       = fs.Int("n", 600, "number of peers (paper: 10000)")
+		rounds  = fs.Int("rounds", 210, "shuffling rounds to simulate (paper: ~2000 for churn)")
+		seeds   = fs.Int("seeds", 3, "number of seeds to average (paper: 30)")
+		csv     = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		workers = fs.Int("workers", 0, "parallel simulation runs (0 = one per core; results are identical for any value)")
+		http    = fs.String("http", "", "serve the live ops endpoint (/debug/pprof for profiling long figure runs) on this address")
 	)
-	flag.Parse()
+	fs.Parse(args) // exits 2 on a malformed command line, before anything is open
+	exit := func(status int, err error) int {
+		fmt.Fprintln(stderr, "nylon-figs:", err)
+		return status
+	}
+	figs := exp.Figures
+	if *fig != "all" {
+		figs = nil
+		for _, f := range exp.Figures {
+			if f.ID == *fig {
+				figs = []exp.Figure{f}
+			}
+		}
+		if figs == nil {
+			return exit(2, fmt.Errorf("unknown figure %q (have %s)", *fig, strings.Join(ids, ", ")))
+		}
+	}
+	if *seeds < 1 {
+		return exit(2, fmt.Errorf("-seeds %d: need at least one seed", *seeds))
+	}
+	if *workers < 0 {
+		return exit(2, fmt.Errorf("-workers %d: must not be negative (0 = one per core)", *workers))
+	}
 
 	if *http != "" {
 		hub := obs.NewHub()
 		hub.EnsureRegistry()
 		srv, err := obs.Serve(*http, hub)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nylon-figs:", err)
-			os.Exit(1)
+			return exit(1, err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "ops endpoint listening on http://%s\n", srv.Addr)
+		fmt.Fprintf(stderr, "ops endpoint listening on http://%s\n", srv.Addr)
 	}
 
 	params := exp.Params{N: *n, Rounds: *rounds, Seeds: exp.SeedList(*seeds), Workers: *workers}
-
-	ids := exp.FigureOrder
-	if *fig != "all" {
-		if _, ok := exp.Figures[*fig]; !ok {
-			fmt.Fprintf(os.Stderr, "nylon-figs: unknown figure %q (have %s)\n", *fig, strings.Join(exp.FigureOrder, ", "))
-			os.Exit(2)
-		}
-		ids = []string{*fig}
-	}
-	for _, id := range ids {
-		tables, err := exp.Figures[id](params)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nylon-figs: figure %s: %v\n", id, err)
-			os.Exit(1)
-		}
+	err := exp.RunFigures(figs, params, func(_ exp.Figure, tables []exp.Table) {
 		for _, t := range tables {
 			if *csv {
-				fmt.Print(t.CSV())
+				fmt.Fprint(stdout, t.CSV())
 			} else {
-				fmt.Println(t.String())
+				fmt.Fprintln(stdout, t.String())
 			}
 		}
+	})
+	if err != nil {
+		return exit(1, err)
 	}
+	return 0
 }

@@ -183,11 +183,6 @@ type Config struct {
 	// single-owner pool so message recycling never crosses cores; nil
 	// falls back to the shared concurrency-safe pool.
 	Msgs *wire.Pool
-	// RefreshRoutesOnTraffic makes Nylon extend the TTL of every route
-	// through an RVP whenever a datagram from that RVP arrives (one
-	// possible reading of §4's TTL-update rule). Off by default: it keeps
-	// routes alive whose onward legs are dead (see ablation A3).
-	RefreshRoutesOnTraffic bool
 	// Shared, when non-nil, is the per-shard shared scratch and intern
 	// state (see Shared). All engines handed the same instance must have
 	// their calls serialized on one goroutine.

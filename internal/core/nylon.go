@@ -60,9 +60,7 @@ type Nylon struct {
 // reclaimed. Expired rows are invisible to every read (Next/Get/TTL
 // self-filter, Set overwrites them under the same policy either way), so
 // the cadence is unobservable; it only bounds how long dead rows occupy
-// memory. The exception is RefreshRoutesOnTraffic: RefreshVia extends an
-// existing row without checking expiry, so it could resurrect an
-// expired-but-unpurged row — that configuration purges every Tick.
+// memory.
 const purgeEvery = 4
 
 var _ Engine = (*Nylon)(nil)
@@ -224,11 +222,9 @@ func relayRespond(self, src view.Descriptor) bool {
 // Tick implements Engine: Fig. 6 lines 1-14.
 func (n *Nylon) Tick(now int64) []Send {
 	// Purge on a thinned cadence (see purgeEvery): expired rows are already
-	// invisible to every read, so reclaiming them is pure memory hygiene —
-	// except under RefreshRoutesOnTraffic, where RefreshVia could resurrect
-	// a stale row and the purge must stay per-period.
+	// invisible to every read, so reclaiming them is pure memory hygiene.
 	n.tick++
-	if n.tick%purgeEvery == 0 || n.cfg.RefreshRoutesOnTraffic {
+	if n.tick%purgeEvery == 0 {
 		n.routes.Purge(now)
 	}
 	// Hole punches from previous periods are void: each PONG must map to a
@@ -301,14 +297,6 @@ func (n *Nylon) Receive(now int64, from ident.Endpoint, msg *wire.Message) []Sen
 	if via.ID != n.cfg.Self.ID && !via.ID.IsNil() {
 		viaH = n.routes.Intern(via)
 		n.routes.SetInterned(via.ID, via.ID, viaH, now+n.cfg.HoleTimeout)
-		if n.cfg.RefreshRoutesOnTraffic {
-			// §4 offers this reading — TTLs updated "every time a
-			// message from one RVP stored in the routing table is
-			// received" — but refreshing a route only proves its local
-			// leg alive, not the RVP's onward legs; the A3 ablation
-			// shows it breaks chains, which is why it defaults off.
-			n.routes.RefreshVia(via.ID, now+n.cfg.HoleTimeout-n.cfg.LatencyBound)
-		}
 	}
 	// Reverse-path learning: the originator is reachable back through the
 	// peer that handed us this datagram.

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"runtime"
-	"sync"
 
 	"repro/internal/stats"
 )
@@ -29,12 +28,6 @@ func NewExecutor(workers int) *Executor {
 	return &Executor{slots: make(chan struct{}, workers)}
 }
 
-// defaultExecutor is the shared machine-wide pool used when callers do not
-// size their own: every figure of a default nylon-figs run drains through it,
-// so the sweep saturates the machine even when a figure's points are unevenly
-// sized or a point has fewer seeds than there are cores.
-var defaultExecutor = NewExecutor(0)
-
 // Workers returns the pool's concurrency bound.
 func (e *Executor) Workers() int { return cap(e.slots) }
 
@@ -56,63 +49,6 @@ func (e *Executor) ResumeFile(path string, opt ResumeOptions) (Result, error) {
 	defer func() { <-e.slots }()
 	opt.Workers = 1
 	return ResumeFile(path, opt)
-}
-
-// RunPoint executes one configuration across all seeds through the pool and
-// returns the per-seed results in seed order.
-func (e *Executor) RunPoint(cfg Config, seeds []int64) ([]Result, error) {
-	results := make([]Result, len(seeds))
-	errs := make([]error, len(seeds))
-	var wg sync.WaitGroup
-	for i, seed := range seeds {
-		i, seed := i, seed
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := cfg
-			c.Seed = seed
-			results[i], errs[i] = e.Run(c)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-// Future is the deferred Result of one experiment point. Each peer gets an
-// independently derived RNG stream (see xrand.Mix in the runner), so which
-// worker executes a point cannot influence its outcome.
-type Future struct {
-	wg  sync.WaitGroup
-	res Result
-	err error
-}
-
-// Submit starts one experiment point (all its seeds) in the background.
-// Figures submit every point of a sweep first and only then collect, which
-// is what parallelizes independent points across the pool.
-func (e *Executor) Submit(cfg Config, seeds []int64) *Future {
-	f := &Future{}
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		var results []Result
-		results, f.err = e.RunPoint(cfg, seeds)
-		if f.err == nil {
-			f.res = meanResult(results)
-		}
-	}()
-	return f
-}
-
-// Get blocks until the point has run and returns its mean result.
-func (f *Future) Get() (Result, error) {
-	f.wg.Wait()
-	return f.res, f.err
 }
 
 // SeedList returns the canonical seed list {1, …, n} used by the sweep CLIs

@@ -2,6 +2,9 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/view"
 )
@@ -41,157 +44,381 @@ func (p Params) defaults() Params {
 	return p
 }
 
-// executor picks the pool figure points run through: the shared machine-wide
-// default, or a private one when the caller bounded Workers explicitly.
-func (p Params) executor() *Executor {
-	if p.Workers <= 0 {
-		return defaultExecutor
+// Column is one curve of a figure: the experiment point it runs at row-axis
+// value x, and the number it plots from that point's seed-mean Result.
+type Column struct {
+	Name   string
+	Config func(p Params, x int) Config
+	Metric func(Result) float64
+}
+
+// Figure is one reproduced figure as data: RunFigures is the only code that
+// executes one. Axis and Columns are generators over Params because the NAT
+// percentages and view sizes of a reproduction are parameters, not constants.
+type Figure struct {
+	ID    string
+	Title string
+	// Key heads the row-label column; Axis lists the row values and Label
+	// prints one (nil = decimal).
+	Key   string
+	Axis  func(Params) []int
+	Label func(x int) string
+	// Columns lists the curves, left to right.
+	Columns func(Params) []Column
+	// Split, when set, makes the figure one table per returned part: the
+	// part's Params generate that table's axis and columns, and its Suffix
+	// is appended to the title.
+	Split func(Params) []Part
+}
+
+// Part is one table of a split figure.
+type Part struct {
+	Suffix string
+	Params Params
+}
+
+// Figures is the paper's evaluation plus this repository's ablations, in
+// presentation order. The claim in each entry's comment is what the paper
+// reports for that figure; DESIGN.md §3 indexes them.
+var Figures = []Figure{
+	// Figure 2: the six NAT-oblivious configurations lose their biggest
+	// cluster as NATs spread and partition toward 100% PRC NATs; the paper's
+	// x-axis starts at 40%.
+	{ID: "2", Title: "Fig. 2 — biggest cluster (%) vs NAT%", Key: "nat%",
+		Axis: natPcts(40, 100), Split: byViewSize, Columns: fig2Columns},
+	// Figure 3: stale references of the (push/pull, rand, healer) baseline
+	// grow with the NAT percentage, per view size.
+	{ID: "3", Title: "Fig. 3 — stale references (%) vs NAT%", Key: "nat%",
+		Axis: natPcts(0, 100), Columns: perViewSize(baseline, stalePct)},
+	// Figure 4: natted peers are under-represented among the usable
+	// references — ≈10% despite 40% natted.
+	{ID: "4", Title: "Fig. 4 — non-stale natted references (%) vs NAT%", Key: "nat%",
+		Axis: natPcts(0, 100), Columns: perViewSize(baseline, nattedPct)},
+	// §5 "Correctness": under Nylon no partition and no stale references at
+	// any NAT percentage, and sampling randomness comparable to the NAT-free
+	// baseline.
+	{ID: "c", Title: "§5 Correctness — Nylon: partitions, stale refs, randomness", Key: "nat%",
+		Axis: natPcts(0, 100), Columns: columns(
+			Column{"cluster%", nylon(15), clusterPct},
+			Column{"stale%", nylon(15), stalePct},
+			Column{"natted-nonstale%", nylon(15), nattedPct},
+			Column{"chi2/dof", nylon(15), chiSquare},
+			Column{"completion%", nylon(15), completionPct})},
+	// Figure 7: bytes per second sent+received per peer stay < 350 B/s under
+	// Nylon, a modest overhead over the (push/pull, rand, healer) reference.
+	{ID: "7", Title: "Fig. 7 — bytes/s per peer vs NAT%", Key: "nat%",
+		Axis: natPcts(0, 100), Columns: columns(
+			Column{"nylon", nylon(15), bytesAll},
+			Column{"reference", engine(ProtoGeneric, DefaultMix), bytesAll})},
+	// Figure 8: public and natted peers carry loads within 10–20% of each
+	// other under Nylon. Both populations must exist.
+	{ID: "8", Title: "Fig. 8 — bytes/s public vs natted peers (Nylon)", Key: "nat%",
+		Axis: natPcts(1, 99), Columns: columns(
+			Column{"public", nylon(15), bytesPublic},
+			Column{"natted", nylon(15), bytesNatted})},
+	// Figure 9: the average RVP chain toward a natted destination stays
+	// below 4 RVPs, per view size. At 0% there is nobody to punch toward.
+	{ID: "9", Title: "Fig. 9 — average number of RVPs vs NAT%", Key: "nat%",
+		Axis: natPcts(1, 100), Columns: perViewSize(nylon, chainLen)},
+	// Figure 10: no partition after massive churn. The paper removes the
+	// peers after 500 shuffles and measures 1500 shuffles later; the same
+	// 1:3 split is applied to the configured round budget.
+	{ID: "10", Title: "Fig. 10 — biggest cluster (%) after massive churn", Key: "departed%",
+		Axis: fixed(50, 60, 70, 75, 80), Columns: columns(
+			Column{"40% NATs", departing(40, true), clusterPct},
+			Column{"50% NATs", departing(50, true), clusterPct},
+			Column{"60% NATs", departing(60, true), clusterPct},
+			Column{"70% NATs", departing(70, true), clusterPct},
+			Column{"80% NATs", departing(80, true), clusterPct})},
+	// Ablation A1: the fixed-public-RVP strawman of §4 piles the relaying
+	// load on the public peers; Nylon spreads it.
+	{ID: "a1", Title: "A1 — load balance: Nylon vs static public RVPs (bytes/s)", Key: "nat%",
+		Axis: natPcts(1, 99), Columns: columns(
+			Column{"nylon-public", nylon(15), bytesPublic},
+			Column{"nylon-natted", nylon(15), bytesNatted},
+			Column{"static-public", engine(ProtoStaticRVP, DefaultMix), bytesPublic},
+			Column{"static-natted", engine(ProtoStaticRVP, DefaultMix), bytesNatted})},
+	// Ablation A2: the ARRG-style reachable cache sits between the baseline
+	// and Nylon — §1's "cannot ensure that the network will remain
+	// connected".
+	{ID: "a2", Title: "A2 — Nylon vs ARRG cache: cluster% and stale%", Key: "nat%",
+		Axis: natPcts(0, 100), Columns: columns(
+			Column{"nylon-cluster", nylon(15), clusterPct},
+			Column{"arrg-cluster", engine(ProtoARRG, prcOnly), clusterPct},
+			Column{"nylon-stale", nylon(15), stalePct},
+			Column{"arrg-stale", engine(ProtoARRG, prcOnly), stalePct})},
+	// Ablation A3: shorter NAT rule lifetimes shrink the window in which
+	// relayed route TTLs stay valid, degrading Nylon's completion rate.
+	{ID: "a3", Title: "A3 — Nylon sensitivity to the hole timeout (80% NATs)", Key: "timeout_s",
+		Axis: fixed(15, 30, 60, 90, 180), Columns: columns(
+			Column{"cluster%", holeTimeout, clusterPct},
+			Column{"stale%", holeTimeout, stalePct},
+			Column{"completion%", holeTimeout, completionPct},
+			Column{"chain", holeTimeout, chainLen})},
+	// Ablation A4: push-only propagation "consistently exhibits
+	// significantly worse performances" than push/pull.
+	{ID: "a4", Title: "A4 — push vs push/pull baseline (PRC NATs): cluster% and sampling chi2/dof", Key: "nat%",
+		Axis: natPcts(0, 100), Columns: columns(
+			Column{"pushpull-cluster", baseline(15), clusterPct},
+			Column{"push-cluster", generic(view.SelectRand, view.MergeHealer, false, 15), clusterPct},
+			Column{"pushpull-chi2", baseline(15), chiSquare},
+			Column{"push-chi2", generic(view.SelectRand, view.MergeHealer, false, 15), chiSquare})},
+	// Ablation A5: without no-reply eviction the overlay does not recover
+	// from 80% departures (60% NATs); with it, it does.
+	{ID: "a5", Title: "A5 — no-reply eviction vs churn recovery (80% departures, 60% NATs)", Key: "evict",
+		Axis: fixed(0, 1), Label: func(x int) string { return [...]string{"off", "on"}[x] },
+		Columns: columns(
+			Column{"cluster%", eviction, clusterPct},
+			Column{"stale%", eviction, stalePct},
+			Column{"completion%", eviction, completionPct})},
+	// Ablation A6: how much NAT-PMP / UPnP deployment — the alternative the
+	// paper's related work dismisses for coverage and security reasons —
+	// would rescue the NAT-oblivious baseline at 80% PRC NATs, when Nylon
+	// needs none.
+	{ID: "a6", Title: "A6 — baseline rescue by UPnP deployment (80% PRC NATs)", Key: "upnp%",
+		Axis: fixed(0, 25, 50, 75, 100), Columns: columns(
+			Column{"cluster%", upnp, clusterPct},
+			Column{"stale%", upnp, stalePct},
+			Column{"natted-nonstale%", upnp, nattedPct},
+			Column{"completion%", upnp, completionPct})},
+}
+
+// RunFigures reproduces figs at scale p in three phases. Plan: expand the
+// figures into cells and the cells into the distinct points behind them —
+// figures overlap (Fig. 4 plots the runs of Fig. 3; six figures share the
+// view-15 Nylon column), so at the default scale the fourteen need 289 points
+// standing alone and 189 together. Run: every (point, seed) executes once, in
+// presentation order, on one worker pool with no barrier between figures.
+// Fill: emit receives each figure's tables, in order and on the caller's
+// goroutine, as soon as that figure's points are done. Tables are identical
+// for any p.Workers.
+func RunFigures(figs []Figure, p Params, emit func(Figure, []Table)) error {
+	p = p.defaults()
+	pl := newPlan(figs, p)
+	rs := startRuns(pl.points, p.Seeds, p.Workers)
+	defer rs.stop()
+	for i, f := range figs {
+		var tables []Table
+		for _, tp := range pl.tables[i] {
+			for r, row := range tp.cells {
+				for c, pt := range row {
+					seeds, err := rs.wait(pt)
+					if err != nil {
+						return fmt.Errorf("figure %s: %w", f.ID, err)
+					}
+					// The metric of the mean, not the mean of the metric.
+					tp.Rows[r].Values = append(tp.Rows[r].Values, tp.cols[c].Metric(meanResult(seeds)))
+				}
+			}
+			tables = append(tables, tp.Table)
+		}
+		emit(f, tables)
 	}
-	return NewExecutor(p.Workers)
+	return nil
 }
 
-// combo names one baseline configuration of Fig. 2.
-type combo struct {
-	sel view.Selection
-	mrg view.Merge
+// plan is what a set of figures needs run, and where each result goes.
+type plan struct {
+	// points are the distinct experiment points in first-use order, keyed
+	// on Config.Defaults() so that spelling a default out (A3's 90 s row)
+	// does not make a second point.
+	points []Config
+	tables [][]tablePlan // per figure
 }
 
-func (c combo) String() string { return c.sel.String() + "/" + c.mrg.String() }
-
-var fig2Combos = []combo{
-	{view.SelectRand, view.MergeHealer},
-	{view.SelectRand, view.MergeBlind},
-	{view.SelectRand, view.MergeSwapper},
-	{view.SelectTail, view.MergeHealer},
-	{view.SelectTail, view.MergeBlind},
-	{view.SelectTail, view.MergeSwapper},
+// tablePlan is one table with its labels set and its values still to fill.
+type tablePlan struct {
+	Table
+	cols  []Column
+	cells [][]int // [row][column] → index into plan.points
 }
+
+func newPlan(figs []Figure, p Params) *plan {
+	pl := &plan{}
+	index := make(map[Config]int)
+	for _, f := range figs {
+		parts := []Part{{Params: p}}
+		if f.Split != nil {
+			parts = f.Split(p)
+		}
+		var tables []tablePlan
+		for _, part := range parts {
+			tp := tablePlan{
+				Table: Table{Title: f.Title + part.Suffix, Columns: []string{f.Key}},
+				cols:  f.Columns(part.Params),
+			}
+			for _, c := range tp.cols {
+				tp.Columns = append(tp.Columns, c.Name)
+			}
+			for _, x := range f.Axis(part.Params) {
+				label := strconv.Itoa(x)
+				if f.Label != nil {
+					label = f.Label(x)
+				}
+				tp.Rows = append(tp.Rows, Row{Label: label})
+				row := make([]int, len(tp.cols))
+				for c, col := range tp.cols {
+					point := col.Config(part.Params, x).Defaults()
+					pt, planned := index[point]
+					if !planned {
+						pt = len(pl.points)
+						index[point] = pt
+						pl.points = append(pl.points, point)
+					}
+					row[c] = pt
+				}
+				tp.cells = append(tp.cells, row)
+			}
+			tables = append(tables, tp)
+		}
+		pl.tables = append(pl.tables, tables)
+	}
+	return pl
+}
+
+// runs is the run phase: every (point, seed) of a plan executing once, in
+// plan order, on a fixed set of workers. Each peer draws from an
+// independently derived RNG stream (see xrand.Mix in the runner), so which
+// worker executes a run cannot influence its outcome.
+type runs struct {
+	points  []pointRun
+	halt    atomic.Bool
+	workers sync.WaitGroup
+}
+
+type pointRun struct {
+	done    sync.WaitGroup // one count per seed
+	results []Result       // per seed, in seed order
+	errs    []error
+}
+
+func startRuns(points []Config, seeds []int64, workers int) *runs {
+	rs := &runs{points: make([]pointRun, len(points))}
+	for i := range rs.points {
+		pr := &rs.points[i]
+		pr.results, pr.errs = make([]Result, len(seeds)), make([]error, len(seeds))
+		pr.done.Add(len(seeds))
+	}
+	ex := NewExecutor(workers)
+	var next atomic.Int64
+	for w := 0; w < ex.Workers(); w++ {
+		rs.workers.Add(1)
+		go func() {
+			defer rs.workers.Done()
+			for {
+				job := int(next.Add(1)) - 1
+				if job >= len(points)*len(seeds) {
+					return
+				}
+				pt, s := job/len(seeds), job%len(seeds)
+				pr := &rs.points[pt]
+				if !rs.halt.Load() {
+					cfg := points[pt]
+					cfg.Seed = seeds[s]
+					pr.results[s], pr.errs[s] = ex.Run(cfg)
+				}
+				pr.done.Done()
+			}
+		}()
+	}
+	return rs
+}
+
+// wait blocks until every seed of point pt has run and returns the per-seed
+// results in seed order, or the first seed's error.
+func (rs *runs) wait(pt int) ([]Result, error) {
+	pr := &rs.points[pt]
+	pr.done.Wait()
+	for _, err := range pr.errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return pr.results, nil
+}
+
+// stop makes the workers skip what has not started and waits for them.
+func (rs *runs) stop() {
+	rs.halt.Store(true)
+	rs.workers.Wait()
+}
+
+// --- row axes ---
+
+// natPcts is the NAT-percentage axis of Params restricted to [lo, hi].
+func natPcts(lo, hi int) func(Params) []int {
+	return func(p Params) []int {
+		var out []int
+		for _, nat := range p.NATPcts {
+			if lo <= nat && nat <= hi {
+				out = append(out, nat)
+			}
+		}
+		return out
+	}
+}
+
+func fixed(xs ...int) func(Params) []int { return func(Params) []int { return xs } }
+
+// --- columns and tables ---
+
+func columns(cols ...Column) func(Params) []Column { return func(Params) []Column { return cols } }
+
+// perViewSize is one curve per compared view size.
+func perViewSize(point func(viewSize int) func(Params, int) Config, metric func(Result) float64) func(Params) []Column {
+	return func(p Params) []Column {
+		var cols []Column
+		for _, vs := range p.ViewSizes {
+			cols = append(cols, Column{fmt.Sprintf("view=%d", vs), point(vs), metric})
+		}
+		return cols
+	}
+}
+
+// byViewSize splits a figure into one table per compared view size.
+func byViewSize(p Params) []Part {
+	var parts []Part
+	for _, vs := range p.ViewSizes {
+		part := Part{Suffix: fmt.Sprintf(", view size %d", vs), Params: p}
+		part.Params.ViewSizes = []int{vs}
+		parts = append(parts, part)
+	}
+	return parts
+}
+
+// fig2Columns is the six baseline configurations of Fig. 2 at the view size
+// of the table byViewSize is generating.
+func fig2Columns(p Params) []Column {
+	var cols []Column
+	for _, sel := range []view.Selection{view.SelectRand, view.SelectTail} {
+		for _, mrg := range []view.Merge{view.MergeHealer, view.MergeBlind, view.MergeSwapper} {
+			cols = append(cols, Column{sel.String() + "/" + mrg.String(), generic(sel, mrg, true, p.ViewSizes[0]), clusterPct})
+		}
+	}
+	return cols
+}
+
+// --- experiment points ---
 
 // prcOnly is the NAT mix of the paper's Section 3 experiments ("for the sake
 // of simplicity, only PRC NATs are considered").
 var prcOnly = NATMix{PRC: 1.0}
 
-// Fig2 reproduces Figure 2: biggest-cluster size of the six baseline
-// configurations versus NAT percentage, one table per view size.
-func Fig2(p Params) ([]Table, error) {
-	p = p.defaults()
-	ex := p.executor()
-	nats := filterMin(p.NATPcts, 40) // the paper's x-axis starts at 40%
-	// Submit every point of the sweep, then collect in presentation order.
-	var futures []*Future
-	for _, vs := range p.ViewSizes {
-		for _, nat := range nats {
-			for _, c := range fig2Combos {
-				futures = append(futures, ex.Submit(Config{
-					N: p.N, Rounds: p.Rounds, ViewSize: vs,
-					NATRatio: float64(nat) / 100, Mix: prcOnly,
-					Protocol: ProtoGeneric, Selection: c.sel, Merge: c.mrg, PushPull: true,
-				}, p.Seeds))
-			}
+// generic is the NAT-oblivious protocol of §3 at nat% PRC NATs.
+func generic(sel view.Selection, mrg view.Merge, pushPull bool, viewSize int) func(Params, int) Config {
+	return func(p Params, nat int) Config {
+		return Config{
+			N: p.N, Rounds: p.Rounds, ViewSize: viewSize,
+			NATRatio: float64(nat) / 100, Mix: prcOnly,
+			Protocol: ProtoGeneric, Selection: sel, Merge: mrg, PushPull: pushPull,
 		}
 	}
-	var tables []Table
-	k := 0
-	for _, vs := range p.ViewSizes {
-		t := Table{
-			Title:   fmt.Sprintf("Fig. 2 — biggest cluster (%%) vs NAT%%, view size %d", vs),
-			Columns: []string{"nat%"},
-		}
-		for _, c := range fig2Combos {
-			t.Columns = append(t.Columns, c.String())
-		}
-		for _, nat := range nats {
-			row := Row{Label: fmt.Sprintf("%d", nat)}
-			for range fig2Combos {
-				res, err := futures[k].Get()
-				k++
-				if err != nil {
-					return nil, err
-				}
-				row.Values = append(row.Values, res.BiggestCluster*100)
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
 }
 
-// Fig3 reproduces Figure 3: percentage of stale references of the
-// (push/pull, rand, healer) baseline versus NAT percentage, per view size.
-func Fig3(p Params) ([]Table, error) {
-	return baselineSweep(p, "Fig. 3 — stale references (%) vs NAT%",
-		func(r Result) float64 { return r.StaleFraction * 100 })
-}
-
-// Fig4 reproduces Figure 4: ratio of non-stale references pointing at natted
-// peers versus NAT percentage, per view size.
-func Fig4(p Params) ([]Table, error) {
-	return baselineSweep(p, "Fig. 4 — non-stale natted references (%) vs NAT%",
-		func(r Result) float64 { return r.NattedNonStale * 100 })
-}
-
-func baselineSweep(p Params, title string, metric func(Result) float64) ([]Table, error) {
-	p = p.defaults()
-	ex := p.executor()
-	t := Table{Title: title, Columns: []string{"nat%"}}
-	for _, vs := range p.ViewSizes {
-		t.Columns = append(t.Columns, fmt.Sprintf("view=%d", vs))
-	}
-	var futures []*Future
-	for _, nat := range p.NATPcts {
-		for _, vs := range p.ViewSizes {
-			futures = append(futures, ex.Submit(Config{
-				N: p.N, Rounds: p.Rounds, ViewSize: vs,
-				NATRatio: float64(nat) / 100, Mix: prcOnly,
-				Protocol: ProtoGeneric, Selection: view.SelectRand, Merge: view.MergeHealer, PushPull: true,
-			}, p.Seeds))
-		}
-	}
-	k := 0
-	for _, nat := range p.NATPcts {
-		row := Row{Label: fmt.Sprintf("%d", nat)}
-		for range p.ViewSizes {
-			res, err := futures[k].Get()
-			k++
-			if err != nil {
-				return nil, err
-			}
-			row.Values = append(row.Values, metric(res))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return []Table{t}, nil
-}
-
-// Correctness reproduces the §5 "Correctness" checks for Nylon: no
-// partitions, no stale references, and sampling randomness comparable to the
-// NAT-free baseline, across NAT percentages.
-func Correctness(p Params) ([]Table, error) {
-	p = p.defaults()
-	ex := p.executor()
-	t := Table{
-		Title:   "§5 Correctness — Nylon: partitions, stale refs, randomness",
-		Columns: []string{"nat%", "cluster%", "stale%", "natted-nonstale%", "chi2/dof", "completion%"},
-	}
-	var futures []*Future
-	for _, nat := range p.NATPcts {
-		futures = append(futures, ex.Submit(nylonCfg(p, nat, 15), p.Seeds))
-	}
-	for i, nat := range p.NATPcts {
-		res, err := futures[i].Get()
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{
-			Label: fmt.Sprintf("%d", nat),
-			Values: []float64{
-				res.BiggestCluster * 100, res.StaleFraction * 100,
-				res.NattedNonStale * 100, res.ChiSquareStat, res.CompletionRate * 100,
-			},
-		})
-	}
-	return []Table{t}, nil
+// baseline is the (push/pull, rand, healer) configuration the paper singles
+// out as its reference.
+func baseline(viewSize int) func(Params, int) Config {
+	return generic(view.SelectRand, view.MergeHealer, true, viewSize)
 }
 
 func nylonCfg(p Params, natPct, viewSize int) Config {
@@ -207,402 +434,54 @@ func nylonCfg(p Params, natPct, viewSize int) Config {
 	}
 }
 
-// Fig7 reproduces Figure 7: average bytes per second sent+received per peer,
-// Nylon versus the (push/pull, rand, healer) reference, versus NAT
-// percentage.
-func Fig7(p Params) ([]Table, error) {
-	p = p.defaults()
-	ex := p.executor()
-	t := Table{
-		Title:   "Fig. 7 — bytes/s per peer vs NAT%",
-		Columns: []string{"nat%", "nylon", "reference"},
-	}
-	var nylonF, refF []*Future
-	for _, nat := range p.NATPcts {
-		nylonF = append(nylonF, ex.Submit(nylonCfg(p, nat, 15), p.Seeds))
-		refCfg := nylonCfg(p, nat, 15)
-		refCfg.Protocol = ProtoGeneric
-		refF = append(refF, ex.Submit(refCfg, p.Seeds))
-	}
-	for i, nat := range p.NATPcts {
-		nylon, err := nylonF[i].Get()
-		if err != nil {
-			return nil, err
-		}
-		ref, err := refF[i].Get()
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{
-			Label:  fmt.Sprintf("%d", nat),
-			Values: []float64{nylon.BytesPerSecAll, ref.BytesPerSecAll},
-		})
-	}
-	return []Table{t}, nil
+// nylon is Nylon at nat% NATs of the paper's mix.
+func nylon(viewSize int) func(Params, int) Config {
+	return func(p Params, nat int) Config { return nylonCfg(p, nat, viewSize) }
 }
 
-// Fig8 reproduces Figure 8: bytes per second of public versus natted peers
-// under Nylon, versus NAT percentage.
-func Fig8(p Params) ([]Table, error) {
-	p = p.defaults()
-	ex := p.executor()
-	t := Table{
-		Title:   "Fig. 8 — bytes/s public vs natted peers (Nylon)",
-		Columns: []string{"nat%", "public", "natted"},
+// engine is the nylon(15) point with another protocol, and NAT mix, under test.
+func engine(proto Protocol, mix NATMix) func(Params, int) Config {
+	return func(p Params, nat int) Config {
+		c := nylonCfg(p, nat, 15)
+		c.Protocol, c.Mix = proto, mix
+		return c
 	}
-	var futures []*Future
-	var nats []int
-	for _, nat := range p.NATPcts {
-		if nat == 0 || nat == 100 {
-			continue // both populations must exist
-		}
-		nats = append(nats, nat)
-		futures = append(futures, ex.Submit(nylonCfg(p, nat, 15), p.Seeds))
-	}
-	for i, nat := range nats {
-		res, err := futures[i].Get()
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{
-			Label:  fmt.Sprintf("%d", nat),
-			Values: []float64{res.BytesPerSecPublic, res.BytesPerSecNatted},
-		})
-	}
-	return []Table{t}, nil
 }
 
-// Fig9 reproduces Figure 9: average RVP chain length toward natted
-// destinations versus NAT percentage, per view size.
-func Fig9(p Params) ([]Table, error) {
-	p = p.defaults()
-	ex := p.executor()
-	t := Table{Title: "Fig. 9 — average number of RVPs vs NAT%", Columns: []string{"nat%"}}
-	for _, vs := range p.ViewSizes {
-		t.Columns = append(t.Columns, fmt.Sprintf("view=%d", vs))
+// departing is Nylon at nat% NATs losing departed% of its peers a quarter of
+// the way into the run.
+func departing(nat int, evict bool) func(Params, int) Config {
+	return func(p Params, departed int) Config {
+		c := nylonCfg(p, nat, 15)
+		c.EvictUnanswered = evict
+		c.ChurnAtRound = p.Rounds / 4
+		c.ChurnFraction = float64(departed) / 100
+		return c
 	}
-	var futures []*Future
-	var nats []int
-	for _, nat := range p.NATPcts {
-		if nat == 0 {
-			continue // no natted destinations to punch toward
-		}
-		nats = append(nats, nat)
-		for _, vs := range p.ViewSizes {
-			futures = append(futures, ex.Submit(nylonCfg(p, nat, vs), p.Seeds))
-		}
-	}
-	k := 0
-	for _, nat := range nats {
-		row := Row{Label: fmt.Sprintf("%d", nat)}
-		for range p.ViewSizes {
-			res, err := futures[k].Get()
-			k++
-			if err != nil {
-				return nil, err
-			}
-			row.Values = append(row.Values, res.AvgChainLen)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return []Table{t}, nil
 }
 
-// Fig10 reproduces Figure 10: biggest-cluster size after massive churn. The
-// paper removes the peers after 500 shuffles and measures 1500 shuffles
-// later; the same 1:3 split is applied to the configured round budget.
-func Fig10(p Params) ([]Table, error) {
-	p = p.defaults()
-	ex := p.executor()
-	natPcts := []int{40, 50, 60, 70, 80}
-	departures := []int{50, 60, 70, 75, 80}
-	t := Table{Title: "Fig. 10 — biggest cluster (%) after massive churn", Columns: []string{"departed%"}}
-	for _, nat := range natPcts {
-		t.Columns = append(t.Columns, fmt.Sprintf("%d%% NATs", nat))
-	}
-	var futures []*Future
-	for _, dep := range departures {
-		for _, nat := range natPcts {
-			cfg := nylonCfg(p, nat, 15)
-			cfg.ChurnAtRound = p.Rounds / 4
-			cfg.ChurnFraction = float64(dep) / 100
-			futures = append(futures, ex.Submit(cfg, p.Seeds))
-		}
-	}
-	k := 0
-	for _, dep := range departures {
-		row := Row{Label: fmt.Sprintf("%d", dep)}
-		for range natPcts {
-			res, err := futures[k].Get()
-			k++
-			if err != nil {
-				return nil, err
-			}
-			row.Values = append(row.Values, res.BiggestCluster*100)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return []Table{t}, nil
+func eviction(p Params, on int) Config { return departing(60, on == 1)(p, 80) }
+
+func holeTimeout(p Params, seconds int) Config {
+	c := nylonCfg(p, 80, 15)
+	c.HoleTimeoutMs = int64(seconds) * 1000
+	return c
 }
 
-// AblationStaticRVP compares the load balance of Nylon against the
-// fixed-public-RVP strawman of §4 (ablation A1): bytes/s for public and
-// natted peers under both schemes.
-func AblationStaticRVP(p Params) ([]Table, error) {
-	p = p.defaults()
-	ex := p.executor()
-	t := Table{
-		Title:   "A1 — load balance: Nylon vs static public RVPs (bytes/s)",
-		Columns: []string{"nat%", "nylon-public", "nylon-natted", "static-public", "static-natted"},
-	}
-	var nylonF, staticF []*Future
-	var nats []int
-	for _, nat := range p.NATPcts {
-		if nat == 0 || nat == 100 {
-			continue
-		}
-		nats = append(nats, nat)
-		nylonF = append(nylonF, ex.Submit(nylonCfg(p, nat, 15), p.Seeds))
-		cfg := nylonCfg(p, nat, 15)
-		cfg.Protocol = ProtoStaticRVP
-		staticF = append(staticF, ex.Submit(cfg, p.Seeds))
-	}
-	for i, nat := range nats {
-		nylon, err := nylonF[i].Get()
-		if err != nil {
-			return nil, err
-		}
-		static, err := staticF[i].Get()
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{
-			Label: fmt.Sprintf("%d", nat),
-			Values: []float64{
-				nylon.BytesPerSecPublic, nylon.BytesPerSecNatted,
-				static.BytesPerSecPublic, static.BytesPerSecNatted,
-			},
-		})
-	}
-	return []Table{t}, nil
+func upnp(p Params, pct int) Config {
+	c := baseline(15)(p, 80)
+	c.UPnPFraction = float64(pct) / 100
+	return c
 }
 
-// AblationARRG compares Nylon's connectivity and stale-reference rate with
-// the ARRG-style reachable-cache baseline (ablation A2), quantifying the
-// paper's §1 claim that a cache "cannot ensure that the network will remain
-// connected".
-func AblationARRG(p Params) ([]Table, error) {
-	p = p.defaults()
-	ex := p.executor()
-	t := Table{
-		Title:   "A2 — Nylon vs ARRG cache: cluster% and stale%",
-		Columns: []string{"nat%", "nylon-cluster", "arrg-cluster", "nylon-stale", "arrg-stale"},
-	}
-	var nylonF, arrgF []*Future
-	for _, nat := range p.NATPcts {
-		nylonF = append(nylonF, ex.Submit(nylonCfg(p, nat, 15), p.Seeds))
-		cfg := nylonCfg(p, nat, 15)
-		cfg.Protocol = ProtoARRG
-		cfg.Mix = prcOnly
-		arrgF = append(arrgF, ex.Submit(cfg, p.Seeds))
-	}
-	for i, nat := range p.NATPcts {
-		nylon, err := nylonF[i].Get()
-		if err != nil {
-			return nil, err
-		}
-		arrg, err := arrgF[i].Get()
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{
-			Label: fmt.Sprintf("%d", nat),
-			Values: []float64{
-				nylon.BiggestCluster * 100, arrg.BiggestCluster * 100,
-				nylon.StaleFraction * 100, arrg.StaleFraction * 100,
-			},
-		})
-	}
-	return []Table{t}, nil
-}
+// --- plotted metrics, each applied to the seed mean of a point ---
 
-// AblationHoleTimeout sweeps the NAT rule lifetime (ablation A3): shorter
-// hole timeouts shrink the window in which relayed route TTLs stay valid,
-// degrading Nylon's completion rate.
-func AblationHoleTimeout(p Params) ([]Table, error) {
-	p = p.defaults()
-	ex := p.executor()
-	timeouts := []int64{15_000, 30_000, 60_000, 90_000, 180_000}
-	t := Table{
-		Title:   "A3 — Nylon sensitivity to the hole timeout (80% NATs)",
-		Columns: []string{"timeout_s", "cluster%", "stale%", "completion%", "chain"},
-	}
-	var futures []*Future
-	for _, timeout := range timeouts {
-		cfg := nylonCfg(p, 80, 15)
-		cfg.HoleTimeoutMs = timeout
-		futures = append(futures, ex.Submit(cfg, p.Seeds))
-	}
-	for i, timeout := range timeouts {
-		res, err := futures[i].Get()
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{
-			Label: fmt.Sprintf("%d", timeout/1000),
-			Values: []float64{
-				res.BiggestCluster * 100, res.StaleFraction * 100,
-				res.CompletionRate * 100, res.AvgChainLen,
-			},
-		})
-	}
-	return []Table{t}, nil
-}
-
-// AblationPush compares push-only against push/pull propagation for the
-// baseline (the paper states push "consistently exhibits significantly worse
-// performances", ablation A4).
-func AblationPush(p Params) ([]Table, error) {
-	p = p.defaults()
-	ex := p.executor()
-	t := Table{
-		Title: "A4 — push vs push/pull baseline (PRC NATs): cluster% and sampling chi2/dof",
-		Columns: []string{
-			"nat%", "pushpull-cluster", "push-cluster", "pushpull-chi2", "push-chi2",
-		},
-	}
-	var futures []*Future
-	for _, nat := range p.NATPcts {
-		for _, pushPull := range []bool{true, false} {
-			futures = append(futures, ex.Submit(Config{
-				N: p.N, Rounds: p.Rounds, ViewSize: 15,
-				NATRatio: float64(nat) / 100, Mix: prcOnly,
-				Protocol: ProtoGeneric, Selection: view.SelectRand, Merge: view.MergeHealer,
-				PushPull: pushPull,
-			}, p.Seeds))
-		}
-	}
-	k := 0
-	for _, nat := range p.NATPcts {
-		var clusters, chis []float64
-		for range []bool{true, false} {
-			res, err := futures[k].Get()
-			k++
-			if err != nil {
-				return nil, err
-			}
-			clusters = append(clusters, res.BiggestCluster*100)
-			chis = append(chis, res.ChiSquareStat)
-		}
-		t.Rows = append(t.Rows, Row{
-			Label:  fmt.Sprintf("%d", nat),
-			Values: []float64{clusters[0], clusters[1], chis[0], chis[1]},
-		})
-	}
-	return []Table{t}, nil
-}
-
-// AblationEviction measures the effect of no-reply eviction on Nylon's churn
-// recovery (ablation A5): the biggest cluster after 80% of the peers depart,
-// with and without eviction.
-func AblationEviction(p Params) ([]Table, error) {
-	p = p.defaults()
-	ex := p.executor()
-	t := Table{
-		Title:   "A5 — no-reply eviction vs churn recovery (80% departures, 60% NATs)",
-		Columns: []string{"evict", "cluster%", "stale%", "completion%"},
-	}
-	var futures []*Future
-	for _, evict := range []bool{false, true} {
-		cfg := nylonCfg(p, 60, 15)
-		cfg.EvictUnanswered = evict
-		cfg.ChurnAtRound = p.Rounds / 4
-		cfg.ChurnFraction = 0.8
-		futures = append(futures, ex.Submit(cfg, p.Seeds))
-	}
-	for i, evict := range []bool{false, true} {
-		res, err := futures[i].Get()
-		if err != nil {
-			return nil, err
-		}
-		label := "off"
-		if evict {
-			label = "on"
-		}
-		t.Rows = append(t.Rows, Row{
-			Label:  label,
-			Values: []float64{res.BiggestCluster * 100, res.StaleFraction * 100, res.CompletionRate * 100},
-		})
-	}
-	return []Table{t}, nil
-}
-
-// AblationUPnP sweeps the fraction of natted peers with explicit port
-// mappings (NAT-PMP / UPnP — the alternative the paper's related work
-// discusses and dismisses for coverage and security reasons): how much
-// deployment would it take to rescue the NAT-oblivious baseline at 80 %
-// PRC NATs, compared to Nylon needing none?
-func AblationUPnP(p Params) ([]Table, error) {
-	p = p.defaults()
-	ex := p.executor()
-	t := Table{
-		Title:   "A6 — baseline rescue by UPnP deployment (80% PRC NATs)",
-		Columns: []string{"upnp%", "cluster%", "stale%", "natted-nonstale%", "completion%"},
-	}
-	pcts := []int{0, 25, 50, 75, 100}
-	var futures []*Future
-	for _, pct := range pcts {
-		futures = append(futures, ex.Submit(Config{
-			N: p.N, Rounds: p.Rounds, ViewSize: 15,
-			NATRatio: 0.8, Mix: prcOnly,
-			Protocol: ProtoGeneric, Selection: view.SelectRand, Merge: view.MergeHealer, PushPull: true,
-			UPnPFraction: float64(pct) / 100,
-		}, p.Seeds))
-	}
-	for i, pct := range pcts {
-		res, err := futures[i].Get()
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{
-			Label: fmt.Sprintf("%d", pct),
-			Values: []float64{
-				res.BiggestCluster * 100, res.StaleFraction * 100,
-				res.NattedNonStale * 100, res.CompletionRate * 100,
-			},
-		})
-	}
-	return []Table{t}, nil
-}
-
-// Figures maps figure identifiers to their generators, as used by the
-// nylon-figs command.
-var Figures = map[string]func(Params) ([]Table, error){
-	"2":  Fig2,
-	"3":  Fig3,
-	"4":  Fig4,
-	"c":  Correctness,
-	"7":  Fig7,
-	"8":  Fig8,
-	"9":  Fig9,
-	"10": Fig10,
-	"a1": AblationStaticRVP,
-	"a2": AblationARRG,
-	"a3": AblationHoleTimeout,
-	"a4": AblationPush,
-	"a5": AblationEviction,
-	"a6": AblationUPnP,
-}
-
-// FigureOrder lists figure identifiers in presentation order.
-var FigureOrder = []string{"2", "3", "4", "c", "7", "8", "9", "10", "a1", "a2", "a3", "a4", "a5", "a6"}
-
-func filterMin(xs []int, minVal int) []int {
-	out := make([]int, 0, len(xs))
-	for _, x := range xs {
-		if x >= minVal {
-			out = append(out, x)
-		}
-	}
-	return out
-}
+func clusterPct(r Result) float64    { return r.BiggestCluster * 100 }
+func stalePct(r Result) float64      { return r.StaleFraction * 100 }
+func nattedPct(r Result) float64     { return r.NattedNonStale * 100 }
+func completionPct(r Result) float64 { return r.CompletionRate * 100 }
+func chiSquare(r Result) float64     { return r.ChiSquareStat }
+func chainLen(r Result) float64      { return r.AvgChainLen }
+func bytesAll(r Result) float64      { return r.BytesPerSecAll }
+func bytesPublic(r Result) float64   { return r.BytesPerSecPublic }
+func bytesNatted(r Result) float64   { return r.BytesPerSecNatted }

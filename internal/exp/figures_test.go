@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -15,19 +18,14 @@ var tinyParams = Params{
 	ViewSizes: []int{8},
 }
 
+// TestEveryFigureGenerates runs all fourteen figures through one runner call
+// and checks each figure's tables for shape; then plans and runs each figure
+// alone, which must fill the same tables as sharing its points did.
 func TestEveryFigureGenerates(t *testing.T) {
-	for _, id := range FigureOrder {
-		id := id
-		t.Run("fig"+id, func(t *testing.T) {
-			t.Parallel()
-			gen, ok := Figures[id]
-			if !ok {
-				t.Fatalf("figure %q missing from Figures", id)
-			}
-			tables, err := gen(tinyParams)
-			if err != nil {
-				t.Fatal(err)
-			}
+	together := make(map[string][]Table)
+	err := RunFigures(Figures, tinyParams, func(f Figure, tables []Table) {
+		together[f.ID] = tables
+		t.Run("fig"+f.ID, func(t *testing.T) {
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
 			}
@@ -52,16 +50,68 @@ func TestEveryFigureGenerates(t *testing.T) {
 				}
 			}
 		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(together) != len(Figures) {
+		t.Fatalf("%d figures emitted for %d table entries (duplicate ID?)", len(together), len(Figures))
+	}
+	for _, f := range Figures {
+		err := RunFigures([]Figure{f}, tinyParams, func(_ Figure, alone []Table) {
+			if !reflect.DeepEqual(alone, together[f.ID]) {
+				t.Errorf("figure %s alone:\n%+v\namong all fourteen:\n%+v", f.ID, alone, together[f.ID])
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-func TestFigureOrderMatchesMap(t *testing.T) {
-	if len(FigureOrder) != len(Figures) {
-		t.Errorf("FigureOrder has %d entries, Figures %d", len(FigureOrder), len(Figures))
+// TestPlanCounts pins how much the figures overlap at the default scale:
+// planned one at a time they need 289 points (what fourteen separate
+// generators ran), planned together 189. The counts depend on nothing but
+// the table and Config.Defaults.
+func TestPlanCounts(t *testing.T) {
+	p := Params{}.defaults()
+	alone := make(map[string]int)
+	sum := 0
+	for _, f := range Figures {
+		alone[f.ID] = len(newPlan([]Figure{f}, p).points)
+		sum += alone[f.ID]
 	}
-	for _, id := range FigureOrder {
-		if _, ok := Figures[id]; !ok {
-			t.Errorf("FigureOrder entry %q missing from Figures", id)
+	if sum != 289 || alone["4"] != 22 {
+		t.Errorf("figures planned alone need %d points (-fig 4: %d), want 289 (22): %v", sum, alone["4"], alone)
+	}
+	all := newPlan(Figures, p)
+	if len(all.points) != 189 {
+		t.Errorf("all figures plan %d points, want 189", len(all.points))
+	}
+	values := 0
+	for _, tables := range all.tables {
+		for _, tp := range tables {
+			for _, row := range tp.cells {
+				values += len(row)
+			}
+		}
+	}
+	if values != 438 {
+		t.Errorf("all figures plan %d table values, want 438", values)
+	}
+}
+
+// TestDesignIndexesEveryFigure keeps DESIGN.md §3 — the one place a figure is
+// described outside the table — from drifting: every ID has its row.
+func TestDesignIndexesEveryFigure(t *testing.T) {
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range Figures {
+		row := fmt.Sprintf("| %s | %s | `BenchmarkFigures/%s` |", f.ID, f.Title, f.ID)
+		if !strings.Contains(string(design), row) {
+			t.Errorf("DESIGN.md §3 has no row starting %q", row)
 		}
 	}
 }

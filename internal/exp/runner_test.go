@@ -2,6 +2,7 @@ package exp
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ident"
@@ -255,50 +256,69 @@ func TestMeanResult(t *testing.T) {
 }
 
 func TestRunSeedsAverages(t *testing.T) {
-	cfg := fastCfg(ProtoGeneric, 0.5)
-	cfg.N, cfg.Rounds = 100, 40
-	res, err := NewExecutor(2).Submit(cfg, []int64{1, 2}).Get()
+	fig := Figure{
+		ID: "t", Title: "test", Key: "nat%", Axis: fixed(50),
+		Columns: columns(Column{"bytes", generic(view.SelectRand, view.MergeHealer, true, 15), bytesAll}),
+	}
+	var got []Table
+	err := RunFigures([]Figure{fig}, Params{N: 100, Rounds: 40, Seeds: []int64{1, 2}, Workers: 2},
+		func(_ Figure, tables []Table) { got = tables })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BytesPerSecAll <= 0 {
-		t.Error("averaged result lost bandwidth metric")
+	if len(got) != 1 || len(got[0].Rows) != 1 || got[0].Rows[0].Values[0] <= 0 {
+		t.Errorf("averaged result lost bandwidth metric: %+v", got)
 	}
 }
 
-// TestExecutorRunPoint pins the shared executor's contract: per-seed results
-// in seed order, each bit-identical to a direct single-worker Run, and the
-// submitted Future agreeing with their mean.
-func TestExecutorRunPoint(t *testing.T) {
+// TestRunsPerPointResults pins the run phase's contract: per-seed results in
+// seed order, each bit-identical to a direct single-worker Run of the
+// defaulted point, whichever worker ran it.
+func TestRunsPerPointResults(t *testing.T) {
 	cfg := fastCfg(ProtoGeneric, 0.5)
 	cfg.N, cfg.Rounds = 100, 40
+	other := cfg
+	other.NATRatio = 0.25
 	seeds := []int64{3, 1}
-	ex := NewExecutor(2)
-	results, err := ex.RunPoint(cfg, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(seeds) {
-		t.Fatalf("RunPoint returned %d results for %d seeds", len(results), len(seeds))
-	}
-	for i, seed := range seeds {
-		direct := cfg
-		direct.Seed = seed
-		direct.Workers = 1
-		want, err := Run(direct)
+	rs := startRuns([]Config{cfg.Defaults(), other.Defaults()}, seeds, 2)
+	defer rs.stop()
+	for pt, point := range []Config{cfg, other} {
+		results, err := rs.wait(pt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(results[i], want) {
-			t.Errorf("seed %d result differs from direct run", seed)
+		if len(results) != len(seeds) {
+			t.Fatalf("point %d has %d results for %d seeds", pt, len(results), len(seeds))
+		}
+		for i, seed := range seeds {
+			direct := point
+			direct.Seed = seed
+			direct.Workers = 1
+			want, err := Run(direct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(results[i], want) {
+				t.Errorf("point %d seed %d result differs from direct run", pt, seed)
+			}
 		}
 	}
-	mean, err := ex.Submit(cfg, seeds).Get()
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestRunFiguresReportsThePointThatFailed: a point Run rejects fails its
+// figure by ID, after the figures before it were emitted.
+func TestRunFiguresReportsThePointThatFailed(t *testing.T) {
+	bad := Figure{
+		ID: "bad", Title: "test", Key: "nat%", Axis: fixed(150),
+		Columns: columns(Column{"cluster%", nylon(15), clusterPct}),
 	}
-	if want := meanResult(results); mean.BiggestCluster != want.BiggestCluster || mean.BytesPerSecAll != want.BytesPerSecAll {
-		t.Errorf("Submit mean %+v differs from meanResult %+v", mean, want)
+	var emitted []string
+	err := RunFigures([]Figure{Figures[1], bad}, tinyParams, func(f Figure, _ []Table) { emitted = append(emitted, f.ID) })
+	if err == nil || !strings.Contains(err.Error(), "figure bad: ") || !strings.Contains(err.Error(), "NATRatio") {
+		t.Errorf("err = %v, want figure bad's NATRatio rejection", err)
+	}
+	if len(emitted) != 1 || emitted[0] != Figures[1].ID {
+		t.Errorf("emitted %v before the failure, want [%s]", emitted, Figures[1].ID)
 	}
 }
 
@@ -314,10 +334,10 @@ func TestSeedList(t *testing.T) {
 	}
 }
 
-func TestFilterMin(t *testing.T) {
-	got := filterMin([]int{0, 40, 90}, 40)
-	if len(got) != 2 || got[0] != 40 {
-		t.Errorf("filterMin = %v", got)
+func TestNATPctsAxis(t *testing.T) {
+	got := natPcts(40, 99)(Params{NATPcts: []int{0, 40, 90, 100}})
+	if len(got) != 2 || got[0] != 40 || got[1] != 90 {
+		t.Errorf("natPcts(40, 99) = %v", got)
 	}
 }
 

@@ -405,20 +405,6 @@ func (t *Table) TTL(dest ident.NodeID, now int64) int64 {
 	return 0
 }
 
-// RefreshVia extends, to at least expireAt, the expiry of every entry whose
-// RVP is the given peer. The paper's §4 prescribes it: TTLs are updated
-// "every time a message from one RVP stored in the routing table is
-// received" — a datagram from the RVP proves the hole toward it alive, which
-// is the local half of the route's lifetime.
-func (t *Table) RefreshVia(rvp ident.NodeID, expireAt int64) {
-	for i := 0; i < t.nrows; i++ {
-		r := t.rowAt(i)
-		if t.in.At(r.rvph).ID == rvp && r.expire < expireAt {
-			r.expire = expireAt
-		}
-	}
-}
-
 // Purge removes expired entries (decrease_routing_table_ttls in the paper's
 // pseudocode; this implementation stores absolute expiry times instead of
 // decrementing counters, which is equivalent and cheaper). The scan runs
@@ -451,8 +437,7 @@ func (t *Table) Len() int { return t.nrows }
 // descriptor. Checkpoint capture uses it: storage order is part of the
 // table's exact state (deletion swaps depend on it), so replaying rows in
 // this order through LoadRow rebuilds an identical table. Expired rows are
-// visited too — they are still live state (RefreshVia can resurrect them
-// until a purge runs).
+// visited too: until a purge runs they are part of that order.
 func (t *Table) EachRow(fn func(dest ident.NodeID, rvp view.Descriptor, expireAt int64)) {
 	for i := 0; i < t.nrows; i++ {
 		r := t.rowAt(i)

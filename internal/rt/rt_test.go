@@ -142,29 +142,6 @@ func TestTTLNeverNegative(t *testing.T) {
 	}
 }
 
-func TestRefreshVia(t *testing.T) {
-	tb := New(1)
-	tb.Set(5, d(3), 100)
-	tb.Set(6, d(3), 200)
-	tb.Set(7, d(4), 100)
-	tb.RefreshVia(3, 500)
-	if got := tb.TTL(5, 0); got != 500 {
-		t.Errorf("TTL(5) = %d, want 500", got)
-	}
-	if got := tb.TTL(6, 0); got != 500 {
-		t.Errorf("TTL(6) = %d, want 500", got)
-	}
-	// Entries through other RVPs are untouched.
-	if got := tb.TTL(7, 0); got != 100 {
-		t.Errorf("TTL(7) = %d, want 100", got)
-	}
-	// RefreshVia never shortens an entry.
-	tb.RefreshVia(3, 50)
-	if got := tb.TTL(5, 0); got != 500 {
-		t.Errorf("TTL(5) after shorter refresh = %d, want 500", got)
-	}
-}
-
 // TestPeekIsAPureRead pins Peek against Next: the same answer for live,
 // expired and absent routes, with the table — rows in storage order, length,
 // expiry bound, find memo — left as it was, where Next deletes the expired
