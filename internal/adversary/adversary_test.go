@@ -31,7 +31,7 @@ func honest(id uint64, seed int64) core.Engine {
 		LatencyBound: 100,
 		RNG:          rand.New(rand.NewSource(seed)),
 	})
-	g.Bootstrap([]view.Descriptor{desc(2, ident.Public), desc(3, ident.RestrictedCone), desc(4, ident.Public)})
+	g.Bootstrap(0, []view.Descriptor{desc(2, ident.Public), desc(3, ident.RestrictedCone), desc(4, ident.Public)})
 	return g
 }
 

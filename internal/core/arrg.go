@@ -17,21 +17,11 @@ import (
 // The paper's §1 argues this "cannot ensure that the network will remain
 // connected"; the A2 ablation benchmark quantifies that claim.
 type ARRG struct {
-	cfg       Config
+	gossip
 	cacheSize int
-	view      *view.View
 	// cache holds recently-responsive peers with their observed endpoints,
 	// most recent last.
 	cache []view.Descriptor
-	// pending is the target of the not-yet-answered REQUEST, if any;
-	// pendingSent is the buffer shipped with it (swapper bookkeeping).
-	pending     ident.NodeID
-	pendingSent []view.Descriptor
-	stats       Stats
-	// reqSent backs pendingSent across rounds, so it stays per-engine; the
-	// per-call scratch lives in sh, shared across the shard's engines.
-	reqSent []view.Descriptor
-	sh      *Shared
 }
 
 var _ Engine = (*ARRG)(nil)
@@ -39,33 +29,18 @@ var _ Engine = (*ARRG)(nil)
 // NewARRG builds the engine. cacheSize bounds the reachable-peer cache; it
 // panics if not positive.
 func NewARRG(cfg Config, cacheSize int) *ARRG {
-	cfg.validate()
+	g := newGossip(cfg)
 	if cacheSize <= 0 {
 		panic("core: ARRG cacheSize must be positive")
 	}
-	sh := cfg.shared()
-	return &ARRG{cfg: cfg, cacheSize: cacheSize, sh: sh, view: view.NewShared(cfg.Self.ID, cfg.ViewSize, sh.View)}
-}
-
-// Self implements Engine.
-func (a *ARRG) Self() view.Descriptor { return a.cfg.Self.Fresh() }
-
-// View implements Engine.
-func (a *ARRG) View() *view.View { return a.view }
-
-// Stats implements Engine.
-func (a *ARRG) Stats() *Stats { return &a.stats }
-
-// Bootstrap seeds the view.
-func (a *ARRG) Bootstrap(ds []view.Descriptor) {
-	for _, d := range ds {
-		a.view.Add(d)
-	}
+	return &ARRG{gossip: g, cacheSize: cacheSize}
 }
 
 // CacheLen reports the current cache occupancy, for tests and metrics.
 func (a *ARRG) CacheLen() int { return len(a.cache) }
 
+// cacheAdd moves d to the most-recent end of the cache, evicting the oldest
+// member beyond cacheSize.
 func (a *ARRG) cacheAdd(d view.Descriptor) {
 	if d.ID == a.cfg.Self.ID || d.ID.IsNil() {
 		return
@@ -78,50 +53,26 @@ func (a *ARRG) cacheAdd(d view.Descriptor) {
 	}
 	a.cache = append(a.cache, d)
 	if len(a.cache) > a.cacheSize {
-		a.cache = a.cache[1:]
+		// Shift down in place: reslicing from [1:] would walk the slice off
+		// its backing array and make append reallocate every cacheSize adds.
+		a.cache = a.cache[:copy(a.cache, a.cache[1:])]
 	}
-}
-
-func (a *ARRG) buffer(m *wire.Message, buf []view.Descriptor) []view.Descriptor {
-	sent := a.view.PrepareExchangeInto(a.cfg.Merge, a.cfg.RNG, buf)
-	m.Entries = append(m.Entries[:0], wire.ViewEntry{Desc: a.Self()})
-	for _, d := range sent {
-		m.Entries = append(m.Entries, wire.ViewEntry{Desc: d})
-	}
-	return sent
-}
-
-func (a *ARRG) request(target view.Descriptor) Send {
-	msg := newMsg(a.cfg.Msgs, wire.KindRequest, a.Self(), target, a.Self())
-	// A fallback retry and the regular shuffle may both run this round;
-	// only the latest buffer matters for the swapper bookkeeping, so the
-	// shared scratch may be overwritten.
-	a.reqSent = a.buffer(msg, a.reqSent[:0])
-	a.pendingSent = a.reqSent
-	return Send{To: target.Addr, ToID: target.ID, Msg: msg}
 }
 
 // Tick implements Engine. If the previous round's shuffle went unanswered,
-// this round additionally retries against a random cache member.
+// the target is evicted (ARRG always does — detecting unreachable peers is
+// its point) and this round additionally retries against a random cache
+// member.
 func (a *ARRG) Tick(now int64) []Send {
 	defer a.view.IncreaseAge()
 	out := a.sh.out[:0]
-	if !a.pending.IsNil() {
-		// Last round's target never answered: evict it (ARRG always
-		// does — detecting unreachable peers is its point) and retry
-		// against a random cache member.
-		a.view.Remove(a.pending)
-		if len(a.cache) > 0 {
-			a.stats.CacheFallbacks++
-			fallback := a.cache[a.cfg.RNG.Intn(len(a.cache))]
-			out = append(out, a.request(fallback))
-		}
+	if a.expire(true) && len(a.cache) > 0 {
+		a.stats.CacheFallbacks++
+		fallback := a.cache[a.cfg.RNG.Intn(len(a.cache))]
+		out = append(out, toPeer(fallback, a.request(fallback)))
 	}
-	a.pending = ident.Nil
-	if target, ok := a.view.Select(a.cfg.Selection, a.cfg.RNG); ok {
-		a.stats.ShufflesInitiated++
-		a.pending = target.ID
-		out = append(out, a.request(target))
+	if target, ok := a.pick(); ok {
+		out = append(out, toPeer(target, a.request(target)))
 	}
 	a.sh.out = out
 	return out
@@ -129,38 +80,12 @@ func (a *ARRG) Tick(now int64) []Send {
 
 // Receive implements Engine.
 func (a *ARRG) Receive(now int64, from ident.Endpoint, msg *wire.Message) []Send {
-	// Every datagram proves its sender currently reachable: remember the
-	// observed endpoint, which its NAT will keep admitting for a while.
-	observed := msg.Src
-	observed.Addr = from
-	switch msg.Kind {
-	case wire.KindRequest:
+	if msg.Kind == wire.KindRequest || msg.Kind == wire.KindResponse {
+		// The datagram proves its sender currently reachable: remember the
+		// observed endpoint, which its NAT will keep admitting for a while.
+		observed := msg.Src
+		observed.Addr = from
 		a.cacheAdd(observed)
-		out := a.sh.out[:0]
-		var sentResp []view.Descriptor
-		if a.cfg.PushPull {
-			resp := newMsg(a.cfg.Msgs, wire.KindResponse, a.Self(), msg.Src, a.Self())
-			a.sh.resp = a.buffer(resp, a.sh.resp[:0])
-			sentResp = a.sh.resp
-			out = append(out, Send{To: from, ToID: msg.Src.ID, Msg: resp})
-		}
-		a.sh.recv = msg.AppendDescriptors(a.sh.recv[:0])
-		a.view.ApplyExchange(a.cfg.Merge, a.sh.recv, sentResp, a.cfg.RNG)
-		a.view.IncreaseAge()
-		a.stats.ShufflesAnswered++
-		a.sh.out = out
-		return out
-	case wire.KindResponse:
-		a.cacheAdd(observed)
-		if msg.Src.ID == a.pending {
-			a.pending = ident.Nil
-		}
-		a.sh.recv = msg.AppendDescriptors(a.sh.recv[:0])
-		a.view.ApplyExchange(a.cfg.Merge, a.sh.recv, a.pendingSent, a.cfg.RNG)
-		a.pendingSent = nil
-		a.stats.ShufflesCompleted++
-		return nil
-	default:
-		return nil
 	}
+	return a.exchange(from, msg)
 }

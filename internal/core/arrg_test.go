@@ -59,7 +59,7 @@ func TestARRGCacheDedupAndBound(t *testing.T) {
 
 func TestARRGFallbackOnSilence(t *testing.T) {
 	a := newARRG(t, 1, 4)
-	a.Bootstrap([]view.Descriptor{pubDesc(2)})
+	a.Bootstrap(0, []view.Descriptor{pubDesc(2)})
 	// Cache a known-reachable peer.
 	resp := &wire.Message{Kind: wire.KindResponse, Src: pubDesc(5), Dst: a.Self(), Via: pubDesc(5)}
 	a.Receive(0, pubDesc(5).Addr, resp)
@@ -93,7 +93,7 @@ func TestARRGFallbackOnSilence(t *testing.T) {
 
 func TestARRGResponseClearsPending(t *testing.T) {
 	a := newARRG(t, 1, 4)
-	a.Bootstrap([]view.Descriptor{pubDesc(2)})
+	a.Bootstrap(0, []view.Descriptor{pubDesc(2)})
 	a.Tick(0)
 	resp := &wire.Message{Kind: wire.KindResponse, Src: pubDesc(2), Dst: a.Self(), Via: pubDesc(2)}
 	a.Receive(100, pubDesc(2).Addr, resp)

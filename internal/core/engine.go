@@ -1,7 +1,11 @@
 // Package core implements the gossip peer-sampling protocol engines of the
-// Nylon paper as sans-IO state machines:
+// Nylon paper as sans-IO state machines. The paper presents Nylon (Fig. 6) as
+// the generic protocol of Fig. 1 plus traversal, and so does this package:
+// the unexported gossip type is Fig. 1 — view, shuffle buffer, swapper
+// bookkeeping, answering a REQUEST, merging a RESPONSE, no-reply eviction —
+// and each engine embeds it and adds only how it gets a datagram past a NAT:
 //
-//   - Generic: the baseline protocol of Fig. 1, configurable along the three
+//   - Generic: Fig. 1 and nothing else, configurable along the three
 //     dimensions of Section 3 (target selection, view propagation, view
 //     merging). It is NAT-oblivious: its messages get dropped by NAT devices,
 //     which is exactly the pathology Figures 2-4 of the paper measure.
@@ -11,6 +15,25 @@
 //     prior gossip work handling NATs the paper cites.
 //   - StaticRVP: the strawman dismissed in Section 4's introduction, where
 //     every natted peer is bound to one fixed public rendez-vous peer.
+//
+// What every engine takes from the core (F1 = Fig. 1, F6 = Fig. 6, by line)
+// and what each adds:
+//
+//	                 Generic       ARRG            StaticRVP              Nylon
+//	period opening   evict         always evict,   evict, void punches,   evict, void punches,
+//	(F1:1-7)                       cache fallback  keepalive PING         purge routes
+//	buffer           core          core            core                   core + route TTLs (§4)
+//	REQUEST routing  to target     to target       direct if public, or   direct (F6:3), relayed on the
+//	(F1:1-7)                                       via target's RVP:      chain (F6:5-7), or OPEN_HOLE +
+//	                                               punch, relay if SYM    PING, REQUEST on PONG (F6:8-12)
+//	RESPONSE routing observed      observed        observed if direct,    chain (F6:20-22), observed or
+//	(F1:8-12)        endpoint      endpoint        else initiator's RVP   advertised endpoint (F6:23-24)
+//	extra state      none          cache           own RVP, clients,      routes, punches, tick
+//	                                               punches
+//
+// One rule sits in the core for all four: a target is "unanswered" only when
+// an answer was expected, so under push-only propagation nothing is evicted
+// and ARRG's fallback never fires.
 //
 // Engines are driven by a host (the discrete-event simulator or the
 // real-time runtime): the host calls Tick once per shuffling period and
@@ -187,14 +210,6 @@ type Config struct {
 	// state (see Shared). All engines handed the same instance must have
 	// their calls serialized on one goroutine.
 	Shared *Shared
-}
-
-// shared returns the configured Shared or a fresh private one.
-func (c Config) shared() *Shared {
-	if c.Shared != nil {
-		return c.Shared
-	}
-	return NewShared()
 }
 
 func (c Config) validate() {

@@ -2,129 +2,41 @@ package core
 
 import (
 	"repro/internal/ident"
-	"repro/internal/view"
 	"repro/internal/wire"
 )
 
 // Generic is the NAT-oblivious gossip peer-sampling protocol of Fig. 1 of the
 // paper, configurable along the selection, propagation and merging
-// dimensions. It addresses every message to the target's advertised endpoint
-// and has no traversal machinery: NAT devices silently eat its datagrams,
-// wasting the round and leaving stale references behind.
+// dimensions: the shared gossip core and nothing else. It addresses every
+// message to the target's advertised endpoint and has no traversal machinery:
+// NAT devices silently eat its datagrams, wasting the round and leaving stale
+// references behind — with no-reply eviction on, the resulting view shrinkage
+// is precisely what partitions the overlay in the paper's Fig. 2.
 type Generic struct {
-	cfg  Config
-	view *view.View
-	// pendingSent remembers the buffer shipped with the round's REQUEST so
-	// the swapper policy can discard exactly those entries when the
-	// RESPONSE arrives; pendingTarget is who it went to. A target that has
-	// not answered by the next period is evicted from the view, as in the
-	// reference framework of Jelasity et al. (TOCS 2007) — with NATs in
-	// the way this is the only thing that ever clears stale entries, and
-	// the resulting view shrinkage is precisely what partitions the
-	// overlay in the paper's Fig. 2.
-	pendingSent   []view.Descriptor
-	pendingTarget ident.NodeID
-	stats         Stats
-	// reqSent backs pendingSent across rounds, so it must stay per-engine;
-	// the per-call scratch (responder swapper buffer, received descriptors,
-	// returned command slice) lives in sh, shared across the shard's
-	// engines.
-	reqSent []view.Descriptor
-	sh      *Shared
+	gossip
 }
 
 var _ Engine = (*Generic)(nil)
 
 // NewGeneric builds a baseline engine. It panics on an invalid Config.
 func NewGeneric(cfg Config) *Generic {
-	cfg.validate()
-	sh := cfg.shared()
-	return &Generic{cfg: cfg, sh: sh, view: view.NewShared(cfg.Self.ID, cfg.ViewSize, sh.View)}
-}
-
-// Self implements Engine.
-func (g *Generic) Self() view.Descriptor { return g.cfg.Self.Fresh() }
-
-// View implements Engine.
-func (g *Generic) View() *view.View { return g.view }
-
-// Stats implements Engine.
-func (g *Generic) Stats() *Stats { return &g.stats }
-
-// Bootstrap seeds the view with initial descriptors (at most ViewSize).
-func (g *Generic) Bootstrap(ds []view.Descriptor) {
-	for _, d := range ds {
-		g.view.Add(d)
-	}
-}
-
-// buffer fills m's entries with the shuffle buffer: the peer's fresh
-// descriptor plus the exchange half of its view. The raw descriptors shipped
-// are appended to buf and returned (for the swapper bookkeeping).
-func (g *Generic) buffer(m *wire.Message, buf []view.Descriptor) []view.Descriptor {
-	sent := g.view.PrepareExchangeInto(g.cfg.Merge, g.cfg.RNG, buf)
-	m.Entries = append(m.Entries[:0], wire.ViewEntry{Desc: g.Self()})
-	for _, d := range sent {
-		m.Entries = append(m.Entries, wire.ViewEntry{Desc: d})
-	}
-	return sent
+	return &Generic{newGossip(cfg)}
 }
 
 // Tick implements Engine: one shuffling period (Fig. 1, lines 1-7).
 func (g *Generic) Tick(now int64) []Send {
-	if g.cfg.EvictUnanswered && g.cfg.PushPull && !g.pendingTarget.IsNil() {
-		// Last round's target never answered: evict it.
-		g.view.Remove(g.pendingTarget)
-		g.pendingTarget = ident.Nil
-	}
-	target, ok := g.view.Select(g.cfg.Selection, g.cfg.RNG)
+	g.expire(g.cfg.EvictUnanswered)
 	// Ages increase once per period whether or not a target exists, so
 	// isolated peers do not freeze their view's age structure.
 	defer g.view.IncreaseAge()
+	target, ok := g.pick()
 	if !ok {
 		return nil
 	}
-	g.stats.ShufflesInitiated++
-	msg := newMsg(g.cfg.Msgs, wire.KindRequest, g.Self(), target, g.Self())
-	g.reqSent = g.buffer(msg, g.reqSent[:0])
-	g.pendingSent = g.reqSent
-	g.pendingTarget = target.ID
-	g.sh.out = append(g.sh.out[:0], Send{To: target.Addr, ToID: target.ID, Msg: msg})
-	return g.sh.out
+	return g.one(toPeer(target, g.request(target)))
 }
 
 // Receive implements Engine (Fig. 1, lines 8-12).
 func (g *Generic) Receive(now int64, from ident.Endpoint, msg *wire.Message) []Send {
-	switch msg.Kind {
-	case wire.KindRequest:
-		out := g.sh.out[:0]
-		var sent []view.Descriptor
-		if g.cfg.PushPull {
-			resp := newMsg(g.cfg.Msgs, wire.KindResponse, g.Self(), msg.Src, g.Self())
-			g.sh.resp = g.buffer(resp, g.sh.resp[:0])
-			sent = g.sh.resp
-			// Reply to the observed transport endpoint: the
-			// requester's NAT session toward us admits exactly this
-			// return path.
-			out = append(out, Send{To: from, ToID: msg.Src.ID, Msg: resp})
-		}
-		g.sh.recv = msg.AppendDescriptors(g.sh.recv[:0])
-		g.view.ApplyExchange(g.cfg.Merge, g.sh.recv, sent, g.cfg.RNG)
-		g.view.IncreaseAge()
-		g.stats.ShufflesAnswered++
-		g.sh.out = out
-		return out
-	case wire.KindResponse:
-		if msg.Src.ID == g.pendingTarget {
-			g.pendingTarget = ident.Nil
-		}
-		g.sh.recv = msg.AppendDescriptors(g.sh.recv[:0])
-		g.view.ApplyExchange(g.cfg.Merge, g.sh.recv, g.pendingSent, g.cfg.RNG)
-		g.pendingSent = nil
-		g.stats.ShufflesCompleted++
-		return nil
-	default:
-		// The baseline protocol has no other message kinds; ignore.
-		return nil
-	}
+	return g.exchange(from, msg)
 }

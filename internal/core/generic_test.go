@@ -32,7 +32,7 @@ func pubDesc(id uint64) view.Descriptor {
 
 func TestGenericTickEmitsRequest(t *testing.T) {
 	g := NewGeneric(gcfg(1, ident.Public, true))
-	g.Bootstrap([]view.Descriptor{pubDesc(2)})
+	g.Bootstrap(0, []view.Descriptor{pubDesc(2)})
 	out := g.Tick(0)
 	if len(out) != 1 {
 		t.Fatalf("Tick emitted %d sends, want 1", len(out))
@@ -71,8 +71,8 @@ func TestGenericTickEmptyView(t *testing.T) {
 func TestGenericRequestResponseCycle(t *testing.T) {
 	a := NewGeneric(gcfg(1, ident.Public, true))
 	b := NewGeneric(gcfg(2, ident.Public, true))
-	a.Bootstrap([]view.Descriptor{pubDesc(2)})
-	b.Bootstrap([]view.Descriptor{pubDesc(3)})
+	a.Bootstrap(0, []view.Descriptor{pubDesc(2)})
+	b.Bootstrap(0, []view.Descriptor{pubDesc(3)})
 
 	req := a.Tick(0)[0]
 	resp := b.Receive(50, req.Msg.Src.Addr, req.Msg)
@@ -126,8 +126,8 @@ func TestGenericViewInvariantsUnderLongRun(t *testing.T) {
 	// Two peers shuffling repeatedly must never corrupt their views.
 	a := NewGeneric(gcfg(1, ident.Public, true))
 	b := NewGeneric(gcfg(2, ident.Public, true))
-	a.Bootstrap([]view.Descriptor{pubDesc(2), pubDesc(3)})
-	b.Bootstrap([]view.Descriptor{pubDesc(1), pubDesc(4)})
+	a.Bootstrap(0, []view.Descriptor{pubDesc(2), pubDesc(3)})
+	b.Bootstrap(0, []view.Descriptor{pubDesc(1), pubDesc(4)})
 	now := int64(0)
 	for i := 0; i < 200; i++ {
 		for _, s := range a.Tick(now) {

@@ -31,27 +31,10 @@ import (
 // exactly; for relayed exchanges it is what keeps the RVP chain invariant —
 // "every hop can route the message onward" — actually true.
 type Nylon struct {
-	cfg    Config
-	view   *view.View
+	gossip
 	routes *rt.Table
-	// pending tracks hole punches started this period, so a PONG triggers
-	// exactly one REQUEST (the pseudocode would answer every PONG). It
-	// holds at most a couple of IDs, so a slice beats a map.
-	pending []ident.NodeID
-	// pendingSent remembers the buffer shipped with the round's REQUEST
-	// for the swapper policy; pendingTarget is the shuffle partner that
-	// must answer before the next period or be evicted from the view
-	// (Jelasity et al.'s no-reply eviction — the mechanism that lets the
-	// overlay shed departed peers after churn).
-	pendingSent   []view.Descriptor
-	pendingTarget ident.NodeID
-	stats         Stats
-	// reqSent backs pendingSent across rounds (it must survive until the
-	// RESPONSE arrives), so it stays per-engine; the per-call scratch — the
-	// responder-side swapper buffer, the received descriptors, the returned
-	// command slice — lives in sh, shared across the shard's engines.
-	reqSent []view.Descriptor
-	sh      *Shared
+	// pending holds the hole punches started this period.
+	pending punches
 	// tick counts Tick calls, driving the thinned purge cadence below.
 	tick uint64
 }
@@ -67,40 +50,12 @@ var _ Engine = (*Nylon)(nil)
 
 // NewNylon builds a Nylon engine. It panics on an invalid Config.
 func NewNylon(cfg Config) *Nylon {
-	cfg.validate()
+	g := newGossip(cfg)
 	if cfg.HoleTimeout <= 0 {
 		panic("core: Nylon requires a positive HoleTimeout")
 	}
-	sh := cfg.shared()
-	return &Nylon{
-		cfg:    cfg,
-		sh:     sh,
-		view:   view.NewShared(cfg.Self.ID, cfg.ViewSize, sh.View),
-		routes: rt.NewShared(cfg.Self.ID, sh.Intern),
-	}
+	return &Nylon{gossip: g, routes: rt.NewShared(cfg.Self.ID, g.sh.Intern)}
 }
-
-// pendingPunch reports whether a hole punch toward id was started this
-// period, removing it when found.
-func (n *Nylon) pendingPunch(id ident.NodeID) bool {
-	for i, p := range n.pending {
-		if p == id {
-			n.pending[i] = n.pending[len(n.pending)-1]
-			n.pending = n.pending[:len(n.pending)-1]
-			return true
-		}
-	}
-	return false
-}
-
-// Self implements Engine.
-func (n *Nylon) Self() view.Descriptor { return n.cfg.Self.Fresh() }
-
-// View implements Engine.
-func (n *Nylon) View() *view.View { return n.view }
-
-// Stats implements Engine.
-func (n *Nylon) Stats() *Stats { return &n.stats }
 
 // Routes exposes the routing table for metrics and tests (read-only use).
 func (n *Nylon) Routes() *rt.Table { return n.routes }
@@ -156,25 +111,26 @@ func (n *Nylon) resolveHop(dest view.Descriptor, now int64) (view.Descriptor, bo
 	return view.Descriptor{}, false
 }
 
-// buffer fills m's entries with the peer's fresh self-descriptor plus the
-// exchange half of its view, each natted entry annotated with the remaining
-// route TTL toward it ("TTLs are exchanged by peers together with their
-// views", §4). The raw sent descriptors are appended to buf and returned for
-// the swapper bookkeeping.
-func (n *Nylon) buffer(now int64, m *wire.Message, buf []view.Descriptor) []view.Descriptor {
-	sent := n.view.PrepareExchangeInto(n.cfg.Merge, n.cfg.RNG, buf)
-	m.Entries = append(m.Entries[:0], wire.ViewEntry{Desc: n.Self()})
-	for _, d := range sent {
-		e := wire.ViewEntry{Desc: d}
-		if d.Class.Natted() {
-			ttl := n.routes.TTL(d.ID, now)
-			if ttl > 0 {
-				e.RouteTTL = uint32(ttl)
-			}
+// withTTLs annotates each natted entry of a buffer the core built with the
+// remaining route TTL toward it ("TTLs are exchanged by peers together with
+// their views", §4). Entry 0 is the peer's own fresh descriptor and carries
+// none; the core wrote every entry whole, so an unannotated one reads 0.
+func (n *Nylon) withTTLs(now int64, m *wire.Message) *wire.Message {
+	for i := 1; i < len(m.Entries); i++ {
+		e := &m.Entries[i]
+		if !e.Desc.Class.Natted() {
+			continue
 		}
-		m.Entries = append(m.Entries, e)
+		if ttl := n.routes.TTL(e.Desc.ID, now); ttl > 0 {
+			e.RouteTTL = uint32(ttl)
+		}
 	}
-	return sent
+	return m
+}
+
+// request is the core's REQUEST with route TTLs attached.
+func (n *Nylon) request(now int64, target view.Descriptor) *wire.Message {
+	return n.withTTLs(now, n.gossip.request(target))
 }
 
 // installRoutes records RVP routes for received (or snooped) natted view
@@ -230,29 +186,19 @@ func (n *Nylon) Tick(now int64) []Send {
 	// Hole punches from previous periods are void: each PONG must map to a
 	// punch from the current round.
 	n.pending = n.pending[:0]
-	if n.cfg.EvictUnanswered && !n.pendingTarget.IsNil() {
-		// Last round's target never answered — dead peer or broken
-		// chain. Evict it so churn cannot freeze the view.
-		n.view.Remove(n.pendingTarget)
-	}
-	n.pendingTarget = ident.Nil
+	// A target that never answered is a dead peer or a broken chain.
+	n.expire(n.cfg.EvictUnanswered)
 	defer n.view.IncreaseAge()
 
-	target, ok := n.view.Select(n.cfg.Selection, n.cfg.RNG)
+	target, ok := n.pick()
 	if !ok {
 		return nil
 	}
-	n.stats.ShufflesInitiated++
-	n.pendingTarget = target.ID
 	self := n.Self()
 
 	if addr, ok := n.reachableDirect(target, now); ok {
 		// Fig. 6 line 3: target public or next_RVP(target) = target.
-		msg := newMsg(n.cfg.Msgs, wire.KindRequest, self, target, self)
-		n.reqSent = n.buffer(now, msg, n.reqSent[:0])
-		n.pendingSent = n.reqSent
-		n.sh.out = append(n.sh.out[:0], Send{To: addr, ToID: target.ID, Msg: msg})
-		return n.sh.out
+		return n.one(Send{To: addr, ToID: target.ID, Msg: n.request(now, target)})
 	}
 	hop, ok := n.resolveHop(target, now)
 	if !ok {
@@ -262,26 +208,16 @@ func (n *Nylon) Tick(now int64) []Send {
 	if relayInitiate(self, target) {
 		// Fig. 6 lines 5-7: relay the REQUEST itself along the chain.
 		n.stats.Relayed++
-		msg := newMsg(n.cfg.Msgs, wire.KindRequest, self, target, self)
-		n.reqSent = n.buffer(now, msg, n.reqSent[:0])
-		n.pendingSent = n.reqSent
-		n.sh.out = append(n.sh.out[:0], Send{To: hop.Addr, ToID: hop.ID, Msg: msg})
-		return n.sh.out
+		return n.one(toPeer(hop, n.request(now, target)))
 	}
 	// Fig. 6 lines 8-12: reactive hole punching.
 	n.stats.HolePunchesStarted++
 	n.pending = append(n.pending, target.ID)
-	out := append(n.sh.out[:0], Send{
-		To: hop.Addr, ToID: hop.ID,
-		Msg: newMsg(n.cfg.Msgs, wire.KindOpenHole, self, target, self),
-	})
+	out := n.one(toPeer(hop, newMsg(n.cfg.Msgs, wire.KindOpenHole, self, target, self)))
 	if self.Class.Natted() {
 		// The PING opens our own NAT toward the target; the target's NAT
 		// will normally drop it, which is fine.
-		out = append(out, Send{
-			To: target.Addr, ToID: target.ID,
-			Msg: newMsg(n.cfg.Msgs, wire.KindPing, self, target, self),
-		})
+		out = append(out, toPeer(target, newMsg(n.cfg.Msgs, wire.KindPing, self, target, self)))
 	}
 	n.sh.out = out
 	return out
@@ -308,60 +244,37 @@ func (n *Nylon) Receive(now int64, from ident.Endpoint, msg *wire.Message) []Sen
 		}
 	}
 
+	if n.inTransit(msg) {
+		return n.forward(now, msg, via, viaH)
+	}
 	switch msg.Kind {
 	case wire.KindRequest:
-		if msg.Dst.ID != n.cfg.Self.ID {
-			return n.forward(now, msg, via, viaH)
-		}
 		return n.handleRequest(now, from, msg, via, viaH)
 	case wire.KindResponse:
-		if msg.Dst.ID != n.cfg.Self.ID {
-			return n.forward(now, msg, via, viaH)
-		}
 		if via.ID != msg.Src.ID {
 			n.stats.ChainHopsTotal += uint64(msg.Hops)
 			n.stats.ChainSamples++
 		}
-		if msg.Src.ID == n.pendingTarget {
-			n.pendingTarget = ident.Nil
-		}
-		n.sh.recv = msg.AppendDescriptors(n.sh.recv[:0])
-		n.view.ApplyExchange(n.cfg.Merge, n.sh.recv, n.pendingSent, n.cfg.RNG)
-		n.pendingSent = nil
+		n.completed(msg)
 		n.installRoutes(now, msg.Entries, via, viaH)
-		n.stats.ShufflesCompleted++
-		return nil
 	case wire.KindOpenHole:
-		if msg.Dst.ID != n.cfg.Self.ID {
-			return n.forward(now, msg, via, viaH)
-		}
 		// Fig. 6 lines 37-38: we are the hole-punch target; answer the
 		// originator directly so both NATs now hold matching rules.
 		n.stats.ChainHopsTotal += uint64(msg.Hops) + 1
 		n.stats.ChainSamples++
-		pong := newMsg(n.cfg.Msgs, wire.KindPong, n.Self(), msg.Src, n.Self())
-		n.sh.out = append(n.sh.out[:0], Send{To: msg.Src.Addr, ToID: msg.Src.ID, Msg: pong})
-		return n.sh.out
+		return n.pong(msg.Src.Addr, msg)
 	case wire.KindPing:
 		// Fig. 6 lines 41-43: reply to the observed endpoint.
-		pong := newMsg(n.cfg.Msgs, wire.KindPong, n.Self(), msg.Src, n.Self())
-		n.sh.out = append(n.sh.out[:0], Send{To: from, ToID: msg.Src.ID, Msg: pong})
-		return n.sh.out
+		return n.pong(from, msg)
 	case wire.KindPong:
 		// Fig. 6 lines 44-46: the hole is open; gossip through it. Only
 		// punches from the current period are honoured.
-		if !n.pendingPunch(msg.Src.ID) {
-			return nil
+		if n.pending.take(msg.Src.ID) {
+			n.stats.HolePunchesCompleted++
+			return n.one(Send{To: from, ToID: msg.Src.ID, Msg: n.request(now, msg.Src)})
 		}
-		n.stats.HolePunchesCompleted++
-		req := newMsg(n.cfg.Msgs, wire.KindRequest, n.Self(), msg.Src, n.Self())
-		n.reqSent = n.buffer(now, req, n.reqSent[:0])
-		n.pendingSent = n.reqSent
-		n.sh.out = append(n.sh.out[:0], Send{To: from, ToID: msg.Src.ID, Msg: req})
-		return n.sh.out
-	default:
-		return nil
 	}
+	return nil
 }
 
 // handleRequest processes a shuffle REQUEST addressed to this peer
@@ -372,41 +285,34 @@ func (n *Nylon) handleRequest(now int64, from ident.Endpoint, msg *wire.Message,
 		n.stats.ChainSamples++
 	}
 	out := n.sh.out[:0]
-	var sentResp []view.Descriptor
-	if n.cfg.PushPull {
-		self := n.Self()
-		resp := newMsg(n.cfg.Msgs, wire.KindResponse, self, msg.Src, self)
-		n.sh.resp = n.buffer(now, resp, n.sh.resp[:0])
-		sentResp = n.sh.resp
-		if relayRespond(self, msg.Src) {
-			// Fig. 6 lines 20-22: the response must travel back along
-			// the chain.
-			if hop, ok := n.resolveHop(msg.Src, now); ok {
-				if hop.ID != msg.Src.ID {
-					n.stats.Relayed++
-				}
-				out = append(out, Send{To: hop.Addr, ToID: hop.ID, Msg: resp})
-			} else {
-				n.stats.NoRoute++
-				n.cfg.Msgs.Put(resp)
+	resp, sent := n.response(msg)
+	switch {
+	case resp == nil:
+	case relayRespond(n.cfg.Self, msg.Src):
+		// Fig. 6 lines 20-22: the response must travel back along the
+		// chain.
+		if hop, ok := n.resolveHop(msg.Src, now); ok {
+			if hop.ID != msg.Src.ID {
+				n.stats.Relayed++
 			}
+			out = append(out, toPeer(hop, n.withTTLs(now, resp)))
 		} else {
-			// Fig. 6 lines 23-24. When the request arrived directly the
-			// observed endpoint is the right return path; otherwise the
-			// initiator punched a hole toward us and awaits us at its
-			// advertised address.
-			addr := msg.Src.Addr
-			if via.ID == msg.Src.ID {
-				addr = from
-			}
-			out = append(out, Send{To: addr, ToID: msg.Src.ID, Msg: resp})
+			n.stats.NoRoute++
+			n.cfg.Msgs.Put(resp)
 		}
+	default:
+		// Fig. 6 lines 23-24. When the request arrived directly the
+		// observed endpoint is the right return path; otherwise the
+		// initiator punched a hole toward us and awaits us at its
+		// advertised address.
+		addr := msg.Src.Addr
+		if via.ID == msg.Src.ID {
+			addr = from
+		}
+		out = append(out, Send{To: addr, ToID: msg.Src.ID, Msg: n.withTTLs(now, resp)})
 	}
-	n.sh.recv = msg.AppendDescriptors(n.sh.recv[:0])
-	n.view.ApplyExchange(n.cfg.Merge, n.sh.recv, sentResp, n.cfg.RNG)
-	n.view.IncreaseAge()
+	n.answered(msg, sent)
 	n.installRoutes(now, msg.Entries, via, viaH)
-	n.stats.ShufflesAnswered++
 	n.sh.out = out
 	return out
 }
@@ -438,6 +344,5 @@ func (n *Nylon) forward(now int64, msg *wire.Message, via view.Descriptor, viaH 
 	fwd := n.cfg.Msgs.Clone(msg)
 	fwd.Hops++
 	fwd.Via = n.Self()
-	n.sh.out = append(n.sh.out[:0], Send{To: hop.Addr, ToID: hop.ID, Msg: fwd})
-	return n.sh.out
+	return n.one(toPeer(hop, fwd))
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ident"
+	"repro/internal/traversal"
 	"repro/internal/view"
 	"repro/internal/wire"
 )
@@ -297,8 +298,8 @@ func TestNylonBufferAdvertisesTTLs(t *testing.T) {
 	n1.View().Add(pubDesc(3))
 	n1.Routes().Set(natted.ID, pubDesc(5), 40_000)
 	msg := wire.NewMessage()
-	sent := n1.buffer(10_000, msg, nil)
-	entries := msg.Entries
+	sent := n1.buffer(msg, nil)
+	entries := n1.withTTLs(10_000, msg).Entries
 	if len(sent) != 2 || len(entries) != 3 {
 		t.Fatalf("buffer shipped %d entries + self (%d total), want both view entries", len(sent), len(entries))
 	}
@@ -322,7 +323,56 @@ func TestNylonBufferAdvertisesTTLs(t *testing.T) {
 	}
 }
 
+// TestRelayConditions holds the engine to the paper's table of traversal
+// techniques (§2.2, traversal.Decide): for every (initiator, target) class
+// pair, what Nylon.Tick does toward a target it knows only through a public
+// RVP — REQUEST to the target, OPEN_HOLE, or REQUEST to the RVP — is what the
+// table says, except for the deviations listed, each with its reason. Then
+// the two relay predicates of Fig. 6 directly.
 func TestRelayConditions(t *testing.T) {
+	type pair struct{ src, dst ident.NATClass }
+	deviations := map[pair]traversal.Method{
+		// Table: modified hole punching (the symmetric side guesses nothing,
+		// the cone side learns its port from the first datagram). Fig. 6 has
+		// no such exchange: line 5 relays whenever the initiator is symmetric.
+		{ident.Symmetric, ident.RestrictedCone}: traversal.Relay,
+		// Table: relay. The engine punches: the OPEN_HOLE reaches the
+		// symmetric target over the chain, and the PONG it sends straight to
+		// an initiator that filters nothing opens the very mapping the
+		// REQUEST then uses.
+		{ident.Public, ident.Symmetric}:   traversal.HolePunch,
+		{ident.FullCone, ident.Symmetric}: traversal.HolePunch,
+	}
+	classes := []ident.NATClass{ident.Public, ident.FullCone, ident.RestrictedCone, ident.PortRestrictedCone, ident.Symmetric}
+	for _, src := range classes {
+		for _, dst := range classes {
+			n := NewNylon(ncfg(1, src))
+			rvp, target := pubDesc(2), nattedDesc(3, dst)
+			n.View().Add(target)
+			n.Routes().Set(target.ID, rvp, 90_000)
+			got := traversal.Method(255)
+			for _, s := range n.Tick(0) {
+				switch {
+				case s.Msg.Kind == wire.KindOpenHole:
+					got = traversal.HolePunch
+				case s.Msg.Kind == wire.KindRequest && s.ToID == target.ID:
+					got = traversal.Direct
+				case s.Msg.Kind == wire.KindRequest && s.ToID == rvp.ID:
+					got = traversal.Relay
+				}
+			}
+			want, deviates := deviations[pair{src, dst}]
+			if table := traversal.Decide(src, dst); !deviates {
+				want = table
+			} else if want == table {
+				t.Errorf("%v→%v is listed as a deviation but agrees with the table (%v)", src, dst, table)
+			}
+			if got != want {
+				t.Errorf("%v→%v: the engine does %v, want %v", src, dst, got, want)
+			}
+		}
+	}
+
 	pub := pubDesc(1)
 	rc := nattedDesc(2, ident.RestrictedCone)
 	prc := nattedDesc(3, ident.PortRestrictedCone)

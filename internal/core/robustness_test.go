@@ -128,7 +128,7 @@ func stormCfg(seed int64, pool *wire.Pool) Config {
 func TestGenericSurvivesMessageStorm(t *testing.T) {
 	stormEngine(t, func(seed int64, pool *wire.Pool) Engine {
 		g := NewGeneric(stormCfg(seed, pool))
-		g.Bootstrap([]view.Descriptor{pubDesc(2), nattedDesc(3, ident.RestrictedCone)})
+		g.Bootstrap(0, []view.Descriptor{pubDesc(2), nattedDesc(3, ident.RestrictedCone)})
 		return g
 	})
 }
@@ -144,7 +144,7 @@ func TestNylonSurvivesMessageStorm(t *testing.T) {
 func TestARRGSurvivesMessageStorm(t *testing.T) {
 	stormEngine(t, func(seed int64, pool *wire.Pool) Engine {
 		a := NewARRG(stormCfg(seed, pool), 4)
-		a.Bootstrap([]view.Descriptor{pubDesc(2), nattedDesc(3, ident.RestrictedCone)})
+		a.Bootstrap(0, []view.Descriptor{pubDesc(2), nattedDesc(3, ident.RestrictedCone)})
 		return a
 	})
 }
@@ -160,7 +160,7 @@ func TestStaticRVPSurvivesMessageStorm(t *testing.T) {
 		s := NewStaticRVP(cfg, own, func(id ident.NodeID) (view.Descriptor, bool) {
 			return rvp, id%2 == 0
 		})
-		s.Bootstrap([]view.Descriptor{pubDesc(2), nattedDesc(3, ident.RestrictedCone)})
+		s.Bootstrap(0, []view.Descriptor{pubDesc(2), nattedDesc(3, ident.RestrictedCone)})
 		return s
 	})
 }

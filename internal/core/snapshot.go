@@ -83,14 +83,16 @@ func (s *Stats) state(c *snapshot.Codec) {
 	s.AdversaryDrops = c.U64(s.AdversaryDrops)
 }
 
-// pendingSentState walks the cross-round REQUEST buffer: the reqSent backing
-// slice is serialized only while pendingSent aliases it (the RESPONSE that
-// will consume it has not arrived); afterwards its contents are dead scratch,
-// overwritten before the next read, so a fresh engine's nil slice restores it.
-func pendingSentState(c *snapshot.Codec, reqSent, pendingSent *[]view.Descriptor) {
-	if c.Bool(*pendingSent != nil) {
-		*reqSent = sliceState(c, *reqSent, descSize, (*snapshot.Codec).Desc)
-		*pendingSent = *reqSent
+// pendingState walks the shuffle in flight: who owes an answer, and the
+// cross-round REQUEST buffer. The reqSent backing slice is serialized only
+// while pendingSent aliases it (the RESPONSE that will consume it has not
+// arrived); afterwards its contents are dead scratch, overwritten before the
+// next read, so a fresh engine's nil slice restores it.
+func (g *gossip) pendingState(c *snapshot.Codec) {
+	g.pendingTarget = idState(c, g.pendingTarget)
+	if c.Bool(g.pendingSent != nil) {
+		g.reqSent = sliceState(c, g.reqSent, descSize, (*snapshot.Codec).Desc)
+		g.pendingSent = g.reqSent
 	}
 }
 
@@ -114,8 +116,7 @@ func (n *Nylon) State(c *snapshot.Codec) {
 	}
 	n.routes.RestoreMinExpire(c.I64(n.routes.MinExpireBound()))
 	n.pending = sliceState(c, n.pending, 8, idState)
-	n.pendingTarget = idState(c, n.pendingTarget)
-	pendingSentState(c, &n.reqSent, &n.pendingSent)
+	n.pendingState(c)
 	n.tick = c.U64(n.tick)
 	n.stats.state(c)
 }
@@ -123,8 +124,7 @@ func (n *Nylon) State(c *snapshot.Codec) {
 // State walks the engine's full protocol state.
 func (g *Generic) State(c *snapshot.Codec) {
 	viewState(c, g.view)
-	g.pendingTarget = idState(c, g.pendingTarget)
-	pendingSentState(c, &g.reqSent, &g.pendingSent)
+	g.pendingState(c)
 	g.stats.state(c)
 }
 
@@ -134,8 +134,7 @@ func (g *Generic) State(c *snapshot.Codec) {
 func (a *ARRG) State(c *snapshot.Codec) {
 	viewState(c, a.view)
 	a.cache = sliceState(c, a.cache, descSize, (*snapshot.Codec).Desc)
-	a.pending = idState(c, a.pending)
-	pendingSentState(c, &a.reqSent, &a.pendingSent)
+	a.pendingState(c)
 	a.stats.state(c)
 }
 
@@ -159,7 +158,6 @@ func (s *StaticRVP) State(c *snapshot.Codec) {
 		}
 	}
 	s.pending = sliceState(c, s.pending, 8, idState)
-	s.pendingTarget = idState(c, s.pendingTarget)
-	pendingSentState(c, &s.reqSent, &s.pendingSent)
+	s.pendingState(c)
 	s.stats.state(c)
 }

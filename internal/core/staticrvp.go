@@ -19,22 +19,14 @@ type RVPResolver func(ident.NodeID) (view.Descriptor, bool)
 // measurements: the relay/keepalive load concentrates on public peers
 // (ablation A1), and an RVP's failure orphans every natted peer bound to it.
 type StaticRVP struct {
-	cfg     Config
-	view    *view.View
+	gossip
 	ownRVP  view.Descriptor // zero for public peers
 	resolve RVPResolver
 	// clients maps peer IDs to their observed endpoints, learned from
 	// keepalive PINGs and forwarded traffic. An RVP uses it to reach the
 	// natted peers bound to it.
-	clients       map[ident.NodeID]ident.Endpoint
-	pending       []ident.NodeID
-	pendingSent   []view.Descriptor
-	pendingTarget ident.NodeID
-	stats         Stats
-	// reqSent backs pendingSent across rounds, so it stays per-engine; the
-	// per-call scratch lives in sh, shared across the shard's engines.
-	reqSent []view.Descriptor
-	sh      *Shared
+	clients map[ident.NodeID]ident.Endpoint
+	pending punches
 }
 
 var _ Engine = (*StaticRVP)(nil)
@@ -43,65 +35,24 @@ var _ Engine = (*StaticRVP)(nil)
 // public peers and the assigned public RVP for natted ones; resolve must
 // return the RVP of any natted peer in the system.
 func NewStaticRVP(cfg Config, ownRVP view.Descriptor, resolve RVPResolver) *StaticRVP {
-	cfg.validate()
+	g := newGossip(cfg)
 	if resolve == nil {
 		panic("core: StaticRVP requires a resolver")
 	}
 	if cfg.Self.Class.Natted() && ownRVP.ID.IsNil() {
 		panic("core: natted StaticRVP peer requires an RVP")
 	}
-	sh := cfg.shared()
 	return &StaticRVP{
-		cfg:     cfg,
-		sh:      sh,
-		view:    view.NewShared(cfg.Self.ID, cfg.ViewSize, sh.View),
+		gossip:  g,
 		ownRVP:  ownRVP,
 		resolve: resolve,
 		clients: make(map[ident.NodeID]ident.Endpoint),
 	}
 }
 
-// pendingPunch reports whether a hole punch toward id was started this
-// period, removing it when found.
-func (s *StaticRVP) pendingPunch(id ident.NodeID) bool {
-	for i, p := range s.pending {
-		if p == id {
-			s.pending[i] = s.pending[len(s.pending)-1]
-			s.pending = s.pending[:len(s.pending)-1]
-			return true
-		}
-	}
-	return false
-}
-
-// Self implements Engine.
-func (s *StaticRVP) Self() view.Descriptor { return s.cfg.Self.Fresh() }
-
 // OwnRVP returns the fixed rendez-vous peer this peer is bound to (zero for
 // public peers). Metrics code uses it to evaluate reachability.
 func (s *StaticRVP) OwnRVP() view.Descriptor { return s.ownRVP }
-
-// View implements Engine.
-func (s *StaticRVP) View() *view.View { return s.view }
-
-// Stats implements Engine.
-func (s *StaticRVP) Stats() *Stats { return &s.stats }
-
-// Bootstrap seeds the view.
-func (s *StaticRVP) Bootstrap(ds []view.Descriptor) {
-	for _, d := range ds {
-		s.view.Add(d)
-	}
-}
-
-func (s *StaticRVP) buffer(m *wire.Message, buf []view.Descriptor) []view.Descriptor {
-	sent := s.view.PrepareExchangeInto(s.cfg.Merge, s.cfg.RNG, buf)
-	m.Entries = append(m.Entries[:0], wire.ViewEntry{Desc: s.Self()})
-	for _, d := range sent {
-		m.Entries = append(m.Entries, wire.ViewEntry{Desc: d})
-	}
-	return sent
-}
 
 // endpointOf returns the best-known transport endpoint for a peer.
 func (s *StaticRVP) endpointOf(d view.Descriptor) ident.Endpoint {
@@ -115,52 +66,40 @@ func (s *StaticRVP) endpointOf(d view.Descriptor) ident.Endpoint {
 func (s *StaticRVP) Tick(now int64) []Send {
 	defer s.view.IncreaseAge()
 	s.pending = s.pending[:0]
-	if s.cfg.EvictUnanswered && !s.pendingTarget.IsNil() {
-		s.view.Remove(s.pendingTarget)
-	}
-	s.pendingTarget = ident.Nil
-	out := s.sh.out[:0]
-	defer func() { s.sh.out = out }()
+	s.expire(s.cfg.EvictUnanswered)
 	self := s.Self()
-	if s.cfg.Self.Class.Natted() {
-		out = append(out, Send{To: s.ownRVP.Addr, ToID: s.ownRVP.ID,
-			Msg: newMsg(s.cfg.Msgs, wire.KindPing, self, s.ownRVP, self)})
+	out := s.sh.out[:0]
+	if self.Class.Natted() {
+		out = append(out, toPeer(s.ownRVP, newMsg(s.cfg.Msgs, wire.KindPing, self, s.ownRVP, self)))
 	}
-	target, ok := s.view.Select(s.cfg.Selection, s.cfg.RNG)
-	if !ok {
-		return out
+	if target, ok := s.pick(); ok {
+		out = s.initiate(out, self, target)
 	}
-	s.stats.ShufflesInitiated++
-	s.pendingTarget = target.ID
+	s.sh.out = out
+	return out
+}
+
+// initiate appends the datagrams that open the period's shuffle with target.
+func (s *StaticRVP) initiate(out []Send, self, target view.Descriptor) []Send {
 	if !target.Class.Natted() {
-		msg := newMsg(s.cfg.Msgs, wire.KindRequest, self, target, self)
-		s.reqSent = s.buffer(msg, s.reqSent[:0])
-		s.pendingSent = s.reqSent
-		out = append(out, Send{To: target.Addr, ToID: target.ID, Msg: msg})
-		return out
+		return append(out, toPeer(target, s.request(target)))
 	}
 	rvp, ok := s.resolve(target.ID)
 	if !ok {
 		s.stats.NoRoute++
 		return out
 	}
-	if s.cfg.Self.Class == ident.Symmetric || target.Class == ident.Symmetric {
+	if self.Class == ident.Symmetric || target.Class == ident.Symmetric {
 		// Hole punching cannot serve symmetric combinations reliably;
 		// relay the whole exchange through the target's RVP.
 		s.stats.Relayed++
-		msg := newMsg(s.cfg.Msgs, wire.KindRequest, self, target, self)
-		s.reqSent = s.buffer(msg, s.reqSent[:0])
-		s.pendingSent = s.reqSent
-		out = append(out, Send{To: rvp.Addr, ToID: rvp.ID, Msg: msg})
-		return out
+		return append(out, toPeer(rvp, s.request(target)))
 	}
 	s.stats.HolePunchesStarted++
 	s.pending = append(s.pending, target.ID)
-	out = append(out, Send{To: rvp.Addr, ToID: rvp.ID,
-		Msg: newMsg(s.cfg.Msgs, wire.KindOpenHole, self, target, self)})
-	if s.cfg.Self.Class.Natted() {
-		out = append(out, Send{To: target.Addr, ToID: target.ID,
-			Msg: newMsg(s.cfg.Msgs, wire.KindPing, self, target, self)})
+	out = append(out, toPeer(rvp, newMsg(s.cfg.Msgs, wire.KindOpenHole, self, target, self)))
+	if self.Class.Natted() {
+		out = append(out, toPeer(target, newMsg(s.cfg.Msgs, wire.KindPing, self, target, self)))
 	}
 	return out
 }
@@ -168,86 +107,51 @@ func (s *StaticRVP) Tick(now int64) []Send {
 // Receive implements Engine.
 func (s *StaticRVP) Receive(now int64, from ident.Endpoint, msg *wire.Message) []Send {
 	s.clients[msg.Via.ID] = from
-	self := s.Self()
+	if s.inTransit(msg) {
+		// We are the destination's RVP: hand the datagram over.
+		return s.handOver(msg)
+	}
 	switch msg.Kind {
-	case wire.KindRequest:
-		if msg.Dst.ID != s.cfg.Self.ID {
-			// We are the target's RVP: hand the request over.
-			return s.handOver(msg, self)
-		}
-		out := s.sh.out[:0]
-		var sentResp []view.Descriptor
-		if s.cfg.PushPull {
-			resp := newMsg(s.cfg.Msgs, wire.KindResponse, self, msg.Src, self)
-			s.sh.resp = s.buffer(resp, s.sh.resp[:0])
-			sentResp = s.sh.resp
-			switch {
-			case msg.Via.ID == msg.Src.ID:
-				// Direct request: the observed endpoint is the open
-				// return path.
-				out = append(out, Send{To: from, ToID: msg.Src.ID, Msg: resp})
-			default:
-				// Relayed request: route the response through the
-				// initiator's RVP.
-				if rvp, ok := s.resolve(msg.Src.ID); ok {
-					s.stats.Relayed++
-					out = append(out, Send{To: rvp.Addr, ToID: rvp.ID, Msg: resp})
-				} else if !msg.Src.Class.Natted() {
-					out = append(out, Send{To: msg.Src.Addr, ToID: msg.Src.ID, Msg: resp})
-				} else {
-					s.stats.NoRoute++
-					s.cfg.Msgs.Put(resp)
-				}
-			}
-		}
-		s.sh.recv = msg.AppendDescriptors(s.sh.recv[:0])
-		s.view.ApplyExchange(s.cfg.Merge, s.sh.recv, sentResp, s.cfg.RNG)
-		s.view.IncreaseAge()
-		s.stats.ShufflesAnswered++
-		s.sh.out = out
-		return out
 	case wire.KindResponse:
-		if msg.Dst.ID != s.cfg.Self.ID {
-			return s.handOver(msg, self)
+		s.completed(msg)
+	case wire.KindRequest:
+		if msg.Via.ID == msg.Src.ID {
+			// Fig. 1 as it stands: a REQUEST that came directly is answered
+			// to the observed endpoint, the open return path.
+			return s.exchange(from, msg)
 		}
-		if msg.Src.ID == s.pendingTarget {
-			s.pendingTarget = ident.Nil
-		}
-		s.sh.recv = msg.AppendDescriptors(s.sh.recv[:0])
-		s.view.ApplyExchange(s.cfg.Merge, s.sh.recv, s.pendingSent, s.cfg.RNG)
-		s.pendingSent = nil
-		s.stats.ShufflesCompleted++
-		return nil
-	case wire.KindOpenHole:
-		if msg.Dst.ID != s.cfg.Self.ID {
-			return s.handOver(msg, self)
-		}
-		s.stats.ChainHopsTotal++ // exactly one RVP by construction
-		s.stats.ChainSamples++
-		s.sh.out = append(s.sh.out[:0], Send{To: msg.Src.Addr, ToID: msg.Src.ID,
-			Msg: newMsg(s.cfg.Msgs, wire.KindPong, self, msg.Src, self)})
-		return s.sh.out
-	case wire.KindPing:
-		s.sh.out = append(s.sh.out[:0], Send{To: from, ToID: msg.Src.ID,
-			Msg: newMsg(s.cfg.Msgs, wire.KindPong, self, msg.Src, self)})
-		return s.sh.out
-	case wire.KindPong:
-		if !s.pendingPunch(msg.Src.ID) {
+		// Relayed request: route the response through the initiator's RVP.
+		resp, sent := s.response(msg)
+		s.answered(msg, sent)
+		if resp == nil {
 			return nil
 		}
-		s.stats.HolePunchesCompleted++
-		req := newMsg(s.cfg.Msgs, wire.KindRequest, self, msg.Src, self)
-		s.reqSent = s.buffer(req, s.reqSent[:0])
-		s.pendingSent = s.reqSent
-		s.sh.out = append(s.sh.out[:0], Send{To: from, ToID: msg.Src.ID, Msg: req})
-		return s.sh.out
-	default:
-		return nil
+		if rvp, ok := s.resolve(msg.Src.ID); ok {
+			s.stats.Relayed++
+			return s.one(toPeer(rvp, resp))
+		}
+		if !msg.Src.Class.Natted() {
+			return s.one(toPeer(msg.Src, resp))
+		}
+		s.stats.NoRoute++
+		s.cfg.Msgs.Put(resp)
+	case wire.KindOpenHole:
+		s.stats.ChainHopsTotal++ // exactly one RVP by construction
+		s.stats.ChainSamples++
+		return s.pong(msg.Src.Addr, msg)
+	case wire.KindPing:
+		return s.pong(from, msg)
+	case wire.KindPong:
+		if s.pending.take(msg.Src.ID) {
+			s.stats.HolePunchesCompleted++
+			return s.one(Send{To: from, ToID: msg.Src.ID, Msg: s.request(msg.Src)})
+		}
 	}
+	return nil
 }
 
 // handOver forwards a datagram to the natted peer bound to this RVP.
-func (s *StaticRVP) handOver(msg *wire.Message, self view.Descriptor) []Send {
+func (s *StaticRVP) handOver(msg *wire.Message) []Send {
 	if msg.Hops >= maxForwardHops {
 		// Honest static chains are one hop; anything at the limit is a
 		// forwarding loop fed by hostile or corrupt traffic.
@@ -257,7 +161,6 @@ func (s *StaticRVP) handOver(msg *wire.Message, self view.Descriptor) []Send {
 	s.stats.Forwarded++
 	fwd := s.cfg.Msgs.Clone(msg)
 	fwd.Hops++
-	fwd.Via = self
-	s.sh.out = append(s.sh.out[:0], Send{To: s.endpointOf(msg.Dst), ToID: msg.Dst.ID, Msg: fwd})
-	return s.sh.out
+	fwd.Via = s.Self()
+	return s.one(Send{To: s.endpointOf(msg.Dst), ToID: msg.Dst.ID, Msg: fwd})
 }

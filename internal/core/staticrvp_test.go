@@ -71,7 +71,7 @@ func TestStaticRVPKeepalive(t *testing.T) {
 
 func TestStaticRVPPunchThroughFixedRVP(t *testing.T) {
 	s, rvp, target := staticFixture(t, ident.RestrictedCone)
-	s.Bootstrap([]view.Descriptor{target})
+	s.Bootstrap(0, []view.Descriptor{target})
 	out := s.Tick(0)
 	var openHole *Send
 	for i := range out {
@@ -122,7 +122,7 @@ func TestStaticRVPSymmetricRelaysWholeExchange(t *testing.T) {
 	resolver := func(id ident.NodeID) (view.Descriptor, bool) { return rvp, id == 2 }
 	s := NewStaticRVP(ncfg(1, ident.Public), view.Descriptor{}, resolver)
 	symTarget := nattedDesc(2, ident.Symmetric)
-	s.Bootstrap([]view.Descriptor{symTarget})
+	s.Bootstrap(0, []view.Descriptor{symTarget})
 	out := s.Tick(0)
 	if len(out) != 1 || out[0].Msg.Kind != wire.KindRequest || out[0].ToID != rvp.ID {
 		t.Fatalf("exchange with symmetric target not relayed: %+v", out)
@@ -136,7 +136,7 @@ func TestStaticRVPUnresolvableTargetWastesRound(t *testing.T) {
 	s := NewStaticRVP(ncfg(1, ident.Public), view.Descriptor{}, func(ident.NodeID) (view.Descriptor, bool) {
 		return view.Descriptor{}, false
 	})
-	s.Bootstrap([]view.Descriptor{nattedDesc(9, ident.RestrictedCone)})
+	s.Bootstrap(0, []view.Descriptor{nattedDesc(9, ident.RestrictedCone)})
 	if out := s.Tick(0); len(out) != 0 {
 		t.Errorf("unresolvable target produced %+v", out)
 	}

@@ -93,16 +93,9 @@ func trRun(t *testing.T, build func(Config) Engine, evict bool) (string, Stats) 
 		for k := 1; k <= 3; k++ {
 			seeds = append(seeds, trDesc(1+(id-1+k*k)%trPeers))
 		}
-		switch e := engines[id].(type) {
-		case *Nylon:
-			e.Bootstrap(0, seeds)
-		case *Generic:
-			e.Bootstrap(seeds)
-		case *ARRG:
-			e.Bootstrap(seeds)
-		case *StaticRVP:
-			e.Bootstrap(seeds)
-		}
+		engines[id].(interface {
+			Bootstrap(int64, []view.Descriptor)
+		}).Bootstrap(0, seeds)
 	}
 
 	type datagram struct {

@@ -194,12 +194,6 @@ func (st *runState) capture(c *snapshot.Codec, now int64) {
 	st.state(c, now)
 }
 
-// engineState is what checkpointing needs of an engine beyond core.Engine:
-// its state walk. All four engines of internal/core have one.
-type engineState interface {
-	State(c *snapshot.Codec)
-}
-
 // state walks everything of the world that follows the payload's header, at
 // barrier time now: the one field list capture writes and restore reads. A
 // restore walks into this freshly wired run state, whose world it builds on
@@ -313,7 +307,7 @@ func (st *runState) state(c *snapshot.Codec, now int64) (processed uint64, ticks
 		}
 		src := st.engineSrcs[int(p.ID)-1]
 		src.SetState(c.U64(src.State()))
-		adversary.Unwrap(p.Engine).(engineState).State(c)
+		honest(p).State(c)
 	})
 	if c.Err() != nil {
 		return

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/snapshot"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/view"
@@ -527,25 +527,22 @@ func (st *runState) bootstrap() {
 			seeds = append(seeds, cand.Descriptor())
 			st.net.InstallHole(p, cand)
 		}
-		st.bootstrapEngine(p, seeds)
+		honest(p).Bootstrap(st.now(), seeds)
 	}
 }
 
-// bootstrapEngine hands a peer its initial view seeds. Adversarial wrappers
-// are transparent here: the honest engine underneath is bootstrapped.
-func (st *runState) bootstrapEngine(p *simnet.Peer, seeds []view.Descriptor) {
-	switch e := adversary.Unwrap(p.Engine).(type) {
-	case *core.Nylon:
-		e.Bootstrap(st.now(), seeds)
-	case *core.Generic:
-		e.Bootstrap(seeds)
-	case *core.ARRG:
-		e.Bootstrap(seeds)
-	case *core.StaticRVP:
-		e.Bootstrap(seeds)
-	default:
-		panic(fmt.Sprintf("exp: unknown engine %T", p.Engine))
-	}
+// hostEngine is what the runner needs of an honest engine beyond
+// core.Engine: view seeding at bootstrap and join, and the checkpoint state
+// walk. All four engines of internal/core have both.
+type hostEngine interface {
+	Bootstrap(now int64, seeds []view.Descriptor)
+	State(c *snapshot.Codec)
+}
+
+// honest returns the honest engine of a peer. Adversarial wrappers are
+// transparent to seeding and checkpointing: the engine underneath is reached.
+func honest(p *simnet.Peer) hostEngine {
+	return adversary.Unwrap(p.Engine).(hostEngine)
 }
 
 // seedPeer fills a newly joined peer's view with up to ViewSize distinct
@@ -580,7 +577,7 @@ func (st *runState) seedPeer(p *simnet.Peer, rng *rand.Rand) {
 		seeds = append(seeds, cand.Descriptor())
 		st.net.InstallHole(p, cand)
 	}
-	st.bootstrapEngine(p, seeds)
+	honest(p).Bootstrap(st.now(), seeds)
 }
 
 // schedule arms the periodic shuffle of every peer with a random phase, so

@@ -55,7 +55,7 @@ func TestPublicPeersExchangeDirectly(t *testing.T) {
 	sched, net := newNet()
 	a := net.AddPeer(1, ident.Public, holeTimeout, genericFactory(1))
 	b := net.AddPeer(2, ident.Public, holeTimeout, genericFactory(2))
-	a.Engine.(*core.Generic).Bootstrap([]view.Descriptor{b.Descriptor()})
+	a.Engine.(*core.Generic).Bootstrap(0, []view.Descriptor{b.Descriptor()})
 
 	net.Tick(a)
 	sched.RunUntil(1000)
@@ -80,7 +80,7 @@ func TestBaselineDroppedAtNAT(t *testing.T) {
 	sched, net := newNet()
 	a := net.AddPeer(1, ident.Public, holeTimeout, genericFactory(1))
 	b := net.AddPeer(2, ident.PortRestrictedCone, holeTimeout, genericFactory(2))
-	a.Engine.(*core.Generic).Bootstrap([]view.Descriptor{b.Descriptor()})
+	a.Engine.(*core.Generic).Bootstrap(0, []view.Descriptor{b.Descriptor()})
 
 	net.Tick(a)
 	sched.RunUntil(1000)
@@ -102,7 +102,7 @@ func TestInstallHoleMakesBootstrapUsable(t *testing.T) {
 	a := net.AddPeer(1, ident.Public, holeTimeout, genericFactory(1))
 	b := net.AddPeer(2, ident.PortRestrictedCone, holeTimeout, genericFactory(2))
 	net.InstallHole(a, b)
-	a.Engine.(*core.Generic).Bootstrap([]view.Descriptor{b.Descriptor()})
+	a.Engine.(*core.Generic).Bootstrap(0, []view.Descriptor{b.Descriptor()})
 
 	net.Tick(a)
 	sched.RunUntil(1000)
@@ -206,7 +206,7 @@ func TestKillDropsTraffic(t *testing.T) {
 	sched, net := newNet()
 	a := net.AddPeer(1, ident.Public, holeTimeout, genericFactory(1))
 	b := net.AddPeer(2, ident.Public, holeTimeout, genericFactory(2))
-	a.Engine.(*core.Generic).Bootstrap([]view.Descriptor{b.Descriptor()})
+	a.Engine.(*core.Generic).Bootstrap(0, []view.Descriptor{b.Descriptor()})
 	net.Kill(2)
 	net.Tick(a)
 	sched.RunUntil(1000)
@@ -309,7 +309,7 @@ func TestFullConeBehavesLikePublic(t *testing.T) {
 	a := net.AddPeer(1, ident.Public, holeTimeout, genericFactory(1))
 	fc := net.AddPeer(2, ident.FullCone, holeTimeout, genericFactory(2))
 	// The join handshake allocated fc's mapping; a never contacted fc.
-	a.Engine.(*core.Generic).Bootstrap([]view.Descriptor{fc.Descriptor()})
+	a.Engine.(*core.Generic).Bootstrap(0, []view.Descriptor{fc.Descriptor()})
 	net.Tick(a)
 	sched.RunUntil(1000)
 	if fc.MsgsRecv != 1 {
@@ -338,7 +338,7 @@ func TestUPnPPeerAcceptsUnsolicited(t *testing.T) {
 	if u.Descriptor().Class != ident.Public {
 		t.Fatalf("UPnP peer advertises %v, want public", u.Descriptor().Class)
 	}
-	a.Engine.(*core.Generic).Bootstrap([]view.Descriptor{u.Descriptor()})
+	a.Engine.(*core.Generic).Bootstrap(0, []view.Descriptor{u.Descriptor()})
 
 	net.Tick(a)
 	sched.RunUntil(1000)
