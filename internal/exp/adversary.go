@@ -242,7 +242,7 @@ func (st *runState) sampleAdversary(withRefs bool) advViewSample {
 	if withRefs {
 		s.refs = make(map[ident.NodeID]int)
 	}
-	for _, p := range st.peers {
+	for _, p := range st.net.Peers() {
 		if !p.Alive || !st.adv.honest(p.ID) {
 			continue
 		}
@@ -300,5 +300,5 @@ func (st *runState) measureAdversary(res *Result, w *overlayWalk) {
 			honestEdges = append(honestEdges, e)
 		}
 	}
-	res.Adversary.HonestCluster = w.dense.BiggestClusterFraction(len(st.peers), honestIDs, honestEdges)
+	res.Adversary.HonestCluster = w.dense.BiggestClusterFraction(st.net.PeerCount(), honestIDs, honestEdges)
 }

@@ -250,11 +250,6 @@ func (st *runState) state(c *snapshot.Codec, now int64) (processed uint64, ticks
 	// in the original registration order — and wire the health accumulators
 	// before the eng! section replays views through their mutation hooks.
 	st.net.State(c, func(p *simnet.Peer) core.Engine {
-		idx := int(p.ID) - 1
-		for len(st.peers) <= idx {
-			st.peers = append(st.peers, nil)
-		}
-		st.peers[idx] = p
 		self := p.Descriptor()
 		if st.cfg.Protocol == ProtoStaticRVP && self.Class.Natted() {
 			// The engine's constructor panics on a natted peer without an RVP
@@ -266,22 +261,17 @@ func (st *runState) state(c *snapshot.Codec, now int64) (processed uint64, ticks
 				return nil
 			}
 		}
-		eng := st.engineFor(idx, self)
+		eng := st.engineFor(int(p.ID)-1, self)
 		if st.health != nil {
 			st.health.AddPeer(p.ID)
 			eng.View().SetObserver(st.health.Observer(p.Shard))
 		}
 		return eng
 	})
-	if c.Restoring() && c.Err() == nil {
-		if len(st.peers) == 0 {
-			c.Fail("empty peer roster")
-		}
-		for i, p := range st.peers {
-			if p == nil {
-				c.Fail("peer roster has a hole at id %d", i+1)
-			}
-		}
+	// The network admits only IDs 1..n, each once, into a roster of n: dense
+	// by construction, so all that is left to refuse is n = 0.
+	if c.Restoring() && c.Err() == nil && st.net.PeerCount() == 0 {
+		c.Fail("empty peer roster")
 	}
 	if c.Err() != nil {
 		return
@@ -546,11 +536,12 @@ func (st *runState) restore(c *snapshot.Codec, resumeT int64) error {
 
 	// Semantic validation: a payload can parse and still describe an
 	// impossible world. Everything below must hold before arming anything.
-	if len(st.selections) != len(st.peers)+1 {
-		return fmt.Errorf("%w: %d selection counters for %d peers", snapshot.ErrCorrupt, len(st.selections), len(st.peers))
+	peers := st.net.Peers()
+	if len(st.selections) != len(peers)+1 {
+		return fmt.Errorf("%w: %d selection counters for %d peers", snapshot.ErrCorrupt, len(st.selections), len(peers))
 	}
 	for i, tk := range ticks {
-		if tk.Actor < 1 || tk.Actor > uint64(len(st.peers)) {
+		if tk.Actor < 1 || tk.Actor > uint64(len(peers)) {
 			return fmt.Errorf("%w: tick %d names actor %d outside the roster", snapshot.ErrCorrupt, i, tk.Actor)
 		}
 		if tk.At < resumeT {
@@ -574,7 +565,7 @@ func (st *runState) restore(c *snapshot.Codec, resumeT int64) error {
 		st.kern.Shard(i).SetTickFn(st.tickActor)
 	}
 	for _, tk := range ticks {
-		p := st.peers[tk.Actor-1]
+		p := peers[tk.Actor-1]
 		st.kern.Shard(p.Shard).TickAtKey(tk.At, tk.Actor, tk.Seq)
 	}
 	st.armGlobals(resumeT)

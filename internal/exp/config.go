@@ -289,6 +289,12 @@ func (c Config) validate() error {
 	if c.N <= 0 || c.ViewSize <= 0 || c.Rounds <= 0 {
 		return fmt.Errorf("exp: N, ViewSize and Rounds must be positive (got %d, %d, %d)", c.N, c.ViewSize, c.Rounds)
 	}
+	// Zero means "default" and Defaults has replaced it by now: what is left
+	// to refuse is the negative, on which the kernel and the engines panic.
+	if c.LatencyMs <= 0 || c.PeriodMs <= 0 || c.HoleTimeoutMs <= 0 || c.CacheSize <= 0 {
+		return fmt.Errorf("exp: LatencyMs, PeriodMs, HoleTimeoutMs and CacheSize must be positive (got %d, %d, %d, %d)",
+			c.LatencyMs, c.PeriodMs, c.HoleTimeoutMs, c.CacheSize)
+	}
 	if c.NATRatio < 0 || c.NATRatio > 1 {
 		return fmt.Errorf("exp: NATRatio %v outside [0,1]", c.NATRatio)
 	}

@@ -1,11 +1,15 @@
 package exp
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 // TestConfigJSONStable pins the JSON shape — every key, at every depth — of a
@@ -60,5 +64,62 @@ func TestConfigJSONStable(t *testing.T) {
 	}
 	if got := b.String(); got != string(want) {
 		t.Errorf("serialized key set moved (see the comment on this test); now:\n%s", got)
+	}
+}
+
+// TestNegativeTimingsRejected pins that a negative LatencyMs, PeriodMs,
+// HoleTimeoutMs or CacheSize is an error, never the panic of the layer that
+// would have met it (the kernel's lookahead window, the tick phase draw, the
+// engines' constructors) — from a caller's Config through Run, and from
+// foreign bytes through ResumeFile on a checksum-valid snapshot whose embedded
+// config carries the value.
+func TestNegativeTimingsRejected(t *testing.T) {
+	base := Config{N: 30, Rounds: 6, NATRatio: 0.5, Protocol: ProtoARRG, Seed: 3}
+	_, dir := runCheckpointed(t, base, 3)
+	payload, err := snapshot.ReadFile(filepath.Join(dir, SnapshotFileName(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// exp! tag, I64 time, then the length-prefixed config JSON.
+	const hdr = 4 + 8 + 4
+	rest := statePastConfig(t, payload)
+	var embedded Config
+	if err := json.Unmarshal(payload[hdr:len(payload)-len(rest)], &embedded); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"LatencyMs", func(c *Config) { c.LatencyMs = -1 }},
+		{"PeriodMs", func(c *Config) { c.PeriodMs = -1 }},
+		{"HoleTimeoutMs", func(c *Config) { c.HoleTimeoutMs = -1 }},
+		{"CacheSize", func(c *Config) { c.CacheSize = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.set(&cfg)
+			if _, err := Run(cfg); err == nil {
+				t.Error("Run accepted the config")
+			}
+
+			cfg = embedded
+			tc.set(&cfg)
+			cfgJSON, err := json.Marshal(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forged := append([]byte(nil), payload[:4+8]...)
+			forged = binary.BigEndian.AppendUint32(forged, uint32(len(cfgJSON)))
+			forged = append(append(forged, cfgJSON...), rest...)
+			path := filepath.Join(t.TempDir(), "forged.snap")
+			if err := snapshot.WriteFile(path, forged); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ResumeFile(path, ResumeOptions{}); err == nil {
+				t.Error("ResumeFile accepted the snapshot")
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -299,9 +300,11 @@ func startRuns(points []Config, seeds []int64, workers int) *runs {
 		pr.results, pr.errs = make([]Result, len(seeds)), make([]error, len(seeds))
 		pr.done.Add(len(seeds))
 	}
-	ex := NewExecutor(workers)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	var next atomic.Int64
-	for w := 0; w < ex.Workers(); w++ {
+	for w := 0; w < workers; w++ {
 		rs.workers.Add(1)
 		go func() {
 			defer rs.workers.Done()
@@ -315,7 +318,8 @@ func startRuns(points []Config, seeds []int64, workers int) *runs {
 				if !rs.halt.Load() {
 					cfg := points[pt]
 					cfg.Seed = seeds[s]
-					pr.results[s], pr.errs[s] = ex.Run(cfg)
+					cfg.Workers = 1 // the parallelism is across runs
+					pr.results[s], pr.errs[s] = Run(cfg)
 				}
 				pr.done.Done()
 			}

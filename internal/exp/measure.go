@@ -103,7 +103,7 @@ func (w *overlayWalk) staleFraction() float64 {
 // run-lifetime scratch: it is valid until the next walk.
 func (st *runState) walkOverlay(now int64, warmup []uint64) *overlayWalk {
 	w := &st.walk
-	n := len(st.peers)
+	n := st.net.PeerCount()
 	perChunk := measureChunk * st.cfg.ViewSize
 	nChunks := (n + measureChunk - 1) / measureChunk
 	if cap(w.chunks) < nChunks {
@@ -170,8 +170,9 @@ func (st *runState) eachChunk(n int, fn func(c int)) {
 // with the other chunks' walks and so must only read the world.
 func (st *runState) walkChunk(now int64, warmup []uint64, lo, hi int, ch *overlayChunk) {
 	sums := &ch.sums
+	peers := st.net.Peers()
 	for i := lo; i < hi; i++ {
-		p := st.peers[i]
+		p := peers[i]
 		if !p.Alive {
 			continue
 		}

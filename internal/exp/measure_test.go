@@ -53,7 +53,7 @@ type tableState struct {
 // routingTables dumps every Nylon peer's routing table, rows in storage order.
 func routingTables(st *runState) []tableState {
 	var out []tableState
-	for _, p := range st.peers {
+	for _, p := range st.net.Peers() {
 		eng, ok := adversary.Unwrap(p.Engine).(*core.Nylon)
 		if !ok {
 			continue

@@ -103,11 +103,14 @@ func (r Result) ThroughputLine(wall time.Duration) string {
 
 // runState carries the wiring of one simulation run.
 type runState struct {
-	cfg   Config
-	rng   *xrand.Stream
-	kern  *sim.ShardedScheduler
-	net   *simnet.Network
-	peers []*simnet.Peer // index i holds NodeID i+1
+	cfg  Config
+	rng  *xrand.Stream
+	kern *sim.ShardedScheduler
+	// net holds the world, and the one roster: net.Peers()[i] is NodeID i+1
+	// (IDs are dense, so once build returns no element is nil).
+	net *simnet.Network
+	// seeds is seedPeer's scratch.
+	seeds []view.Descriptor
 
 	// engineSrcs[i] is peer index i's engine RNG source, held so a
 	// checkpoint can capture each engine's stream state (the engine itself
@@ -373,7 +376,6 @@ func (st *runState) build() {
 		}
 	}
 
-	st.peers = make([]*simnet.Peer, cfg.N)
 	// Two passes: public peers first, so the static-RVP resolver can hand
 	// natted peers their already-constructed rendez-vous descriptors.
 	// UPnP capabilities are drawn per ID up front so they do not depend on
@@ -456,25 +458,22 @@ func (st *runState) engineFor(idx int, self view.Descriptor) core.Engine {
 	return eng
 }
 
-func (st *runState) addPeer(id ident.NodeID, class ident.NATClass, upnp bool) {
+func (st *runState) addPeer(id ident.NodeID, class ident.NATClass, upnp bool) *simnet.Peer {
 	cfg := st.cfg
 	factory := func(self view.Descriptor) core.Engine {
 		return st.engineFor(int(id)-1, self)
 	}
-	if int(id) == len(st.peers)+1 {
-		// Scenario joins extend the population one peer at a time.
-		st.peers = append(st.peers, nil)
-	}
+	var p *simnet.Peer
 	if upnp {
-		st.peers[id-1] = st.net.AddPeerUPnP(id, class, cfg.HoleTimeoutMs, factory)
+		p = st.net.AddPeerUPnP(id, class, cfg.HoleTimeoutMs, factory)
 	} else {
-		st.peers[id-1] = st.net.AddPeer(id, class, cfg.HoleTimeoutMs, factory)
+		p = st.net.AddPeer(id, class, cfg.HoleTimeoutMs, factory)
 	}
 	if st.health != nil {
-		p := st.peers[id-1]
 		st.health.AddPeer(id)
 		p.Engine.View().SetObserver(st.health.Observer(p.Shard))
 	}
+	return p
 }
 
 // kill departs one peer through every layer that tracks life: the health
@@ -494,40 +493,18 @@ func (st *runState) kill(id ident.NodeID) {
 // usable. When no public peers exist (100% NAT), random natted peers are
 // used instead, with holes installed through the simulated introducer.
 func (st *runState) bootstrap() {
-	var publics []*simnet.Peer
-	for _, p := range st.peers {
+	peers := st.net.Peers()
+	var pool []*simnet.Peer
+	for _, p := range peers {
 		if p.Class == ident.Public {
-			publics = append(publics, p)
+			pool = append(pool, p)
 		}
 	}
-	pool := publics
 	if len(pool) == 0 {
-		pool = st.peers
+		pool = peers
 	}
-	// Scratch reused across peers: seen is indexed by NodeID (IDs are
-	// 1..N), picked records which entries to clear afterwards.
-	seen := make([]bool, st.cfg.N+1)
-	seeds := make([]view.Descriptor, 0, st.cfg.ViewSize)
-	picked := make([]ident.NodeID, 0, st.cfg.ViewSize+1)
-	for _, p := range st.peers {
-		seeds = seeds[:0]
-		for _, id := range picked {
-			seen[id] = false
-		}
-		picked = append(picked[:0], p.ID)
-		seen[p.ID] = true
-		// Cap attempts so tiny pools terminate.
-		for attempts := 0; len(seeds) < st.cfg.ViewSize && attempts < 20*st.cfg.ViewSize; attempts++ {
-			cand := pool[st.rng.Intn(len(pool))]
-			if seen[cand.ID] {
-				continue
-			}
-			seen[cand.ID] = true
-			picked = append(picked, cand.ID)
-			seeds = append(seeds, cand.Descriptor())
-			st.net.InstallHole(p, cand)
-		}
-		honest(p).Bootstrap(st.now(), seeds)
+	for _, p := range peers {
+		st.seedPeer(p, pool, st.rng.Rand)
 	}
 }
 
@@ -545,39 +522,47 @@ func honest(p *simnet.Peer) hostEngine {
 	return adversary.Unwrap(p.Engine).(hostEngine)
 }
 
-// seedPeer fills a newly joined peer's view with up to ViewSize distinct
-// alive peers — public preferred, exactly like the time-zero bootstrap —
-// and installs the join-time NAT holes that make those references usable.
-// All randomness comes from rng (the scenario's topology stream).
-func (st *runState) seedPeer(p *simnet.Peer, rng *rand.Rand) {
-	pool := make([]*simnet.Peer, 0, len(st.peers))
-	for _, q := range st.peers {
-		if q != p && q.Alive && q.Class == ident.Public {
-			pool = append(pool, q)
-		}
-	}
-	if len(pool) == 0 {
-		for _, q := range st.peers {
-			if q != p && q.Alive {
-				pool = append(pool, q)
-			}
-		}
-	}
-	if len(pool) == 0 {
-		return
-	}
-	seeds := make([]view.Descriptor, 0, st.cfg.ViewSize)
-	seen := make(map[ident.NodeID]bool, st.cfg.ViewSize)
-	for attempts := 0; len(seeds) < st.cfg.ViewSize && attempts < 20*st.cfg.ViewSize; attempts++ {
+// seedPeer fills p's view with up to ViewSize distinct peers drawn from pool
+// with rng, and installs the join-time NAT holes that make those references
+// usable. A draw landing on p itself or on a peer already picked (a scan of at
+// most ViewSize seeds) is consumed and skipped; attempts are capped so tiny
+// pools terminate.
+func (st *runState) seedPeer(p *simnet.Peer, pool []*simnet.Peer, rng *rand.Rand) {
+	seeds := st.seeds[:0]
+draw:
+	for attempts := 0; len(pool) > 0 && len(seeds) < st.cfg.ViewSize && attempts < 20*st.cfg.ViewSize; attempts++ {
 		cand := pool[rng.Intn(len(pool))]
-		if seen[cand.ID] {
+		if cand == p {
 			continue
 		}
-		seen[cand.ID] = true
+		for i := range seeds {
+			if seeds[i].ID == cand.ID {
+				continue draw
+			}
+		}
 		seeds = append(seeds, cand.Descriptor())
 		st.net.InstallHole(p, cand)
 	}
+	st.seeds = seeds
 	honest(p).Bootstrap(st.now(), seeds)
+}
+
+// joinPool lists whom a peer joining mid-run may be seeded with: the alive
+// peers other than p — public preferred, exactly like the time-zero bootstrap.
+func (st *runState) joinPool(p *simnet.Peer) []*simnet.Peer {
+	peers := st.net.Peers()
+	pool := make([]*simnet.Peer, 0, len(peers))
+	for _, publicOnly := range [...]bool{true, false} {
+		for _, q := range peers {
+			if q != p && q.Alive && (!publicOnly || q.Class == ident.Public) {
+				pool = append(pool, q)
+			}
+		}
+		if len(pool) > 0 {
+			break
+		}
+	}
+	return pool
 }
 
 // schedule arms the periodic shuffle of every peer with a random phase, so
@@ -592,7 +577,7 @@ func (st *runState) schedule() {
 	for i := 0; i < st.kern.Shards(); i++ {
 		st.kern.Shard(i).SetTickFn(st.tickActor)
 	}
-	for _, p := range st.peers {
+	for _, p := range st.net.Peers() {
 		st.armTick(p, st.rng.Int63n(st.cfg.PeriodMs))
 	}
 }
@@ -608,10 +593,9 @@ func (st *runState) armTick(p *simnet.Peer, firstAt int64) {
 
 // tickActor runs one shuffling period for the peer with NodeID actor and
 // re-arms its next tick. It is the shared callback behind every tick event,
-// running on the peer's shard (peer index slots and NodeIDs are aligned:
-// peer i+1 lives at peers[i], including scenario joins).
+// running on the peer's shard.
 func (st *runState) tickActor(actor uint64) {
-	p := st.peers[actor-1]
+	p := st.net.Peers()[actor-1]
 	sched := st.kern.Shard(p.Shard)
 	if p.Alive {
 		outs := p.Engine.Tick(sched.Now())
@@ -649,11 +633,11 @@ func (st *runState) recordSelection(now int64, outs []core.Send) {
 // which removes public and natted peers proportionally to their numbers, as
 // in the paper's Fig. 10 setup.
 func (st *runState) applyChurn() {
-	n := len(st.peers)
-	perm := st.rng.Perm(n)
-	kill := int(st.cfg.ChurnFraction * float64(n))
+	peers := st.net.Peers()
+	perm := st.rng.Perm(len(peers))
+	kill := int(st.cfg.ChurnFraction * float64(len(peers)))
 	for _, idx := range perm[:kill] {
-		st.kill(st.peers[idx].ID)
+		st.kill(peers[idx].ID)
 	}
 }
 
@@ -665,8 +649,9 @@ func (st *runState) applyChurn() {
 func (st *runState) snapshotBytesAt(at int64) *[]uint64 {
 	snap := &[]uint64{}
 	st.kern.Global().At(at, func() {
-		*snap = make([]uint64, len(st.peers))
-		for i, p := range st.peers {
+		peers := st.net.Peers()
+		*snap = make([]uint64, len(peers))
+		for i, p := range peers {
 			(*snap)[i] = p.BytesSent + p.BytesRecv
 		}
 	})
@@ -773,14 +758,14 @@ func (st *runState) measure(end int64, warmupBytes []uint64) Result {
 	res := Result{Cfg: st.cfg, Drops: st.net.Drops()}
 	w := st.walkOverlay(st.kern.Now(), warmupBytes)
 	sums := &w.sums
-	alive := len(w.ids)
+	alive, total := len(w.ids), st.net.PeerCount()
 	seconds := float64(end-st.measureAfter) / 1000
 
 	res.AlivePeers = alive
-	res.TotalPeers = len(st.peers)
+	res.TotalPeers = total
 	res.StaleFraction = w.staleFraction()
 	res.NattedNonStale = stats.Mean(w.natted)
-	res.BiggestCluster = w.biggestCluster(len(st.peers))
+	res.BiggestCluster = w.biggestCluster(total)
 	if seconds > 0 && alive > 0 {
 		res.BytesPerSecAll = float64(sums.bytesPublic+sums.bytesNatted) / seconds / float64(alive)
 		if sums.alivePublic > 0 {
@@ -805,7 +790,7 @@ func (st *runState) measure(end int64, warmupBytes []uint64) Result {
 		res.Adversary.HopLimitDrops = sums.hopLimitDrops
 	}
 
-	res.InDegree = w.dense.InDegree(len(st.peers), w.ids, w.edges)
+	res.InDegree = w.dense.InDegree(total, w.ids, w.edges)
 	// Randomness: chi-square over how often each alive peer was selected
 	// as a gossip target during the measurement window (the sample stream;
 	// the paper uses the diehard suite on the same stream).

@@ -110,7 +110,7 @@ func newScenarioDriver(st *runState) *scenarioDriver {
 // population. Stream i is derived from (seed, link salt, i) alone, so a
 // peer's draws are independent of when it joined and of every other peer.
 func (d *scenarioDriver) growLinkRNGs() {
-	for len(d.linkRNGs) < len(d.st.peers) {
+	for len(d.linkRNGs) < d.st.net.PeerCount() {
 		i := len(d.linkRNGs)
 		d.linkRNGs = append(d.linkRNGs, xrand.NewStream(xrand.Mix(d.linkSeed, uint64(i))))
 	}
@@ -224,8 +224,7 @@ func (d *scenarioDriver) apply(ev scenario.Event) {
 func (d *scenarioDriver) join() {
 	st := d.st
 	cfg := st.cfg
-	idx := len(st.peers)
-	id := ident.NodeID(idx + 1)
+	id := ident.NodeID(st.net.PeerCount() + 1)
 
 	class := ident.Public
 	upnp := false
@@ -244,11 +243,10 @@ func (d *scenarioDriver) join() {
 		}
 	}
 
-	st.addPeer(id, class, upnp)
-	p := st.peers[idx]
+	p := st.addPeer(id, class, upnp)
 	// Joins happen at barriers, so growing the shared selection counters
 	// (and the per-sender link streams) is race-free.
-	for len(st.selections) < len(st.peers)+1 {
+	for len(st.selections) < st.net.PeerCount()+1 {
 		st.selections = append(st.selections, 0)
 	}
 	if d.sc.NeedsLinkPolicy() {
@@ -257,7 +255,7 @@ func (d *scenarioDriver) join() {
 	if d.partSince >= 0 && d.topoRNG.Float64() < d.partFraction {
 		p.Side = 1
 	}
-	st.seedPeer(p, d.topoRNG.Rand)
+	st.seedPeer(p, st.joinPool(p), d.topoRNG.Rand)
 	st.armTick(p, st.now()+d.topoRNG.Int63n(cfg.PeriodMs))
 	d.stats.Joins++
 }
@@ -278,7 +276,7 @@ func drawClass(rng *rand.Rand, m NATMix) ident.NATClass {
 // alive rebuilds the scratch list of alive peers, in peer-index order.
 func (d *scenarioDriver) alive() []*simnet.Peer {
 	d.aliveScratch = d.aliveScratch[:0]
-	for _, p := range d.st.peers {
+	for _, p := range d.st.net.Peers() {
 		if p.Alive {
 			d.aliveScratch = append(d.aliveScratch, p)
 		}
@@ -311,7 +309,7 @@ func (d *scenarioDriver) kill(k int) {
 // failing group dies together.
 func (d *scenarioDriver) failGateways(groups int) {
 	var natted []*simnet.Peer
-	for _, p := range d.st.peers {
+	for _, p := range d.st.net.Peers() {
 		if p.Alive && p.Class.Natted() {
 			natted = append(natted, p)
 		}
@@ -407,7 +405,7 @@ func (d *scenarioDriver) heal(round int) {
 	d.partSince = -1
 	d.healRound = 0
 	d.st.net.SetPartitionActive(false)
-	for _, p := range d.st.peers {
+	for _, p := range d.st.net.Peers() {
 		p.Side = 0
 	}
 }

@@ -103,8 +103,8 @@ func (st *runState) verifyAccumulators() {
 		return
 	}
 	var alive, entries, deadEntries, deadRefs int64
-	refs := make(map[ident.NodeID]int64, len(st.peers))
-	for _, p := range st.peers {
+	refs := make(map[ident.NodeID]int64, st.net.PeerCount())
+	for _, p := range st.net.Peers() {
 		v := p.Engine.View()
 		n := int64(v.Len())
 		entries += n
@@ -141,10 +141,10 @@ func (st *runState) verifyAccumulators() {
 // can move into the incremental accumulators; what could, did.
 func (st *runState) overlaySnapshot(now int64) (aliveIDs []ident.NodeID, edges []graph.Edge, staleFraction float64) {
 	var stale, total float64
-	aliveIDs = make([]ident.NodeID, 0, len(st.peers))
-	edges = make([]graph.Edge, 0, len(st.peers)*st.cfg.ViewSize)
+	aliveIDs = make([]ident.NodeID, 0, st.net.PeerCount())
+	edges = make([]graph.Edge, 0, st.net.PeerCount()*st.cfg.ViewSize)
 	var entries []view.Descriptor
-	for _, p := range st.peers {
+	for _, p := range st.net.Peers() {
 		if !p.Alive {
 			continue
 		}
@@ -190,7 +190,7 @@ func (st *runState) scheduleSeries(after int64) {
 			}
 			pt := SamplePoint{
 				Round:          r,
-				BiggestCluster: w.biggestCluster(len(st.peers)),
+				BiggestCluster: w.biggestCluster(st.net.PeerCount()),
 				StaleFraction:  w.staleFraction(),
 				AlivePeers:     len(w.ids),
 			}

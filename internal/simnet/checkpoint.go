@@ -51,8 +51,9 @@ func (n *Network) EachPeer(fn func(p *Peer)) {
 	}
 }
 
-// State walks the network's complete state: address allocators, the
-// partition flag, every peer (with its NAT device and traffic counters) in
+// State walks the network's complete state: the next free public and private
+// IP (both functions of the roster, kept for the format), the partition flag,
+// every peer (with its NAT device and traffic counters) in
 // attachment order, every in-flight datagram in scheduler-key order, and the
 // drop totals. Capture must run at a barrier.
 //
@@ -67,18 +68,21 @@ func (n *Network) State(c *snapshot.Codec, engineFor func(p *Peer) core.Engine) 
 		panic("simnet: restore into a non-empty network")
 	}
 	c.Section(secNet)
-	n.nextPublicIP = c.U32(n.nextPublicIP)
-	n.nextPrivateIP = c.U32(n.nextPrivateIP)
+	nextPub := c.U32(pubIPBase + uint32(len(n.bySlot)))
+	nextPriv := c.U32(privIPBase + uint32(n.devSlab.n))
 	n.partitionOn = c.Bool(n.partitionOn)
 	nPeers := c.Count(len(n.bySlot), 8+2+6+6+2+8+4+4*8)
+	if nPeers > MaxPeers {
+		c.Fail("%d peers exceed the population cap %d", nPeers, MaxPeers)
+	}
 	for i := 0; i < nPeers && c.Err() == nil; i++ {
 		n.peerState(c, i, nPeers, engineFor)
 	}
 	if c.Err() != nil {
 		return
 	}
-	if c.Restoring() && (uint32(len(n.pubs)) != n.nextPublicIP-pubIPBase || uint32(len(n.privs)) != n.nextPrivateIP-privIPBase) {
-		c.Fail("address allocators disagree with the roster (%d pubs, %d privs)", len(n.pubs), len(n.privs))
+	if nextPub != pubIPBase+uint32(len(n.bySlot)) || nextPriv != privIPBase+uint32(n.devSlab.n) {
+		c.Fail("address allocators disagree with the roster (%d peers, %d natted)", len(n.bySlot), n.devSlab.n)
 		return
 	}
 
@@ -129,6 +133,7 @@ func (n *Network) State(c *snapshot.Codec, engineFor func(p *Peer) core.Engine) 
 // attaches the peer it describes and builds its engine.
 func (n *Network) peerState(c *snapshot.Codec, i, nPeers int, engineFor func(p *Peer) core.Engine) {
 	var p *Peer
+	var pubIP ident.IP
 	var id ident.NodeID
 	var class ident.NATClass
 	if !c.Restoring() {
@@ -148,7 +153,8 @@ func (n *Network) peerState(c *snapshot.Codec, i, nPeers int, engineFor func(p *
 		// IDs of a valid snapshot form a permutation of 1..nPeers (peers are
 		// numbered densely at creation; only the attachment order varies), so
 		// anything out of range or repeated is hostile — and the range check
-		// also bounds what the host's ID-indexed rosters will allocate.
+		// also bounds what the ID-indexed roster (and the host's per-ID
+		// arrays) will allocate.
 		if uint64(id) > uint64(nPeers) {
 			c.Fail("peer id %v exceeds the %d-peer roster", id, nPeers)
 			return
@@ -157,7 +163,7 @@ func (n *Network) peerState(c *snapshot.Codec, i, nPeers int, engineFor func(p *
 			c.Fail("duplicate peer %v", id)
 			return
 		}
-		p = n.newPeer(id, class)
+		p, pubIP = n.newPeer(id, class)
 	}
 	p.Advertised = ident.NATClass(c.U8(uint8(p.Advertised)))
 	p.Priv = c.Endpoint(p.Priv)
@@ -179,24 +185,19 @@ func (n *Network) peerState(c *snapshot.Codec, i, nPeers int, engineFor func(p *
 	if !c.Restoring() || c.Err() != nil {
 		return
 	}
-	// The endpoint resolution arrays are dense by construction — pubs[i] owns
-	// IP pubIPBase+i — so the serialized allocation order must reproduce it
-	// exactly or lookups would misroute.
+	// The roster is the address plan — slot i owns public IP pubIPBase+i, the
+	// k-th device's peer private IP privIPBase+k — so the serialized addresses
+	// must reproduce it exactly or lookups would misroute.
 	if class.Natted() {
-		if uint32(p.Device.PublicIP()) != pubIPBase+uint32(len(n.pubs)) ||
-			uint32(p.Priv.IP) != privIPBase+uint32(len(n.privs)) ||
+		if p.Device.PublicIP() != pubIP ||
+			uint32(p.Priv.IP) != privIPBase+uint32(n.devSlab.n-1) ||
 			p.Device.Class() != class {
 			c.Fail("peer %v breaks dense address allocation", id)
 			return
 		}
-		n.pubs = append(n.pubs, pubSlot{dev: p.Device, owner: p})
-		n.privs = append(n.privs, p)
-	} else {
-		if uint32(p.Priv.IP) != pubIPBase+uint32(len(n.pubs)) || p.Addr != p.Priv {
-			c.Fail("public peer %v breaks dense address allocation", id)
-			return
-		}
-		n.pubs = append(n.pubs, pubSlot{peer: p})
+	} else if p.Priv.IP != pubIP || p.Addr != p.Priv {
+		c.Fail("public peer %v breaks dense address allocation", id)
+		return
 	}
 	n.baseIntern.Intern(p.Descriptor())
 	p.Engine = engineFor(p)

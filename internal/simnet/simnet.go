@@ -120,6 +120,7 @@ type LinkPolicy interface {
 // chunks.
 type slab[T any] struct {
 	chunks [][]T
+	n      int // objects allocated
 }
 
 // slabChunk sizing: first chunk, doubling cap.
@@ -142,117 +143,37 @@ func (s *slab[T]) alloc() *T {
 		s.chunks = append(s.chunks, make([]T, 0, size))
 		n++
 	}
+	s.n++
 	c := &s.chunks[n-1]
 	*c = append(*c, *new(T))
 	return &(*c)[len(*c)-1]
 }
 
-// peerIndex is the flat open-addressed NodeID → peer-slot index replacing the
-// generic peer map: 8-byte {fingerprint, slot} cells, linear probing, no
-// deletion (peers are never removed from a network — departure is Alive =
-// false — so the index never needs tombstones).
-type peerIndex struct {
-	slots []pslot
-	used  int
-}
-
-// pslot is one cell; slot is 1-based, 0 marks an empty cell.
-type pslot struct {
-	fp   uint32
-	slot int32
-}
-
-func peerFP(id ident.NodeID) uint32 {
-	return uint32((uint64(id) * 0x9e3779b97f4a7c15) >> 32)
-}
-
-// get returns the 0-based peer slot for id, or -1.
-func (x *peerIndex) get(id ident.NodeID, bySlot []*Peer) int {
-	if len(x.slots) == 0 {
-		return -1
-	}
-	fp := peerFP(id)
-	mask := len(x.slots) - 1
-	for j := int(fp) & mask; ; j = (j + 1) & mask {
-		s := x.slots[j]
-		if s.slot == 0 {
-			return -1
-		}
-		if s.fp == fp && bySlot[s.slot-1].ID == id {
-			return int(s.slot - 1)
-		}
-	}
-}
-
-// put records id at the given 0-based slot, growing at 2/3 load.
-func (x *peerIndex) put(id ident.NodeID, slot int, bySlot []*Peer) {
-	if 3*(x.used+1) > 2*len(x.slots) {
-		x.grow(bySlot)
-	}
-	fp := peerFP(id)
-	mask := len(x.slots) - 1
-	for j := int(fp) & mask; ; j = (j + 1) & mask {
-		if x.slots[j].slot == 0 {
-			x.slots[j] = pslot{fp: fp, slot: int32(slot + 1)}
-			x.used++
-			return
-		}
-	}
-}
-
-func (x *peerIndex) grow(bySlot []*Peer) {
-	want := 64
-	for 3*(x.used+1) > 2*want {
-		want *= 2
-	}
-	x.slots = make([]pslot, want)
-	x.used = 0
-	mask := want - 1
-	for i, p := range bySlot {
-		fp := peerFP(p.ID)
-		for j := int(fp) & mask; ; j = (j + 1) & mask {
-			if x.slots[j].slot == 0 {
-				x.slots[j] = pslot{fp: fp, slot: int32(i + 1)}
-				x.used++
-				break
-			}
-		}
-	}
-}
-
-// Network is the simulated network. Global state (the address arrays, the
-// peer index) is mutated only at barriers; everything on the per-datagram
-// path lives in per-shard state, so shards run lock-free between barriers.
+// Network is the simulated network. Global state (the roster) is mutated only
+// at barriers; everything on the per-datagram path lives in per-shard state,
+// so shards run lock-free between barriers.
 //
-// Peer state lives in slot-indexed slab storage rather than a map of
-// individually allocated peers: bySlot[i] points into the peer slab (stable
-// addresses, contiguous chunks), idx resolves NodeID → slot through a flat
-// open-addressed table, and NAT devices sit in their own slab. At 1M peers
-// this removes two heap objects per peer plus the map's bucket overhead, and
-// keeps neighbouring peers' counters on neighbouring cache lines.
+// The roster is the address plan (DESIGN.md §7.1): peers attach one per NAT
+// device and each attachment takes the next public IP, so slot i of bySlot
+// owns public IP pubIPBase+i — the peer's own if it is public, its NAT box's
+// if it is natted — and "who owns this address" is one subtraction and one
+// load. byID is the same roster by NodeID. Peers and NAT devices live in slab
+// storage (stable addresses, contiguous chunks), so neighbouring peers'
+// counters sit on neighbouring cache lines.
 type Network struct {
 	latency int64
 
-	idx      peerIndex
-	bySlot   []*Peer // slot (attachment order) → peer
+	bySlot   []*Peer // slot (attachment order) → peer; slot i owns pubIPBase+i
+	byID     []*Peer // byID[id-1] is peer id; nil where no such peer attached
 	peerSlab slab[Peer]
-	devSlab  slab[nat.Device]
+	// devSlab holds one device per natted peer, in attachment order: its
+	// length is also the number of private IPs handed out.
+	devSlab slab[nat.Device]
 	// baseIntern holds every peer's advertised descriptor, interned once at
 	// attach time (barrier context). Each shard's engine intern table is
 	// layered over it, so the shards' tables hold only learned endpoint
 	// variants instead of each re-interning the whole population.
 	baseIntern *intern.Descriptors
-	// The simulator allocates public and private IPs densely from fixed
-	// bases, so endpoint resolution indexes two slot arrays instead of
-	// hashing endpoints — a measurable win on the per-datagram hot path.
-	// pubs[ip-pubIPBase] holds whichever owns the public IP: a public peer
-	// or a NAT device (never both); privs[ip-privIPBase] holds the natted
-	// peer behind each private IP.
-	pubs  []pubSlot
-	privs []*Peer
-
-	nextPublicIP  uint32
-	nextPrivateIP uint32
 
 	shards []netShard
 
@@ -474,55 +395,16 @@ func compareOut(a, b outEntry) int { return a.Compare(b.Key) }
 // introducer.
 var bootstrapDst = ident.Endpoint{IP: 0x7f000001, Port: 3478}
 
-// IP allocation bases: 1.0.0.0/8 hosts public peers and NAT boxes,
-// 10.0.0.0/8 hosts private endpoints.
+// The address plan: 1.0.0.0/8 hosts public peers and NAT boxes, one IP per
+// roster slot; 10.0.0.0/8 hosts the private endpoints of natted peers, one IP
+// per NAT device. MaxPeers is the population cap: the size of the public
+// block, and the highest NodeID a network accepts — IDs index the roster, so
+// an attachment must not be able to size it by an ID's magnitude.
 const (
 	pubIPBase  = 0x01000001
 	privIPBase = 0x0a000001
+	MaxPeers   = 1 << 24
 )
-
-// pubSlot is the owner of one public IP.
-type pubSlot struct {
-	peer  *Peer       // public peer owning the IP directly, or nil
-	dev   *nat.Device // NAT device owning the IP, or nil
-	owner *Peer       // the peer behind dev
-}
-
-func (n *Network) pubSlotFor(ip ident.IP) *pubSlot {
-	i := int(uint32(ip) - pubIPBase)
-	if i < 0 || i >= len(n.pubs) {
-		return nil
-	}
-	return &n.pubs[i]
-}
-
-// publicPeerAt returns the public peer owning exactly the endpoint ep.
-func (n *Network) publicPeerAt(ep ident.Endpoint) *Peer {
-	if s := n.pubSlotFor(ep.IP); s != nil && s.peer != nil && s.peer.Addr == ep {
-		return s.peer
-	}
-	return nil
-}
-
-// deviceAt returns the NAT device owning the public IP, or nil.
-func (n *Network) deviceAt(ip ident.IP) *nat.Device {
-	if s := n.pubSlotFor(ip); s != nil {
-		return s.dev
-	}
-	return nil
-}
-
-// privatePeerAt returns the natted peer owning exactly the private endpoint.
-func (n *Network) privatePeerAt(ep ident.Endpoint) *Peer {
-	i := int(uint32(ep.IP) - privIPBase)
-	if i < 0 || i >= len(n.privs) {
-		return nil
-	}
-	if p := n.privs[i]; p != nil && p.Priv == ep {
-		return p
-	}
-	return nil
-}
 
 // NewSharded creates an empty network over the sharded kernel, with the
 // given one-way latency in milliseconds: one network shard per kernel shard,
@@ -533,11 +415,9 @@ func NewSharded(kern *sim.ShardedScheduler, latencyMs int64) *Network {
 		panic("simnet: negative latency")
 	}
 	n := &Network{
-		latency:       latencyMs,
-		nextPublicIP:  pubIPBase,
-		nextPrivateIP: privIPBase,
-		shards:        make([]netShard, kern.Shards()),
-		baseIntern:    &intern.Descriptors{},
+		latency:    latencyMs,
+		shards:     make([]netShard, kern.Shards()),
+		baseIntern: &intern.Descriptors{},
 	}
 	for i := range n.shards {
 		sh := &n.shards[i]
@@ -648,15 +528,12 @@ type EngineFactory func(self view.Descriptor) core.Engine
 // in milliseconds (ignored for public peers). Peers may only be added at
 // barriers (or before the run starts).
 func (n *Network) AddPeer(id ident.NodeID, class ident.NATClass, ruleTTL int64, f EngineFactory) *Peer {
-	p := n.newPeer(id, class)
+	p, pubIP := n.newPeer(id, class)
 	if class == ident.Public {
-		ip := ident.IP(n.nextPublicIP)
-		n.nextPublicIP++
-		p.Priv = ident.Endpoint{IP: ip, Port: 9000}
+		p.Priv = ident.Endpoint{IP: pubIP, Port: 9000}
 		p.Addr = p.Priv
-		n.pubs = append(n.pubs, pubSlot{peer: p})
 	} else {
-		n.attachNAT(p, ruleTTL)
+		n.attachNAT(p, pubIP, ruleTTL)
 		// Join handshake: allocate the advertised mapping.
 		p.Addr = p.Device.Outbound(n.barrierNow(), p.Priv, bootstrapDst)
 	}
@@ -665,36 +542,32 @@ func (n *Network) AddPeer(id ident.NodeID, class ident.NATClass, ruleTTL int64, 
 	return p
 }
 
-// attachNAT puts p behind a NAT device of its own: the next private IP for
-// the peer, the next public IP for the device.
-func (n *Network) attachNAT(p *Peer, ruleTTL int64) {
-	privIP := ident.IP(n.nextPrivateIP)
-	n.nextPrivateIP++
-	pubIP := ident.IP(n.nextPublicIP)
-	n.nextPublicIP++
-	p.Priv = ident.Endpoint{IP: privIP, Port: 9000}
-	p.Device = n.newDevice(p.Class, pubIP, ruleTTL)
-	n.pubs = append(n.pubs, pubSlot{dev: p.Device, owner: p})
-	n.privs = append(n.privs, p)
+// attachNAT puts p behind a NAT device of its own, which takes the slot's
+// public IP; the peer takes the next private IP.
+func (n *Network) attachNAT(p *Peer, pubIP ident.IP, ruleTTL int64) {
+	p.Priv = ident.Endpoint{IP: ident.IP(privIPBase + uint32(n.devSlab.n)), Port: 9000}
+	p.Device = n.devSlab.alloc()
+	*p.Device = nat.MakeDevice(p.Class, pubIP, ruleTTL)
 }
 
-// newPeer allocates a peer in the slab and registers it in the slot index.
-func (n *Network) newPeer(id ident.NodeID, class ident.NATClass) *Peer {
-	if n.idx.get(id, n.bySlot) >= 0 {
+// newPeer allocates a peer in the slab and appends it to the roster, by slot
+// and by ID. pubIP is the public IP the new slot owns.
+func (n *Network) newPeer(id ident.NodeID, class ident.NATClass) (p *Peer, pubIP ident.IP) {
+	if id.IsNil() || id > MaxPeers {
+		panic(fmt.Sprintf("simnet: peer id %v outside 1..%d", id, MaxPeers))
+	}
+	if n.Peer(id) != nil {
 		panic(fmt.Sprintf("simnet: duplicate peer %v", id))
 	}
-	p := n.peerSlab.alloc()
+	p = n.peerSlab.alloc()
 	*p = Peer{ID: id, Class: class, Advertised: class, Alive: true, Shard: n.ShardOf(id)}
+	pubIP = ident.IP(pubIPBase + uint32(len(n.bySlot)))
 	n.bySlot = append(n.bySlot, p)
-	n.idx.put(id, len(n.bySlot)-1, n.bySlot)
-	return p
-}
-
-// newDevice allocates a NAT device in the device slab.
-func (n *Network) newDevice(class ident.NATClass, pubIP ident.IP, ruleTTL int64) *nat.Device {
-	d := n.devSlab.alloc()
-	*d = nat.MakeDevice(class, pubIP, ruleTTL)
-	return d
+	for len(n.byID) < int(id) {
+		n.byID = append(n.byID, nil)
+	}
+	n.byID[id-1] = p
+	return p, pubIP
 }
 
 // AddPeerUPnP attaches a natted peer whose NAT device honours an explicit
@@ -706,9 +579,9 @@ func (n *Network) AddPeerUPnP(id ident.NodeID, class ident.NATClass, ruleTTL int
 	if !class.Natted() {
 		panic("simnet: AddPeerUPnP requires a natted class")
 	}
-	p := n.newPeer(id, class)
+	p, pubIP := n.newPeer(id, class)
 	p.Advertised = ident.Public
-	n.attachNAT(p, ruleTTL)
+	n.attachNAT(p, pubIP, ruleTTL)
 	p.Addr = p.Device.Pinhole(p.Priv)
 	n.baseIntern.Intern(p.Descriptor())
 	p.Engine = f(p.Descriptor())
@@ -717,11 +590,16 @@ func (n *Network) AddPeerUPnP(id ident.NodeID, class ident.NATClass, ruleTTL int
 
 // Peer returns the peer with the given ID, or nil.
 func (n *Network) Peer(id ident.NodeID) *Peer {
-	if i := n.idx.get(id, n.bySlot); i >= 0 {
-		return n.bySlot[i]
+	if i := uint64(id) - 1; i < uint64(len(n.byID)) {
+		return n.byID[i]
 	}
 	return nil
 }
+
+// Peers returns the roster by NodeID: element i is peer i+1, nil where no
+// peer of that ID has attached. An attachment (barrier context) may replace
+// the slice; callers read it and do not keep it across one.
+func (n *Network) Peers() []*Peer { return n.byID }
 
 // PeerCount returns the number of peers ever attached.
 func (n *Network) PeerCount() int { return len(n.bySlot) }
@@ -958,28 +836,24 @@ func (n *Network) deliver(si int, srcEP, to ident.Endpoint, msg *wire.Message, s
 	}
 }
 
-// resolve finds the live owner of a destination endpoint, applying NAT
-// admission. It updates the shard's drop statistics and the trace on
-// failure.
+// resolve finds the owner of a destination endpoint — the peer in the slot of
+// the endpoint's IP — applying NAT admission if it is natted. It updates the
+// shard's drop statistics and the trace on failure.
 func (n *Network) resolve(sh *netShard, now int64, srcEP, to ident.Endpoint, msg *wire.Message, size uint64) (*Peer, bool) {
-	var dev *nat.Device
-	if s := n.pubSlotFor(to.IP); s != nil {
-		if s.peer != nil && s.peer.Addr == to {
-			return s.peer, true
+	p, ok := n.OwnerOfIP(to.IP)
+	if !ok || p.Device == nil {
+		if ok && p.Addr == to {
+			return p, true
 		}
-		dev = s.dev
-	}
-	if dev == nil {
 		n.drop(sh, trace.DropAddr, srcEP, to, msg, size)
 		return nil, false
 	}
-	priv, ok := dev.Inbound(now, srcEP, to)
+	priv, ok := p.Device.Inbound(now, srcEP, to)
 	if !ok {
 		n.drop(sh, trace.DropNAT, srcEP, to, msg, size)
 		return nil, false
 	}
-	p := n.privatePeerAt(priv)
-	if p == nil {
+	if priv != p.Priv {
 		n.drop(sh, trace.DropAddr, srcEP, to, msg, size)
 		return nil, false
 	}
@@ -1010,14 +884,17 @@ func (n *Network) Reachable(now int64, q *Peer, d view.Descriptor) bool {
 // hole-punched mapping rather than an advertised one): it reports whether a
 // datagram sent now by q to addr would reach a live mapping or public peer.
 func (n *Network) ReachableEndpoint(now int64, q *Peer, addr ident.Endpoint) bool {
-	return n.publicPeerAt(addr) != nil || n.wouldAdmit(now, q, addr)
+	if p, ok := n.OwnerOfIP(addr.IP); ok && p.Device == nil {
+		return p.Addr == addr
+	}
+	return n.wouldAdmit(now, q, addr)
 }
 
 // wouldAdmit reports whether the NAT device owning addr's IP would admit a
 // datagram sent now by q to addr.
 func (n *Network) wouldAdmit(now int64, q *Peer, addr ident.Endpoint) bool {
-	dev := n.deviceAt(addr.IP)
-	if dev == nil {
+	p, ok := n.OwnerOfIP(addr.IP)
+	if !ok || p.Device == nil {
 		return false
 	}
 	src, ok := n.wouldSendFrom(now, q, addr)
@@ -1027,7 +904,7 @@ func (n *Network) wouldAdmit(now int64, q *Peer, addr ident.Endpoint) bool {
 		// installed port-specific rule equals.
 		src = ident.Endpoint{IP: n.publicIPOf(q)}
 	}
-	return dev.WouldAdmit(now, src, addr)
+	return p.Device.WouldAdmit(now, src, addr)
 }
 
 // wouldSendFrom returns the source endpoint q's next datagram toward dst
@@ -1047,14 +924,11 @@ func (n *Network) publicIPOf(q *Peer) ident.IP {
 }
 
 // OwnerOfIP returns the peer owning the given public IP (either directly or
-// through its NAT device).
+// through its NAT device): the roster slot the address plan gave the IP to.
 func (n *Network) OwnerOfIP(ip ident.IP) (*Peer, bool) {
-	s := n.pubSlotFor(ip)
-	if s == nil {
+	i := uint32(ip) - pubIPBase
+	if i >= uint32(len(n.bySlot)) {
 		return nil, false
 	}
-	if s.peer != nil {
-		return s.peer, true
-	}
-	return s.owner, s.owner != nil
+	return n.bySlot[i], true
 }

@@ -367,10 +367,10 @@ func TestAddPeerUPnPValidation(t *testing.T) {
 	net.AddPeerUPnP(1, ident.Public, holeTimeout, genericFactory(1))
 }
 
-// TestPeerIndexGrowthAndAdversarialIDs exercises the flat ID→slot index that
-// replaced the peer map: dense sequential IDs across many growth cycles plus
-// IDs crafted to collide in the index's fingerprint home slots must all
-// resolve, and misses must stay misses.
+// TestPeerIndexGrowthAndAdversarialIDs exercises the roster by ID: dense
+// sequential IDs across several slab chunk rollovers must all resolve, misses
+// must stay misses, and an ID beyond the population cap is refused rather than
+// sizing the roster.
 func TestPeerIndexGrowthAndAdversarialIDs(t *testing.T) {
 	_, n := newNet()
 	factory := func(self view.Descriptor) core.Engine {
@@ -378,43 +378,48 @@ func TestPeerIndexGrowthAndAdversarialIDs(t *testing.T) {
 			Self: self, ViewSize: 4, RNG: rand.New(rand.NewSource(int64(self.ID))),
 		})
 	}
-	var ids []ident.NodeID
-	// Dense block (forces several index growths and slab chunk rollovers)...
-	for id := uint64(1); id <= 2000; id++ {
-		ids = append(ids, ident.NodeID(id))
-	}
-	// ...then adversarial IDs: high-bit patterns that cluster under the
-	// Fibonacci fingerprint's home slot for small table sizes.
-	for i := uint64(0); i < 300; i++ {
-		ids = append(ids, ident.NodeID(i<<40|0xdead))
-	}
-	for _, id := range ids {
+	const peers = 2000 // several slab chunks: 256, 512, 1024, ...
+	var first *Peer
+	for id := ident.NodeID(1); id <= peers; id++ {
 		class := ident.Public
 		if id%3 == 0 {
 			class = ident.PortRestrictedCone
 		}
-		n.AddPeer(id, class, 90_000, factory)
+		if p := n.AddPeer(id, class, 90_000, factory); id == 1 {
+			first = p
+		}
 	}
-	if n.PeerCount() != len(ids) {
-		t.Fatalf("PeerCount = %d, want %d", n.PeerCount(), len(ids))
+	if n.PeerCount() != peers {
+		t.Fatalf("PeerCount = %d, want %d", n.PeerCount(), peers)
 	}
-	for _, id := range ids {
+	for id := ident.NodeID(1); id <= peers; id++ {
 		p := n.Peer(id)
 		if p == nil || p.ID != id {
 			t.Fatalf("Peer(%v) = %v after growth", id, p)
 		}
 	}
-	// Misses: never-added IDs, including ones adjacent to adversarial keys.
-	for _, id := range []ident.NodeID{3000, 1 << 50, 5<<40 | 0xdeae} {
+	for _, id := range []ident.NodeID{0, peers + 1, 1 << 50} {
 		if p := n.Peer(id); p != nil {
 			t.Fatalf("Peer(%v) = %v, want nil", id, p)
 		}
 	}
-	// Slab addresses must be stable: re-resolve the first peer and mutate
-	// through the old pointer.
-	first := n.Peer(ids[0])
+	// Slab addresses must be stable: mutate the first peer through the pointer
+	// its attachment returned and re-resolve it.
 	first.BytesSent = 42
-	if n.Peer(ids[0]).BytesSent != 42 {
+	if n.Peer(1).BytesSent != 42 {
 		t.Fatal("slab pointer not stable across growth")
+	}
+	for _, id := range []ident.NodeID{0, MaxPeers + 1, 1 << 50} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddPeer(%v) did not panic", id)
+				}
+			}()
+			n.AddPeer(id, ident.Public, 90_000, factory)
+		}()
+	}
+	if n.PeerCount() != peers || len(n.Peers()) != peers {
+		t.Errorf("refused IDs grew the roster: %d slots, %d by ID", n.PeerCount(), len(n.Peers()))
 	}
 }

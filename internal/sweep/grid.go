@@ -16,7 +16,7 @@ type Job struct {
 	Variant  string
 	Seed     int64
 	// Cfg is the resolved configuration (Seed and Scenario attached;
-	// Workers/Shards left to the executor, which results are invariant to).
+	// Workers/Shards left to Execute, which results are invariant to).
 	Cfg exp.Config
 	// Key is the hex SHA-256 of the job descriptor: every result-affecting
 	// configuration field, the scenario file's content hash, and the seed.

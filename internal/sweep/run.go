@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -15,10 +16,9 @@ import (
 // Options tunes one sweep execution.
 type Options struct {
 	// Workers is the outer parallelism: how many jobs execute at once
-	// (0 = one per core). Each job's kernel runs at Workers=1 through the
-	// shared experiment executor, so outer parallelism alone saturates the
-	// machine without oversubscribing it. Results are identical for any
-	// value.
+	// (0 = one per core). Each job's kernel runs at Workers=1, so outer
+	// parallelism alone saturates the machine without oversubscribing it.
+	// Results are identical for any value.
 	Workers int
 	// StopAfter, when positive, stops dequeuing new jobs after that many
 	// have been executed (cache hits do not count). The run returns
@@ -104,8 +104,10 @@ func Execute(g *Grid, dir string, opts Options) ([]*JobResult, Stats, error) {
 		}
 	}
 
-	ex := exp.NewExecutor(opts.Workers)
-	workers := ex.Workers()
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	stats.Workers = workers
 
 	var tracker *obs.JobTracker
@@ -139,7 +141,7 @@ func Execute(g *Grid, dir string, opts Options) ([]*JobResult, Stats, error) {
 			for i := range jobs {
 				job := g.Jobs[i]
 				t0 := time.Now()
-				res, resumed, err := runJob(ctx, ex, cache, job, opts)
+				res, resumed, err := runJob(ctx, cache, job, opts)
 				var ie *exp.InterruptedError
 				if errors.As(err, &ie) {
 					// The shutdown context fired mid-job: the job checkpointed
@@ -236,14 +238,16 @@ func Execute(g *Grid, dir string, opts Options) ([]*JobResult, Stats, error) {
 	return results, stats, nil
 }
 
-// runJob executes one job through the pool. With checkpointing armed it first
+// runJob executes one job on a single-worker kernel (the parallelism is across
+// jobs; results are worker-count-invariant). With checkpointing armed it first
 // tries to resume the job's newest persisted snapshot, falling back through
 // older ones — and finally to a fresh round-zero run — when a snapshot is
 // rejected (corrupt, truncated, or of a different experiment point after a
 // spec edit; every rejection is typed and logged, never trusted). The bool
 // reports whether the returned result came from a resumed run.
-func runJob(ctx context.Context, ex *exp.Executor, cache *Cache, job Job, opts Options) (exp.Result, bool, error) {
+func runJob(ctx context.Context, cache *Cache, job Job, opts Options) (exp.Result, bool, error) {
 	cfg := job.Cfg
+	cfg.Workers = 1
 	var spec *exp.CheckpointSpec
 	if opts.CheckpointEveryRounds > 0 {
 		spec = &exp.CheckpointSpec{
@@ -252,7 +256,7 @@ func runJob(ctx context.Context, ex *exp.Executor, cache *Cache, job Job, opts O
 			Stop:        func() bool { return ctx.Err() != nil },
 		}
 		for _, path := range cache.Snapshots(job.Key) {
-			res, err := ex.ResumeFile(path, exp.ResumeOptions{Checkpoint: spec, Config: &cfg})
+			res, err := exp.ResumeFile(path, exp.ResumeOptions{Workers: 1, Checkpoint: spec, Config: &cfg})
 			var ie *exp.InterruptedError
 			if err == nil || errors.As(err, &ie) {
 				return res, true, err
@@ -261,6 +265,6 @@ func runJob(ctx context.Context, ex *exp.Executor, cache *Cache, job Job, opts O
 		}
 	}
 	cfg.Checkpoint = spec
-	res, err := ex.Run(cfg)
+	res, err := exp.Run(cfg)
 	return res, false, err
 }

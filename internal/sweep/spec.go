@@ -1,7 +1,7 @@
 // Package sweep is the scenario-diversity orchestrator: it expands a
 // declarative sweep specification — a scenario corpus × a seed set ×
 // protocol/configuration variants — into a deterministic grid of simulation
-// jobs, executes them through the shared experiment executor with
+// jobs, executes each as a single-worker exp.Run on a pool of workers with
 // content-addressed result caching (a killed sweep restarts without
 // recomputing), and aggregates the per-run health series into per-cell
 // recovery summaries and per-round p10/p50/p90 quantile bands.

@@ -246,14 +246,14 @@ func (n *Node) View() []Descriptor {
 }
 
 // Sample returns up to k peers drawn uniformly at random from the current
-// view — the "peer sampling service" interface.
+// view — the "peer sampling service" interface. A k below one returns none.
 func (n *Node) Sample(k int) []Descriptor {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	entries := n.engine.View().Entries()
 	n.sampleRNG.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
 	if k < len(entries) {
-		entries = entries[:k]
+		entries = entries[:max(k, 0)]
 	}
 	return entries
 }

@@ -110,6 +110,23 @@ func TestNodeSample(t *testing.T) {
 	}
 }
 
+// TestNodeSampleNegative pins that a negative k asks for no peers rather than
+// slicing the view with it.
+func TestNodeSampleNegative(t *testing.T) {
+	nodes := startCluster(t, 3)
+	n := nodes[len(nodes)-1]
+	for deadline := time.Now().Add(5 * time.Second); len(n.View()) == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("view never filled")
+		}
+	}
+	for _, k := range []int{-1, -1000, 0} {
+		if s := n.Sample(k); len(s) != 0 {
+			t.Errorf("Sample(%d) returned %d peers, want none", k, len(s))
+		}
+	}
+}
+
 func TestNodeThroughNAT(t *testing.T) {
 	sw := NewSwitch(time.Millisecond)
 	pubTr := sw.Attach()
