@@ -63,6 +63,22 @@ func TestResumeRejectsExperimentFlags(t *testing.T) {
 	}
 }
 
+// TestNaNFractionRejected pins that a NaN percentage is a config error (exit
+// 1, named), never a panic of the layer that would have sized a slice by it.
+func TestNaNFractionRejected(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	status := run([]string{"-nat", "NaN", "-n", "50", "-rounds", "2"}, &stdout, &stderr, neverStop)
+	if status != 1 {
+		t.Errorf("exit status %d, want 1", status)
+	}
+	if !strings.Contains(stderr.String(), "NATRatio NaN outside [0,1]") {
+		t.Errorf("stderr does not name the rejected fraction:\n%s", &stderr)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("a rejected config printed a report:\n%s", &stdout)
+	}
+}
+
 // TestInterruptedRunKeepsItsProfile interrupts a profiled, checkpointing run
 // at round 1 and requires what an operator's ^C must leave behind: status
 // 130, the snapshot to resume from, and a CPU profile that was stopped and

@@ -99,8 +99,8 @@ type Send struct {
 // returned by Tick and Receive is scratch storage reused by the engine — it
 // is valid only until the engine's next method call and must be consumed
 // (or copied) before then. The messages it carries are freshly drawn from
-// the wire message pool; ownership passes to the host, which may hand them
-// to wire.Message.Release once fully consumed. Conversely, the message
+// Config.Msgs; ownership passes to the host, which may put them back into
+// that pool once fully consumed. Conversely, the message
 // passed to Receive is only borrowed: the engine retains no reference to it
 // or to its Entries once Receive returns.
 type Engine interface {
@@ -119,8 +119,7 @@ type Engine interface {
 	Stats() *Stats
 }
 
-// newMsg draws a message from the given pool (nil: the shared wire pool)
-// and stamps its routing header.
+// newMsg draws a message from the given pool and stamps its routing header.
 func newMsg(p *wire.Pool, kind wire.Kind, src, dst, via view.Descriptor) *wire.Message {
 	m := p.Get()
 	m.Kind, m.Src, m.Dst, m.Via = kind, src, dst, via
@@ -204,7 +203,7 @@ type Config struct {
 	// Msgs is the message pool the engine allocates from (and releases
 	// to). The sharded simulator hands every engine its shard's
 	// single-owner pool so message recycling never crosses cores; nil
-	// falls back to the shared concurrency-safe pool.
+	// allocates every message and recycles none (see wire.Pool).
 	Msgs *wire.Pool
 	// Shared, when non-nil, is the per-shard shared scratch and intern
 	// state (see Shared). All engines handed the same instance must have

@@ -297,7 +297,7 @@ func TestNylonBufferAdvertisesTTLs(t *testing.T) {
 	n1.View().Add(natted)
 	n1.View().Add(pubDesc(3))
 	n1.Routes().Set(natted.ID, pubDesc(5), 40_000)
-	msg := wire.NewMessage()
+	msg := new(wire.Message)
 	sent := n1.buffer(msg, nil)
 	entries := n1.withTTLs(10_000, msg).Entries
 	if len(sent) != 2 || len(entries) != 3 {

@@ -529,6 +529,10 @@ func restoreWorld(c *snapshot.Codec, opt ResumeOptions) (*runState, error) {
 // validates before any event is armed with side effects beyond st itself, so
 // a failure leaves nothing half-resumed — the caller discards st.
 func (st *runState) restore(c *snapshot.Codec, resumeT int64) error {
+	// Clocks first: the network refuses in-flight datagrams due before them.
+	for i := 0; i < st.kern.Shards(); i++ {
+		st.kern.Shard(i).RestoreClock(resumeT, 0)
+	}
 	processed, ticks := st.state(c, resumeT)
 	if err := c.Finish(); err != nil {
 		return err
@@ -558,9 +562,9 @@ func (st *runState) restore(c *snapshot.Codec, resumeT int64) error {
 		}
 	}
 
-	// Re-arm the world. Shard and global clocks are still at zero, so no
-	// At-style arming can clamp a restored time; the clocks jump to the
-	// barrier time last.
+	// Re-arm the world. No tick predates the shard clocks and the global clock
+	// is still at zero, so no arming can clamp a restored time; the global
+	// clock jumps to the barrier time last.
 	for i := 0; i < st.kern.Shards(); i++ {
 		st.kern.Shard(i).SetTickFn(st.tickActor)
 	}
@@ -573,9 +577,6 @@ func (st *runState) restore(c *snapshot.Codec, resumeT int64) error {
 		d.armHeal(d.healRound)
 	}
 
-	for i := 0; i < st.kern.Shards(); i++ {
-		st.kern.Shard(i).RestoreClock(resumeT, 0)
-	}
 	// The processed-event total restores into the global clock alone: the
 	// per-shard split depends on the writing run's shard count, the total
 	// does not — and Processed() is what the determinism contract pins.

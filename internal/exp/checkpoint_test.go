@@ -152,6 +152,31 @@ func resumeInvariance(t *testing.T, cfg Config) {
 	}
 }
 
+// TestSnapshotResumeHoldsLinkDelays stops a storm world mid-round under a link
+// jitter (120 ms) that exceeds the 50 ms lookahead, so the snapshot holds
+// datagrams that wait across more than one barrier before the lane takes
+// them, and requires resumes at one and at sixteen shards to finish as the
+// straight run does.
+func TestSnapshotResumeHoldsLinkDelays(t *testing.T) {
+	sc := ckStorm()
+	sc.Link = &scenario.Link{JitterMs: 120}
+	cfg := ckTestConfig(sc)
+	straight, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := stopWorld(t, cfg, 17)
+	for _, shards := range []int{1, 16} {
+		res, err := ResumeFile(st.ck.interrupted.Path, ResumeOptions{Shards: shards})
+		if err != nil {
+			t.Fatalf("resume at %d shards: %v", shards, err)
+		}
+		if !reflect.DeepEqual(normalizeResult(res), normalizeResult(straight)) {
+			t.Errorf("resume at %d shards diverges from straight-through", shards)
+		}
+	}
+}
+
 // statePastConfig returns what a snapshot payload holds after the exp! tag,
 // the snapshot time and the length-prefixed config JSON: the config echoes the
 // writing run's Workers and Shards, everything after it is world state.

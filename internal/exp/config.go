@@ -295,16 +295,19 @@ func (c Config) validate() error {
 		return fmt.Errorf("exp: LatencyMs, PeriodMs, HoleTimeoutMs and CacheSize must be positive (got %d, %d, %d, %d)",
 			c.LatencyMs, c.PeriodMs, c.HoleTimeoutMs, c.CacheSize)
 	}
-	if c.NATRatio < 0 || c.NATRatio > 1 {
-		return fmt.Errorf("exp: NATRatio %v outside [0,1]", c.NATRatio)
+	// Negated so that NaN, which fails every comparison, is refused too.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"NATRatio", c.NATRatio}, {"Mix.RC", c.Mix.RC}, {"Mix.PRC", c.Mix.PRC}, {"Mix.SYM", c.Mix.SYM}, {"UPnPFraction", c.UPnPFraction}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("exp: %s %v outside [0,1]", f.name, f.v)
+		}
 	}
 	if s := c.Mix.RC + c.Mix.PRC + c.Mix.SYM; s < 0.999 || s > 1.001 {
 		return fmt.Errorf("exp: NAT mix fractions sum to %v, want 1", s)
 	}
-	if c.UPnPFraction < 0 || c.UPnPFraction > 1 {
-		return fmt.Errorf("exp: UPnPFraction %v outside [0,1]", c.UPnPFraction)
-	}
-	if c.ChurnFraction < 0 || c.ChurnFraction >= 1 {
+	if !(c.ChurnFraction >= 0 && c.ChurnFraction < 1) {
 		return fmt.Errorf("exp: ChurnFraction %v outside [0,1)", c.ChurnFraction)
 	}
 	if c.ChurnAtRound < 0 || c.ChurnAtRound >= c.Rounds {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -178,9 +179,15 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{N: -1},
 		{NATRatio: 1.5},
+		{NATRatio: -0.1},
+		{NATRatio: math.NaN()},
 		{Mix: NATMix{RC: 0.5}},
+		{Mix: NATMix{RC: 1.5, PRC: -0.5}},
+		{Mix: NATMix{RC: math.NaN(), PRC: 1}},
+		{UPnPFraction: math.NaN()},
 		{ChurnFraction: -0.1},
 		{ChurnFraction: 1.0},
+		{ChurnFraction: math.NaN()},
 		{ChurnAtRound: 1000, Rounds: 100, ChurnFraction: 0.5},
 	}
 	for i, cfg := range bad {

@@ -15,10 +15,10 @@
 // by later pushes.
 //
 // For event streams whose fire times are already monotone — the simulated
-// network's constant-latency deliveries, which are the majority of all
-// events — the scheduler additionally offers a lane: a flat FIFO ring that
-// is merged with the heap at pop time in exact (time, sequence) order, so
-// those events never pay heap costs at all.
+// network's deliveries, which its barrier releases in key order and which are
+// the majority of all events — the scheduler additionally offers a lane: a
+// flat FIFO ring that is merged with the heap at pop time in exact (time,
+// sequence) order, so those events never pay heap costs at all.
 //
 // Sharded simulations (see ShardedScheduler) run one Scheduler per shard and
 // need an event order that does not depend on how many shards or workers
@@ -93,8 +93,8 @@ type Scheduler struct {
 	// limit is the deadline of the RunUntil/RunBefore loop currently
 	// executing (limitExcl marks RunBefore's strict bound); LaneContinue
 	// honours it so a batched lane run never crosses the loop's window.
-	// Outside a bounded loop (Step, Drain) limitSet is false and lane runs
-	// never extend, preserving one-event-per-Step semantics.
+	// Outside a bounded loop (Step) limitSet is false and lane runs never
+	// extend, preserving one-event-per-Step semantics.
 	limit     int64
 	limitSet  bool
 	limitExcl bool
@@ -174,9 +174,9 @@ func (s *Scheduler) SetLaneFn(fn func()) {
 // LaneAtKey schedules one lane event at time t with an explicit (actor, seq)
 // ordering key; it runs laneFn, interleaved with heap events in exact key
 // order. The full key must be monotone: not before the key of any lane
-// event still pending. The sharded network's barrier merge pushes its
-// sorted per-window batches through here; batches from successive windows
-// never overlap in time, so the invariant holds by construction.
+// event still pending. The sharded network's barrier pushes every datagram
+// through here, each barrier a sorted key range past the previous one's, so
+// the invariant holds by construction.
 func (s *Scheduler) LaneAtKey(t int64, actor, seq uint64) {
 	if s.laneFn == nil {
 		panic("sim: LaneAtKey without SetLaneFn")
@@ -243,12 +243,13 @@ func (s *Scheduler) At(t int64, fn func()) {
 	s.siftUp(len(s.pending) - 1)
 }
 
-// AtKey schedules fn at time t with an explicit (actor, seq) ordering key.
-// Sharded hosts use it for every event so that same-time ties resolve by a
-// key derived from the simulated world (the scheduling peer and its private
-// event counter), never from scheduler-local state: the resulting order is
-// invariant under the shard and worker count. Keys must be unique per
-// (t, actor); actor 0 is reserved for At's scheduler-local counter.
+// AtKey schedules fn at time t with an explicit (actor, seq) ordering key, so
+// that same-time ties resolve by a key derived from the simulated world (the
+// scheduling peer and its private event counter), never from scheduler-local
+// state: the resulting order is invariant under the shard and worker count.
+// Sharded hosts key every event this way, through the closure-free TickAtKey
+// and LaneAtKey. Keys must be unique per (t, actor); actor 0 is reserved for
+// At's scheduler-local counter.
 func (s *Scheduler) AtKey(t int64, actor, seq uint64, fn func()) {
 	if fn == nil {
 		panic("sim: AtKey called with nil fn")
@@ -441,8 +442,7 @@ func (s *Scheduler) run(deadline int64, excl bool) {
 // heap-array order, which is not sorted: checkpoint writers sort the
 // collected keys themselves. Events carrying their own closure are skipped —
 // a closure cannot be serialized, so hosts re-arm those structurally on
-// restore (the network's jitter events from its jitter heap, the experiment
-// harness's global timeline from the config).
+// restore (the experiment harness's global timeline from the config).
 func (s *Scheduler) EachTick(fn func(Key)) {
 	for i := range s.pending {
 		if s.pending[i].fn == nil {
@@ -476,11 +476,4 @@ func (s *Scheduler) Step() bool {
 	}
 	s.runNext(fromLane)
 	return true
-}
-
-// Drain runs every pending event (including ones scheduled while draining).
-// Use only in tests with naturally finite event cascades.
-func (s *Scheduler) Drain() {
-	for s.Step() {
-	}
 }

@@ -18,7 +18,8 @@ func TestAtStepZeroAllocs(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		s.At(s.Now()+int64(i%16), fn)
 	}
-	s.Drain()
+	for s.Step() {
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.At(s.Now()+3, fn)
 		s.At(s.Now()+1, fn)

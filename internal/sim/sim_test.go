@@ -89,7 +89,8 @@ func TestStepAndDrain(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("after one step n = %d", n)
 	}
-	s.Drain()
+	for s.Step() {
+	}
 	if n != 2 {
 		t.Errorf("after drain n = %d, want 2", n)
 	}

@@ -22,11 +22,11 @@ import (
 // everything shard-scoped is merged into a global canonical order before
 // encoding: peers serialize in attachment (slot) order, which is a pure
 // function of the run; in-flight datagrams merge across shards sorted by
-// their (arrival, sender, per-sender seq) scheduler key; drop counters
-// serialize as per-cause totals. On restore the state redistributes to
-// however many shards the resuming run uses: each shard's sub-sequence of
-// the globally key-sorted datagram list is itself key-sorted, so lane
-// monotonicity holds whatever the new shard count.
+// their (arrival, sender, per-sender seq) key; drop counters serialize as
+// per-cause totals. On restore the state redistributes to however many
+// shards the resuming run uses: every in-flight datagram goes into the held
+// heap of its destination's shard, and the resumed run's first barrier
+// releases into the lanes exactly what the capturing run's lanes held.
 //
 // Deliberately not serialized: per-shard intern tables and resolve memos
 // (performance caches re-derived on demand), trace rings and flight
@@ -54,10 +54,11 @@ func (n *Network) EachPeer(fn func(p *Peer)) {
 // State walks the network's complete state: the next free public and private
 // IP (both functions of the roster, kept for the format), the partition flag,
 // every peer (with its NAT device and traffic counters) in
-// attachment order, every in-flight datagram in scheduler-key order, and the
-// drop totals. Capture must run at a barrier.
+// attachment order, every in-flight datagram in key order, and the drop
+// totals. Capture must run at a barrier.
 //
-// Restoring rebuilds the state into this freshly constructed, empty network.
+// Restoring rebuilds the state into this freshly constructed, empty network,
+// whose shard clocks already stand at the barrier time the run resumes at.
 // engineFor — the one argument a capture does not use — is called once per
 // restored peer, in attachment order, to build its engine (the host restores
 // engine state afterwards via EachPeer in the same order). On corrupt input
@@ -87,7 +88,7 @@ func (n *Network) State(c *snapshot.Codec, engineFor func(p *Peer) core.Engine) 
 	}
 
 	c.Section(secMsgs)
-	var flight []outEntry
+	var flight []jitEntry
 	if !c.Restoring() {
 		for i := range n.shards {
 			sh := &n.shards[i]
@@ -95,20 +96,18 @@ func (n *Network) State(c *snapshot.Codec, engineFor func(p *Peer) core.Engine) 
 			// keys with the ring's deliveries positionally.
 			j := 0
 			sh.sched.EachLane(func(k sim.Key) {
-				flight = append(flight, outEntry{Key: k, d: *sh.inflight.At(j)})
+				flight = append(flight, jitEntry{Key: k, d: *sh.inflight.At(j)})
 				j++
 			})
 			if j != sh.inflight.Len() {
 				panic("simnet: lane events and in-flight ring out of step")
 			}
-			for _, e := range sh.jit {
-				flight = append(flight, outEntry{Key: e.Key, jittered: true, d: e.d})
-			}
+			flight = append(flight, sh.jit...)
 		}
-		slices.SortFunc(flight, compareOut)
+		slices.SortFunc(flight, compareEntry)
 	}
 	nMsgs := c.Count(len(flight), 8+8+8+1+6+6+2+3*19+4+8+4)
-	var fresh outEntry // restoring, every datagram decodes into it, whole
+	var fresh jitEntry // restoring, every datagram decodes into it, whole
 	var prev sim.Key
 	for i := 0; i < nMsgs && c.Err() == nil; i++ {
 		e := &fresh
@@ -203,15 +202,15 @@ func (n *Network) peerState(c *snapshot.Codec, i, nPeers int, engineFor func(p *
 	p.Engine = engineFor(p)
 }
 
-// datagramState walks in-flight datagram i: its scheduler key, its endpoints
-// and its message. Restoring draws the message from the pool of the shard that
-// owns the destination and queues the datagram there; prev is the key of
-// datagram i-1.
-func (n *Network) datagramState(c *snapshot.Codec, i int, e *outEntry, prev sim.Key) {
+// datagramState walks in-flight datagram i: its key, its endpoints and its
+// message. Restoring draws the message from the pool of the shard that owns
+// the destination and holds the datagram there; prev is the key of datagram
+// i-1.
+func (n *Network) datagramState(c *snapshot.Codec, i int, e *jitEntry, prev sim.Key) {
 	e.At = c.I64(e.At)
 	e.Actor = c.U64(e.Actor)
 	e.Seq = c.U64(e.Seq)
-	e.jittered = c.Bool(e.jittered)
+	e.d.jittered = c.Bool(e.d.jittered)
 	e.d.srcEP = c.Endpoint(e.d.srcEP)
 	e.d.to = c.Endpoint(e.d.to)
 	var sh *netShard
@@ -219,12 +218,12 @@ func (n *Network) datagramState(c *snapshot.Codec, i int, e *outEntry, prev sim.
 		if c.Err() != nil {
 			return
 		}
-		// The writer sorts entries by strictly increasing key; enforce that
-		// before any shard-lane push, because a lane rejects (by design, with
-		// a panic — it is a host-bug detector) keys that regress. Hostile
-		// input must fail the restore, not trip the detector.
-		if i > 0 && prev.Compare(e.Key) >= 0 {
-			c.Fail("in-flight datagram %d out of key order", i)
+		// The writer's keys strictly increase from the barrier time on. The
+		// first barrier hands them to lanes that panic (a host-bug detector)
+		// on a key that regresses, as one before the clock does once clamped
+		// to it: hostile input must fail the restore, not trip the detector.
+		if (i > 0 && prev.Compare(e.Key) >= 0) || e.At < n.barrierNow() {
+			c.Fail("in-flight datagram %d out of key order or due before the barrier", i)
 			return
 		}
 		owner, ok := n.OwnerOfIP(e.d.to.IP)
@@ -259,8 +258,5 @@ func (n *Network) datagramState(c *snapshot.Codec, i int, e *outEntry, prev sim.
 		return
 	}
 	e.d.size = uint64(m.Size())
-	// Keys re-distribute to the resuming run's shards: this shard's
-	// sub-sequence of the globally sorted list stays sorted, so the lane
-	// accepts every key and fires in the original global order.
-	n.scheduleEntry(sh, e)
+	sh.jit.push(*e)
 }

@@ -43,8 +43,7 @@ func TestDropStatFields(t *testing.T) {
 // compiled into the 1k-peer benchmark path without moving its guards.
 func TestTraceDisabledZeroAlloc(t *testing.T) {
 	sh := &netShard{} // tr == nil: the disabled configuration
-	msg := wire.NewMessage()
-	defer msg.Release()
+	msg := new(wire.Message)
 	from := ident.Endpoint{IP: 1, Port: 1}
 	to := ident.Endpoint{IP: 2, Port: 2}
 	allocs := testing.AllocsPerRun(1000, func() {

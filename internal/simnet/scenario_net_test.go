@@ -96,8 +96,9 @@ func TestLinkPolicyJitterRoutesThroughHeap(t *testing.T) {
 	a := net.AddPeer(1, ident.Public, holeTimeout, func(d view.Descriptor) core.Engine { return factory(d) })
 	b := net.AddPeer(2, ident.Public, holeTimeout, func(d view.Descriptor) core.Engine { return factory(d) })
 
-	// Non-monotone delays: a lane-only implementation would panic on the
-	// regressed fire time; the heap path must absorb them and deliver all.
+	// Non-monotone delays: the barrier must hold the delayed datagrams past
+	// its release horizon and hand them to the lane in key order later, or
+	// the lane would panic on the regressed fire time.
 	net.SetLinkPolicy(&scriptedPolicy{delays: []int64{200, 0, 40}})
 	ping(net, a, b)
 	ping(net, a, b)
@@ -214,23 +215,41 @@ func (e *keyEngine) Receive(now int64, _ ident.Endpoint, _ *wire.Message) []core
 }
 
 // TestFlushSchedulesInKeyOrder stages runs for one destination shard and
-// requires its lane and jit heap together to fire in exactly sim.Key order,
-// whichever way the barrier brought the runs together: one sorted run
-// scheduled in place, three sorted runs whose keys interleave, and three runs
-// one of which a link-delayed datagram left out of order.
+// requires its deliveries to fire in exactly sim.Key order, whichever way the
+// barrier brought the runs together: one sorted run scheduled in place, three
+// sorted runs whose keys interleave, three runs one of which a link-delayed
+// datagram left out of order, and delays of one to two and a half latencies
+// behind a global event that cuts one window short, so datagrams wait in the
+// held heap across one and two barriers. After every barrier each shard's
+// scheduler holds nothing but lane events.
 func TestFlushSchedulesInKeyOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		senders []ident.NodeID // shard = (id-1) % 4; the destination, peer 4, owns shard 3
 		delays  []int64        // per send, in send order
+		global  int64          // time of a global event, 0 for none
 	}{
-		{"one sorted run", []ident.NodeID{1, 5, 9}, nil},
-		{"sorted runs interleave", []ident.NodeID{1, 5, 2, 6, 3, 7}, nil},
-		{"a link delay regresses a run", []ident.NodeID{1, 5, 2, 6, 3, 7}, []int64{30, 0, 0, 20, 0, 0, 20, 0, 10, 0, 0, 0}},
+		{"one sorted run", []ident.NodeID{1, 5, 9}, nil, 0},
+		{"sorted runs interleave", []ident.NodeID{1, 5, 2, 6, 3, 7}, nil, 0},
+		{"a link delay regresses a run", []ident.NodeID{1, 5, 2, 6, 3, 7}, []int64{30, 0, 0, 20, 0, 0, 20, 0, 10, 0, 0, 0}, 0},
+		{"held across barriers", []ident.NodeID{1, 5, 2, 6, 3, 7}, []int64{125, 50, 75, 100, 60, 125, 50, 90, 110, 75, 100, 60}, 70},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			kern := sim.NewSharded(4, 1, latency)
 			net := NewSharded(kern, latency)
+			if tc.global > 0 {
+				kern.Global().At(tc.global, func() {})
+			}
+			kern.SetCheckpointFn(func(now int64) bool {
+				for i := 0; i < kern.Shards(); i++ {
+					s, lane := kern.Shard(i), 0
+					s.EachLane(func(sim.Key) { lane++ })
+					if s.Pending() != lane {
+						t.Errorf("barrier %d: shard %d has %d events pending, %d of them lane events", now, i, s.Pending(), lane)
+					}
+				}
+				return false
+			})
 			dst := &keyEngine{sched: kern.Shard(3)}
 			to := net.AddPeer(4, ident.Public, holeTimeout, func(d view.Descriptor) core.Engine { return dst })
 			factory, _ := sinkFactory()

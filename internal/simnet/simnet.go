@@ -11,17 +11,17 @@
 //
 // Scenario runs may perturb the base model through a LinkPolicy (per-datagram
 // latency jitter and probabilistic loss) and a partition mask (cross-side
-// deliveries dropped at the cut). Without them the network stays on the
-// constant-latency, allocation-free delivery lane.
+// deliveries dropped at the cut).
 //
 // The network is sharded to match the kernel it runs on (see
 // sim.ShardedScheduler and DESIGN.md §5): peers partition across shards by
-// NodeID, each shard owns a constant-latency delivery lane, a wire message
-// pool and its own drop counters, and cross-shard traffic stages in per-shard
-// outboxes that the kernel's barrier drains in deterministic
-// (time, sender, per-sender seq) order. A peer's state — engine, NAT device,
-// traffic counters — is touched only by its own shard's events or at
-// barriers, so windows run lock-free.
+// NodeID, each shard owns a delivery lane, a wire message pool and its own
+// drop counters, and cross-shard traffic stages in per-shard outboxes that
+// the kernel's barrier drains in deterministic (time, sender, per-sender seq)
+// order into the lanes, holding back what a link delay carries past the
+// window (see flush). A peer's state — engine, NAT device, traffic counters —
+// is touched only by its own shard's events or at barriers, so windows run
+// lock-free.
 package simnet
 
 import (
@@ -64,7 +64,7 @@ type Peer struct {
 	// Seq is the peer's private event counter: every event the peer
 	// schedules (a periodic tick, a datagram transmission) draws the next
 	// value as its ordering key, making same-time tie-breaks a pure
-	// function of the simulated world (see sim.Scheduler.AtKey).
+	// function of the simulated world (see sim.Key).
 	Seq uint64
 	// StampSeq counts the messages the peer originated (hop 0), numbering
 	// its causal chains: (ID, StampSeq) names every forwarding chain the
@@ -209,7 +209,7 @@ func (n *Network) SetPerDatagramDelivery(v bool) { n.perDatagram = v }
 
 // LeakCheck verifies the wire-message books: every message drawn from the
 // shard pools must either have been returned or still be queued for
-// delivery (the in-flight ring, the jit heap, or a staged cross-shard run).
+// delivery (the lane's ring, the held heap, or a staged cross-shard run).
 // Messages cross shards — drawn on the sender's pool, returned to the
 // destination's — so only the summed balance is meaningful. A surplus means
 // a delivery path leaked messages; a deficit means a double release.
@@ -240,28 +240,20 @@ type netShard struct {
 	// exchange scratch) handed to every engine of the shard's peers.
 	shared *core.Shared
 
-	// In-flight constant-latency datagrams wait in a FIFO ring and fire
-	// through the shard scheduler's lane in exact key order: delivering
-	// allocates nothing and never touches the event heap. Datagrams the
-	// link policy delays beyond the base latency are the exception: their
-	// fire times are not monotone, so they go through the shard's heap.
+	// Released datagrams wait in a FIFO ring and fire through the shard
+	// scheduler's lane in exact key order: delivering allocates nothing and
+	// never touches the event heap.
 	inflight sim.Ring[delivery]
 
-	// jit stores link-delayed deliveries inline, ordered by the same
-	// (at, actor, seq) key as their scheduler events, so the heap head is
-	// always the datagram of the jit event firing now. jitFire is the one
-	// reused callback those events carry, replacing a per-datagram closure.
-	jit     jitHeap
-	jitFire func()
+	// jit holds, inline and by key, the datagrams a link delay carried past
+	// the release horizon of the barriers so far (see flush).
+	jit jitHeap
 
-	// out stages datagrams sent by this shard's peers, one slice per
-	// destination shard; the barrier drains them (see flush). outUnsorted
-	// flags a run whose keys regressed at append time (link-delayed
-	// arrivals).
-	out         [][]outEntry
-	outUnsorted []bool
+	// out stages datagrams sent by this shard's peers, one run per
+	// destination shard; the barrier drains them (see flush).
+	out [][]jitEntry
 	// merge is the barrier's reusable gather-and-sort scratch.
-	merge []outEntry
+	merge []jitEntry
 
 	// tr is this shard's trace ring (nil when tracing is off — the
 	// zero-cost fast path, one nil check per event).
@@ -309,17 +301,22 @@ func (n *Network) drop(sh *netShard, cause trace.DropCause, from, to ident.Endpo
 	sh.trace(trace.DropCauses[cause].Op, from, to, msg, size)
 }
 
-// jitEntry is one link-delayed delivery waiting in a shard's jit heap, under
-// the same key as its scheduler event.
+// jitEntry is one datagram under its delivery key — (arrival time including
+// any link delay, sender, per-sender seq), the worker- and shard-count-
+// invariant order of the barrier merge. Staged, held and checkpointed
+// datagrams all take this form.
 type jitEntry struct {
 	sim.Key
 	d delivery
 }
 
-// jitHeap is a 4-ary min-heap of link-delayed deliveries, mirroring the
-// scheduler's inline event heap: entries are stored by value and the backing
-// slice is reused across pushes, so a jittered datagram costs no allocation
-// beyond amortized growth.
+// compareEntry orders datagrams by key, for slices.SortFunc.
+func compareEntry(a, b jitEntry) int { return a.Compare(b.Key) }
+
+// jitHeap is a 4-ary min-heap of held datagrams, mirroring the scheduler's
+// inline event heap: entries are stored by value and the backing slice is
+// reused across pushes, so holding a datagram costs no allocation beyond
+// amortized growth.
 type jitHeap []jitEntry
 
 func (h *jitHeap) push(e jitEntry) {
@@ -375,20 +372,10 @@ type delivery struct {
 	srcEP, to ident.Endpoint
 	msg       *wire.Message
 	size      uint64
+	// jittered marks a datagram the link policy delayed. Delivery ignores
+	// it; it is the bit nylon-snap/v1 stores per in-flight datagram.
+	jittered bool
 }
-
-// outEntry is one staged cross-barrier datagram: the delivery under its
-// deterministic ordering key — (arrival time including any link-policy delay,
-// sender, per-sender seq), the worker- and shard-count-invariant merge order
-// of the barrier.
-type outEntry struct {
-	sim.Key
-	jittered bool // true: arrives later than the base latency → heap
-	d        delivery
-}
-
-// compareOut orders staged datagrams by key, for slices.SortFunc.
-func compareOut(a, b outEntry) int { return a.Compare(b.Key) }
 
 // bootstrapDst is the well-known endpoint natted peers "contact" at join time
 // to allocate their first NAT mapping, standing in for a STUN-style
@@ -426,11 +413,9 @@ func NewSharded(kern *sim.ShardedScheduler, latencyMs int64) *Network {
 		sh.shared = core.NewShared()
 		sh.shared.Intern = intern.NewLayered(n.baseIntern)
 		sh.pool = &wire.Pool{}
-		sh.out = make([][]outEntry, len(n.shards))
-		sh.outUnsorted = make([]bool, len(n.shards))
+		sh.out = make([][]jitEntry, len(n.shards))
 		i := i
 		sh.sched.SetLaneFn(func() { n.deliverNext(i) })
-		sh.jitFire = func() { n.jitNext(i) }
 	}
 	kern.SetBarrierFn(n.flush)
 	return n
@@ -501,8 +486,8 @@ func (n *Network) SetTrace(ts *trace.Sharded) {
 func (n *Network) Trace() *trace.Sharded { return n.traces }
 
 // SetLinkPolicy installs (or, with nil, removes) the transmission
-// perturbation policy. With no policy the constant-latency lane fast path is
-// used exclusively.
+// perturbation policy. With no policy every datagram arrives exactly one
+// latency after its send.
 func (n *Network) SetLinkPolicy(p LinkPolicy) { n.policy = p }
 
 // SetPartitionActive toggles the partition mask. Callers assign peers'
@@ -680,7 +665,6 @@ func (n *Network) Send(from *Peer, s core.Send) {
 		}
 	}
 	at := now + n.latency + extra
-	d := delivery{srcEP: srcEP, to: s.To, msg: s.Msg, size: size}
 
 	// Stage into the destination shard's mailbox; the barrier merges and
 	// schedules it. The destination shard is the endpoint owner's —
@@ -696,58 +680,63 @@ func (n *Network) Send(from *Peer, s core.Send) {
 		sh.pool.Put(s.Msg)
 		return
 	}
-	e := outEntry{Key: sim.Key{At: at, Actor: uint64(from.ID), Seq: from.Seq}, jittered: extra > 0, d: d}
-	q := sh.out[owner.Shard]
-	if k := len(q); k > 0 && q[k-1].Compare(e.Key) > 0 {
-		// A link-delayed arrival regressed the run's key order: the
-		// barrier must sort it.
-		sh.outUnsorted[owner.Shard] = true
-	}
-	sh.out[owner.Shard] = append(q, e)
+	k := sim.Key{At: at, Actor: uint64(from.ID), Seq: from.Seq}
+	d := delivery{srcEP: srcEP, to: s.To, msg: s.Msg, size: size, jittered: extra > 0}
+	sh.out[owner.Shard] = append(sh.out[owner.Shard], jitEntry{Key: k, d: d})
 }
 
-// flush is the kernel's barrier hook: it drains every outbox into its
-// destination shard in deterministic (arrival, sender, per-sender seq)
-// order. Constant-latency datagrams append to the shard's lane — batches
-// from successive windows never overlap in time, so the lane stays monotone
-// — and jittered ones wait in the shard's jit heap behind reused heap
-// events with the same key.
+// flush is the kernel's barrier hook. At barrier T it gives each shard's lane,
+// in (arrival, sender, per-sender seq) order, every staged or held datagram
+// due before T+latency, and holds the rest in the shard's jit heap until the
+// barrier whose window they fall in. That is sound because a datagram sent at
+// s arrives no earlier than s+latency and every later send happens at or
+// after T: by now everything due before T+latency has been sent. Successive
+// barriers therefore release disjoint, increasing key ranges, and the lane
+// stays monotone. Only a link delay (or a send at exactly a barrier time) can
+// carry a datagram past the horizon.
 //
-// Each source run is key-sorted by construction — virtual time advances
-// monotonically within a window and same-instant events execute in
-// (actor, seq) order, which is also the order staged sends draw their keys —
-// unless a link-delayed arrival regressed it at append time. A destination
-// fed by one sorted run schedules it in place; anything else is gathered and
-// sorted by key.
+// Each source run is key-sorted unless a link delay regressed it — virtual
+// time advances monotonically within a window and same-instant events execute
+// in (actor, seq) order, which is also the order staged sends draw their keys.
+// A destination fed by one sorted run and holding nothing due schedules the
+// run in place; anything else is gathered and sorted by key.
 func (n *Network) flush() {
 	// Barrier context: no shard worker is running, so this is the one safe
 	// place to serve a live trace read posted by another goroutine.
 	n.traces.ServeTap()
+	horizon := n.barrierNow() + n.latency
 	for di := range n.shards {
 		dst := &n.shards[di]
-		var run []outEntry // what dst schedules
-		runs, sorted := 0, true
+		var run []jitEntry // what dst releases or holds
+		runs := 0
 		for si := range n.shards {
-			src := &n.shards[si]
-			if out := src.out[di]; len(out) > 0 {
+			if out := n.shards[si].out[di]; len(out) > 0 {
 				runs++
 				run = out
-				sorted = sorted && !src.outUnsorted[di]
 			}
 		}
-		if runs == 0 {
+		due := len(dst.jit) > 0 && dst.jit[0].At < horizon
+		if runs == 0 && !due {
 			continue
 		}
-		if runs > 1 || !sorted {
+		if runs > 1 || due || !slices.IsSortedFunc(run, compareEntry) {
 			run = dst.merge[:0]
 			for si := range n.shards {
 				run = append(run, n.shards[si].out[di]...)
 			}
-			slices.SortFunc(run, compareOut)
+			for len(dst.jit) > 0 && dst.jit[0].At < horizon {
+				run = append(run, dst.jit.pop())
+			}
+			slices.SortFunc(run, compareEntry)
 			dst.merge = run
 		}
 		for i := range run {
-			n.scheduleEntry(dst, &run[i])
+			if e := &run[i]; e.At < horizon {
+				dst.inflight.Push(e.d)
+				dst.sched.LaneAtKey(e.At, e.Actor, e.Seq)
+			} else {
+				dst.jit.push(*e)
+			}
 		}
 		// Drop message references from the scratch and the outboxes so
 		// stale slots never alias live pool entries.
@@ -757,19 +746,7 @@ func (n *Network) flush() {
 			src := &n.shards[si]
 			clear(src.out[di])
 			src.out[di] = src.out[di][:0]
-			src.outUnsorted[di] = false
 		}
-	}
-}
-
-// scheduleEntry queues one merged datagram on its destination shard.
-func (n *Network) scheduleEntry(dst *netShard, e *outEntry) {
-	if e.jittered {
-		dst.jit.push(jitEntry{Key: e.Key, d: e.d})
-		dst.sched.AtKey(e.At, e.Actor, e.Seq, dst.jitFire)
-	} else {
-		dst.inflight.Push(e.d)
-		dst.sched.LaneAtKey(e.At, e.Actor, e.Seq)
 	}
 }
 
@@ -777,8 +754,8 @@ func (n *Network) scheduleEntry(dst *netShard, e *outEntry) {
 // fire in exact key order, which is the order the ring was filled, so the
 // queue head is always the datagram the event belongs to. After each
 // delivery the loop asks the scheduler to extend the run (LaneContinue):
-// back-to-back lane events — the overwhelming majority under constant
-// latency — are handled as one batch event, amortizing dispatch, while every
+// back-to-back lane events — the overwhelming majority — are handled as one
+// batch event, amortizing dispatch, while every
 // datagram still advances the clock and the processed count individually and
 // any interleaved heap event ends the batch exactly where per-datagram
 // execution would have run it.
@@ -792,16 +769,6 @@ func (n *Network) deliverNext(i int) {
 			return
 		}
 	}
-}
-
-// jitNext completes shard i's earliest link-delayed delivery: jit events and
-// jit heap entries carry identical keys, so the heap head is always the
-// datagram of the event firing now.
-func (n *Network) jitNext(i int) {
-	sh := &n.shards[i]
-	e := sh.jit.pop()
-	n.deliver(i, e.d.srcEP, e.d.to, e.d.msg, e.d.size)
-	sh.pool.Put(e.d.msg)
 }
 
 // deliver completes one datagram on shard si (the destination's shard).
@@ -858,17 +825,6 @@ func (n *Network) resolve(sh *netShard, now int64, srcEP, to ident.Endpoint, msg
 		return nil, false
 	}
 	return p, true
-}
-
-// Tick runs one shuffling period for the peer and transmits the resulting
-// messages. The runner schedules it on the peer's shard.
-func (n *Network) Tick(p *Peer) {
-	if !p.Alive {
-		return
-	}
-	for _, s := range p.Engine.Tick(n.shards[p.Shard].sched.Now()) {
-		n.Send(p, s)
-	}
 }
 
 // Reachable reports whether a datagram sent now by q to the descriptor d

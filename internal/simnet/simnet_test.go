@@ -51,13 +51,24 @@ func newNet() (*sim.ShardedScheduler, *Network) {
 	return kern, NewSharded(kern, latency)
 }
 
+// tick runs one shuffling period of a live peer and transmits what its engine
+// emits, as the experiment harness's tick events do.
+func tick(net *Network, p *Peer) {
+	if !p.Alive {
+		return
+	}
+	for _, s := range p.Engine.Tick(net.shards[p.Shard].sched.Now()) {
+		net.Send(p, s)
+	}
+}
+
 func TestPublicPeersExchangeDirectly(t *testing.T) {
 	sched, net := newNet()
 	a := net.AddPeer(1, ident.Public, holeTimeout, genericFactory(1))
 	b := net.AddPeer(2, ident.Public, holeTimeout, genericFactory(2))
 	a.Engine.(*core.Generic).Bootstrap(0, []view.Descriptor{b.Descriptor()})
 
-	net.Tick(a)
+	tick(net, a)
 	sched.RunUntil(1000)
 
 	if !b.Engine.View().Contains(1) {
@@ -82,7 +93,7 @@ func TestBaselineDroppedAtNAT(t *testing.T) {
 	b := net.AddPeer(2, ident.PortRestrictedCone, holeTimeout, genericFactory(2))
 	a.Engine.(*core.Generic).Bootstrap(0, []view.Descriptor{b.Descriptor()})
 
-	net.Tick(a)
+	tick(net, a)
 	sched.RunUntil(1000)
 
 	if b.MsgsRecv != 0 {
@@ -104,7 +115,7 @@ func TestInstallHoleMakesBootstrapUsable(t *testing.T) {
 	net.InstallHole(a, b)
 	a.Engine.(*core.Generic).Bootstrap(0, []view.Descriptor{b.Descriptor()})
 
-	net.Tick(a)
+	tick(net, a)
 	sched.RunUntil(1000)
 
 	if b.MsgsRecv != 1 {
@@ -142,7 +153,7 @@ func TestNylonHolePunchEndToEnd(t *testing.T) {
 	e4.View().Add(n1.Descriptor())
 	_ = e1
 
-	net.Tick(n4)
+	tick(net, n4)
 	sched.RunUntil(10_000)
 
 	if got := n4.Engine.Stats().HolePunchesCompleted; got != 1 {
@@ -188,7 +199,7 @@ func TestNylonSymmetricRelayEndToEnd(t *testing.T) {
 	es.Routes().Set(3, r.Descriptor(), holeTimeout)
 	es.View().Add(tgt.Descriptor())
 
-	net.Tick(s)
+	tick(net, s)
 	sched.RunUntil(10_000)
 
 	if s.Engine.Stats().ShufflesCompleted != 1 {
@@ -208,7 +219,7 @@ func TestKillDropsTraffic(t *testing.T) {
 	b := net.AddPeer(2, ident.Public, holeTimeout, genericFactory(2))
 	a.Engine.(*core.Generic).Bootstrap(0, []view.Descriptor{b.Descriptor()})
 	net.Kill(2)
-	net.Tick(a)
+	tick(net, a)
 	sched.RunUntil(1000)
 	if net.Drops().DeadPeer != 1 {
 		t.Errorf("DeadPeer drops = %d, want 1", net.Drops().DeadPeer)
@@ -217,7 +228,7 @@ func TestKillDropsTraffic(t *testing.T) {
 		t.Error("shuffle with dead peer completed")
 	}
 	// Ticking a dead peer is a no-op.
-	net.Tick(b)
+	tick(net, b)
 	if b.MsgsSent != 0 {
 		t.Error("dead peer sent messages")
 	}
@@ -310,7 +321,7 @@ func TestFullConeBehavesLikePublic(t *testing.T) {
 	fc := net.AddPeer(2, ident.FullCone, holeTimeout, genericFactory(2))
 	// The join handshake allocated fc's mapping; a never contacted fc.
 	a.Engine.(*core.Generic).Bootstrap(0, []view.Descriptor{fc.Descriptor()})
-	net.Tick(a)
+	tick(net, a)
 	sched.RunUntil(1000)
 	if fc.MsgsRecv != 1 {
 		t.Errorf("full-cone peer received %d datagrams, want 1", fc.MsgsRecv)
@@ -322,7 +333,7 @@ func TestFullConeBehavesLikePublic(t *testing.T) {
 	// device still owns the IP, so the drop counts as NAT-filtered).
 	sched.RunUntil(sched.Now() + 2*holeTimeout)
 	before := net.Drops().NATFiltered
-	net.Tick(a)
+	tick(net, a)
 	sched.RunUntil(sched.Now() + 1000)
 	if net.Drops().NATFiltered != before+1 {
 		t.Errorf("expired full-cone mapping still routed (drops %d -> %d)", before, net.Drops().NATFiltered)
@@ -340,14 +351,14 @@ func TestUPnPPeerAcceptsUnsolicited(t *testing.T) {
 	}
 	a.Engine.(*core.Generic).Bootstrap(0, []view.Descriptor{u.Descriptor()})
 
-	net.Tick(a)
+	tick(net, a)
 	sched.RunUntil(1000)
 	if a.Engine.Stats().ShufflesCompleted != 1 {
 		t.Fatal("shuffle with UPnP peer failed")
 	}
 	// Unlike a full-cone mapping, a pinhole survives arbitrary idleness.
 	sched.RunUntil(sched.Now() + 10*holeTimeout)
-	net.Tick(a)
+	tick(net, a)
 	sched.RunUntil(sched.Now() + 1000)
 	if a.Engine.Stats().ShufflesCompleted != 2 {
 		t.Error("pinhole expired; UPnP mapping must be permanent")

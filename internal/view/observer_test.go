@@ -112,8 +112,8 @@ func TestObserverRandomizedExchanges(t *testing.T) {
 			if step%2 == 1 {
 				policy = MergeSwapper
 			}
-			sent := a.PrepareExchange(policy, rng)
-			reply := b.PrepareExchange(policy, rng)
+			sent := a.PrepareExchangeInto(policy, rng, nil)
+			reply := b.PrepareExchangeInto(policy, rng, nil)
 			a.ApplyExchange(policy, reply, sent, rng)
 			b.ApplyExchange(policy, sent, reply, rng)
 			oa.check(t, a)

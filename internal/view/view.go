@@ -310,21 +310,15 @@ func (v *View) ExchangeLen() int {
 	return n
 }
 
-// PrepareExchange builds the shuffle buffer (excluding the caller's own
+// PrepareExchangeInto builds the shuffle buffer (excluding the caller's own
 // descriptor, which the engine prepends): the view is permuted in place, the
 // H oldest entries are moved to its end, and the first ExchangeLen entries —
-// now at the head — are returned as the entries to ship. The returned slice
-// is a copy; the head placement is what lets ApplyExchange implement the
-// swapper policy ("discard the entries just sent"). Hot paths should prefer
-// PrepareExchangeInto with a reused buffer.
-func (v *View) PrepareExchange(policy Merge, rng *rand.Rand) []Descriptor {
-	return v.PrepareExchangeInto(policy, rng, nil)
-}
-
-// PrepareExchangeInto is PrepareExchange with a caller-owned destination: the
-// shipped entries are appended to buf (usually a reused slice truncated to
-// length zero) and the extended slice is returned. With a buffer of
-// sufficient capacity the call performs no allocation.
+// now at the head — are appended to buf (usually a reused slice truncated to
+// length zero, nil for a fresh one) as the entries to ship, and the extended
+// slice is returned. The shipped entries are a copy; the head placement is
+// what lets ApplyExchange implement the swapper policy ("discard the entries
+// just sent"). With a buffer of sufficient capacity the call performs no
+// allocation.
 func (v *View) PrepareExchangeInto(policy Merge, rng *rand.Rand, buf []Descriptor) []Descriptor {
 	h, _ := policy.HS(v.maxSize)
 	shuffle(rng, v.entries)
@@ -335,7 +329,7 @@ func (v *View) PrepareExchangeInto(policy Merge, rng *rand.Rand, buf []Descripto
 // shuffle is rng.Shuffle specialized to a descriptor slice: it draws the
 // exact same RNG stream (Fisher-Yates over math/rand's internal int31n,
 // which the equivalence tests pin), but swaps directly instead of calling a
-// closure per step — PrepareExchange permutes the view on every shuffle
+// closure per step — PrepareExchangeInto permutes the view on every shuffle
 // buffer, so the call overhead was measurable at simulation scale.
 func shuffle(rng *rand.Rand, ds []Descriptor) {
 	if len(ds) > 1<<31-1 {
@@ -425,7 +419,7 @@ func markOldest(ages []int64, h int) {
 // keeping the youngest, then — while the view exceeds its maximum size — the
 // H oldest entries are dropped (healer), up to S of the entries listed in
 // sent are dropped (swapper), and finally uniformly random entries are
-// dropped. sent must be the slice returned by the PrepareExchange call of
+// dropped. sent must be the entries shipped by the PrepareExchangeInto call of
 // the same exchange (nil for bootstrap-style merges).
 //
 // The merge runs over the view's reusable union/mark scratch — dropped

@@ -196,7 +196,7 @@ func TestPrepareExchangeShipsHalfView(t *testing.T) {
 		v.Add(desc(uint64(i), uint32(i)))
 	}
 	rng := rand.New(rand.NewSource(7))
-	sent := v.PrepareExchange(MergeHealer, rng)
+	sent := v.PrepareExchangeInto(MergeHealer, rng, nil)
 	if len(sent) != 3 { // c/2 - 1 = 3
 		t.Fatalf("sent %d entries, want 3", len(sent))
 	}
@@ -209,7 +209,7 @@ func TestPrepareExchangeShipsHalfView(t *testing.T) {
 	}
 	// The view itself is only permuted, never shrunk.
 	if v.Len() != 8 {
-		t.Errorf("PrepareExchange changed view size to %d", v.Len())
+		t.Errorf("PrepareExchangeInto changed view size to %d", v.Len())
 	}
 	if err := v.Validate(); err != nil {
 		t.Error(err)
@@ -220,11 +220,11 @@ func TestPrepareExchangeSmallView(t *testing.T) {
 	v := New(1, 8)
 	v.Add(desc(2, 0))
 	rng := rand.New(rand.NewSource(7))
-	if sent := v.PrepareExchange(MergeBlind, rng); len(sent) != 1 {
+	if sent := v.PrepareExchangeInto(MergeBlind, rng, nil); len(sent) != 1 {
 		t.Errorf("sent %d entries from 1-entry view, want 1", len(sent))
 	}
 	empty := New(1, 2)
-	if sent := empty.PrepareExchange(MergeBlind, rng); len(sent) != 0 {
+	if sent := empty.PrepareExchangeInto(MergeBlind, rng, nil); len(sent) != 0 {
 		t.Errorf("sent %d entries from empty view", len(sent))
 	}
 }
@@ -284,7 +284,7 @@ func TestMergeInvariants(t *testing.T) {
 		}
 		var sent []Descriptor
 		if len(ownIDs) > 0 {
-			sent = v.PrepareExchange(policy, rng)
+			sent = v.PrepareExchangeInto(policy, rng, nil)
 		}
 		v.ApplyExchange(policy, recv, sent, rng)
 		if err := v.Validate(); err != nil {

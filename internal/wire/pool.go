@@ -1,15 +1,17 @@
 package wire
 
-// Pool is a single-owner message free list. The sharded simulation gives
-// each shard its own Pool so that the per-datagram allocate/release cycle —
-// the hottest allocation site of a run — never crosses cores: a shard's
-// engines draw from the shard's pool, and the network returns every message
-// consumed on that shard to the same pool, whichever shard sent it.
+// Pool is the message free list: it recycles messages together with their
+// Entries backing arrays, because at simulation scale (millions of datagrams
+// per run) per-message allocation would dominate the heap profile. The
+// sharded simulation gives each shard its own Pool so that the per-datagram
+// allocate/release cycle never crosses cores: a shard's engines draw from the
+// shard's pool, and the network returns every message consumed on that shard
+// to the same pool, whichever shard sent it.
 //
-// A Pool must only be used by its owning shard's events (or at barriers);
-// it does no locking. A nil *Pool is valid and falls back to the shared,
-// concurrency-safe sync.Pool behind NewMessage/Release, which is what
-// engines outside the sharded simulation (real nodes, unit tests) use.
+// A Pool is single-owner: only its owning shard's events (or barrier code)
+// may use it; it does no locking. A nil *Pool is valid and keeps nothing: Get
+// allocates a fresh message and Put leaves the message to the garbage
+// collector.
 type Pool struct {
 	free    []*Message
 	balance int64
@@ -19,7 +21,7 @@ type Pool struct {
 // capacity) when available.
 func (p *Pool) Get() *Message {
 	if p == nil {
-		return NewMessage()
+		return new(Message)
 	}
 	p.balance++
 	if n := len(p.free); n > 0 {
@@ -32,10 +34,11 @@ func (p *Pool) Get() *Message {
 }
 
 // Put resets the message and returns it to the pool. The caller must be the
-// sole owner, exactly as for Message.Release.
+// sole owner: no engine or queue may still reference the message or its
+// Entries slice. Only a host that owns a message's whole lifecycle puts it;
+// double-putting is a bug.
 func (p *Pool) Put(m *Message) {
 	if p == nil {
-		m.Release()
 		return
 	}
 	p.balance--
@@ -48,7 +51,7 @@ func (p *Pool) Put(m *Message) {
 // currently checked out of the pool. A host that fully owns every message
 // lifecycle can assert it returns to zero — a positive balance means leaked
 // messages, a negative one means a borrowed (non-pool) message was returned.
-// Zero for the nil pool, whose sync.Pool fallback keeps no books.
+// Zero for the nil pool, which keeps no books.
 func (p *Pool) Balance() int64 {
 	if p == nil {
 		return 0
@@ -56,12 +59,13 @@ func (p *Pool) Balance() int64 {
 	return p.balance
 }
 
-// Clone returns a deep copy of m drawn from the pool, preserving the pooled
-// Entries backing array exactly as Message.Clone does.
+// Clone returns a deep copy of m drawn from the pool. Forwarding code uses it
+// so the mutation of Hops never aliases a message still queued elsewhere. The
+// copy keeps the drawn message's Entries backing array even when m has no
+// entries (relays clone OPEN_HOLE/PING constantly): dropping it would
+// progressively strip recycled capacity from the pool. A zero-length slice
+// encodes identically to nil.
 func (p *Pool) Clone(m *Message) *Message {
-	if p == nil {
-		return m.Clone()
-	}
 	c := p.Get()
 	entries := c.Entries
 	*c = *m

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 
 	"repro/internal/ident"
 	"repro/internal/view"
@@ -88,7 +87,8 @@ type Message struct {
 	// crossed. The stamp is in-memory forensic state, deliberately NOT part
 	// of the wire codec: Marshal ignores it and Unmarshal leaves it zero, so
 	// encoded sizes — the paper's bandwidth accounting (Figs. 7/8) — are
-	// unchanged. Clone preserves it along forwarding; Release clears it.
+	// unchanged. Pool.Clone preserves it along forwarding; Pool.Put clears
+	// it.
 	OriginSeq uint32
 	PathHash  uint64
 }
@@ -231,54 +231,6 @@ func UnmarshalInto(m *Message, b []byte) error {
 
 // ErrMalformed is wrapped by every Unmarshal error.
 var ErrMalformed = errors.New("wire: malformed message")
-
-// msgPool recycles messages together with their Entries backing arrays. At
-// simulation scale (millions of datagrams per run) per-message allocation
-// dominates the heap profile; hosts that fully own a message's lifecycle
-// (the simulated network) return it with Release once consumed.
-var msgPool = sync.Pool{New: func() any { return new(Message) }}
-
-// NewMessage returns an empty message, reusing a pooled one (and its Entries
-// capacity) when available. Messages obtained here may be handed to Release
-// by whichever host consumes them; messages built as plain literals may too.
-func NewMessage() *Message {
-	return msgPool.Get().(*Message)
-}
-
-// Release resets the message and returns it to the pool. The caller must be
-// the sole owner: no engine or queue may still reference the message or its
-// Entries slice. Release is optional — unreleased messages are simply
-// garbage collected.
-func (m *Message) Release() {
-	entries := m.Entries[:0]
-	*m = Message{Entries: entries}
-	msgPool.Put(m)
-}
-
-// Clone returns a deep copy of the message drawn from the message pool.
-// Forwarding code uses it so the mutation of Hops never aliases a message
-// still queued elsewhere.
-func (m *Message) Clone() *Message {
-	c := NewMessage()
-	entries := c.Entries
-	*c = *m
-	// Always keep the pooled Entries backing array, even when cloning an
-	// entry-less message (relays clone OPEN_HOLE/PING constantly):
-	// dropping it would progressively strip recycled capacity from the
-	// pool. A zero-length slice encodes identically to nil.
-	c.Entries = append(entries[:0], m.Entries...)
-	return c
-}
-
-// Descriptors extracts the bare descriptors of the carried entries. Hot
-// paths should prefer AppendDescriptors with a reused buffer.
-func (m *Message) Descriptors() []view.Descriptor {
-	out := make([]view.Descriptor, len(m.Entries))
-	for i, e := range m.Entries {
-		out[i] = e.Desc
-	}
-	return out
-}
 
 // AppendDescriptors appends the bare descriptors of the carried entries to
 // dst and returns the extended slice; with a reused buffer of sufficient

@@ -132,8 +132,9 @@ func TestMarshalRejectsInvalid(t *testing.T) {
 }
 
 func TestClone(t *testing.T) {
+	var pool Pool
 	m := sampleMsg()
-	c := m.Clone()
+	c := pool.Clone(m)
 	if !reflect.DeepEqual(m, c) {
 		t.Fatal("clone differs")
 	}
@@ -145,14 +146,14 @@ func TestClone(t *testing.T) {
 	// Cloning a message without entries yields no entries (the backing
 	// array may be a recycled pool buffer, so nil-ness is not guaranteed).
 	m.Entries = nil
-	if c := m.Clone(); len(c.Entries) != 0 {
+	if c := pool.Clone(m); len(c.Entries) != 0 {
 		t.Error("clone invented entries")
 	}
 }
 
 func TestDescriptors(t *testing.T) {
 	m := sampleMsg()
-	ds := m.Descriptors()
+	ds := m.AppendDescriptors(nil)
 	if len(ds) != 2 || ds[0].ID != 11 || ds[1].ID != 12 {
 		t.Errorf("Descriptors = %v", ds)
 	}
