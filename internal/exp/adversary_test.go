@@ -1,7 +1,12 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
@@ -49,6 +54,78 @@ func TestAdversaryInvariance(t *testing.T) {
 			t.Errorf("workers=%d shards=%d diverged from workers=1 shards=1:\nwant: %+v\n got: %+v",
 				leg.workers, leg.shards, want, got)
 		}
+	}
+}
+
+// TestAdversaryResultGolden pins the measured results of hostile runs: for
+// every protocol under a 20% poison-view and a 20% lying-rvp cohort, and for a
+// static-RVP run under churn with no adversary, the SHA-256 of the JSON Result
+// (config echo zeroed) equals the line in testdata/adversary_results.golden,
+// at one shard and at sixteen. The golden was generated before the adversary
+// census moved into the measurement walk; the invariance suites compare runs
+// of one build with each other, this compares a build with the one before it.
+// A change meant to move a row regenerates the golden from this test's output
+// and says so.
+func TestAdversaryResultGolden(t *testing.T) {
+	churn := &scenario.Churn{JoinsPerRound: 1, LeavesPerRound: 1, StartRound: 5}
+	type row struct {
+		name  string
+		proto Protocol
+		sc    *scenario.Scenario
+	}
+	var rows []row
+	for _, proto := range ckProtocols {
+		for _, strategy := range []string{"poison-view", "lying-rvp"} {
+			rows = append(rows, row{proto.String() + "/" + strategy, proto, &scenario.Scenario{
+				Name:        strategy,
+				Churn:       churn,
+				Adversaries: []scenario.Adversary{{Strategy: strategy, Fraction: 0.2, FromRound: 10}},
+			}})
+		}
+	}
+	rows = append(rows, row{"static-rvp/churn", ProtoStaticRVP, &scenario.Scenario{Name: "churn", Churn: churn}})
+
+	lines := make([]string, len(rows))
+	t.Run("grid", func(t *testing.T) {
+		for i, r := range rows {
+			i, r := i, r
+			t.Run(r.name, func(t *testing.T) {
+				t.Parallel()
+				for _, shape := range []struct{ workers, shards int }{{1, 1}, {2, 16}} {
+					res, err := Run(Config{
+						N: 200, Rounds: 40, NATRatio: 0.7, Protocol: r.proto,
+						Selection: view.SelectRand, Merge: view.MergeHealer, PushPull: true,
+						EvictUnanswered: true, Seed: 27, SampleEveryRounds: 5,
+						Scenario: r.sc, Workers: shape.workers, Shards: shape.shards,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(r.sc.Adversaries) > 0 && res.Adversary.AdversaryCount == 0 {
+						t.Fatal("no cohort drafted")
+					}
+					res.Cfg = Config{}
+					b, err := json.Marshal(res)
+					if err != nil {
+						t.Fatal(err)
+					}
+					line := fmt.Sprintf("%s %x", r.name, sha256.Sum256(b))
+					if lines[i] == "" {
+						lines[i] = line
+					} else if line != lines[i] {
+						t.Errorf("%d shards measured otherwise than 1 shard:\n%s\n%s", shape.shards, line, lines[i])
+					}
+				}
+			})
+		}
+	})
+	got := strings.Join(lines, "\n") + "\n"
+	want, err := os.ReadFile("testdata/adversary_results.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("hostile results moved (see the comment on this test); now:\n%s", got)
 	}
 }
 
