@@ -79,6 +79,23 @@ func TestNaNFractionRejected(t *testing.T) {
 	}
 }
 
+// TestStaticRVPWithoutPublicPeerRejected pins that a static-RVP world with no
+// public peer to bind natted peers to is a config error (exit 1, naming the
+// protocol), not a panic of the world builder.
+func TestStaticRVPWithoutPublicPeerRejected(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	status := run([]string{"-protocol", "static-rvp", "-nat", "100", "-n", "50", "-rounds", "2"}, &stdout, &stderr, neverStop)
+	if status != 1 {
+		t.Errorf("exit status %d, want 1", status)
+	}
+	if !strings.Contains(stderr.String(), "protocol static-rvp needs a public peer") {
+		t.Errorf("stderr does not name the protocol:\n%s", &stderr)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("a rejected config printed a report:\n%s", &stdout)
+	}
+}
+
 // TestInterruptedRunKeepsItsProfile interrupts a profiled, checkpointing run
 // at round 1 and requires what an operator's ^C must leave behind: status
 // 130, the snapshot to resume from, and a CPU profile that was stopped and

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -27,37 +28,45 @@ import (
 	"repro/internal/wire"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nylon-trace", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		opName  = flag.String("op", "", "keep only events of this op: send, deliver, drop-nat, drop-addr, drop-dead, drop-link, drop-partition")
-		peer    = flag.String("peer", "", "keep only events whose origin or destination is this peer (e.g. n7)")
-		kind    = flag.String("kind", "", "keep only this wire kind: REQUEST, RESPONSE, OPEN_HOLE, PING, PONG")
-		fromMs  = flag.Int64("from", -1, "keep only events at or after this virtual time (ms)")
-		toMs    = flag.Int64("to", -1, "keep only events at or before this virtual time (ms)")
-		follow  = flag.String("follow", "", "reconstruct causal chains: an origin peer (n3) or one chain (n3:17); prints each chain hop by hop with its verification status")
-		summary = flag.Bool("summary", false, "print per-op totals and the per-shard drop table instead of events")
-		shards  = flag.Int("shards", 0, "shard count for -summary's per-shard table on raw traces (bundles carry it)")
-		limit   = flag.Int("n", 0, "print at most the last N matching events (0 = all)")
+		opName  = fs.String("op", "", "keep only events of this op: send, deliver, drop-nat, drop-addr, drop-dead, drop-link, drop-partition")
+		peer    = fs.String("peer", "", "keep only events whose origin or destination is this peer (e.g. n7)")
+		kind    = fs.String("kind", "", "keep only this wire kind: REQUEST, RESPONSE, OPEN_HOLE, PING, PONG")
+		fromMs  = fs.Int64("from", -1, "keep only events at or after this virtual time (ms)")
+		toMs    = fs.Int64("to", -1, "keep only events at or before this virtual time (ms)")
+		follow  = fs.String("follow", "", "reconstruct causal chains: an origin peer (n3) or one chain (n3:17); prints each chain hop by hop with its verification status")
+		summary = fs.Bool("summary", false, "print per-op totals and the per-shard drop table instead of events")
+		shards  = fs.Int("shards", 0, "shard count for -summary's per-shard table on raw traces (bundles carry it)")
+		limit   = fs.Int("n", 0, "print at most the last N matching events (0 = all)")
 	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: nylon-trace [flags] FILE\n\nFILE is a JSON-lines trace (-trace-out) or a flight-recorder bundle.\n\n")
-		flag.PrintDefaults()
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: nylon-trace [flags] FILE\n\nFILE is a JSON-lines trace (-trace-out) or a flight-recorder bundle.\n\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	fs.Parse(args)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "nylon-trace:", err)
+		return 1
 	}
 
-	events, bundle, err := load(flag.Arg(0))
+	events, bundle, err := load(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if bundle != nil {
-		fmt.Printf("# bundle %s: trigger %s at round %d (%s)\n",
+		fmt.Fprintf(stdout, "# bundle %s: trigger %s at round %d (%s)\n",
 			bundle.Schema, bundle.Trigger.Name, bundle.Trigger.Round, bundle.Trigger.Detail)
-		fmt.Printf("# run: %s n=%d seed=%d shards=%d workers=%d\n",
+		fmt.Fprintf(stdout, "# run: %s n=%d seed=%d shards=%d workers=%d\n",
 			bundle.Run.Protocol, bundle.Run.N, bundle.Run.Seed, bundle.Run.Shards, bundle.Run.Workers)
 		if *shards == 0 {
 			*shards = bundle.Run.Shards
@@ -65,26 +74,27 @@ func main() {
 	}
 
 	if *follow != "" {
-		if err := doFollow(events, *follow); err != nil {
-			fatal(err)
+		if err := doFollow(stdout, events, *follow); err != nil {
+			return fatal(err)
 		}
-		return
+		return 0
 	}
 
 	events, err = filter(events, *opName, *peer, *kind, *fromMs, *toMs)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if *summary {
-		doSummary(events, *shards, bundle)
-		return
+		doSummary(stdout, events, *shards, bundle)
+		return 0
 	}
 	if *limit > 0 && len(events) > *limit {
 		events = events[len(events)-*limit:]
 	}
 	for _, e := range events {
-		fmt.Println(e)
+		fmt.Fprintln(stdout, e)
 	}
+	return 0
 }
 
 // load reads a trace file: a flight bundle (single JSON document carrying
@@ -156,7 +166,7 @@ func filter(events []trace.Event, opName, peer, kind string, fromMs, toMs int64)
 
 // doFollow prints the causal chains matching spec: every chain originating
 // at a peer ("n3"), or one chain ("n3:17").
-func doFollow(events []trace.Event, spec string) error {
+func doFollow(w io.Writer, events []trace.Event, spec string) error {
 	var wantSeq uint32
 	peerSpec := spec
 	if i := strings.LastIndexByte(spec, ':'); i > 0 {
@@ -180,31 +190,31 @@ func doFollow(events []trace.Event, spec string) error {
 		matched++
 		chain := byID[id]
 		headSurvived, verr := trace.VerifyChain(chain)
-		fmt.Printf("chain %v  path=%016x  %d events\n", id, chain[len(chain)-1].Path, len(chain))
+		fmt.Fprintf(w, "chain %v  path=%016x  %d events\n", id, chain[len(chain)-1].Path, len(chain))
 		for _, e := range chain {
-			fmt.Printf("  %v\n", e)
+			fmt.Fprintf(w, "  %v\n", e)
 		}
 		switch {
 		case verr != nil:
-			fmt.Printf("  !! inconsistent: %v\n", verr)
+			fmt.Fprintf(w, "  !! inconsistent: %v\n", verr)
 		case !headSurvived:
-			fmt.Printf("  .. truncated: origin send evicted from the ring\n")
+			fmt.Fprintf(w, "  .. truncated: origin send evicted from the ring\n")
 		}
 	}
 	if matched == 0 {
-		fmt.Printf("no chains originating at %v in %d events\n", origin, len(events))
+		fmt.Fprintf(w, "no chains originating at %v in %d events\n", origin, len(events))
 	}
 	return nil
 }
 
 // doSummary condenses a trace: per-op totals, per-kind traffic, and the
 // per-shard drop table (shard derived from the destination peer).
-func doSummary(events []trace.Event, shards int, bundle *obs.Bundle) {
+func doSummary(w io.Writer, events []trace.Event, shards int, bundle *obs.Bundle) {
 	if len(events) == 0 {
-		fmt.Println("no events")
+		fmt.Fprintln(w, "no events")
 		return
 	}
-	fmt.Printf("%d events, virtual time %dms..%dms\n", len(events), events[0].At, events[len(events)-1].At)
+	fmt.Fprintf(w, "%d events, virtual time %dms..%dms\n", len(events), events[0].At, events[len(events)-1].At)
 
 	opTotals := make(map[trace.Op]int)
 	kindTotals := make(map[uint8]int)
@@ -212,24 +222,24 @@ func doSummary(events []trace.Event, shards int, bundle *obs.Bundle) {
 		opTotals[e.Op]++
 		kindTotals[e.Kind]++
 	}
-	fmt.Println("\nper-op totals")
+	fmt.Fprintln(w, "\nper-op totals")
 	for op := trace.OpSend; int(op) < trace.NumOps(); op++ {
 		if n := opTotals[op]; n > 0 {
-			fmt.Printf("  %-15s %8d\n", op, n)
+			fmt.Fprintf(w, "  %-15s %8d\n", op, n)
 		}
 	}
-	fmt.Println("\nper-kind totals")
+	fmt.Fprintln(w, "\nper-kind totals")
 	kinds := make([]int, 0, len(kindTotals))
 	for k := range kindTotals {
 		kinds = append(kinds, int(k))
 	}
 	sort.Ints(kinds)
 	for _, k := range kinds {
-		fmt.Printf("  %-15v %8d\n", wire.Kind(k), kindTotals[uint8(k)])
+		fmt.Fprintf(w, "  %-15v %8d\n", wire.Kind(k), kindTotals[uint8(k)])
 	}
 
 	if shards > 0 {
-		fmt.Println("\nper-shard drops (by destination shard)")
+		fmt.Fprintln(w, "\nper-shard drops (by destination shard)")
 		table := make([][trace.NumDropCauses]int, shards)
 		any := false
 		for _, e := range events {
@@ -239,34 +249,34 @@ func doSummary(events []trace.Event, shards int, bundle *obs.Bundle) {
 			}
 		}
 		if !any {
-			fmt.Println("  no drops in trace")
+			fmt.Fprintln(w, "  no drops in trace")
 		} else {
-			fmt.Printf("  %-7s", "shard")
+			fmt.Fprintf(w, "  %-7s", "shard")
 			for c := 0; c < int(trace.NumDropCauses); c++ {
-				fmt.Printf(" %14s", trace.DropCauses[c].OpName)
+				fmt.Fprintf(w, " %14s", trace.DropCauses[c].OpName)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 			for i, row := range table {
-				fmt.Printf("  %-7d", i)
+				fmt.Fprintf(w, "  %-7d", i)
 				for _, n := range row {
-					fmt.Printf(" %14d", n)
+					fmt.Fprintf(w, " %14d", n)
 				}
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
 		}
 	} else {
-		fmt.Println("\n(per-shard drop table skipped: pass -shards for raw traces)")
+		fmt.Fprintln(w, "\n(per-shard drop table skipped: pass -shards for raw traces)")
 	}
 
 	if bundle != nil && len(bundle.Drops) > 0 {
-		fmt.Println("\nrun-total drop counters (bundle)")
+		fmt.Fprintln(w, "\nrun-total drop counters (bundle)")
 		names := make([]string, 0, len(bundle.Drops))
 		for name := range bundle.Drops {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Printf("  %-32s %8d\n", name, bundle.Drops[name])
+			fmt.Fprintf(w, "  %-32s %8d\n", name, bundle.Drops[name])
 		}
 	}
 }
@@ -287,9 +297,4 @@ func parseKind(s string) (wire.Kind, error) {
 		}
 	}
 	return 0, fmt.Errorf("bad kind %q (want REQUEST, RESPONSE, OPEN_HOLE, PING or PONG)", s)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nylon-trace:", err)
-	os.Exit(1)
 }

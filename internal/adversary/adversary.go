@@ -5,7 +5,7 @@
 // the honest protocol underneath, so an adversarial peer stays a fully
 // functioning overlay member in every respect except its attack.
 //
-// Four strategies are modeled, the classic attacks on gossip peer sampling
+// Four Strategy values are modeled, the classic attacks on gossip peer sampling
 // and rendez-vous relaying:
 //
 //   - PoisonView: stuffs every outgoing REQUEST/RESPONSE with the descriptors
@@ -186,7 +186,7 @@ type Config struct {
 	// sleeper cohorts can activate mid-run.
 	ActiveAt int64
 	// Colluders is the shared roster a PoisonView wrapper stuffs into its
-	// shuffles (ignored by other strategies).
+	// shuffles (ignored by the other attacks).
 	Colluders *ColluderSet
 	// DropKinds restricts SelectiveDrop to these kinds (zero: every kind).
 	DropKinds KindMask
@@ -234,9 +234,6 @@ func Unwrap(e core.Engine) core.Engine {
 	}
 	return e
 }
-
-// Strategy returns the wrapper's attack strategy.
-func (e *Engine) Strategy() Strategy { return e.cfg.Strategy }
 
 // Self implements core.Engine.
 func (e *Engine) Self() view.Descriptor { return e.inner.Self() }

@@ -50,10 +50,6 @@ func NewStaticRVP(cfg Config, ownRVP view.Descriptor, resolve RVPResolver) *Stat
 	}
 }
 
-// OwnRVP returns the fixed rendez-vous peer this peer is bound to (zero for
-// public peers). Metrics code uses it to evaluate reachability.
-func (s *StaticRVP) OwnRVP() view.Descriptor { return s.ownRVP }
-
 // endpointOf returns the best-known transport endpoint for a peer.
 func (s *StaticRVP) endpointOf(d view.Descriptor) ident.Endpoint {
 	if ep, ok := s.clients[d.ID]; ok {

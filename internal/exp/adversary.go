@@ -2,12 +2,13 @@ package exp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ident"
+	"repro/internal/simnet"
 	"repro/internal/xrand"
 )
 
@@ -68,17 +69,18 @@ type advSpec struct {
 	victims   map[ident.NodeID]bool
 }
 
-// adversaryState carries a run's Byzantine wiring: the parsed cohort specs,
-// the shared colluder roster, and the assigned strategies (for metrics).
+// adversaryState carries a run's Byzantine wiring: the parsed cohort specs and
+// the shared colluder roster. Which peers are hostile, the peers' engines say
+// (see hostile).
 // Mutation happens only at barrier context — peer creation and scenario
 // joins — so mid-window reads from shard goroutines are race-free.
 type adversaryState struct {
-	seed       int64
-	specs      []advSpec
-	specRoots  []int64 // per-spec assignment stream roots
-	colluders  *adversary.ColluderSet
-	strategies map[ident.NodeID]adversary.Strategy
-	count      int
+	seed      int64
+	specs     []advSpec
+	specRoots []int64 // per-spec assignment stream roots
+	colluders *adversary.ColluderSet
+	// count is the number of peers ever drafted, departed ones included.
+	count int
 }
 
 // newAdversaryState parses the scenario's adversary specs; nil when there
@@ -89,9 +91,8 @@ func newAdversaryState(cfg Config) *adversaryState {
 		return nil
 	}
 	a := &adversaryState{
-		seed:       cfg.Seed,
-		colluders:  adversary.NewColluderSet(),
-		strategies: make(map[ident.NodeID]adversary.Strategy),
+		seed:      cfg.Seed,
+		colluders: adversary.NewColluderSet(),
 	}
 	root := xrand.Mix(cfg.Seed, saltAdversaryAssign)
 	for j, spec := range list {
@@ -148,15 +149,14 @@ func (a *adversaryState) specFor(idx int, id ident.NodeID) *advSpec {
 }
 
 // wrap decorates a freshly built honest engine when its peer belongs to a
-// cohort, registering colluders and the assigned strategy. Called from the
-// engine factory, i.e. at barrier context only.
+// cohort, counting it and registering colluders. Called from the engine
+// factory, i.e. at barrier context only.
 func (a *adversaryState) wrap(idx int, holeTimeoutMs int64, eng core.Engine) core.Engine {
 	self := eng.Self()
 	sp := a.specFor(idx, self.ID)
 	if sp == nil {
 		return eng
 	}
-	a.strategies[self.ID] = sp.strategy
 	a.count++
 	if sp.strategy == adversary.PoisonView {
 		var ttl uint32
@@ -174,129 +174,56 @@ func (a *adversaryState) wrap(idx int, holeTimeoutMs int64, eng core.Engine) cor
 	}, xrand.Mix(xrand.Mix(a.seed, uint64(idx)), saltAdversaryRNG))
 }
 
-// honest reports whether the peer was assigned no strategy.
-func (a *adversaryState) honest(id ident.NodeID) bool {
-	return a.strategies[id] == adversary.None
+// hostile reports whether p runs an adversarial wrapper. Wrap hands a peer
+// assigned no strategy its honest engine itself, so the wrapper is the cohort
+// roster.
+func hostile(p *simnet.Peer) bool {
+	_, ok := p.Engine.(*adversary.Engine)
+	return ok
 }
 
-// advViewSample is one walk over the raw views of alive honest peers.
-type advViewSample struct {
-	honest          int
-	eclipsed        int
-	withColluder    int
-	entriesTotal    int
-	entriesColluder int
-	// refs counts, per target, how often honest views reference it (only
-	// filled when withRefs is requested — the final measurement needs it,
-	// the periodic series does not).
-	refs map[ident.NodeID]int
-}
-
-func (s advViewSample) eclipseFraction() float64 {
-	if s.honest == 0 {
+// ratio returns a/b, or 0 when b is 0.
+func ratio(a, b int) float64 {
+	if b == 0 {
 		return 0
 	}
-	return float64(s.eclipsed) / float64(s.honest)
-}
-
-func (s advViewSample) colluderViewFraction() float64 {
-	if s.honest == 0 {
-		return 0
-	}
-	return float64(s.withColluder) / float64(s.honest)
-}
-
-func (s advViewSample) colluderShare() float64 {
-	if s.entriesTotal == 0 {
-		return 0
-	}
-	return float64(s.entriesColluder) / float64(s.entriesTotal)
-}
-
-// topKShare returns the share of references held by the k most-referenced
-// targets (0 when no references were collected).
-func (s advViewSample) topKShare(k int) float64 {
-	if k <= 0 || len(s.refs) == 0 || s.entriesTotal == 0 {
-		return 0
-	}
-	counts := make([]int, 0, len(s.refs))
-	for _, c := range s.refs {
-		counts = append(counts, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-	if k > len(counts) {
-		k = len(counts)
-	}
-	top := 0
-	for _, c := range counts[:k] {
-		top += c
-	}
-	return float64(top) / float64(s.entriesTotal)
-}
-
-// sampleAdversary walks the raw views of alive honest peers, counting
-// colluder penetration. Runs at barrier context (series samples, final
-// measurement).
-func (st *runState) sampleAdversary(withRefs bool) advViewSample {
-	s := advViewSample{}
-	if withRefs {
-		s.refs = make(map[ident.NodeID]int)
-	}
-	for _, p := range st.net.Peers() {
-		if !p.Alive || !st.adv.honest(p.ID) {
-			continue
-		}
-		s.honest++
-		v := p.Engine.View()
-		n := v.Len()
-		colluder := 0
-		for j := 0; j < n; j++ {
-			d := v.At(j)
-			if st.adv.colluders.Contains(d.ID) {
-				colluder++
-			}
-			if s.refs != nil {
-				s.refs[d.ID]++
-			}
-		}
-		s.entriesTotal += n
-		s.entriesColluder += colluder
-		if colluder > 0 {
-			s.withColluder++
-			if colluder == n {
-				s.eclipsed++
-			}
-		}
-	}
-	return s
+	return float64(a) / float64(b)
 }
 
 // measureAdversary fills the Result's adversary block: view penetration,
 // indegree concentration, and the honest-only partition resistance over the
 // already-walked usable edges.
 func (st *runState) measureAdversary(res *Result, w *overlayWalk) {
-	a := st.adv
-	s := st.sampleAdversary(true)
+	a, s := st.adv, &w.sums
 	res.Adversary.AdversaryCount = a.count
 	res.Adversary.ColluderCount = a.colluders.Len()
-	res.Adversary.EclipseFraction = s.eclipseFraction()
-	res.Adversary.ColluderViewFraction = s.colluderViewFraction()
-	res.Adversary.ColluderIndegreeShare = s.colluderShare()
+	res.Adversary.EclipseFraction = ratio(s.eclipsed, s.honest)
+	res.Adversary.ColluderViewFraction = ratio(s.withColluder, s.honest)
+	res.Adversary.ColluderIndegreeShare = ratio(s.colluderEntries, s.honestEntries)
 	k := a.colluders.Len()
 	if k == 0 {
 		k = a.count
 	}
-	res.Adversary.TopKIndegreeShare = s.topKShare(k)
+	// The top k of the per-target reference counts; zeros past the referenced
+	// targets add nothing.
+	counts := slices.Clone(w.refs)
+	slices.Sort(counts)
+	top := 0
+	for _, c := range counts[max(len(counts)-k, 0):] {
+		top += int(c)
+	}
+	res.Adversary.TopKIndegreeShare = ratio(top, s.honestEntries)
 
+	honest := func(id ident.NodeID) bool { return !hostile(st.net.Peer(id)) }
 	honestIDs := make([]ident.NodeID, 0, len(w.ids))
 	for _, id := range w.ids {
-		if a.honest(id) {
+		if honest(id) {
 			honestIDs = append(honestIDs, id)
 		}
 	}
 	honestEdges := make([]graph.Edge, 0, len(w.edges))
 	for _, e := range w.edges {
-		if a.honest(e.From) && a.honest(e.To) {
+		if honest(e.From) && honest(e.To) {
 			honestEdges = append(honestEdges, e)
 		}
 	}

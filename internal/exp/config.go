@@ -12,6 +12,7 @@ import (
 	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/simnet"
 	"repro/internal/view"
 )
 
@@ -272,6 +273,9 @@ func (c Config) Defaults() Config {
 // the merged trace tail, so the recorder needs rings to freeze.
 const DefaultFlightTraceCapacity = 16384
 
+// maxTraceEvents bounds TraceCapacity × Shards, the events the trace rings hold.
+const maxTraceEvents = 1 << 24
+
 // traceCapacity returns the effective per-shard trace ring capacity:
 // TraceCapacity when set, else the flight default when the flight recorder
 // is armed, else zero (tracing off).
@@ -285,9 +289,20 @@ func (c Config) traceCapacity() int {
 	return 0
 }
 
+// natted returns how many of the N peers a fresh run puts behind NATs.
+func (c Config) natted() int { return int(c.NATRatio*float64(c.N) + 0.5) }
+
 func (c Config) validate() error {
-	if c.N <= 0 || c.ViewSize <= 0 || c.Rounds <= 0 {
-		return fmt.Errorf("exp: N, ViewSize and Rounds must be positive (got %d, %d, %d)", c.N, c.ViewSize, c.Rounds)
+	if c.N <= 0 || c.Rounds <= 0 {
+		return fmt.Errorf("exp: N and Rounds must be positive (got %d, %d)", c.N, c.Rounds)
+	}
+	// IDs index the network's roster and the walk sizes its regions by
+	// ViewSize: both are bounded where they cost memory before any traffic.
+	if c.N > simnet.MaxPeers {
+		return fmt.Errorf("exp: N %d above the population cap %d", c.N, simnet.MaxPeers)
+	}
+	if c.ViewSize < 1 || c.ViewSize > 4096 {
+		return fmt.Errorf("exp: ViewSize %d outside [1,4096]", c.ViewSize)
 	}
 	// Zero means "default" and Defaults has replaced it by now: what is left
 	// to refuse is the negative, on which the kernel and the engines panic.
@@ -307,6 +322,9 @@ func (c Config) validate() error {
 	if s := c.Mix.RC + c.Mix.PRC + c.Mix.SYM; s < 0.999 || s > 1.001 {
 		return fmt.Errorf("exp: NAT mix fractions sum to %v, want 1", s)
 	}
+	if c.Protocol == ProtoStaticRVP && c.natted() >= c.N {
+		return fmt.Errorf("exp: protocol %v needs a public peer to bind natted peers to; NATRatio %v leaves none of %d", c.Protocol, c.NATRatio, c.N)
+	}
 	if !(c.ChurnFraction >= 0 && c.ChurnFraction < 1) {
 		return fmt.Errorf("exp: ChurnFraction %v outside [0,1)", c.ChurnFraction)
 	}
@@ -317,6 +335,10 @@ func (c Config) validate() error {
 	}
 	if c.Shards < 1 || c.Shards > 4096 {
 		return fmt.Errorf("exp: Shards %d outside [1,4096]", c.Shards)
+	}
+	// Every shard's trace ring is allocated whole before the first event.
+	if c.TraceCapacity > maxTraceEvents/c.Shards {
+		return fmt.Errorf("exp: TraceCapacity %d per shard × %d shards above %d events", c.TraceCapacity, c.Shards, maxTraceEvents)
 	}
 	if c.Workers < 1 {
 		return fmt.Errorf("exp: Workers must be positive (got %d)", c.Workers)

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/snapshot"
+	"repro/internal/view"
 )
 
 // TestConfigJSONStable pins the JSON shape — every key, at every depth — of a
@@ -122,4 +124,55 @@ func TestNegativeTimingsRejected(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzConfig drives Run with foreign JSON configs: whatever the bytes, Run
+// returns an error or a Result, never a panic. Worlds bigger than a fuzzer can
+// run many of a second (more than 16 peers or joiners per event, 3 rounds or
+// 64 shards, after defaults) are skipped, not clamped, so every input that
+// runs is exactly the config it says.
+func FuzzConfig(f *testing.F) {
+	for _, cfg := range []Config{
+		{N: 12, Rounds: 3, NATRatio: 0.7, Protocol: ProtoNylon, Selection: view.SelectRand,
+			Merge: view.MergeHealer, PushPull: true, EvictUnanswered: true, Shards: 4, Workers: 2,
+			SampleEveryRounds: 1, TraceCapacity: 64, VerifySamples: true, Scenario: &scenario.Scenario{
+				Churn: &scenario.Churn{JoinsPerRound: 1, LeavesPerRound: 1},
+				Link:  &scenario.Link{JitterMs: 80, Loss: 0.05},
+				Events: []scenario.Event{
+					{Round: 1, Kind: scenario.KindFlashCrowd, Count: 4},
+					{Round: 2, Kind: scenario.KindPartition, Fraction: 0.25, DurationRounds: 1},
+				},
+			}},
+		{N: 10, Rounds: 3, NATRatio: 0.5, Protocol: ProtoStaticRVP, Shards: 2, SampleEveryRounds: 1,
+			Scenario: &scenario.Scenario{Adversaries: []scenario.Adversary{
+				{Strategy: "lying-rvp", Fraction: 0.2},
+				{Strategy: "poison-view", Fraction: 0.2, FromRound: 1},
+			}}},
+		{N: 16, Rounds: 3, NATRatio: 0.9, Protocol: ProtoARRG, ChurnAtRound: 2, ChurnFraction: 0.5, UPnPFraction: 0.5},
+		{N: 4, Rounds: 1, Protocol: ProtoGeneric},
+	} {
+		data, err := json.Marshal(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cfg Config
+		if json.Unmarshal(data, &cfg) != nil {
+			return
+		}
+		d := cfg.Defaults()
+		if d.N > 16 || d.Rounds > 3 || d.Shards > 64 {
+			t.Skip("world too big to fuzz")
+		}
+		if d.Scenario != nil {
+			for _, ev := range d.Scenario.Events {
+				if ev.Count > 16 {
+					t.Skip("event too big to fuzz")
+				}
+			}
+		}
+		Run(cfg)
+	})
 }

@@ -13,6 +13,8 @@ import (
 // classifies each entry as usable or stale — per entry a NAT admission check
 // or an RVP chain walk through other peers' routing tables, DRAM-cold at
 // scale — which makes it the one O(N) pass of a run that is not simulation.
+// In runs with adversaries the same pass takes the census of colluders in the
+// honest views.
 //
 // The walk only reads (rt.Table.Peek, nat.Device.WouldAdmit, the views in
 // place), and it runs at barriers or after the run, when no shard executes.
@@ -38,6 +40,11 @@ type overlaySums struct {
 	// Engine counters, summed over alive peers.
 	initiated, completed, noroute, chainHops, chainSamples uint64
 	relayDenied, advDrops, hopLimitDrops                   uint64
+	// The adversary census over alive honest peers, taken only in runs with
+	// adversaries: how many there are, how many see a colluder, how many see
+	// nothing else, and their view entries, all and colluder.
+	honest, withColluder, eclipsed int
+	honestEntries, colluderEntries int
 }
 
 func (s *overlaySums) add(o *overlaySums) {
@@ -55,6 +62,11 @@ func (s *overlaySums) add(o *overlaySums) {
 	s.relayDenied += o.relayDenied
 	s.advDrops += o.advDrops
 	s.hopLimitDrops += o.hopLimitDrops
+	s.honest += o.honest
+	s.withColluder += o.withColluder
+	s.eclipsed += o.eclipsed
+	s.honestEntries += o.honestEntries
+	s.colluderEntries += o.colluderEntries
 }
 
 // overlayChunk is what one chunk of a walk produced: its sums and how much of
@@ -78,6 +90,10 @@ type overlayWalk struct {
 	// natted holds, per alive peer with a usable entry, the natted share of
 	// its usable entries.
 	natted []float64
+	// refs[id], in runs with adversaries, counts the honest views' references
+	// to peer id. The chunks add to it atomically; the sums are integers, so
+	// their order cannot show.
+	refs []int32
 
 	chunks []overlayChunk
 	// dense is the scratch of the cluster and in-degree maths over ids and
@@ -116,6 +132,13 @@ func (st *runState) walkOverlay(now int64, warmup []uint64) *overlayWalk {
 	}
 	w.ids, w.natted = w.ids[:cap(w.ids)], w.natted[:cap(w.natted)]
 	w.edges, w.chunks = w.edges[:cap(w.edges)], w.chunks[:nChunks]
+	if st.adv != nil {
+		if cap(w.refs) <= n {
+			w.refs = make([]int32, n+1)
+		}
+		w.refs = w.refs[:n+1]
+		clear(w.refs)
+	}
 
 	st.eachChunk(nChunks, func(c int) {
 		lo, hi := c*measureChunk, min((c+1)*measureChunk, n)
@@ -200,9 +223,19 @@ func (st *runState) walkChunk(now int64, warmup []uint64, lo, hi int, ch *overla
 		sums.hopLimitDrops += s.HopLimitDrops
 
 		v := p.Engine.View()
-		var nonStale, nonStaleNatted int
+		census := st.adv != nil && !hostile(p)
+		var nonStale, nonStaleNatted, colluder int
 		for j, l := 0, v.Len(); j < l; j++ {
 			d := v.At(j)
+			if census {
+				if st.adv.colluders.Contains(d.ID) {
+					colluder++
+				}
+				// Restored views are outside input: an ID may lie past the roster.
+				if id := uint64(d.ID); id < uint64(len(st.walk.refs)) {
+					atomic.AddInt32(&st.walk.refs[id], 1)
+				}
+			}
 			// Entries referencing departed peers count as stale only in
 			// churn scenarios; graph edges always require life.
 			if st.usableEdge(now, p, d) {
@@ -216,6 +249,17 @@ func (st *runState) walkChunk(now int64, warmup []uint64, lo, hi int, ch *overla
 			}
 		}
 		sums.entries += uint64(v.Len())
+		if census {
+			sums.honest++
+			sums.honestEntries += v.Len()
+			sums.colluderEntries += colluder
+			if colluder > 0 {
+				sums.withColluder++
+				if colluder == v.Len() {
+					sums.eclipsed++
+				}
+			}
+		}
 		if nonStale > 0 {
 			ch.natted = append(ch.natted, float64(nonStaleNatted)/float64(nonStale))
 		}

@@ -345,7 +345,7 @@ func (st *runState) finish(end int64) (Result, error) {
 // deterministically so classes and IDs are uncorrelated.
 func (st *runState) build() {
 	cfg := st.cfg
-	nNat := int(cfg.NATRatio*float64(cfg.N) + 0.5)
+	nNat := cfg.natted()
 	classes := make([]ident.NATClass, 0, cfg.N)
 	for i := 0; i < cfg.N-nNat; i++ {
 		classes = append(classes, ident.Public)
@@ -353,21 +353,17 @@ func (st *runState) build() {
 	classes = append(classes, cfg.Mix.classes(nNat)...)
 	st.rng.Shuffle(len(classes), func(i, j int) { classes[i], classes[j] = classes[j], classes[i] })
 
-	// Static-RVP needs a global assignment natted peer -> public RVP. The
-	// descriptors do not exist yet, so resolve lazily against the network
-	// (see the resolver in newRunState). The assignment state lives on the
-	// run so scenario joins can extend it mid-run.
+	// Static-RVP needs a global assignment natted peer -> public RVP (validate
+	// has refused a config without a public peer). The descriptors do not
+	// exist yet, so resolve lazily against the network (see the resolver in
+	// newRunState). The assignment state lives on the run so scenario joins
+	// can extend it mid-run.
 	if cfg.Protocol == ProtoStaticRVP {
 		st.rvpOf = make(map[ident.NodeID]ident.NodeID)
 		for i, c := range classes {
 			if c == ident.Public {
 				st.publicIDs = append(st.publicIDs, ident.NodeID(i+1))
 			}
-		}
-		if len(st.publicIDs) == 0 {
-			// Degenerate but allowed: nobody can be assigned an RVP;
-			// natted peers will fail construction, so refuse earlier.
-			panic("exp: static-rvp requires at least one public peer")
 		}
 		for i, c := range classes {
 			if c != ident.Public {
@@ -447,9 +443,9 @@ func (st *runState) buildEngine(idx int, self view.Descriptor) core.Engine {
 
 // engineFor builds the full engine for peer index idx: the honest engine,
 // decorated with its adversarial wrapper when the peer belongs to a cohort
-// (registering colluders and strategies — barrier context only). Checkpoint
-// restore calls it per restored peer in attachment order, which replays
-// cohort registration identically to the original construction.
+// (counting the cohort and registering colluders — barrier context only).
+// Checkpoint restore calls it per restored peer in attachment order, which
+// replays cohort registration identically to the original construction.
 func (st *runState) engineFor(idx int, self view.Descriptor) core.Engine {
 	eng := st.buildEngine(idx, self)
 	if st.adv != nil {
@@ -682,32 +678,11 @@ func (st *runState) usableEdge(now int64, q *simnet.Peer, d view.Descriptor) boo
 		// Usable iff the target's fixed RVP is alive: the target keeps
 		// its hole toward it alive with keepalive PINGs for as long as
 		// it lives, so the RVP is the single point of failure.
-		if rvpID, ok := st.staticRVPOf(d.ID); ok {
-			rvp := st.net.Peer(rvpID)
-			return rvp != nil && rvp.Alive
-		}
-		return false
+		rvp := st.net.Peer(st.rvpOf[d.ID])
+		return rvp != nil && rvp.Alive
 	default: // Generic, ARRG: plain reachability
 		return st.net.Reachable(now, q, d)
 	}
-}
-
-// staticRVPOf recovers the RVP assignment for static-RVP runs by asking the
-// target's own engine.
-func (st *runState) staticRVPOf(id ident.NodeID) (ident.NodeID, bool) {
-	p := st.net.Peer(id)
-	if p == nil {
-		return 0, false
-	}
-	e, ok := adversary.Unwrap(p.Engine).(*core.StaticRVP)
-	if !ok {
-		return 0, false
-	}
-	d := e.OwnRVP()
-	if d.ID.IsNil() {
-		return 0, false
-	}
-	return d.ID, true
 }
 
 // nylonUsable walks the RVP chain from q toward d, checking at every hop

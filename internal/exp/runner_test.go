@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ident"
+	"repro/internal/simnet"
 	"repro/internal/view"
 )
 
@@ -189,6 +190,14 @@ func TestConfigValidation(t *testing.T) {
 		{ChurnFraction: 1.0},
 		{ChurnFraction: math.NaN()},
 		{ChurnAtRound: 1000, Rounds: 100, ChurnFraction: 0.5},
+		// Static-RVP binds every natted peer to a public one: a rounded natted
+		// count of N leaves nobody to bind to.
+		{Protocol: ProtoStaticRVP, N: 50, NATRatio: 1},
+		{Protocol: ProtoStaticRVP, N: 1, NATRatio: 0.5},
+		{ViewSize: 4097},
+		{N: simnet.MaxPeers + 1},
+		// Trace rings are allocated whole: this ran out of memory.
+		{TraceCapacity: 100_000_000},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

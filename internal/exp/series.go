@@ -198,9 +198,8 @@ func (st *runState) scheduleSeries(after int64) {
 				pt.Joins, pt.Leaves = st.scn.stats.Joins, st.scn.stats.Leaves
 			}
 			if st.adv != nil {
-				s := st.sampleAdversary(false)
-				pt.Eclipse = s.eclipseFraction()
-				pt.ColluderShare = s.colluderShare()
+				pt.Eclipse = ratio(w.sums.eclipsed, w.sums.honest)
+				pt.ColluderShare = ratio(w.sums.colluderEntries, w.sums.honestEntries)
 			}
 			*series = append(*series, pt)
 			if st.cfg.Obs != nil {

@@ -93,12 +93,6 @@ func hash(d view.Descriptor) uint32 {
 // (excluding its base layer).
 func (t *Descriptors) Len() int { return len(t.descs) }
 
-// Bytes returns the approximate memory footprint of the table, for
-// diagnostics.
-func (t *Descriptors) Bytes() int {
-	return len(t.descs)*24 + len(t.slots)*8
-}
-
 // At returns the descriptor for a handle previously returned by Intern. It
 // panics on the zero handle or a handle from another table.
 func (t *Descriptors) At(h Handle) view.Descriptor {

@@ -215,8 +215,8 @@ func (f *filterTable) rehash(now int64) {
 	}
 }
 
-// compact drops rules that expired before now. The simulator's GC path uses
-// it; the per-datagram path compacts opportunistically through set.
+// compact drops rules that expired before now. The per-datagram path
+// compacts opportunistically through set; Device.GC sweeps every session.
 func (f *filterTable) compact(now int64) {
 	if len(f.slots) == 0 {
 		return
@@ -511,9 +511,10 @@ func (d *Device) PublicMapping(now int64, src, dst ident.Endpoint) (ident.Endpoi
 	return d.sessions[i].public, true
 }
 
-// GC removes all sessions whose lifetime has elapsed. The simulator calls it
-// periodically to bound memory; correctness never depends on it because every
-// lookup re-checks expiry.
+// GC removes all sessions whose lifetime has elapsed. The simulator never
+// calls it: filter tables compact on growth and symmetric devices sweep their
+// sessions as they go (DESIGN.md §7.4); the benchmark's NAT probe prices it.
+// Correctness never depends on it because every lookup re-checks expiry.
 func (d *Device) GC(now int64) {
 	d.sweep(now)
 	for i := range d.sessions {

@@ -18,11 +18,6 @@ type NetCounters struct {
 	drops           [trace.NumDropCauses]*obs.Counter
 }
 
-// DropCounter returns the counter for one drop cause.
-func (c *NetCounters) DropCounter(cause trace.DropCause) *obs.Counter {
-	return c.drops[cause]
-}
-
 // SetObs attaches traffic counters from the given registry, which must be
 // sized for the network's shard count (each shard writes only its own slot).
 // Call at setup or barrier context, before traffic flows.

@@ -421,9 +421,6 @@ func NewSharded(kern *sim.ShardedScheduler, latencyMs int64) *Network {
 	return n
 }
 
-// Shards returns the shard count.
-func (n *Network) Shards() int { return len(n.shards) }
-
 // ShardOf returns the shard index owning the given peer ID. The mapping is
 // a pure function of (ID, shard count), so consecutive IDs spread
 // round-robin and population growth stays balanced.

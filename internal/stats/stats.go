@@ -1,9 +1,9 @@
-// Package stats provides the statistical tests used to assess the
-// randomness of the peer samples (the paper validates randomness with the
-// diehard suite; this package substitutes uniformity-focused tests —
-// chi-square goodness of fit, Kolmogorov–Smirnov, and serial correlation —
-// which capture the property the peer-sampling literature actually relies
-// on: every peer is selected with equal probability).
+// Package stats provides the statistics the harness reports: the chi-square
+// goodness-of-fit test of uniformity used to assess the randomness of the
+// peer samples (the paper validates randomness with the diehard suite; this
+// test captures the property the peer-sampling literature actually relies
+// on: every peer is selected with equal probability), and the summaries,
+// means and quantiles of measured series.
 package stats
 
 import (

@@ -74,19 +74,6 @@ func (s *Sharded) Total() uint64 {
 	return t
 }
 
-// OpTotal returns the number of events ever recorded with the given op
-// across all shards, including evicted ones.
-func (s *Sharded) OpTotal(op Op) uint64 {
-	if s == nil {
-		return 0
-	}
-	var t uint64
-	for _, r := range s.rings {
-		t += r.OpTotal(op)
-	}
-	return t
-}
-
 // Merged k-way merges the per-shard rings by (At, Actor, Seq, Sub) and
 // returns the most recent cap events of the union, oldest first. The
 // result is bit-identical for any worker or shard count. Only call when no

@@ -31,20 +31,6 @@ func TestSubAssignment(t *testing.T) {
 	}
 }
 
-func TestOpTotalsSurviveEviction(t *testing.T) {
-	r := New(2)
-	for i := int64(1); i <= 5; i++ {
-		r.Record(keyed(i, 1, uint64(i), OpDropLink))
-	}
-	r.Record(keyed(6, 1, 6, OpSend))
-	if got := r.OpTotal(OpDropLink); got != 5 {
-		t.Errorf("OpTotal(drop-link)=%d, want 5 despite eviction", got)
-	}
-	if got := r.OpTotal(OpSend); got != 1 {
-		t.Errorf("OpTotal(send)=%d, want 1", got)
-	}
-}
-
 func TestNilShardedIsNoOp(t *testing.T) {
 	var s *Sharded
 	s.Shard(0).Record(keyed(1, 1, 1, OpSend))

@@ -41,7 +41,7 @@ const (
 	// OpDropPartition is a datagram dropped at a network partition cut.
 	OpDropPartition
 
-	// numOps bounds the Op space for per-op totals.
+	// numOps bounds the Op space.
 	numOps = int(OpDropPartition) + 1
 )
 
@@ -154,9 +154,6 @@ type Ring struct {
 	next   int
 	filled bool
 	total  uint64
-	// totals counts every recorded event per op, including evicted ones,
-	// so drop accounting survives ring wrap.
-	totals [numOps]uint64
 	// lastAt/lastActor/lastSeq/lastSub assign Sub ordinals: consecutive
 	// records under one scheduler key get increasing Sub.
 	lastAt    int64
@@ -189,9 +186,6 @@ func (r *Ring) Record(e Event) {
 	r.events[r.next] = e
 	r.next++
 	r.total++
-	if int(e.Op) < numOps {
-		r.totals[e.Op]++
-	}
 	if r.next == len(r.events) {
 		r.next = 0
 		r.filled = true
@@ -215,15 +209,6 @@ func (r *Ring) Total() uint64 {
 		return 0
 	}
 	return r.total
-}
-
-// OpTotal returns the number of events ever recorded with the given op,
-// including evicted ones.
-func (r *Ring) OpTotal(op Op) uint64 {
-	if r == nil || int(op) >= numOps {
-		return 0
-	}
-	return r.totals[op]
 }
 
 // Events returns the held events, oldest first.
