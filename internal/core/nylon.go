@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/ident"
-	"repro/internal/intern"
 	"repro/internal/rt"
 	"repro/internal/view"
 	"repro/internal/wire"
@@ -136,10 +135,8 @@ func (n *Nylon) request(now int64, target view.Descriptor) *wire.Message {
 // installRoutes records RVP routes for received (or snooped) natted view
 // entries: the next hop toward each of them is the peer that physically
 // handed us the message, and the TTL is the advertised remainder capped by
-// the hole lifetime and discounted by the latency bound. viaH is via's
-// interned handle when the caller already has it (0 otherwise); all entries
-// share one via, so it is interned at most once here.
-func (n *Nylon) installRoutes(now int64, entries []wire.ViewEntry, via view.Descriptor, viaH intern.Handle) {
+// the hole lifetime and discounted by the latency bound.
+func (n *Nylon) installRoutes(now int64, entries []wire.ViewEntry, via view.Descriptor) {
 	for _, e := range entries {
 		if !e.Desc.Class.Natted() || e.RouteTTL == 0 || e.Desc.ID == n.cfg.Self.ID {
 			continue
@@ -152,10 +149,7 @@ func (n *Nylon) installRoutes(now int64, entries []wire.ViewEntry, via view.Desc
 		if ttl <= 0 {
 			continue
 		}
-		if viaH == 0 {
-			viaH = n.routes.Intern(via)
-		}
-		n.routes.SetInterned(e.Desc.ID, via.ID, viaH, now+ttl)
+		n.routes.Set(e.Desc.ID, via, now+ttl)
 	}
 }
 
@@ -229,34 +223,26 @@ func (n *Nylon) Receive(now int64, from ident.Endpoint, msg *wire.Message) []Sen
 	// so a direct return path exists. Record its observed endpoint.
 	via := msg.Via
 	via.Addr = from
-	var viaH intern.Handle
-	if via.ID != n.cfg.Self.ID && !via.ID.IsNil() {
-		viaH = n.routes.Intern(via)
-		n.routes.SetInterned(via.ID, via.ID, viaH, now+n.cfg.HoleTimeout)
-	}
+	n.routes.SetDirect(via, now+n.cfg.HoleTimeout)
 	// Reverse-path learning: the originator is reachable back through the
 	// peer that handed us this datagram.
-	if msg.Src.ID != via.ID && msg.Src.ID != n.cfg.Self.ID && !msg.Src.ID.IsNil() {
-		if viaH != 0 {
-			n.routes.SetInterned(msg.Src.ID, via.ID, viaH, now+n.cfg.HoleTimeout-n.cfg.LatencyBound)
-		} else {
-			n.routes.Set(msg.Src.ID, via, now+n.cfg.HoleTimeout-n.cfg.LatencyBound)
-		}
+	if msg.Src.ID != via.ID {
+		n.routes.Set(msg.Src.ID, via, now+n.cfg.HoleTimeout-n.cfg.LatencyBound)
 	}
 
 	if n.inTransit(msg) {
-		return n.forward(now, msg, via, viaH)
+		return n.forward(now, msg, via)
 	}
 	switch msg.Kind {
 	case wire.KindRequest:
-		return n.handleRequest(now, from, msg, via, viaH)
+		return n.handleRequest(now, from, msg, via)
 	case wire.KindResponse:
 		if via.ID != msg.Src.ID {
 			n.stats.ChainHopsTotal += uint64(msg.Hops)
 			n.stats.ChainSamples++
 		}
 		n.completed(msg)
-		n.installRoutes(now, msg.Entries, via, viaH)
+		n.installRoutes(now, msg.Entries, via)
 	case wire.KindOpenHole:
 		// Fig. 6 lines 37-38: we are the hole-punch target; answer the
 		// originator directly so both NATs now hold matching rules.
@@ -279,7 +265,7 @@ func (n *Nylon) Receive(now int64, from ident.Endpoint, msg *wire.Message) []Sen
 
 // handleRequest processes a shuffle REQUEST addressed to this peer
 // (Fig. 6 lines 15-26).
-func (n *Nylon) handleRequest(now int64, from ident.Endpoint, msg *wire.Message, via view.Descriptor, viaH intern.Handle) []Send {
+func (n *Nylon) handleRequest(now int64, from ident.Endpoint, msg *wire.Message, via view.Descriptor) []Send {
 	if via.ID != msg.Src.ID {
 		n.stats.ChainHopsTotal += uint64(msg.Hops)
 		n.stats.ChainSamples++
@@ -312,7 +298,7 @@ func (n *Nylon) handleRequest(now int64, from ident.Endpoint, msg *wire.Message,
 		out = append(out, Send{To: addr, ToID: msg.Src.ID, Msg: n.withTTLs(now, resp)})
 	}
 	n.answered(msg, sent)
-	n.installRoutes(now, msg.Entries, via, viaH)
+	n.installRoutes(now, msg.Entries, via)
 	n.sh.out = out
 	return out
 }
@@ -320,7 +306,7 @@ func (n *Nylon) handleRequest(now int64, from ident.Endpoint, msg *wire.Message,
 // forward relays a datagram one hop along the RVP chain (Fig. 6 lines 17-19,
 // 29-31, 39-40), snooping carried view entries so the chain invariant holds
 // for routes learned through relayed shuffles.
-func (n *Nylon) forward(now int64, msg *wire.Message, via view.Descriptor, viaH intern.Handle) []Send {
+func (n *Nylon) forward(now int64, msg *wire.Message, via view.Descriptor) []Send {
 	if msg.Hops >= maxForwardHops {
 		// Counted as NoRoute (the chain is unusable) and separately as a
 		// hop-limit drop, so adversarial forwarding loops are observable.
@@ -328,7 +314,7 @@ func (n *Nylon) forward(now int64, msg *wire.Message, via view.Descriptor, viaH 
 		n.stats.HopLimitDrops++
 		return nil
 	}
-	n.installRoutes(now, msg.Entries, via, viaH)
+	n.installRoutes(now, msg.Entries, via)
 	hop, ok := n.resolveHop(msg.Dst, now)
 	if !ok || hop.ID == via.ID {
 		// No live chain — or our best route points straight back where

@@ -315,39 +315,6 @@ func (t *Table) Set(dest ident.NodeID, rvp view.Descriptor, expireAt int64) {
 	t.noteExpiry(expireAt)
 }
 
-// Intern resolves the canonical handle of a descriptor in the table's intern
-// table, for callers that install the same RVP under many destinations (one
-// received datagram installs its Via as the route to every entry it carried)
-// and want to hash the descriptor once. Handles are only meaningful with
-// SetInterned on the same table (or tables sharing the intern table).
-func (t *Table) Intern(rvp view.Descriptor) intern.Handle {
-	return t.in.Intern(rvp)
-}
-
-// SetInterned is Set with a pre-resolved RVP handle: rvpID and h must be the
-// ID and Intern handle of the same descriptor. It exists for the
-// per-datagram path, where one Via descriptor becomes the RVP of up to a
-// dozen Set calls — interning it once removes the descriptor hash from all
-// but the first.
-func (t *Table) SetInterned(dest, rvpID ident.NodeID, h intern.Handle, expireAt int64) {
-	if dest == t.self || dest.IsNil() || rvpID.IsNil() {
-		return
-	}
-	if i := t.find(dest); i >= 0 {
-		r := t.rowAt(i)
-		if r.expire > expireAt && !(rvpID == dest && t.in.At(r.rvph).ID != dest) {
-			return
-		}
-		r.rvph = h
-		r.expire = expireAt
-		t.noteExpiry(expireAt)
-		return
-	}
-	t.insert(dest, t.nrows)
-	t.appendRow(dest, h, expireAt)
-	t.noteExpiry(expireAt)
-}
-
 // SetDirect records that dest itself is directly reachable until expireAt
 // (update_next_RVP(p, p, HOLE_TIMEOUT) in the paper's pseudocode).
 func (t *Table) SetDirect(dest view.Descriptor, expireAt int64) {
