@@ -321,41 +321,10 @@ func (v *View) ExchangeLen() int {
 // allocation.
 func (v *View) PrepareExchangeInto(policy Merge, rng *rand.Rand, buf []Descriptor) []Descriptor {
 	h, _ := policy.HS(v.maxSize)
-	shuffle(rng, v.entries)
-	v.moveOldestToEnd(v.entries, h)
-	return append(buf, v.entries[:v.ExchangeLen()]...)
-}
-
-// shuffle is rng.Shuffle specialized to a descriptor slice: it draws the
-// exact same RNG stream (Fisher-Yates over math/rand's internal int31n,
-// which the equivalence tests pin), but swaps directly instead of calling a
-// closure per step — PrepareExchangeInto permutes the view on every shuffle
-// buffer, so the call overhead was measurable at simulation scale.
-func shuffle(rng *rand.Rand, ds []Descriptor) {
-	if len(ds) > 1<<31-1 {
-		panic("view: shuffle of preposterous view size")
-	}
-	for i := len(ds) - 1; i > 0; i-- {
-		j := randInt31n(rng, int32(i+1))
-		ds[i], ds[j] = ds[j], ds[i]
-	}
-}
-
-// randInt31n reproduces math/rand's unexported Rand.int31n — the unbiased
-// [0,n) draw Shuffle uses internally — on top of the public Int63.
-func randInt31n(r *rand.Rand, n int32) int32 {
-	v := uint32(r.Int63() >> 31)
-	prod := uint64(v) * uint64(n)
-	low := uint32(prod)
-	if low < uint32(n) {
-		thresh := uint32(-n) % uint32(n)
-		for low < thresh {
-			v = uint32(r.Int63() >> 31)
-			prod = uint64(v) * uint64(n)
-			low = uint32(prod)
-		}
-	}
-	return int32(prod >> 32)
+	ds := v.entries
+	rng.Shuffle(len(ds), func(i, j int) { ds[i], ds[j] = ds[j], ds[i] })
+	v.moveOldestToEnd(ds, h)
+	return append(buf, ds[:v.ExchangeLen()]...)
 }
 
 // moveOldestToEnd stably moves the h oldest entries (by age, ties resolved
