@@ -113,10 +113,9 @@ func ParseMerge(s string) (Merge, error) {
 
 // Scratch is the reusable working storage of a view's exchange operations:
 // union is where ApplyExchange builds the merged entry set, tail holds the
-// entries displaced by the partial selection of moveOldestToEnd, and ids and
-// ages are compact copies of the descriptor fields the merge scans repeatedly
-// — scanning 8-byte words instead of whole descriptors keeps the inner loops
-// in cache; a negative age doubles as the "selected/dropped" mark.
+// entries displaced by the partial selection of moveOldestToEnd, and ages
+// holds the entries' ages, where a negative age doubles as the
+// "selected/dropped" mark.
 //
 // A Scratch is only ever live during one exchange call, so any number of
 // views driven by the same goroutine (all engines of one simulation shard)
@@ -125,7 +124,6 @@ func ParseMerge(s string) (Merge, error) {
 type Scratch struct {
 	union []Descriptor
 	tail  []Descriptor
-	ids   []uint64
 	ages  []int64
 }
 
@@ -396,25 +394,20 @@ func markOldest(ages []int64, h int) {
 // steady-state call performs no allocation.
 func (v *View) ApplyExchange(policy Merge, received, sent []Descriptor, rng *rand.Rand) {
 	// Build the deduplicated union in the scratch (merge order puts
-	// existing entries first, so appending is the union), mirroring IDs and
-	// ages into the compact scratch the scans below run over. A negative
-	// age marks a dropped entry. Building in the scratch rather than in the
-	// entries backing array keeps every view's entries slice at exactly
-	// maxSize capacity — the merge-time spill above maxSize is shared
-	// per-shard state, not per-peer state.
+	// existing entries first, so appending is the union), then mark drops in
+	// the age scratch: a negative age marks a dropped entry. Building in the
+	// scratch rather than in the entries backing array keeps every view's
+	// entries slice at exactly maxSize capacity — the merge-time spill above
+	// maxSize is shared per-shard state, not per-peer state.
 	union := append(v.sc.union[:0], v.entries...)
 	origLen := len(union)
-	ids := v.sc.ids[:0]
-	for _, d := range union {
-		ids = append(ids, uint64(d.ID))
-	}
 	for _, d := range received {
 		if d.ID == v.self || d.ID.IsNil() {
 			continue
 		}
 		dup := -1
-		for i, id := range ids {
-			if id == uint64(d.ID) {
+		for i := range union {
+			if union[i].ID == d.ID {
 				dup = i
 				break
 			}
@@ -426,9 +419,7 @@ func (v *View) ApplyExchange(policy Merge, received, sent []Descriptor, rng *ran
 			continue
 		}
 		union = append(union, d)
-		ids = append(ids, uint64(d.ID))
 	}
-	v.sc.ids = ids
 	ages := v.ageScratch(len(union))
 	for i := range union {
 		ages[i] = int64(union[i].Age)
@@ -448,8 +439,8 @@ func (v *View) ApplyExchange(policy Merge, received, sent []Descriptor, rng *ran
 			if drop == 0 {
 				break
 			}
-			for i, id := range ids {
-				if id == uint64(d.ID) && ages[i] >= 0 {
+			for i := range union {
+				if union[i].ID == d.ID && ages[i] >= 0 {
 					ages[i] = -1
 					left--
 					drop--
