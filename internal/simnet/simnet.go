@@ -692,11 +692,8 @@ func (n *Network) Send(from *Peer, s core.Send) {
 // stays monotone. Only a link delay (or a send at exactly a barrier time) can
 // carry a datagram past the horizon.
 //
-// Each source run is key-sorted unless a link delay regressed it — virtual
-// time advances monotonically within a window and same-instant events execute
-// in (actor, seq) order, which is also the order staged sends draw their keys.
-// A destination fed by one sorted run and holding nothing due schedules the
-// run in place; anything else is gathered and sorted by key.
+// Each destination gathers its staged runs and what it holds due, then sorts
+// them by key.
 func (n *Network) flush() {
 	// Barrier context: no shard worker is running, so this is the one safe
 	// place to serve a live trace read posted by another goroutine.
@@ -704,29 +701,17 @@ func (n *Network) flush() {
 	horizon := n.barrierNow() + n.latency
 	for di := range n.shards {
 		dst := &n.shards[di]
-		var run []jitEntry // what dst releases or holds
-		runs := 0
+		run := dst.merge[:0] // what dst releases or holds
 		for si := range n.shards {
-			if out := n.shards[si].out[di]; len(out) > 0 {
-				runs++
-				run = out
-			}
+			run = append(run, n.shards[si].out[di]...)
 		}
-		due := len(dst.jit) > 0 && dst.jit[0].At < horizon
-		if runs == 0 && !due {
+		for len(dst.jit) > 0 && dst.jit[0].At < horizon {
+			run = append(run, dst.jit.pop())
+		}
+		if len(run) == 0 {
 			continue
 		}
-		if runs > 1 || due || !slices.IsSortedFunc(run, compareEntry) {
-			run = dst.merge[:0]
-			for si := range n.shards {
-				run = append(run, n.shards[si].out[di]...)
-			}
-			for len(dst.jit) > 0 && dst.jit[0].At < horizon {
-				run = append(run, dst.jit.pop())
-			}
-			slices.SortFunc(run, compareEntry)
-			dst.merge = run
-		}
+		slices.SortFunc(run, compareEntry)
 		for i := range run {
 			if e := &run[i]; e.At < horizon {
 				dst.inflight.Push(e.d)
@@ -737,8 +722,8 @@ func (n *Network) flush() {
 		}
 		// Drop message references from the scratch and the outboxes so
 		// stale slots never alias live pool entries.
-		clear(dst.merge)
-		dst.merge = dst.merge[:0]
+		clear(run)
+		dst.merge = run[:0]
 		for si := range n.shards {
 			src := &n.shards[si]
 			clear(src.out[di])
