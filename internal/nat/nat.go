@@ -13,10 +13,10 @@
 //
 // The memory layout is sized for simulations that keep one device per peer
 // across hundreds of thousands of peers: sessions live inline in one slice
-// (no per-session allocation), the per-port inbound index holds session
-// indices, and filter tables recycle the space of expired rules whenever they
-// would otherwise grow — a device's footprint tracks its live rule count, not
-// the total number of remotes it ever saw.
+// (no per-session allocation), symmetric devices sweep expired sessions, and
+// filter tables recycle the space of expired rules whenever they would
+// otherwise grow — a device's footprint tracks its live sessions and rules,
+// not the total number of remotes it ever saw.
 package nat
 
 import (
@@ -47,12 +47,9 @@ type Device struct {
 	// A device fronts one peer, so the live list stays short (one session
 	// for cone classes, one per destination for symmetric); linear scans
 	// beat any map at that size, and the per-datagram path allocates
-	// nothing. Sessions are stored by value and addressed by index — byPort
-	// maps public port - portBase to the owning session's index (-1: none),
-	// so the inbound lookup is one array access even on symmetric devices
-	// with many live mappings.
+	// nothing. Sessions are stored by value and addressed by index; the
+	// inbound lookup scans them for the public endpoint too.
 	sessions []session
-	byPort   []int32
 }
 
 // portBase is the first public port a device hands out.
@@ -265,14 +262,12 @@ func (d *Device) sessionByKey(key sessionKey) int {
 // sessionByPublic returns the index of the session owning the given public
 // endpoint, or -1.
 func (d *Device) sessionByPublic(ep ident.Endpoint) int {
-	if ep.IP != d.publicIP {
-		return -1
+	for i := range d.sessions {
+		if d.sessions[i].public == ep {
+			return i
+		}
 	}
-	i := int(ep.Port) - portBase
-	if i < 0 || i >= len(d.byPort) {
-		return -1
-	}
-	return int(d.byPort[i])
+	return -1
 }
 
 // Class returns the NAT behaviour class of the device.
@@ -322,19 +317,10 @@ func (d *Device) expired(s *session, now int64) bool {
 	return !s.pinned && now-s.lastUse > d.ruleTTL
 }
 
-// drop removes session i, swapping the last session into its place and
-// fixing the port index.
+// drop removes session i, swapping the last session into its place.
 func (d *Device) drop(i int) {
-	if p := int(d.sessions[i].public.Port) - portBase; p >= 0 && p < len(d.byPort) {
-		d.byPort[p] = -1
-	}
 	last := len(d.sessions) - 1
-	if i != last {
-		d.sessions[i] = d.sessions[last]
-		if p := int(d.sessions[i].public.Port) - portBase; p >= 0 && p < len(d.byPort) {
-			d.byPort[p] = int32(i)
-		}
-	}
+	d.sessions[i] = d.sessions[last]
 	d.sessions[last] = session{}
 	d.sessions = d.sessions[:last]
 }
@@ -365,17 +351,10 @@ func (d *Device) allocPort() uint16 {
 	}
 }
 
-// adopt registers a freshly built session in both indexes and returns its
-// index.
+// adopt appends a freshly built session and returns its index.
 func (d *Device) adopt(s session) int {
-	i := len(d.sessions)
 	d.sessions = append(d.sessions, s)
-	p := int(s.public.Port) - portBase
-	for len(d.byPort) <= p {
-		d.byPort = append(d.byPort, -1)
-	}
-	d.byPort[p] = int32(i)
-	return i
+	return len(d.sessions) - 1
 }
 
 // Outbound records a packet sent from the private endpoint src to the remote
@@ -562,8 +541,8 @@ func (d *Device) Sessions(now int64) []ident.Endpoint {
 // whose slot order depends on insertion history, and the snapshot encoding
 // must not leak it (same state, same bytes). Restoring fills the zero Device,
 // in place for slab embedding (see MakeDevice). Sessions are re-adopted in the
-// serialized order, so the port index maps every public port to the same
-// session as the original; filter tables are rebuilt by inserting the rules,
+// serialized order, so every session keeps its index; filter tables are
+// rebuilt by inserting the rules,
 // which may land them in a different slot permutation or growth stage than
 // the original's insertion history produced — unobservable, since lookups
 // are key-addressed and rehash timing is housekeeping. On corrupt input the
