@@ -79,6 +79,23 @@ func TestNaNFractionRejected(t *testing.T) {
 	}
 }
 
+// TestHorizonPastClockRejected pins that a run whose last tick lands past the
+// int64 clock is a config error (exit 1, naming the field), not "0 events"
+// reported as a success.
+func TestHorizonPastClockRejected(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	status := run([]string{"-n", "20", "-rounds", "3000000000000000"}, &stdout, &stderr, neverStop)
+	if status != 1 {
+		t.Errorf("exit status %d, want 1", status)
+	}
+	if !strings.Contains(stderr.String(), "Rounds 3000000000000000 × PeriodMs 5000") {
+		t.Errorf("stderr does not name the rejected field:\n%s", &stderr)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("a rejected config printed a report:\n%s", &stdout)
+	}
+}
+
 // TestStaticRVPWithoutPublicPeerRejected pins that a static-RVP world with no
 // public peer to bind natted peers to is a config error (exit 1, naming the
 // protocol), not a panic of the world builder.

@@ -1,6 +1,8 @@
 package boot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/ident"
 	"repro/internal/transport"
 	"repro/internal/view"
+	"repro/internal/wire"
 )
 
 func fastJoin() JoinConfig {
@@ -32,8 +35,9 @@ func newIntroducer(t *testing.T, sw *transport.Switch) (*Introducer, ident.Endpo
 	return in, primary.LocalAddr()
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	msgs := []*Message{
+// codecMessages holds one message of every kind.
+func codecMessages() []*Message {
+	return []*Message{
 		{Kind: KindBindingReq, Seq: 7, Via: ViaAltIP},
 		{
 			Kind: KindBindingResp, Seq: 7,
@@ -48,7 +52,10 @@ func TestCodecRoundTrip(t *testing.T) {
 		}},
 		{Kind: KindPunch, Self: view.Descriptor{ID: 3, Class: ident.PortRestrictedCone}},
 	}
-	for _, m := range msgs {
+}
+
+func TestCodecRoundTrip(t *testing.T) {
+	for _, m := range codecMessages() {
 		data, err := m.Marshal()
 		if err != nil {
 			t.Fatalf("%v: %v", m.Kind, err)
@@ -75,9 +82,10 @@ func TestCodecErrors(t *testing.T) {
 		nil,
 		good[:5],
 		append(append([]byte{}, good...), 1), // trailing byte
-		func() []byte { b := append([]byte{}, good...); b[0] = 0x7f; return b }(), // bad magic
-		func() []byte { b := append([]byte{}, good...); b[1] = 99; return b }(),   // bad kind
-		func() []byte { b := append([]byte{}, good...); b[2] = 99; return b }(),   // bad via
+		func() []byte { b := append([]byte{}, good...); b[0] = 0x7f; return b }(),     // bad magic
+		func() []byte { b := append([]byte{}, good...); b[1] = 99; return b }(),       // bad kind
+		func() []byte { b := append([]byte{}, good...); b[2] = 99; return b }(),       // bad via
+		func() []byte { b := append([]byte{}, good...); b[len(b)-5] = 9; return b }(), // bad seed class
 	}
 	for i, data := range cases {
 		if _, err := Unmarshal(data); !errors.Is(err, ErrMalformed) {
@@ -90,6 +98,49 @@ func TestCodecErrors(t *testing.T) {
 	if _, err := (&Message{Kind: KindJoinResp, Seeds: make([]view.Descriptor, MaxSeeds+1)}).Marshal(); err == nil {
 		t.Error("oversized seed list marshalled")
 	}
+}
+
+// FuzzBootUnmarshal feeds the bootstrap decoder foreign bytes, as a node's
+// shared socket and the introducer's three sockets do: it must never panic,
+// must wrap ErrMalformed when it refuses, and every message it accepts must
+// re-marshal to the very same bytes.
+func FuzzBootUnmarshal(f *testing.F) {
+	for _, m := range codecMessages() {
+		data, err := m.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	full := &Message{Kind: KindJoinResp, Seq: 1}
+	for i := 0; i < MaxSeeds; i++ {
+		full.Seeds = append(full.Seeds, view.Descriptor{ID: ident.NodeID(i + 1), Addr: ident.Endpoint{IP: ident.IP(i), Port: 4000}, Class: ident.NATClass(i % ident.NumClasses)})
+	}
+	data, err := full.Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(data[:len(data)-1])
+	over := append(append([]byte(nil), data...), data[len(data)-wire.DescriptorSize:]...)
+	binary.BigEndian.PutUint16(over[headerLen-2:], MaxSeeds+1)
+	f.Add(over)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Unmarshal(data)
+		if err != nil {
+			if m != nil || !errors.Is(err, ErrMalformed) {
+				t.Fatalf("refusal returned %v and an error not wrapping ErrMalformed: %v", m, err)
+			}
+			return
+		}
+		out, err := m.Marshal()
+		if err != nil {
+			t.Fatalf("accepted message does not re-marshal: %v", err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatalf("re-marshalled bytes differ:\n in  %x\n out %x", data, out)
+		}
+	})
 }
 
 func TestIsBootDistinguishesGossip(t *testing.T) {

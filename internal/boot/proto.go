@@ -145,7 +145,7 @@ func Unmarshal(data []byte) (*Message, error) {
 	}
 	off += 6
 	if m.Self, err = wire.DecodeDescriptor(data[off:]); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: self: %v", ErrMalformed, err)
 	}
 	off += wire.DescriptorSize
 	n := int(binary.BigEndian.Uint16(data[off:]))
@@ -159,7 +159,7 @@ func Unmarshal(data []byte) (*Message, error) {
 	for i := 0; i < n; i++ {
 		d, err := wire.DecodeDescriptor(data[off:])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: seed %d: %v", ErrMalformed, i, err)
 		}
 		m.Seeds = append(m.Seeds, d)
 		off += wire.DescriptorSize

@@ -7,6 +7,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/ident"
@@ -309,6 +310,11 @@ func (c Config) validate() error {
 	if c.LatencyMs <= 0 || c.PeriodMs <= 0 || c.HoleTimeoutMs <= 0 || c.CacheSize <= 0 {
 		return fmt.Errorf("exp: LatencyMs, PeriodMs, HoleTimeoutMs and CacheSize must be positive (got %d, %d, %d, %d)",
 			c.LatencyMs, c.PeriodMs, c.HoleTimeoutMs, c.CacheSize)
+	}
+	// The last tick re-arms one period past the horizon Rounds×PeriodMs: a
+	// time that does not fit in int64 wraps and fires again forever.
+	if int64(c.Rounds) >= math.MaxInt64/c.PeriodMs {
+		return fmt.Errorf("exp: Rounds %d × PeriodMs %d puts the run's last tick past the int64 clock", c.Rounds, c.PeriodMs)
 	}
 	// Negated so that NaN, which fails every comparison, is refused too.
 	for _, f := range []struct {

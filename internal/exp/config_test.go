@@ -72,9 +72,10 @@ func TestConfigJSONStable(t *testing.T) {
 // TestNegativeTimingsRejected pins that a negative LatencyMs, PeriodMs,
 // HoleTimeoutMs or CacheSize is an error, never the panic of the layer that
 // would have met it (the kernel's lookahead window, the tick phase draw, the
-// engines' constructors) — from a caller's Config through Run, and from
-// foreign bytes through ResumeFile on a checksum-valid snapshot whose embedded
-// config carries the value.
+// engines' constructors), and so is a period whose last tick lands past the
+// int64 clock (the re-armed tick wrapped and fired forever) — from a caller's
+// Config through Run, and from foreign bytes through ResumeFile on a
+// checksum-valid snapshot whose embedded config carries the value.
 func TestNegativeTimingsRejected(t *testing.T) {
 	base := Config{N: 30, Rounds: 6, NATRatio: 0.5, Protocol: ProtoARRG, Seed: 3}
 	_, dir := runCheckpointed(t, base, 3)
@@ -98,6 +99,7 @@ func TestNegativeTimingsRejected(t *testing.T) {
 		{"PeriodMs", func(c *Config) { c.PeriodMs = -1 }},
 		{"HoleTimeoutMs", func(c *Config) { c.HoleTimeoutMs = -1 }},
 		{"CacheSize", func(c *Config) { c.CacheSize = -1 }},
+		{"PeriodMsPastClock", func(c *Config) { c.PeriodMs = 3e18 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base

@@ -198,6 +198,10 @@ func TestConfigValidation(t *testing.T) {
 		{N: simnet.MaxPeers + 1},
 		// Trace rings are allocated whole: this ran out of memory.
 		{TraceCapacity: 100_000_000},
+		// The last tick re-arms past the int64 clock: the first hung, the
+		// second reported an empty run as a success.
+		{N: 4, Rounds: 3, PeriodMs: 3e18},
+		{N: 20, Rounds: 3_000_000_000_000_000},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

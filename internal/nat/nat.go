@@ -449,16 +449,7 @@ func (d *Device) admits(s *session, now int64, from ident.Endpoint) bool {
 	if s.pinned {
 		return true
 	}
-	var key ident.Endpoint
-	switch d.class {
-	case ident.FullCone:
-		key = wildcard
-	case ident.RestrictedCone:
-		key = ident.Endpoint{IP: from.IP}
-	default:
-		key = from
-	}
-	exp, ok := s.filters.get(packEP(key))
+	exp, ok := s.filters.get(packEP(d.filterKey(from)))
 	return ok && exp >= now
 }
 

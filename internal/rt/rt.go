@@ -28,10 +28,10 @@
 //     table of a simulation shard: the same peer's descriptor is referenced
 //     by thousands of routing rows, so sharing turns O(rows) descriptor
 //     storage into O(distinct peers).
-//   - The index is a small open-addressed hash of 8-byte {fingerprint, row}
-//     cells with backward-shift deletion, so the steady delete/insert churn
-//     of per-tick purges leaves no tombstones behind and the table never
-//     rehashes except to grow.
+//   - The index is a small open-addressed hash of 4-byte cells (an 8-bit
+//     fingerprint over a 24-bit row index, see slot) with backward-shift
+//     deletion, so the steady delete/insert churn of per-tick purges leaves
+//     no tombstones behind and the table never rehashes except to grow.
 //
 // All operations are allocation-free once the table has reached its
 // high-water size; a generic map was measurably slower here (hashing
