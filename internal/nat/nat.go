@@ -533,11 +533,11 @@ func (d *Device) Sessions(now int64) []ident.Endpoint {
 // must not leak it (same state, same bytes). Restoring fills the zero Device,
 // in place for slab embedding (see MakeDevice). Sessions are re-adopted in the
 // serialized order, so every session keeps its index; filter tables are
-// rebuilt by inserting the rules,
-// which may land them in a different slot permutation or growth stage than
-// the original's insertion history produced — unobservable, since lookups
-// are key-addressed and rehash timing is housekeeping. On corrupt input the
-// codec's sticky error is set; callers check it before using the device.
+// rebuilt by inserting the rules, which may land them in a different slot
+// permutation or growth stage than the original's insertion history produced
+// — unobservable, since lookups are key-addressed and rehash timing is
+// housekeeping. On corrupt input the codec's sticky error is set; callers
+// check it before using the device.
 func (d *Device) State(c *snapshot.Codec) {
 	d.class = ident.NATClass(c.U8(uint8(d.class)))
 	d.publicIP = ident.IP(c.U32(uint32(d.publicIP)))
