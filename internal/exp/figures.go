@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/sim"
 	"repro/internal/view"
 )
 
@@ -189,7 +190,7 @@ var Figures = []Figure{
 // figures overlap (Fig. 4 plots the runs of Fig. 3; six figures share the
 // view-15 Nylon column), so at the default scale the fourteen need 289 points
 // standing alone and 189 together. Run: every (point, seed) executes once, in
-// presentation order, on one worker pool with no barrier between figures.
+// presentation order, in one sim.ForEach with no barrier between figures.
 // Fill: emit receives each figure's tables, in order and on the caller's
 // goroutine, as soon as that figure's points are done. Tables are identical
 // for any p.Workers.
@@ -282,9 +283,9 @@ func newPlan(figs []Figure, p Params) *plan {
 // independently derived RNG stream (see xrand.Mix in the runner), so which
 // worker executes a run cannot influence its outcome.
 type runs struct {
-	points  []pointRun
-	halt    atomic.Bool
-	workers sync.WaitGroup
+	points []pointRun
+	halt   atomic.Bool
+	done   chan struct{} // closed when every job has run or been skipped
 }
 
 type pointRun struct {
@@ -294,7 +295,7 @@ type pointRun struct {
 }
 
 func startRuns(points []Config, seeds []int64, workers int) *runs {
-	rs := &runs{points: make([]pointRun, len(points))}
+	rs := &runs{points: make([]pointRun, len(points)), done: make(chan struct{})}
 	for i := range rs.points {
 		pr := &rs.points[i]
 		pr.results, pr.errs = make([]Result, len(seeds)), make([]error, len(seeds))
@@ -303,28 +304,20 @@ func startRuns(points []Config, seeds []int64, workers int) *runs {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		rs.workers.Add(1)
-		go func() {
-			defer rs.workers.Done()
-			for {
-				job := int(next.Add(1)) - 1
-				if job >= len(points)*len(seeds) {
-					return
-				}
-				pt, s := job/len(seeds), job%len(seeds)
-				pr := &rs.points[pt]
-				if !rs.halt.Load() {
-					cfg := points[pt]
-					cfg.Seed = seeds[s]
-					cfg.Workers = 1 // the parallelism is across runs
-					pr.results[s], pr.errs[s] = Run(cfg)
-				}
-				pr.done.Done()
+	go func() {
+		defer close(rs.done)
+		sim.ForEach(len(points)*len(seeds), workers, func(job int) {
+			pt, s := job/len(seeds), job%len(seeds)
+			pr := &rs.points[pt]
+			if !rs.halt.Load() {
+				cfg := points[pt]
+				cfg.Seed = seeds[s]
+				cfg.Workers = 1 // the parallelism is across runs
+				pr.results[s], pr.errs[s] = Run(cfg)
 			}
-		}()
-	}
+			pr.done.Done()
+		})
+	}()
 	return rs
 }
 
@@ -344,7 +337,7 @@ func (rs *runs) wait(pt int) ([]Result, error) {
 // stop makes the workers skip what has not started and waits for them.
 func (rs *runs) stop() {
 	rs.halt.Store(true)
-	rs.workers.Wait()
+	<-rs.done
 }
 
 // --- row axes ---

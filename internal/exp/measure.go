@@ -1,11 +1,11 @@
 package exp
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/ident"
+	"repro/internal/sim"
 )
 
 // This file is the measurement plane: the one walk over every alive peer's
@@ -18,11 +18,11 @@ import (
 //
 // The walk only reads (rt.Table.Peek, nat.Device.WouldAdmit, the views in
 // place), and it runs at barriers or after the run, when no shard executes.
-// So it is cut into chunks of measureChunk peers and the chunks are spread
-// over as many goroutines as the kernel has workers; with one worker the same
-// chunk loop runs inline. The chunking is fixed, never derived from the worker
-// count, and a chunk's output depends on nothing but the world: what a walk
-// returns is a function of the world alone.
+// So it is cut into chunks of measureChunk peers and sim.ForEach spreads the
+// chunks over as many goroutines as the kernel has workers; with one worker
+// the same chunk loop runs inline. The chunking is fixed, never derived from
+// the worker count, and a chunk's output depends on nothing but the world:
+// what a walk returns is a function of the world alone.
 
 // measureChunk is how many peer slots one chunk of the walk covers: small
 // enough that a 10k-peer world balances over any worker count, large enough
@@ -140,7 +140,7 @@ func (st *runState) walkOverlay(now int64, warmup []uint64) *overlayWalk {
 		clear(w.refs)
 	}
 
-	st.eachChunk(nChunks, func(c int) {
+	sim.ForEach(nChunks, st.kern.Workers(), func(c int) {
 		lo, hi := c*measureChunk, min((c+1)*measureChunk, n)
 		ch := &w.chunks[c]
 		// Each chunk appends into its own region of the shared slices, capped
@@ -165,28 +165,6 @@ func (st *runState) walkOverlay(now int64, warmup []uint64) *overlayWalk {
 		w.natted = append(w.natted, ch.natted...)
 	}
 	return w
-}
-
-// eachChunk calls fn for every chunk index below n, on up to as many
-// goroutines as the kernel has workers — this one included, and this one alone
-// when that is one. The extra goroutines live for the call.
-func (st *runState) eachChunk(n int, fn func(c int)) {
-	var next atomic.Int64
-	claim := func() {
-		for c := int(next.Add(1)) - 1; c < n; c = int(next.Add(1)) - 1 {
-			fn(c)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := min(st.kern.Workers(), n) - 1; i > 0; i-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			claim()
-		}()
-	}
-	claim()
-	wg.Wait()
 }
 
 // walkChunk walks the peers in slots [lo, hi) into ch. It runs concurrently

@@ -114,7 +114,7 @@ type Link struct {
 	// JitterMs adds a uniformly-drawn extra one-way delay in [0, JitterMs]
 	// milliseconds to each datagram. Like every delivery, a jittered
 	// datagram rides its shard's lane; one delayed past the next barrier
-	// waits in the shard's held heap until the barrier that releases it.
+	// waits in the shard's held list until the barrier that releases it.
 	JitterMs int64 `json:"jitter_ms,omitempty"`
 	// Loss is the probability, in [0, 1), that a datagram is lost in
 	// flight.

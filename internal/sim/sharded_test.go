@@ -149,8 +149,8 @@ func TestShardedBarrierFnRunsEveryWindow(t *testing.T) {
 	}
 }
 
-// TestShardedParallelExecutesAllShards drives many shards with a small
-// worker pool and checks every shard's events all ran.
+// TestShardedParallelExecutesAllShards drives many shards with fewer
+// workers and checks every shard's events all ran.
 func TestShardedParallelExecutesAllShards(t *testing.T) {
 	const shards = 16
 	k := NewSharded(shards, 4, 50)
@@ -202,5 +202,36 @@ func TestNewShardedValidation(t *testing.T) {
 	}
 	if k := NewSharded(1, 1, 0); k.Shards() != 1 {
 		t.Errorf("single shard with no lookahead must be allowed")
+	}
+}
+
+// TestForEachRunsEveryIndexOnce checks that every index below n runs exactly
+// once, whatever the worker count, including more workers than indices.
+func TestForEachRunsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 64} {
+		for _, workers := range []int{1, 2, 8} {
+			runs := make([]atomic.Int32, n)
+			ForEach(n, workers, func(i int) { runs[i].Add(1) })
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Errorf("n=%d workers=%d: index %d ran %d times, want 1", n, workers, i, got)
+				}
+			}
+		}
+	}
+}
+
+// TestForEachSerialZeroAllocs locks in the one-worker path the kernel takes on
+// every window of a single-worker run: with a func value bound beforehand it
+// allocates nothing.
+func TestForEachSerialZeroAllocs(t *testing.T) {
+	sum := 0
+	fn := func(i int) { sum += i }
+	allocs := testing.AllocsPerRun(1000, func() { ForEach(64, 1, fn) })
+	if allocs != 0 {
+		t.Errorf("one-worker ForEach allocates %.1f times per call, want 0", allocs)
+	}
+	if sum != 1001*64*63/2 {
+		t.Errorf("sum of indices = %d, want %d", sum, 1001*64*63/2)
 	}
 }

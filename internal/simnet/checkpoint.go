@@ -15,7 +15,7 @@ import (
 // checkpoint hook): every shard event at or before the barrier time has
 // executed and the cross-shard staging outboxes are drained, so the whole
 // in-flight state of the network is exactly the shards' delivery lanes and
-// jit heaps.
+// held lists.
 //
 // The encoding is shard-count-invariant — the same world state serializes to
 // the same bytes whether the writing run used 1 shard or 16 — because
@@ -25,8 +25,9 @@ import (
 // their (arrival, sender, per-sender seq) key; drop counters serialize as
 // per-cause totals. On restore the state redistributes to however many
 // shards the resuming run uses: every in-flight datagram goes into the held
-// heap of its destination's shard, and the resumed run's first barrier
-// releases into the lanes exactly what the capturing run's lanes held.
+// list of its destination's shard, in the key order the decoder checks, and
+// the resumed run's first barrier releases into the lanes exactly what the
+// capturing run's lanes held.
 //
 // Deliberately not serialized: per-shard intern tables and resolve memos
 // (performance caches re-derived on demand), trace rings and flight
@@ -102,7 +103,7 @@ func (n *Network) State(c *snapshot.Codec, engineFor func(p *Peer) core.Engine) 
 			if j != sh.inflight.Len() {
 				panic("simnet: lane events and in-flight ring out of step")
 			}
-			flight = append(flight, sh.jit...)
+			flight = append(flight, sh.held...)
 		}
 		slices.SortFunc(flight, compareEntry)
 	}
@@ -258,5 +259,5 @@ func (n *Network) datagramState(c *snapshot.Codec, i int, e *jitEntry, prev sim.
 		return
 	}
 	e.d.size = uint64(m.Size())
-	sh.jit.push(*e)
+	sh.held = append(sh.held, *e)
 }

@@ -175,29 +175,55 @@ func TestPartitionAppliesToInFlight(t *testing.T) {
 	}
 }
 
+// delayPolicy delays every datagram by a fixed number of milliseconds.
+type delayPolicy int64
+
+func (p delayPolicy) Transmit(int64, ident.NodeID, ident.Endpoint, ident.Endpoint, uint64) (int64, bool) {
+	return int64(p), false
+}
+
 // TestQuiescentSendZeroAlloc locks in that the scenario hooks cost the
 // nil-policy fast path nothing: steady-state send+deliver with no link
-// policy and no active partition allocates zero.
+// policy and no active partition allocates zero. A policy that delays every
+// datagram past the release horizon costs nothing either: once the held list
+// and the barrier's sort scratch have grown, holding a datagram across
+// barriers allocates nothing.
 func TestQuiescentSendZeroAlloc(t *testing.T) {
-	sched, net := newNet()
-	factory, _ := sinkFactory()
-	a := net.AddPeer(1, ident.Public, holeTimeout, func(d view.Descriptor) core.Engine { return factory(d) })
-	b := net.AddPeer(2, ident.Public, holeTimeout, func(d view.Descriptor) core.Engine { return factory(d) })
+	for _, tc := range []struct {
+		name  string
+		delay int64
+	}{
+		{"no policy", 0},
+		{"jittered", 75},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched, net := newNet()
+			factory, engines := sinkFactory()
+			a := net.AddPeer(1, ident.Public, holeTimeout, func(d view.Descriptor) core.Engine { return factory(d) })
+			b := net.AddPeer(2, ident.Public, holeTimeout, func(d view.Descriptor) core.Engine { return factory(d) })
+			if tc.delay > 0 {
+				net.SetLinkPolicy(delayPolicy(tc.delay))
+			}
 
-	// Warm the inflight ring and the scheduler lane.
-	for i := 0; i < 64; i++ {
-		ping(net, a, b)
-	}
-	sched.RunUntil(sched.Now() + 1000)
+			// Warm the inflight ring, the held list and the scheduler lane.
+			for i := 0; i < 64; i++ {
+				ping(net, a, b)
+			}
+			sched.RunUntil(sched.Now() + 1000)
 
-	allocs := testing.AllocsPerRun(1000, func() {
-		ping(net, a, b)
-		sched.RunUntil(sched.Now() + latency)
-	})
-	// The ping's wire message round-trips through the pool, so the whole
-	// cycle must be allocation-free.
-	if allocs > 0 {
-		t.Errorf("quiescent send+deliver allocates %.1f per round, want 0", allocs)
+			allocs := testing.AllocsPerRun(1000, func() {
+				ping(net, a, b)
+				sched.RunUntil(sched.Now() + latency + tc.delay)
+			})
+			// The ping's wire message round-trips through the pool, so the
+			// whole cycle must be allocation-free.
+			if allocs > 0 {
+				t.Errorf("send+deliver allocates %.1f per round, want 0", allocs)
+			}
+			if got, want := (*engines)[1].received, 64+1001; got != want {
+				t.Errorf("delivered %d datagrams, want %d", got, want)
+			}
+		})
 	}
 }
 
@@ -220,7 +246,7 @@ func (e *keyEngine) Receive(now int64, _ ident.Endpoint, _ *wire.Message) []core
 // sorted runs whose keys interleave, three runs one of which a link-delayed
 // datagram left out of order, and delays of one to two and a half latencies
 // behind a global event that cuts one window short, so datagrams wait in the
-// held heap across one and two barriers. After every barrier each shard's
+// held list across one and two barriers. After every barrier each shard's
 // scheduler holds nothing but lane events.
 func TestFlushSchedulesInKeyOrder(t *testing.T) {
 	for _, tc := range []struct {

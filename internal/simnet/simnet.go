@@ -209,7 +209,7 @@ func (n *Network) SetPerDatagramDelivery(v bool) { n.perDatagram = v }
 
 // LeakCheck verifies the wire-message books: every message drawn from the
 // shard pools must either have been returned or still be queued for
-// delivery (the lane's ring, the held heap, or a staged cross-shard run).
+// delivery (the lane's ring, the held list, or a staged cross-shard run).
 // Messages cross shards — drawn on the sender's pool, returned to the
 // destination's — so only the summed balance is meaningful. A surplus means
 // a delivery path leaked messages; a deficit means a double release.
@@ -218,7 +218,7 @@ func (n *Network) LeakCheck() error {
 	for i := range n.shards {
 		sh := &n.shards[i]
 		bal += sh.pool.Balance()
-		queued += int64(sh.inflight.Len()) + int64(len(sh.jit))
+		queued += int64(sh.inflight.Len()) + int64(len(sh.held))
 		for _, run := range sh.out {
 			queued += int64(len(run))
 		}
@@ -245,9 +245,9 @@ type netShard struct {
 	// never touches the event heap.
 	inflight sim.Ring[delivery]
 
-	// jit holds, inline and by key, the datagrams a link delay carried past
-	// the release horizon of the barriers so far (see flush).
-	jit jitHeap
+	// held lists, in key order, the datagrams a link delay carried past the
+	// release horizon of the barriers so far (see flush).
+	held []jitEntry
 
 	// out stages datagrams sent by this shard's peers, one run per
 	// destination shard; the barrier drains them (see flush).
@@ -312,60 +312,6 @@ type jitEntry struct {
 
 // compareEntry orders datagrams by key, for slices.SortFunc.
 func compareEntry(a, b jitEntry) int { return a.Compare(b.Key) }
-
-// jitHeap is a 4-ary min-heap of held datagrams, mirroring the scheduler's
-// inline event heap: entries are stored by value and the backing slice is
-// reused across pushes, so holding a datagram costs no allocation beyond
-// amortized growth.
-type jitHeap []jitEntry
-
-func (h *jitHeap) push(e jitEntry) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if e.Compare(s[parent].Key) >= 0 {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
-	}
-	s[i] = e
-}
-
-func (h *jitHeap) pop() jitEntry {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	e := s[n]
-	s[n] = jitEntry{}
-	s = s[:n]
-	*h = s
-	if n > 0 {
-		i := 0
-		for {
-			first := 4*i + 1
-			if first >= n {
-				break
-			}
-			best := first
-			last := min(first+4, n)
-			for c := first + 1; c < last; c++ {
-				if s[c].Compare(s[best].Key) < 0 {
-					best = c
-				}
-			}
-			if s[best].Compare(e.Key) >= 0 {
-				break
-			}
-			s[i] = s[best]
-			i = best
-		}
-		s[i] = e
-	}
-	return top
-}
 
 // delivery is one in-flight datagram.
 type delivery struct {
@@ -684,16 +630,16 @@ func (n *Network) Send(from *Peer, s core.Send) {
 
 // flush is the kernel's barrier hook. At barrier T it gives each shard's lane,
 // in (arrival, sender, per-sender seq) order, every staged or held datagram
-// due before T+latency, and holds the rest in the shard's jit heap until the
-// barrier whose window they fall in. That is sound because a datagram sent at
-// s arrives no earlier than s+latency and every later send happens at or
-// after T: by now everything due before T+latency has been sent. Successive
+// due before T+latency, and holds the rest, in key order, until the barrier
+// whose window they fall in. That is sound because a datagram sent at s
+// arrives no earlier than s+latency and every later send happens at or after
+// T: by now everything due before T+latency has been sent. Successive
 // barriers therefore release disjoint, increasing key ranges, and the lane
 // stays monotone. Only a link delay (or a send at exactly a barrier time) can
 // carry a datagram past the horizon.
 //
-// Each destination gathers its staged runs and what it holds due, then sorts
-// them by key.
+// Each destination gathers its staged runs and everything it holds, sorts
+// them by key, releases the due prefix and holds the rest.
 func (n *Network) flush() {
 	// Barrier context: no shard worker is running, so this is the one safe
 	// place to serve a live trace read posted by another goroutine.
@@ -705,21 +651,19 @@ func (n *Network) flush() {
 		for si := range n.shards {
 			run = append(run, n.shards[si].out[di]...)
 		}
-		for len(dst.jit) > 0 && dst.jit[0].At < horizon {
-			run = append(run, dst.jit.pop())
-		}
+		run = append(run, dst.held...)
 		if len(run) == 0 {
 			continue
 		}
 		slices.SortFunc(run, compareEntry)
-		for i := range run {
-			if e := &run[i]; e.At < horizon {
-				dst.inflight.Push(e.d)
-				dst.sched.LaneAtKey(e.At, e.Actor, e.Seq)
-			} else {
-				dst.jit.push(*e)
-			}
+		due := 0
+		for ; due < len(run) && run[due].At < horizon; due++ {
+			e := &run[due]
+			dst.inflight.Push(e.d)
+			dst.sched.LaneAtKey(e.At, e.Actor, e.Seq)
 		}
+		clear(dst.held)
+		dst.held = append(dst.held[:0], run[due:]...)
 		// Drop message references from the scratch and the outboxes so
 		// stale slots never alias live pool entries.
 		clear(run)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // Options tunes one sweep execution.
@@ -20,13 +21,13 @@ type Options struct {
 	// parallelism alone saturates the machine without oversubscribing it.
 	// Results are identical for any value.
 	Workers int
-	// StopAfter, when positive, stops dequeuing new jobs after that many
+	// StopAfter, when positive, stops starting new jobs after that many
 	// have been executed (cache hits do not count). The run returns
 	// ErrStopped with the completed jobs persisted — the test hook that
 	// simulates a killed sweep deterministically.
 	StopAfter int
 	// Ctx, when non-nil, winds the sweep down when cancelled: no new jobs
-	// are dequeued, and — with CheckpointEveryRounds armed — every job in
+	// start, and — with CheckpointEveryRounds armed — every job in
 	// flight checkpoints at its next round barrier and exits. This is the
 	// one shutdown path; a CLI's signal handler and StopAfter both end up
 	// here, so graceful shutdown means the same thing for both. The run
@@ -126,108 +127,90 @@ func Execute(g *Grid, dir string, opts Options) ([]*JobResult, Stats, error) {
 			[]float64{1, 2, 5, 10, 30, 60, 120, 300, 600})
 	}
 
-	jobs := make(chan int)
 	var (
 		mu       sync.Mutex
 		started  int
 		firstErr error
 		stopped  bool
-		wg       sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				job := g.Jobs[i]
-				t0 := time.Now()
-				res, resumed, err := runJob(ctx, cache, job, opts)
-				var ie *exp.InterruptedError
-				if errors.As(err, &ie) {
-					// The shutdown context fired mid-job: the job checkpointed
-					// at its barrier and its snapshot stays for the next
-					// invocation to resume.
-					mu.Lock()
-					stopped = true
-					mu.Unlock()
-					if opts.Log != nil {
-						fmt.Fprintf(opts.Log, "interrupted (%s, %s, seed %d) at round %d, snapshot kept\n",
-							job.Scenario, job.Variant, job.Seed, ie.Round)
-					}
-					continue
-				}
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("sweep: job (%s, %s, seed %d): %w", job.Scenario, job.Variant, job.Seed, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				jr := resultOf(job, res)
-				if err := cache.Store(jr); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				cache.DropSnapshots(job.Key)
-				mu.Lock()
-				results[i] = jr
-				stats.Ran++
-				if resumed {
-					stats.Resumed++
-				}
-				mu.Unlock()
-				if hJob != nil {
-					hJob.Observe(0, time.Since(t0).Seconds())
-				}
-				var done int64
-				var rate float64
-				var eta time.Duration
-				if tracker != nil {
-					done, rate, eta = tracker.Done()
-				}
-				if gRan != nil {
-					gRan.Set(float64(done))
-				}
-				if opts.Log != nil {
-					verb := "ran"
-					if resumed {
-						verb = "resumed"
-					}
-					fmt.Fprintf(opts.Log, "%s (%s, %s, seed %d) → cluster %.1f%% [%d/%d, %.2f jobs/s, eta %s]\n",
-						verb, job.Scenario, job.Variant, job.Seed, jr.BiggestCluster*100,
-						done, tracker.Total(), rate, eta)
-				}
-			}
-		}()
-	}
-	for _, i := range missing {
+	fail := func(err error) {
 		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
+	}
+	sim.ForEach(len(missing), workers, func(m int) {
+		mu.Lock()
+		if ctx.Err() != nil || (opts.StopAfter > 0 && started >= opts.StopAfter) {
+			// The shared shutdown path: a cancelled context stops starting
+			// jobs exactly like StopAfter, while jobs in flight checkpoint
+			// through their CheckpointSpec.Stop watching the same context.
+			stopped = true
+		}
 		abort := firstErr != nil || stopped
-		if ctx.Err() != nil {
-			// The shared shutdown path: a cancelled context stops dequeuing
-			// exactly like StopAfter, while jobs in flight checkpoint through
-			// their CheckpointSpec.Stop watching the same context.
-			stopped = true
-			abort = true
-		}
-		if opts.StopAfter > 0 && started >= opts.StopAfter {
-			stopped = true
-			abort = true
-		}
 		started++
 		mu.Unlock()
 		if abort {
-			break
+			return
 		}
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+		i := missing[m]
+		job := g.Jobs[i]
+		t0 := time.Now()
+		res, resumed, err := runJob(ctx, cache, job, opts)
+		var ie *exp.InterruptedError
+		if errors.As(err, &ie) {
+			// The shutdown context fired mid-job: the job checkpointed
+			// at its barrier and its snapshot stays for the next
+			// invocation to resume.
+			mu.Lock()
+			stopped = true
+			mu.Unlock()
+			if opts.Log != nil {
+				fmt.Fprintf(opts.Log, "interrupted (%s, %s, seed %d) at round %d, snapshot kept\n",
+					job.Scenario, job.Variant, job.Seed, ie.Round)
+			}
+			return
+		}
+		if err != nil {
+			fail(fmt.Errorf("sweep: job (%s, %s, seed %d): %w", job.Scenario, job.Variant, job.Seed, err))
+			return
+		}
+		jr := resultOf(job, res)
+		if err := cache.Store(jr); err != nil {
+			fail(err)
+			return
+		}
+		cache.DropSnapshots(job.Key)
+		mu.Lock()
+		results[i] = jr
+		stats.Ran++
+		if resumed {
+			stats.Resumed++
+		}
+		mu.Unlock()
+		if hJob != nil {
+			hJob.Observe(0, time.Since(t0).Seconds())
+		}
+		var done int64
+		var rate float64
+		var eta time.Duration
+		if tracker != nil {
+			done, rate, eta = tracker.Done()
+		}
+		if gRan != nil {
+			gRan.Set(float64(done))
+		}
+		if opts.Log != nil {
+			verb := "ran"
+			if resumed {
+				verb = "resumed"
+			}
+			fmt.Fprintf(opts.Log, "%s (%s, %s, seed %d) → cluster %.1f%% [%d/%d, %.2f jobs/s, eta %s]\n",
+				verb, job.Scenario, job.Variant, job.Seed, jr.BiggestCluster*100,
+				done, tracker.Total(), rate, eta)
+		}
+	})
 
 	if firstErr != nil {
 		return nil, stats, firstErr

@@ -87,7 +87,7 @@ func VerifyChain(chain []Event) (headSurvived bool, err error) {
 		}
 		lastHop = int(e.Hop)
 		if i > 0 {
-			if prev := &chain[i-1]; keyLess(e, prev) {
+			if compareKey(*e, chain[i-1]) < 0 {
 				return headSurvived, fmt.Errorf("trace: chain %v: event %d out of order", id, i)
 			}
 		}

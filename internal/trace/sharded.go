@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -9,7 +10,7 @@ import (
 // simulation shard writes its own ring lock-free from the delivery hot
 // path; because a shard executes its events in scheduler-key order, every
 // ring is individually sorted by (At, Actor, Seq, Sub), and Merged
-// reassembles the global order with a k-way merge.
+// reassembles the global order by sorting the rings' union.
 //
 // Every ring gets the full capacity. The merged tail is trimmed to that
 // same capacity, which makes it independent of the shard count: the global
@@ -74,7 +75,7 @@ func (s *Sharded) Total() uint64 {
 	return t
 }
 
-// Merged k-way merges the per-shard rings by (At, Actor, Seq, Sub) and
+// Merged sorts the union of the per-shard rings by (At, Actor, Seq, Sub) and
 // returns the most recent cap events of the union, oldest first. The
 // result is bit-identical for any worker or shard count. Only call when no
 // shard worker can be recording: at a barrier, or after the run.
@@ -91,46 +92,17 @@ func (s *Sharded) MergedTail(n int) []Event {
 	if s == nil || n <= 0 {
 		return nil
 	}
-	runs := make([][]Event, 0, len(s.rings))
-	total := 0
+	// The rings go in shard order and the sort is stable, so a tie keeps
+	// the lower shard's event first.
+	var merged []Event
 	for _, r := range s.rings {
-		if ev := r.Events(); len(ev) > 0 {
-			runs = append(runs, ev)
-			total += len(ev)
-		}
+		merged = append(merged, r.Events()...)
 	}
-	merged := mergeRuns(runs, total)
+	slices.SortStableFunc(merged, compareKey)
 	if len(merged) > n {
 		merged = merged[len(merged)-n:]
 	}
 	return merged
-}
-
-// mergeRuns merges key-sorted runs into one key-sorted slice.
-func mergeRuns(runs [][]Event, total int) []Event {
-	switch len(runs) {
-	case 0:
-		return nil
-	case 1:
-		return runs[0]
-	}
-	out := make([]Event, 0, total)
-	for {
-		best := -1
-		for i, run := range runs {
-			if len(run) == 0 {
-				continue
-			}
-			if best < 0 || keyLess(&run[0], &runs[best][0]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, runs[best][0])
-		runs[best] = runs[best][1:]
-	}
 }
 
 // RequestTail asks the next barrier for the most recent n merged events and

@@ -14,6 +14,7 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -124,18 +125,19 @@ type Event struct {
 	Size uint32 `json:"size"`
 }
 
-// Key compares two events by global order (At, Actor, Seq, Sub).
-func keyLess(a, b *Event) bool {
-	if a.At != b.At {
-		return a.At < b.At
+// compareKey orders two events by global order (At, Actor, Seq, Sub),
+// returning -1, 0 or +1 like cmp.Compare.
+func compareKey(a, b Event) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
 	}
-	if a.Actor != b.Actor {
-		return a.Actor < b.Actor
+	if c := cmp.Compare(a.Actor, b.Actor); c != 0 {
+		return c
 	}
-	if a.Seq != b.Seq {
-		return a.Seq < b.Seq
+	if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+		return c
 	}
-	return a.Sub < b.Sub
+	return cmp.Compare(a.Sub, b.Sub)
 }
 
 // String implements fmt.Stringer.
