@@ -113,6 +113,27 @@ func TestStaticRVPWithoutPublicPeerRejected(t *testing.T) {
 	}
 }
 
+// TestFlashCrowdPastCapRejected pins that a scenario whose flash crowd would
+// take the population past the cap is a config error (exit 1, naming the
+// event), not a run that tries to attach a trillion peers.
+func TestFlashCrowdPastCapRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flash.json")
+	if err := os.WriteFile(path, []byte(`{"events":[{"round":1,"kind":"flash_crowd","count":1000000000000}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	status := run([]string{"-f", path, "-n", "4", "-rounds", "3"}, &stdout, &stderr, neverStop)
+	if status != 1 {
+		t.Errorf("exit status %d, want 1", status)
+	}
+	if !strings.Contains(stderr.String(), "scenario event 0 (round 1 flash_crowd of 1000000000000 peers)") {
+		t.Errorf("stderr does not name the event:\n%s", &stderr)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("a rejected config printed a report:\n%s", &stdout)
+	}
+}
+
 // TestInterruptedRunKeepsItsProfile interrupts a profiled, checkpointing run
 // at round 1 and requires what an operator's ^C must leave behind: status
 // 130, the snapshot to resume from, and a CPU profile that was stopped and

@@ -72,6 +72,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*shards = bundle.Run.Shards
 		}
 	}
+	// The per-shard table is sized by the count: bound it as exp.Config
+	// bounds a run's shards, whether it came from the flag or the file.
+	if *shards < 0 || *shards > 4096 {
+		return fatal(fmt.Errorf("shard count %d outside [1,4096]", *shards))
+	}
 
 	if *follow != "" {
 		if err := doFollow(stdout, events, *follow); err != nil {

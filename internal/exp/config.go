@@ -352,6 +352,21 @@ func (c Config) validate() error {
 	if err := c.Scenario.Validate(c.Rounds); err != nil {
 		return fmt.Errorf("exp: %w", err)
 	}
+	// Flash crowds attach peers for good: together they must leave the
+	// roster within the population cap, where AddPeer would panic.
+	if c.Scenario != nil {
+		roster := c.N
+		for i, ev := range c.Scenario.Events {
+			if ev.Kind != scenario.KindFlashCrowd {
+				continue
+			}
+			count := flashCount(ev, c.N)
+			if count > simnet.MaxPeers-roster {
+				return fmt.Errorf("exp: scenario event %d (round %d flash_crowd of %d peers) takes the population past the cap %d", i, ev.Round, count, simnet.MaxPeers)
+			}
+			roster += count
+		}
+	}
 	if ck := c.Checkpoint; ck != nil {
 		if ck.Dir == "" {
 			return fmt.Errorf("exp: CheckpointSpec needs a directory")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ident"
+	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/view"
 )
@@ -202,12 +203,26 @@ func TestConfigValidation(t *testing.T) {
 		// second reported an empty run as a success.
 		{N: 4, Rounds: 3, PeriodMs: 3e18},
 		{N: 20, Rounds: 3_000_000_000_000_000},
+		// Flash crowds past the population cap, by count, by fraction and
+		// together: the first ran out of memory, the others panicked in
+		// AddPeer.
+		{N: 4, Rounds: 3, Scenario: flashCrowds(scenario.Event{Count: 1_000_000_000_000})},
+		{N: simnet.MaxPeers / 4, Rounds: 3, Scenario: flashCrowds(scenario.Event{Fraction: 10})},
+		{N: 4, Rounds: 3, Scenario: flashCrowds(scenario.Event{Count: simnet.MaxPeers / 2}, scenario.Event{Count: simnet.MaxPeers / 2})},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
 		}
 	}
+}
+
+// flashCrowds is a scenario of the given flash crowds, all at round 1.
+func flashCrowds(evs ...scenario.Event) *scenario.Scenario {
+	for i := range evs {
+		evs[i].Round, evs[i].Kind = 1, scenario.KindFlashCrowd
+	}
+	return &scenario.Scenario{Events: evs}
 }
 
 func TestNATMixClasses(t *testing.T) {

@@ -184,10 +184,7 @@ func (d *scenarioDriver) churnRound() {
 func (d *scenarioDriver) apply(ev scenario.Event) {
 	switch ev.Kind {
 	case scenario.KindFlashCrowd:
-		count := ev.Count
-		if count <= 0 {
-			count = int(ev.Fraction*float64(d.st.cfg.N) + 0.5)
-		}
+		count := flashCount(ev, d.st.cfg.N)
 		for i := 0; i < count; i++ {
 			d.join()
 		}
@@ -302,6 +299,15 @@ func (d *scenarioDriver) kill(k int) {
 	}
 }
 
+// flashCount is how many peers flash crowd ev attaches to a run of n initial
+// peers: its Count, or else Fraction×n rounded to the nearest.
+func flashCount(ev scenario.Event, n int) int {
+	if ev.Count > 0 {
+		return ev.Count
+	}
+	return int(ev.Fraction*float64(n) + 0.5)
+}
+
 // failGateways kills whole NAT-gateway groups: alive natted peers are
 // chunked, in peer-index order, into logical groups of the scenario's
 // gateway group size (the simulated network keeps one NAT device per peer,
@@ -314,11 +320,12 @@ func (d *scenarioDriver) failGateways(groups int) {
 			natted = append(natted, p)
 		}
 	}
-	size := d.sc.GroupSize()
-	numGroups := (len(natted) + size - 1) / size
-	if numGroups == 0 {
+	if len(natted) == 0 {
 		return
 	}
+	// Rounded up without len+size-1, which overflows on a huge group size.
+	size := d.sc.GroupSize()
+	numGroups := (len(natted)-1)/size + 1
 	if groups > numGroups {
 		groups = numGroups
 	}

@@ -259,6 +259,25 @@ func TestPartitionLifetimes(t *testing.T) {
 	}
 }
 
+// TestGatewayFailureHugeGroupSize pins that a group size past the natted
+// population makes one group of them all: counting the groups as
+// (natted+size-1)/size wrapped negative and panicked in rand.Perm.
+func TestGatewayFailureHugeGroupSize(t *testing.T) {
+	cfg := Config{N: 20, Rounds: 3, NATRatio: 0.8, Protocol: ProtoNylon, Seed: 1}
+	cfg.Scenario = &scenario.Scenario{
+		GatewayGroupSize: 9223372036854775797,
+		Events:           []scenario.Event{{Round: 1, Kind: scenario.KindGatewayFailure, Groups: 1}},
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Scenario.GatewayFailures != 1 || res.Scenario.Leaves != 16 {
+		t.Errorf("gateway failures %d, leaves %d; want 1 group of all 16 natted peers",
+			res.Scenario.GatewayFailures, res.Scenario.Leaves)
+	}
+}
+
 // TestScenarioValidationSurfacesInRun checks Config.validate wires scenario
 // validation through with a useful message.
 func TestScenarioValidationSurfacesInRun(t *testing.T) {
