@@ -1,20 +1,29 @@
 package exp
 
 import (
-	"reflect"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
 )
 
 // TestBatchedDeliveryInvariance pins the throughput engine's core contract:
-// batched lane delivery (the default) and strict per-datagram delivery are
-// the same machine. For every corpus leg — quiescent, the storm scenario
-// (continuous churn, flash crowd, partition/heal, lossy jittered links) and
-// the adversary-churn scenario (Byzantine peers under churn) — the batched
-// run must be bit-identical to the per-datagram run at every worker × shard
-// combination, because batching only coalesces scheduler pops; it never
-// reorders deliveries relative to the event keys.
+// batched lane delivery only coalesces scheduler pops, it never reorders a
+// delivery relative to the event keys. Every corpus leg — quiescent, the storm
+// scenario (continuous churn, flash crowd, partition/heal, lossy jittered
+// links), adversary churn with a 20% lying-rvp cohort, and lossy links, whose
+// 80 ms jitter outlasts the 50 ms lookahead so datagrams wait in the held
+// list across barriers — must reproduce its line in
+// testdata/delivery_sha256.golden at every worker × shard combination: the
+// leg, the executed event count and the SHA-256 of the JSON Result (config
+// echo zeroed). The golden was recorded with one datagram delivered per
+// scheduler event; the per-datagram runs below are checked against it too. A
+// change meant to move a leg regenerates its line from this test's output and
+// says so.
 func TestBatchedDeliveryInvariance(t *testing.T) {
 	load := func(name string) *scenario.Scenario {
 		s, err := scenario.Load("../../examples/scenario-lab/" + name)
@@ -37,19 +46,18 @@ func TestBatchedDeliveryInvariance(t *testing.T) {
 		{"quiescent", nil, 0},
 		{"storm", load("storm.json"), 80}, // past the round-70 flash crowd
 		{"adversary", adv, 0},
+		{"lossy-links", load("lossy-links.json"), 90}, // past the round-60 recovery
 	}
-	// Per-datagram delivery is the network's reference switch, not a Config
-	// field: the reference leg is Run with that switch thrown on the wired
-	// network before the first event.
-	runPerDatagram := func(t *testing.T, cfg Config) Result {
-		t.Helper()
-		st := wireWorld(t, cfg)
-		st.net.SetPerDatagramDelivery(true)
-		res, err := st.runToHorizon()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return normalize(res)
+	golden, err := os.ReadFile("testdata/delivery_sha256.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		want[strings.Fields(line)[0]] = line
+	}
+	if len(want) != len(legs) {
+		t.Fatalf("golden holds %d legs, the test runs %d", len(want), len(legs))
 	}
 	for _, leg := range legs {
 		leg := leg
@@ -65,11 +73,22 @@ func TestBatchedDeliveryInvariance(t *testing.T) {
 				}
 				cfg.Workers = grid.workers
 				cfg.Shards = grid.shards
-				batched := runCorpus(t, cfg)
-				perDatagram := runPerDatagram(t, cfg)
-				if !reflect.DeepEqual(batched, perDatagram) {
-					t.Errorf("workers=%d shards=%d: batched delivery diverged from per-datagram:\nbatched:      %+v\nper-datagram: %+v",
-						grid.workers, grid.shards, batched, perDatagram)
+				for _, perDatagram := range []bool{true, false} {
+					st := wireWorld(t, cfg)
+					st.net.SetPerDatagramDelivery(perDatagram)
+					res, err := st.runToHorizon()
+					if err != nil {
+						t.Fatal(err)
+					}
+					res.Cfg = Config{}
+					b, err := json.Marshal(res)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if line := fmt.Sprintf("%s %d %x", leg.name, res.EventsProcessed, sha256.Sum256(b)); line != want[leg.name] {
+						t.Errorf("workers=%d shards=%d per-datagram=%v moved from the golden:\n got %s\nwant %s",
+							grid.workers, grid.shards, perDatagram, line, want[leg.name])
+					}
 				}
 			}
 		})
