@@ -24,7 +24,7 @@ type JoinResult = boot.JoinResult
 //		Advertise: res.Mapped, NAT: res.Class, Bootstrap: res.Seeds,
 //	})
 func Join(tr Transport, introducer Endpoint, id NodeID, timeout time.Duration) (JoinResult, error) {
-	return boot.Join(tr, introducer, id, boot.JoinConfig{Timeout: timeout})
+	return boot.Join(tr, introducer, id, timeout)
 }
 
 // Introducer is a bootstrap server: a public rendez-vous that classifies

@@ -106,9 +106,9 @@ func run(args []string, stdout, stderr io.Writer, notifyStop func(io.Writer, str
 		return fatal(err)
 	}
 
-	// SIGINT/SIGTERM cancel the same context that StopAfter-style shutdown
-	// uses inside Execute: dequeuing stops, and with -checkpoint-every armed
-	// every in-flight job snapshots at its next round barrier before exiting.
+	// SIGINT/SIGTERM cancel the context Execute watches: dequeuing stops,
+	// and with -checkpoint-every armed every in-flight job snapshots at its
+	// next round barrier before exiting.
 	ctx, _ := notifyStop(stderr, "nylon-sweep")
 	opts := sweep.Options{Workers: *workers, Ctx: ctx, CheckpointEveryRounds: *ckEvery}
 	if *verbose {

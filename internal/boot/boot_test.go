@@ -14,9 +14,9 @@ import (
 	"repro/internal/wire"
 )
 
-func fastJoin() JoinConfig {
-	return JoinConfig{Timeout: 150 * time.Millisecond, Probes: 1}
-}
+// fastJoin is the tests' probe timeout: a probe whose reply never comes waits
+// probeAttempts × fastJoin = 150 ms in total.
+const fastJoin = 75 * time.Millisecond
 
 // newIntroducer stands up a fully-equipped introducer (primary + alternate
 // port + alternate IP) on the given switch.
@@ -178,7 +178,7 @@ func TestClassification(t *testing.T) {
 				defer p.Close()
 				tr = p
 			}
-			res, err := Join(tr, introducer, 42, fastJoin())
+			res, err := Join(tr, introducer, 42, fastJoin)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func TestJoinHandsOutSeeds(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		tr, _ := sw.AttachNAT(ident.PortRestrictedCone, time.Minute)
 		members = append(members, tr)
-		res, err := Join(tr, introducer, ident.NodeID(i), fastJoin())
+		res, err := Join(tr, introducer, ident.NodeID(i), fastJoin)
 		if err != nil {
 			t.Fatalf("join %d: %v", i, err)
 		}
@@ -235,14 +235,14 @@ func TestJoinOpensUsableHoles(t *testing.T) {
 
 	trA, _ := sw.AttachNAT(ident.PortRestrictedCone, time.Minute)
 	defer trA.Close()
-	resA, err := Join(trA, introducer, 1, fastJoin())
+	resA, err := Join(trA, introducer, 1, fastJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	trB, _ := sw.AttachNAT(ident.PortRestrictedCone, time.Minute)
 	defer trB.Close()
-	resB, err := Join(trB, introducer, 2, fastJoin())
+	resB, err := Join(trB, introducer, 2, fastJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestJoinTimeout(t *testing.T) {
 	tr := sw.Attach()
 	defer tr.Close()
 	// Nobody listening at the target endpoint.
-	_, err := Join(tr, ident.Endpoint{IP: 0x7e000001, Port: 1}, 1, fastJoin())
+	_, err := Join(tr, ident.Endpoint{IP: 0x7e000001, Port: 1}, 1, fastJoin)
 	if !errors.Is(err, ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}
@@ -295,7 +295,7 @@ func TestIntroducerWithoutAlternates(t *testing.T) {
 
 	tr, _ := sw.AttachNAT(ident.RestrictedCone, time.Minute)
 	defer tr.Close()
-	res, err := Join(tr, primary.LocalAddr(), 1, fastJoin())
+	res, err := Join(tr, primary.LocalAddr(), 1, fastJoin)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,23 +25,8 @@ type JoinResult struct {
 // ErrTimeout is returned when the introducer does not answer.
 var ErrTimeout = errors.New("boot: introducer timed out")
 
-// JoinConfig parametrizes a Join.
-type JoinConfig struct {
-	// Timeout bounds each probe round trip (default 2 s; tests use less).
-	Timeout time.Duration
-	// Probes is the number of retries per probe (default 2).
-	Probes int
-}
-
-func (c JoinConfig) withDefaults() JoinConfig {
-	if c.Timeout == 0 {
-		c.Timeout = 2 * time.Second
-	}
-	if c.Probes == 0 {
-		c.Probes = 2
-	}
-	return c
-}
+// probeAttempts is how many times each probe is sent before it times out.
+const probeAttempts = 2
 
 // Join runs the full bootstrap handshake for the peer with the given ID over
 // tr: STUN-style binding probes to discover the mapping and classify the NAT,
@@ -53,9 +38,13 @@ func (c JoinConfig) withDefaults() JoinConfig {
 // the introducer lacks alternate sockets: ambiguous cone classes resolve to
 // port-restricted cone, the safe direction (the protocol relays rather than
 // punches in its ambiguous corners).
-func Join(tr transport.Transport, introducer ident.Endpoint, id ident.NodeID, cfg JoinConfig) (JoinResult, error) {
-	cfg = cfg.withDefaults()
-	c := &client{tr: tr, cfg: cfg}
+//
+// timeout bounds each probe attempt's round trip; zero means 2 s.
+func Join(tr transport.Transport, introducer ident.Endpoint, id ident.NodeID, timeout time.Duration) (JoinResult, error) {
+	if timeout == 0 {
+		timeout = 2 * time.Second
+	}
+	c := &client{tr: tr, timeout: timeout}
 
 	// Probe 1: primary mapping.
 	resp1, err := c.binding(introducer, ViaPrimary)
@@ -93,9 +82,9 @@ func Join(tr transport.Transport, introducer ident.Endpoint, id ident.NodeID, cf
 
 // client sequences request/response exchanges over the transport.
 type client struct {
-	tr  transport.Transport
-	cfg JoinConfig
-	seq uint32
+	tr      transport.Transport
+	timeout time.Duration
+	seq     uint32
 }
 
 func (c *client) nextSeq() uint32 { c.seq++; return c.seq }
@@ -114,11 +103,11 @@ func (c *client) request(to ident.Endpoint, req *Message, match func(*Message) b
 	if err != nil {
 		return nil, err
 	}
-	for attempt := 0; attempt < c.cfg.Probes; attempt++ {
+	for attempt := 0; attempt < probeAttempts; attempt++ {
 		if err := c.tr.Send(to, data); err != nil {
 			return nil, err
 		}
-		deadline := time.NewTimer(c.cfg.Timeout)
+		deadline := time.NewTimer(c.timeout)
 		for {
 			select {
 			case <-deadline.C:

@@ -36,9 +36,6 @@ func NewARRG(cfg Config, cacheSize int) *ARRG {
 	return &ARRG{gossip: g, cacheSize: cacheSize}
 }
 
-// CacheLen reports the current cache occupancy, for tests and metrics.
-func (a *ARRG) CacheLen() int { return len(a.cache) }
-
 // cacheAdd moves d to the most-recent end of the cache, evicting the oldest
 // member beyond cacheSize.
 func (a *ARRG) cacheAdd(d view.Descriptor) {

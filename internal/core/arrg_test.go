@@ -28,8 +28,8 @@ func TestARRGCachesResponders(t *testing.T) {
 	fromEP := ident.Endpoint{IP: 99, Port: 99}
 	resp := &wire.Message{Kind: wire.KindResponse, Src: src, Dst: a.Self(), Via: src}
 	a.Receive(0, fromEP, resp)
-	if a.CacheLen() != 1 {
-		t.Fatalf("CacheLen = %d, want 1", a.CacheLen())
+	if len(a.cache) != 1 {
+		t.Fatalf("cache holds %d, want 1", len(a.cache))
 	}
 	// The cache stores the observed endpoint, which is what stays
 	// reachable.
@@ -45,8 +45,8 @@ func TestARRGCacheDedupAndBound(t *testing.T) {
 		req := &wire.Message{Kind: wire.KindRequest, Src: src, Dst: a.Self(), Via: src}
 		a.Receive(0, src.Addr, req)
 	}
-	if a.CacheLen() > 3 {
-		t.Errorf("cache grew to %d, bound 3", a.CacheLen())
+	if len(a.cache) > 3 {
+		t.Errorf("cache grew to %d, bound 3", len(a.cache))
 	}
 	seen := map[ident.NodeID]bool{}
 	for _, d := range a.cache {

@@ -21,9 +21,8 @@ import (
 // testdata/delivery_sha256.golden at every worker × shard combination: the
 // leg, the executed event count and the SHA-256 of the JSON Result (config
 // echo zeroed). The golden was recorded with one datagram delivered per
-// scheduler event; the per-datagram runs below are checked against it too. A
-// change meant to move a leg regenerates its line from this test's output and
-// says so.
+// scheduler event, so it stands for the unbatched engine. A change meant to
+// move a leg regenerates its line from this test's output and says so.
 func TestBatchedDeliveryInvariance(t *testing.T) {
 	load := func(name string) *scenario.Scenario {
 		s, err := scenario.Load("../../examples/scenario-lab/" + name)
@@ -73,22 +72,14 @@ func TestBatchedDeliveryInvariance(t *testing.T) {
 				}
 				cfg.Workers = grid.workers
 				cfg.Shards = grid.shards
-				for _, perDatagram := range []bool{true, false} {
-					st := wireWorld(t, cfg)
-					st.net.SetPerDatagramDelivery(perDatagram)
-					res, err := st.runToHorizon()
-					if err != nil {
-						t.Fatal(err)
-					}
-					res.Cfg = Config{}
-					b, err := json.Marshal(res)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if line := fmt.Sprintf("%s %d %x", leg.name, res.EventsProcessed, sha256.Sum256(b)); line != want[leg.name] {
-						t.Errorf("workers=%d shards=%d per-datagram=%v moved from the golden:\n got %s\nwant %s",
-							grid.workers, grid.shards, perDatagram, line, want[leg.name])
-					}
+				res := runCorpus(t, cfg)
+				b, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if line := fmt.Sprintf("%s %d %x", leg.name, res.EventsProcessed, sha256.Sum256(b)); line != want[leg.name] {
+					t.Errorf("workers=%d shards=%d moved from the golden:\n got %s\nwant %s",
+						grid.workers, grid.shards, line, want[leg.name])
 				}
 			}
 		})

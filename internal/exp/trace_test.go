@@ -193,7 +193,7 @@ func TestTraceChainGolden(t *testing.T) {
 			t.Fatalf("event %d: hop %d after hop-%d send", i+1, next.Hop, wantHop)
 		}
 		if next.Op != trace.OpDeliver {
-			if !next.Op.IsDrop() || i+2 != len(deepest) {
+			if _, drop := trace.DropCauseOf(next.Op); !drop || i+2 != len(deepest) {
 				t.Fatalf("event %d: want deliver or terminal drop, got %v", i+1, next)
 			}
 			break

@@ -23,7 +23,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/ident"
 	"repro/internal/snapshot"
@@ -492,35 +491,6 @@ func (d *Device) GC(now int64) {
 	}
 }
 
-// SessionCount returns the number of live sessions at the given time.
-func (d *Device) SessionCount(now int64) int {
-	n := 0
-	for i := range d.sessions {
-		if !d.expired(&d.sessions[i], now) {
-			n++
-		}
-	}
-	return n
-}
-
-// Sessions returns a deterministic snapshot of live public endpoints, sorted,
-// for debugging and tests.
-func (d *Device) Sessions(now int64) []ident.Endpoint {
-	var eps []ident.Endpoint
-	for i := range d.sessions {
-		if !d.expired(&d.sessions[i], now) {
-			eps = append(eps, d.sessions[i].public)
-		}
-	}
-	sort.Slice(eps, func(i, j int) bool {
-		if eps[i].IP != eps[j].IP {
-			return eps[i].IP < eps[j].IP
-		}
-		return eps[i].Port < eps[j].Port
-	})
-	return eps
-}
-
 // State walks the device's complete translation state — the port allocator,
 // every session in slice order, and every session's filter rules — so a
 // restored device is behaviourally identical to the original from the
@@ -589,15 +559,4 @@ func (d *Device) State(c *snapshot.Codec) {
 			d.adopt(*s)
 		}
 	}
-}
-
-// DebugSizes reports internal table sizes for memory diagnostics: total
-// sessions, total filter slots, and filter rules counted as used.
-func (d *Device) DebugSizes() (sessions, filterSlots, filterRules int) {
-	for i := range d.sessions {
-		sessions++
-		filterSlots += len(d.sessions[i].filters.slots)
-		filterRules += d.sessions[i].filters.used
-	}
-	return
 }

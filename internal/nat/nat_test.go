@@ -207,22 +207,20 @@ func TestPublicMapping(t *testing.T) {
 	}
 }
 
-func TestGCAndSessionCount(t *testing.T) {
+// TestGCDropsExpiredSessions pins that GC removes expired sessions from the
+// table itself, not merely from view: lookups skip expired sessions on their
+// own.
+func TestGCDropsExpiredSessions(t *testing.T) {
 	d := newDev(t, ident.Symmetric)
 	d.Outbound(0, priv, rem1)
 	d.Outbound(0, priv, rem2)
-	if got := d.SessionCount(1); got != 2 {
-		t.Fatalf("SessionCount = %d, want 2", got)
-	}
-	if got := len(d.Sessions(1)); got != 2 {
-		t.Fatalf("Sessions returned %d endpoints, want 2", got)
+	d.GC(1)
+	if got := len(d.sessions); got != 2 {
+		t.Fatalf("GC before expiry left %d sessions, want 2", got)
 	}
 	d.GC(ttl + 1)
-	if got := d.SessionCount(ttl + 1); got != 0 {
-		t.Errorf("SessionCount after GC = %d, want 0", got)
-	}
-	if got := len(d.Sessions(ttl + 1)); got != 0 {
-		t.Errorf("Sessions after GC = %d, want 0", got)
+	if got := len(d.sessions); got != 0 {
+		t.Errorf("GC after expiry left %d sessions, want 0", got)
 	}
 }
 
@@ -303,8 +301,7 @@ func TestFilterTableBoundedByLiveRules(t *testing.T) {
 		}
 		now += 100 // ~10 live rules at any time (ttl 1000)
 	}
-	_, slots, _ := d.DebugSizes()
-	if slots > 1024 {
+	if slots := len(d.sessions[0].filters.slots); slots > 1024 {
 		t.Errorf("filter table grew to %d slots for ~20 live rules", slots)
 	}
 	// Expired remotes are refused.
@@ -333,8 +330,7 @@ func TestSymmetricSessionSweep(t *testing.T) {
 		seen[pub] = true
 		now += 200 // ~5 live sessions at any time
 	}
-	sessions, _, _ := d.DebugSizes()
-	if sessions > 2*sweepSessions {
+	if sessions := len(d.sessions); sessions > 2*sweepSessions {
 		t.Errorf("symmetric device holds %d sessions, want bounded near %d live", sessions, sweepSessions)
 	}
 	// Live sessions still resolve.

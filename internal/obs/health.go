@@ -162,9 +162,6 @@ func (h *Health) Entries() int64 {
 	return t
 }
 
-// ShardEntries returns shard i's share of the occupancy.
-func (h *Health) ShardEntries(i int) int64 { return h.shards[i].entries.Load() }
-
 // DeadEntries returns the entries frozen inside departed peers' views.
 func (h *Health) DeadEntries() int64 { return h.deadEntries.Load() }
 

@@ -24,8 +24,9 @@ func TestHealthTallies(t *testing.T) {
 	o0.ViewEntryAdded(1, desc(3))
 	o1.ViewEntryAdded(2, desc(3))
 
-	if h.Entries() != 3 || h.ShardEntries(0) != 2 || h.ShardEntries(1) != 1 {
-		t.Fatalf("entries = %d (shards %d, %d), want 3 (2, 1)", h.Entries(), h.ShardEntries(0), h.ShardEntries(1))
+	s0, s1 := h.shards[0].entries.Load(), h.shards[1].entries.Load()
+	if h.Entries() != 3 || s0 != 2 || s1 != 1 {
+		t.Fatalf("entries = %d (shards %d, %d), want 3 (2, 1)", h.Entries(), s0, s1)
 	}
 	if h.Indegree(3) != 2 || h.Indegree(2) != 1 || h.Indegree(4) != 0 {
 		t.Fatalf("indegrees = %d,%d,%d, want 2,1,0", h.Indegree(3), h.Indegree(2), h.Indegree(4))

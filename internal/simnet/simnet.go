@@ -193,19 +193,7 @@ type Network struct {
 	// counters, when non-nil, mirrors traffic and drop accounting into a
 	// metrics registry for the live ops endpoint (see SetObs).
 	counters *NetCounters
-
-	// perDatagram disables batched lane delivery: every lane event delivers
-	// exactly one datagram, as the pre-batching engine did. The batched and
-	// per-datagram paths are bit-identical by construction — LaneContinue
-	// only consumes events the scheduler would have dispatched next anyway —
-	// and TestBatchedDeliveryInvariance pins that equivalence; the knob
-	// exists for that test and for bisecting.
-	perDatagram bool
 }
-
-// SetPerDatagramDelivery forces one-datagram-per-event delivery dispatch
-// (true) or restores batched lane runs (false, the default).
-func (n *Network) SetPerDatagramDelivery(v bool) { n.perDatagram = v }
 
 // LeakCheck verifies the wire-message books: every message drawn from the
 // shard pools must either have been returned or still be queued for
@@ -691,7 +679,7 @@ func (n *Network) deliverNext(i int) {
 		d := sh.inflight.Pop()
 		n.deliver(i, d.srcEP, d.to, d.msg, d.size)
 		sh.pool.Put(d.msg)
-		if n.perDatagram || !sh.sched.LaneContinue() {
+		if !sh.sched.LaneContinue() {
 			return
 		}
 	}

@@ -21,17 +21,11 @@ type Options struct {
 	// parallelism alone saturates the machine without oversubscribing it.
 	// Results are identical for any value.
 	Workers int
-	// StopAfter, when positive, stops starting new jobs after that many
-	// have been executed (cache hits do not count). The run returns
-	// ErrStopped with the completed jobs persisted — the test hook that
-	// simulates a killed sweep deterministically.
-	StopAfter int
 	// Ctx, when non-nil, winds the sweep down when cancelled: no new jobs
 	// start, and — with CheckpointEveryRounds armed — every job in
 	// flight checkpoints at its next round barrier and exits. This is the
-	// one shutdown path; a CLI's signal handler and StopAfter both end up
-	// here, so graceful shutdown means the same thing for both. The run
-	// returns ErrStopped.
+	// one shutdown path: a CLI's signal handler ends up here. The run
+	// returns ErrStopped with the completed jobs persisted.
 	Ctx context.Context
 	// CheckpointEveryRounds, when positive, checkpoints every running job's
 	// world state every N rounds into <run dir>/snapshots/<job key>/. A
@@ -72,7 +66,7 @@ func (s Stats) String() string {
 	return fmt.Sprintf("jobs: %d total, %d ran, %d cached", s.Total, s.Ran, s.Cached)
 }
 
-// ErrStopped reports a sweep that hit Options.StopAfter before finishing.
+// ErrStopped reports a sweep whose Options.Ctx was cancelled before it finished.
 var ErrStopped = errors.New("sweep: stopped before completing the grid")
 
 // Execute runs every job of the grid, reusing the run directory's
@@ -93,8 +87,7 @@ func Execute(g *Grid, dir string, opts Options) ([]*JobResult, Stats, error) {
 	stats := Stats{Total: len(g.Jobs)}
 	results := make([]*JobResult, len(g.Jobs))
 
-	// Resolve cache hits first, so StopAfter counts executed jobs only and
-	// the progress log reflects real work.
+	// Resolve cache hits first, so the progress log reflects real work.
 	var missing []int
 	for i, job := range g.Jobs {
 		if jr, ok := cache.Load(job.Key); ok {
@@ -129,7 +122,6 @@ func Execute(g *Grid, dir string, opts Options) ([]*JobResult, Stats, error) {
 
 	var (
 		mu       sync.Mutex
-		started  int
 		firstErr error
 		stopped  bool
 	)
@@ -142,14 +134,13 @@ func Execute(g *Grid, dir string, opts Options) ([]*JobResult, Stats, error) {
 	}
 	sim.ForEach(len(missing), workers, func(m int) {
 		mu.Lock()
-		if ctx.Err() != nil || (opts.StopAfter > 0 && started >= opts.StopAfter) {
-			// The shared shutdown path: a cancelled context stops starting
-			// jobs exactly like StopAfter, while jobs in flight checkpoint
-			// through their CheckpointSpec.Stop watching the same context.
+		if ctx.Err() != nil {
+			// A cancelled context stops starting jobs, while jobs in flight
+			// checkpoint through their CheckpointSpec.Stop watching the
+			// same context.
 			stopped = true
 		}
 		abort := firstErr != nil || stopped
-		started++
 		mu.Unlock()
 		if abort {
 			return

@@ -195,22 +195,39 @@ func TestSweepArtifactByteIdentical(t *testing.T) {
 	}
 }
 
+// cancelAfter is a progress log that cancels a sweep's context once the given
+// number of jobs have reported: a deterministic kill for a one-worker sweep.
+type cancelAfter struct {
+	jobs   int
+	cancel context.CancelFunc
+}
+
+func (w *cancelAfter) Write(p []byte) (int, error) {
+	if w.jobs--; w.jobs == 0 {
+		w.cancel()
+	}
+	return len(p), nil
+}
+
 func TestSweepResume(t *testing.T) {
 	corpus := testCorpus(t)
 	run := t.TempDir()
 
-	// A sweep killed after 3 of 8 jobs: exactly the first three missing
-	// jobs (workers=1 dequeues in grid order) are persisted.
+	// A sweep killed after 3 of 8 jobs: the progress log cancels the
+	// shutdown context on the third job's line, so exactly the first three
+	// missing jobs (workers=1 dequeues in grid order) are persisted.
 	g, err := Expand(testSpec(), corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := Execute(g, run, Options{Workers: 1, StopAfter: 3})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, st, err := Execute(g, run, Options{Workers: 1, Ctx: ctx, Log: &cancelAfter{jobs: 3, cancel: cancel}})
 	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("StopAfter run: err = %v, want ErrStopped", err)
+		t.Fatalf("cancelled run: err = %v, want ErrStopped", err)
 	}
 	if st.Ran != 3 || st.Cached != 0 {
-		t.Fatalf("StopAfter run stats %+v, want 3 ran", st)
+		t.Fatalf("cancelled run stats %+v, want 3 ran", st)
 	}
 
 	// The rerun completes the remaining 5 without touching the first 3 and
@@ -665,10 +682,10 @@ func TestSweepSnapshotFallback(t *testing.T) {
 }
 
 // TestSweepShutdownContext pins the one-cancellation-path contract: a
-// cancelled Options.Ctx stops the sweep like StopAfter does (ErrStopped,
-// partial results persisted), in-flight jobs checkpoint at their next
-// barrier, and a rerun completes the grid byte-identically. All worker
-// goroutines terminate on the interrupted path.
+// cancelled Options.Ctx stops the sweep (ErrStopped, partial results
+// persisted), in-flight jobs checkpoint at their next barrier, and a rerun
+// completes the grid byte-identically. All worker goroutines terminate on the
+// interrupted path.
 func TestSweepShutdownContext(t *testing.T) {
 	assertNoGoroutineLeak(t)
 	corpus := testCorpus(t)

@@ -80,12 +80,6 @@ func ParseOp(s string) (Op, error) {
 	return 0, fmt.Errorf("trace: unknown op %q", s)
 }
 
-// IsDrop reports whether the op is one of the drop variants.
-func (o Op) IsDrop() bool {
-	_, ok := DropCauseOf(o)
-	return ok
-}
-
 // Event is one recorded protocol event.
 //
 // (At, Actor, Seq, Sub) is the event's position in the global total order:
