@@ -60,8 +60,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return exit(2, fmt.Errorf("unknown figure %q (have %s)", *fig, strings.Join(ids, ", ")))
 		}
 	}
-	if *seeds < 1 {
-		return exit(2, fmt.Errorf("-seeds %d: need at least one seed", *seeds))
+	if *seeds < 1 || *seeds > exp.MaxSeeds {
+		return exit(2, fmt.Errorf("-seeds %d: need 1 to %d seeds", *seeds, exp.MaxSeeds))
 	}
 	if *workers < 0 {
 		return exit(2, fmt.Errorf("-workers %d: must not be negative (0 = one per core)", *workers))

@@ -124,3 +124,21 @@ func TestStoppedSweepClosesItsEndpoint(t *testing.T) {
 		t.Errorf("the ops endpoint on %s still accepts connections after run returned", addr[1])
 	}
 }
+
+// TestSeedsOverCap pins that a seed count past exp.MaxSeeds is refused before
+// the seed list is allocated: exit 1 with the count and the cap named, and no
+// run directory written.
+func TestSeedsOverCap(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "run")
+	args := []string{"-spec", filepath.Join(labDir, "sweep.json"), "-seeds", "1000000000000", "-out", out}
+	var stdout, stderr bytes.Buffer
+	if status := run(args, &stdout, &stderr, neverStop); status != 1 {
+		t.Fatalf("exit status %d, want 1; stderr:\n%s", status, &stderr)
+	}
+	if !strings.Contains(stderr.String(), "seeds 1000000000000 exceeds the cap of 1000") {
+		t.Errorf("stderr does not name the count and the cap:\n%s", &stderr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a refused sweep wrote %s (stat err %v)", out, err)
+	}
+}

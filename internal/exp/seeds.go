@@ -2,6 +2,10 @@ package exp
 
 import "repro/internal/stats"
 
+// MaxSeeds caps the seeds of one figure run or sweep cell: 33× the paper's
+// 30. Callers check a requested count against it before SeedList allocates.
+const MaxSeeds = 1000
+
 // SeedList returns the canonical seed list {1, …, n} used by the sweep CLIs
 // (empty for n ≤ 0).
 func SeedList(n int) []int64 {

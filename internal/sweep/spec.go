@@ -223,7 +223,13 @@ func (s *Spec) Validate() error {
 	if s.Seeds < 0 {
 		return fmt.Errorf("sweep: seeds %d is negative", s.Seeds)
 	}
-	if len(s.EffectiveSeeds()) == 0 {
+	if s.Seeds > exp.MaxSeeds {
+		return fmt.Errorf("sweep: seeds %d exceeds the cap of %d", s.Seeds, exp.MaxSeeds)
+	}
+	if len(s.SeedList) > exp.MaxSeeds {
+		return fmt.Errorf("sweep: seed_list of %d seeds exceeds the cap of %d", len(s.SeedList), exp.MaxSeeds)
+	}
+	if s.Seeds == 0 && len(s.SeedList) == 0 {
 		return fmt.Errorf("sweep: spec needs seeds > 0 or a non-empty seed_list")
 	}
 	seen := make(map[int64]bool, len(s.SeedList))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -285,19 +286,25 @@ func TestCacheIgnoresCorruptFiles(t *testing.T) {
 }
 
 func TestSpecValidation(t *testing.T) {
+	longList := strings.Repeat("1,", exp.MaxSeeds) + "2" // rejected by length before duplicates
 	cases := []struct {
 		name string
 		json string
+		want string // in the error, when set
 	}{
-		{"no scenarios", `{"variants":[{"name":"a"}],"seeds":1}`},
-		{"no variants", `{"scenarios":["*.json"],"seeds":1}`},
-		{"no seeds", `{"scenarios":["*.json"],"variants":[{"name":"a"}]}`},
-		{"negative seeds", `{"scenarios":["*.json"],"seeds":-1,"variants":[{"name":"a"}]}`},
-		{"unnamed variant", `{"scenarios":["*.json"],"seeds":1,"variants":[{}]}`},
-		{"duplicate variant", `{"scenarios":["*.json"],"seeds":1,"variants":[{"name":"a"},{"name":"a"}]}`},
-		{"duplicate seed", `{"scenarios":["*.json"],"seed_list":[1,1],"variants":[{"name":"a"}]}`},
-		{"unknown field", `{"scenarios":["*.json"],"seeds":1,"variants":[{"name":"a"}],"typo":1}`},
-		{"bad protocol", `{"scenarios":["*.json"],"seeds":1,"variants":[{"name":"a","protocol":"nope"}]}`},
+		{"no scenarios", `{"variants":[{"name":"a"}],"seeds":1}`, ""},
+		{"no variants", `{"scenarios":["*.json"],"seeds":1}`, ""},
+		{"no seeds", `{"scenarios":["*.json"],"variants":[{"name":"a"}]}`, ""},
+		{"negative seeds", `{"scenarios":["*.json"],"seeds":-1,"variants":[{"name":"a"}]}`, ""},
+		{"unnamed variant", `{"scenarios":["*.json"],"seeds":1,"variants":[{}]}`, ""},
+		{"duplicate variant", `{"scenarios":["*.json"],"seeds":1,"variants":[{"name":"a"},{"name":"a"}]}`, ""},
+		{"duplicate seed", `{"scenarios":["*.json"],"seed_list":[1,1],"variants":[{"name":"a"}]}`, ""},
+		{"unknown field", `{"scenarios":["*.json"],"seeds":1,"variants":[{"name":"a"}],"typo":1}`, ""},
+		{"bad protocol", `{"scenarios":["*.json"],"seeds":1,"variants":[{"name":"a","protocol":"nope"}]}`, ""},
+		{"seeds over cap", `{"scenarios":["*.json"],"seeds":1000000000000,"variants":[{"name":"a"}]}`,
+			"seeds 1000000000000 exceeds the cap of 1000"},
+		{"seed_list over cap", `{"scenarios":["*.json"],"seed_list":[` + longList + `],"variants":[{"name":"a"}]}`,
+			"seed_list of 1001 seeds exceeds the cap of 1000"},
 	}
 	for _, c := range cases {
 		spec, err := ParseSpec([]byte(c.json))
@@ -307,6 +314,13 @@ func TestSpecValidation(t *testing.T) {
 				t.Errorf("%s: accepted", c.name)
 			}
 		}
+		if err != nil && !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not say %q", c.name, err, c.want)
+		}
+	}
+	// The cap itself is accepted.
+	if _, err := ParseSpec([]byte(fmt.Sprintf(`{"scenarios":["*.json"],"seeds":%d,"variants":[{"name":"a"}]}`, exp.MaxSeeds))); err != nil {
+		t.Errorf("seeds at the cap: %v", err)
 	}
 }
 
