@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -29,53 +30,67 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command. Once the flags have parsed it returns the exit
+// status instead of exiting, so the node and the ops endpoint close on every
+// path out.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nylon-node", flag.ExitOnError)
 	var (
-		id        = flag.Uint64("id", 0, "node ID (required, unique)")
-		listen    = flag.String("listen", ":9000", "UDP listen address")
-		advertise = flag.String("advertise", "", "advertised endpoint (default: the listen address)")
-		natClass  = flag.String("nat", "public", "own NAT class: public, fc, rc, prc, sym")
-		bootstrap = flag.String("bootstrap", "", "comma-separated seeds: id@ip:port/class")
-		join      = flag.String("join", "", "introducer address; replaces -advertise/-nat/-bootstrap")
-		period    = flag.Duration("period", 5*time.Second, "shuffling period")
-		viewSize  = flag.Int("view", 15, "view size")
-		report    = flag.Duration("report", 10*time.Second, "view report interval")
-		httpAddr  = flag.String("http", "", "serve the live ops endpoint (/metrics, /debug/vars, /debug/pprof) on this address")
+		id        = fs.Uint64("id", 0, "node ID (required, unique)")
+		listen    = fs.String("listen", ":9000", "UDP listen address")
+		advertise = fs.String("advertise", "", "advertised endpoint (default: the listen address)")
+		natClass  = fs.String("nat", "public", "own NAT class: public, fc, rc, prc, sym")
+		bootstrap = fs.String("bootstrap", "", "comma-separated seeds: id@ip:port/class")
+		join      = fs.String("join", "", "introducer address; replaces -advertise/-nat/-bootstrap")
+		period    = fs.Duration("period", 5*time.Second, "shuffling period")
+		viewSize  = fs.Int("view", 15, "view size")
+		report    = fs.Duration("report", 10*time.Second, "view report interval")
+		httpAddr  = fs.String("http", "", "serve the live ops endpoint (/metrics, /debug/vars, /debug/pprof) on this address")
 	)
-	flag.Parse()
+	fs.Parse(args) // exits 2 on a malformed command line, before anything is open
+	exit := func(status int, err error) int {
+		fmt.Fprintln(stderr, "nylon-node:", err)
+		return status
+	}
 	if *id == 0 {
-		fatal(fmt.Errorf("-id is required"))
+		return exit(1, fmt.Errorf("-id is required"))
+	}
+	if *report <= 0 {
+		return exit(2, fmt.Errorf("-report %v: must be positive", *report))
 	}
 
 	tr, err := nylon.ListenUDP(*listen)
 	if err != nil {
-		fatal(err)
+		return exit(1, err)
 	}
+	defer tr.Close() // the node closes it too; a second Close is a no-op
 	adv := tr.LocalAddr()
 	if *advertise != "" {
 		if adv, err = nylon.ParseEndpoint(*advertise); err != nil {
-			fatal(err)
+			return exit(1, err)
 		}
 	}
 	class, err := nylon.ParseNATClass(*natClass)
 	if err != nil {
-		fatal(err)
+		return exit(1, err)
 	}
 	seeds, err := parseBootstrap(*bootstrap)
 	if err != nil {
-		fatal(err)
+		return exit(1, err)
 	}
 	if *join != "" {
 		introducer, err := nylon.ParseEndpoint(*join)
 		if err != nil {
-			fatal(err)
+			return exit(1, err)
 		}
 		res, err := nylon.Join(tr, introducer, nylon.NodeID(*id), 2*time.Second)
 		if err != nil {
-			fatal(err)
+			return exit(1, err)
 		}
 		adv, class, seeds = res.Mapped, res.Class, res.Seeds
-		fmt.Printf("joined via %v: mapped %v, class %v, %d seeds\n", introducer, adv, class, len(seeds))
+		fmt.Fprintf(stdout, "joined via %v: mapped %v, class %v, %d seeds\n", introducer, adv, class, len(seeds))
 	}
 
 	node, err := nylon.NewNode(nylon.Config{
@@ -88,11 +103,11 @@ func main() {
 		Period:    *period,
 	})
 	if err != nil {
-		fatal(err)
+		return exit(1, err)
 	}
 	node.Start()
 	defer node.Close()
-	fmt.Printf("nylon-node %v listening on %v, advertising %v (%v), %d seeds\n",
+	fmt.Fprintf(stdout, "nylon-node %v listening on %v, advertising %v (%v), %d seeds\n",
 		node.Self().ID, tr.LocalAddr(), adv, class, len(seeds))
 
 	var gShuffles, gCompleted, gPunches, gView *obs.Gauge
@@ -105,14 +120,15 @@ func main() {
 		gView = reg.Gauge("nylon_node_view_size", "current partial view size")
 		srv, err := obs.Serve(*httpAddr, hub)
 		if err != nil {
-			fatal(err)
+			return exit(1, err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "ops endpoint listening on http://%s\n", srv.Addr)
+		fmt.Fprintf(stderr, "ops endpoint listening on http://%s\n", srv.Addr)
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	ticker := time.NewTicker(*report)
 	defer ticker.Stop()
 	for {
@@ -126,14 +142,14 @@ func main() {
 				gPunches.Set(float64(st.HolePunchesCompleted))
 				gView.Set(float64(len(v)))
 			}
-			fmt.Printf("[%s] shuffles=%d completed=%d punches=%d view:\n",
+			fmt.Fprintf(stdout, "[%s] shuffles=%d completed=%d punches=%d view:\n",
 				time.Now().Format(time.TimeOnly), st.ShufflesInitiated, st.ShufflesCompleted, st.HolePunchesCompleted)
 			for _, d := range v {
-				fmt.Printf("  %v\n", d)
+				fmt.Fprintf(stdout, "  %v\n", d)
 			}
 		case <-sig:
-			fmt.Println("shutting down")
-			return
+			fmt.Fprintln(stdout, "shutting down")
+			return 0
 		}
 	}
 }
@@ -165,9 +181,4 @@ func parseBootstrap(s string) ([]nylon.Descriptor, error) {
 		out = append(out, nylon.Descriptor{ID: nylon.NodeID(id), Addr: ep, Class: class})
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nylon-node:", err)
-	os.Exit(1)
 }

@@ -110,6 +110,10 @@ const (
 // Size returns the encoded size of the message in bytes without encoding it.
 func (m *Message) Size() int { return headerSize + len(m.Entries)*entrySize }
 
+// EntriesWithin returns the most entries an encoded message of at most size
+// bytes can carry (negative when not even the header fits).
+func EntriesWithin(size int) int { return (size - headerSize) / entrySize }
+
 func putDesc(b []byte, d view.Descriptor) {
 	binary.BigEndian.PutUint64(b[0:], uint64(d.ID))
 	binary.BigEndian.PutUint32(b[8:], uint32(d.Addr.IP))

@@ -34,9 +34,11 @@ type Config struct {
 	// opened the corresponding holes.
 	Bootstrap []Descriptor
 
-	// ViewSize is the partial view size. Default 15 (paper §5).
+	// ViewSize is the partial view size. Default 15 (paper §5); at most
+	// 117, the largest whose full shuffle fits one datagram.
 	ViewSize int
-	// Period is the shuffling period. Default 5 s (paper §5).
+	// Period is the shuffling period. Default 5 s (paper §5). Durations
+	// must not be negative.
 	Period time.Duration
 	// HoleTimeout is the assumed NAT rule lifetime. Default 90 s.
 	HoleTimeout time.Duration
@@ -118,6 +120,23 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if !cfg.NAT.Valid() {
 		return nil, fmt.Errorf("nylon: invalid NAT class %v", cfg.NAT)
+	}
+	if cfg.ViewSize < 1 {
+		return nil, fmt.Errorf("nylon: Config.ViewSize %d must be positive", cfg.ViewSize)
+	}
+	// A full shuffle carries ViewSize/2 entries (the sender's own descriptor
+	// and ViewSize/2-1 view entries) and must fit one datagram.
+	if fit := wire.EntriesWithin(transport.MaxDatagram); cfg.ViewSize/2 > fit {
+		return nil, fmt.Errorf("nylon: Config.ViewSize %d: a full shuffle would exceed the %d-byte datagram (largest view %d)",
+			cfg.ViewSize, transport.MaxDatagram, 2*fit+1)
+	}
+	for _, d := range []struct {
+		field string
+		v     time.Duration
+	}{{"Period", cfg.Period}, {"HoleTimeout", cfg.HoleTimeout}, {"LatencyBound", cfg.LatencyBound}} {
+		if d.v < 0 {
+			return nil, fmt.Errorf("nylon: Config.%s %v must not be negative", d.field, d.v)
+		}
 	}
 	n := &Node{
 		cfg:       cfg,

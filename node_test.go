@@ -1,8 +1,11 @@
 package nylon
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/transport"
 )
 
 // startCluster launches n public nodes on one in-memory switch, each
@@ -48,16 +51,68 @@ func TestNodeConfigValidation(t *testing.T) {
 	sw := NewSwitch(0)
 	tr := sw.Attach()
 	defer tr.Close()
-	cases := []Config{
-		{Transport: tr, Advertise: tr.LocalAddr()},                           // no ID
-		{ID: 1, Advertise: tr.LocalAddr()},                                   // no transport
-		{ID: 1, Transport: tr},                                               // no advertise
-		{ID: 1, Transport: tr, Advertise: tr.LocalAddr(), NAT: NATClass(99)}, // bad class
+	ok := Config{ID: 1, Transport: tr, Advertise: tr.LocalAddr()}
+	with := func(edit func(*Config)) Config { c := ok; edit(&c); return c }
+	cases := []struct {
+		cfg  Config
+		want string // in the error
+	}{
+		{Config{Transport: tr, Advertise: tr.LocalAddr()}, "ID"},
+		{Config{ID: 1, Advertise: tr.LocalAddr()}, "Transport"},
+		{Config{ID: 1, Transport: tr}, "Advertise"},
+		{with(func(c *Config) { c.NAT = NATClass(99) }), "NAT class"},
+		{with(func(c *Config) { c.ViewSize = -3 }), "ViewSize -3"},
+		{with(func(c *Config) { c.ViewSize = 118 }), "ViewSize 118"},
+		{with(func(c *Config) { c.ViewSize = 1e9 }), "ViewSize 1000000000"},
+		{with(func(c *Config) { c.Period = -time.Second }), "Period -1s"},
+		{with(func(c *Config) { c.HoleTimeout = -time.Second }), "HoleTimeout -1s"},
+		{with(func(c *Config) { c.LatencyBound = -time.Millisecond }), "LatencyBound -1ms"},
 	}
-	for i, cfg := range cases {
-		if _, err := NewNode(cfg); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
+	for i, c := range cases {
+		if _, err := NewNode(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: err = %v, want one naming %q", i, err, c.want)
 		}
+	}
+	// The paper's views and the largest whose full shuffle fits a datagram
+	// are accepted.
+	for _, size := range []int{15, 27, 117} {
+		if _, err := NewNode(with(func(c *Config) { c.ViewSize = size })); err != nil {
+			t.Errorf("ViewSize %d refused: %v", size, err)
+		}
+	}
+}
+
+// TestLargestViewShuffleFits pins the ViewSize bound to the codec: a node with
+// the largest accepted view, once its view is full, sends a shuffle that
+// marshals within MaxDatagram, and one entry more would not.
+func TestLargestViewShuffleFits(t *testing.T) {
+	const size = 117
+	tr := NewSwitch(0).Attach()
+	seeds := make([]Descriptor, size)
+	for i := range seeds {
+		seeds[i] = Descriptor{ID: NodeID(i + 2), Addr: Endpoint{IP: 0x0a000000 + IP(i), Port: 9000}, Class: Public}
+	}
+	n, err := NewNode(Config{ID: 1, Transport: tr, Advertise: tr.LocalAddr(), ViewSize: size, Bootstrap: seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.engine.Bootstrap(0, seeds)
+	sends := n.engine.Tick(1)
+	if len(sends) == 0 {
+		t.Fatal("a full view sent no shuffle")
+	}
+	msg := sends[0].Msg
+	if len(msg.Entries) != size/2 {
+		t.Fatalf("shuffle carries %d entries, want %d", len(msg.Entries), size/2)
+	}
+	data, err := msg.Marshal()
+	if err != nil || len(data) > transport.MaxDatagram {
+		t.Fatalf("full shuffle marshals to %d bytes (err %v), limit %d", len(data), err, transport.MaxDatagram)
+	}
+	msg.Entries = append(msg.Entries, msg.Entries[0])
+	if data, _ := msg.Marshal(); len(data) <= transport.MaxDatagram {
+		t.Errorf("one entry more still fits (%d bytes): the bound is not tight", len(data))
 	}
 }
 
