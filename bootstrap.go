@@ -38,4 +38,6 @@ type IntroducerConfig = boot.IntroducerConfig
 // NewIntroducer starts a bootstrap server over the given sockets. Primary is
 // required; AltPort (same IP, second port) and AltIP (second IP) enable full
 // NAT classification — without them, cone classes degrade conservatively.
-func NewIntroducer(cfg IntroducerConfig) *Introducer { return boot.NewIntroducer(cfg) }
+// MaxSeeds must lie in [0, 64] (0 means 8) and MemberTTL must not be
+// negative.
+func NewIntroducer(cfg IntroducerConfig) (*Introducer, error) { return boot.NewIntroducer(cfg) }

@@ -13,7 +13,10 @@ func TestJoinThenGossip(t *testing.T) {
 	primary := sw.Attach()
 	altPort := sw.AttachSibling(primary, 3479)
 	altIP := sw.Attach()
-	in := NewIntroducer(IntroducerConfig{Primary: primary, AltPort: altPort, AltIP: altIP})
+	in, err := NewIntroducer(IntroducerConfig{Primary: primary, AltPort: altPort, AltIP: altIP})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		in.Close()
 		primary.Close()

@@ -17,37 +17,55 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	nylon "repro"
+	"repro/internal/boot"
 	"repro/internal/obs"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command. Once the flags have parsed it returns the exit
+// status instead of exiting, so the sockets and the ops endpoint close on
+// every path out.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nylon-introducer", flag.ExitOnError)
 	var (
-		listen   = flag.String("listen", ":3478", "primary UDP listen address")
-		altPort  = flag.String("alt-port", "", "alternate-port UDP address (same IP; enables RC/PRC discrimination)")
-		altIP    = flag.String("alt-ip", "", "alternate-IP UDP address (enables FC detection)")
-		seeds    = flag.Int("seeds", 8, "seeds handed to each joiner")
-		ttl      = flag.Duration("member-ttl", 90*time.Second, "member seed eligibility window")
-		httpAddr = flag.String("http", "", "serve the live ops endpoint (/metrics, /debug/pprof) on this address")
+		listen   = fs.String("listen", ":3478", "primary UDP listen address")
+		altPort  = fs.String("alt-port", "", "alternate-port UDP address (same IP; enables RC/PRC discrimination)")
+		altIP    = fs.String("alt-ip", "", "alternate-IP UDP address (enables FC detection)")
+		seeds    = fs.Int("seeds", 8, fmt.Sprintf("seeds handed to each joiner (1 to %d)", boot.MaxSeeds))
+		ttl      = fs.Duration("member-ttl", 90*time.Second, "member seed eligibility window")
+		httpAddr = fs.String("http", "", "serve the live ops endpoint (/metrics, /debug/pprof) on this address")
 	)
-	flag.Parse()
+	fs.Parse(args) // exits 2 on a malformed command line, before anything is open
+	exit := func(status int, err error) int {
+		fmt.Fprintln(stderr, "nylon-introducer:", err)
+		return status
+	}
+	if *seeds < 1 || *seeds > boot.MaxSeeds {
+		return exit(2, fmt.Errorf("-seeds %d: need 1 to %d, what one join response carries", *seeds, boot.MaxSeeds))
+	}
+	if *ttl <= 0 {
+		return exit(2, fmt.Errorf("-member-ttl %v: must be positive", *ttl))
+	}
 
 	cfg := nylon.IntroducerConfig{MaxSeeds: *seeds, MemberTTL: *ttl}
 	primary, err := nylon.ListenUDP(*listen)
 	if err != nil {
-		fatal(err)
+		return exit(1, err)
 	}
 	defer primary.Close()
 	cfg.Primary = primary
 	if *altPort != "" {
 		tr, err := nylon.ListenUDP(*altPort)
 		if err != nil {
-			fatal(err)
+			return exit(1, err)
 		}
 		defer tr.Close()
 		cfg.AltPort = tr
@@ -55,15 +73,18 @@ func main() {
 	if *altIP != "" {
 		tr, err := nylon.ListenUDP(*altIP)
 		if err != nil {
-			fatal(err)
+			return exit(1, err)
 		}
 		defer tr.Close()
 		cfg.AltIP = tr
 	}
 
-	in := nylon.NewIntroducer(cfg)
+	in, err := nylon.NewIntroducer(cfg)
+	if err != nil {
+		return exit(1, err)
+	}
 	defer in.Close()
-	fmt.Printf("nylon-introducer listening on %v (alt-port %q, alt-ip %q)\n", primary.LocalAddr(), *altPort, *altIP)
+	fmt.Fprintf(stdout, "nylon-introducer listening on %v (alt-port %q, alt-ip %q)\n", primary.LocalAddr(), *altPort, *altIP)
 
 	var gMembers *obs.Gauge
 	if *httpAddr != "" {
@@ -71,14 +92,15 @@ func main() {
 		gMembers = hub.EnsureRegistry().Gauge("nylon_introducer_members", "currently registered members")
 		srv, err := obs.Serve(*httpAddr, hub)
 		if err != nil {
-			fatal(err)
+			return exit(1, err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "ops endpoint listening on http://%s\n", srv.Addr)
+		fmt.Fprintf(stderr, "ops endpoint listening on http://%s\n", srv.Addr)
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	ticker := time.NewTicker(30 * time.Second)
 	defer ticker.Stop()
 	for {
@@ -88,15 +110,10 @@ func main() {
 			if gMembers != nil {
 				gMembers.Set(float64(m))
 			}
-			fmt.Printf("[%s] %d registered members\n", time.Now().Format(time.TimeOnly), m)
+			fmt.Fprintf(stdout, "[%s] %d registered members\n", time.Now().Format(time.TimeOnly), m)
 		case <-sig:
-			fmt.Println("shutting down")
-			return
+			fmt.Fprintln(stdout, "shutting down")
+			return 0
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nylon-introducer:", err)
-	os.Exit(1)
 }

@@ -52,11 +52,14 @@ func ExampleJoin() {
 	sw := nylon.NewSwitch(time.Millisecond)
 	primary := sw.Attach()
 	defer primary.Close()
-	in := nylon.NewIntroducer(nylon.IntroducerConfig{
+	in, err := nylon.NewIntroducer(nylon.IntroducerConfig{
 		Primary: primary,
 		AltPort: sw.AttachSibling(primary, 3479),
 		AltIP:   sw.Attach(),
 	})
+	if err != nil {
+		panic(err)
+	}
 	defer in.Close()
 
 	tr, _ := sw.AttachNAT(nylon.RestrictedCone, 90*time.Second)

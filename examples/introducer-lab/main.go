@@ -26,9 +26,12 @@ func main() {
 	primary := sw.Attach()
 	altPort := sw.AttachSibling(primary, 3479)
 	altIP := sw.Attach()
-	in := nylon.NewIntroducer(nylon.IntroducerConfig{
+	in, err := nylon.NewIntroducer(nylon.IntroducerConfig{
 		Primary: primary, AltPort: altPort, AltIP: altIP,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer in.Close()
 	fmt.Printf("introducer on %v\n\n", primary.LocalAddr())
 

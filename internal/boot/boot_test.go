@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,7 +26,10 @@ func newIntroducer(t *testing.T, sw *transport.Switch) (*Introducer, ident.Endpo
 	primary := sw.Attach()
 	altPort := sw.AttachSibling(primary, 9001)
 	altIP := sw.Attach()
-	in := NewIntroducer(IntroducerConfig{Primary: primary, AltPort: altPort, AltIP: altIP})
+	in, err := NewIntroducer(IntroducerConfig{Primary: primary, AltPort: altPort, AltIP: altIP})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
 		in.Close()
 		primary.Close()
@@ -225,6 +229,60 @@ func TestJoinHandsOutSeeds(t *testing.T) {
 	}
 }
 
+// TestNewIntroducerValidation pins the refusals: a seed count one JoinResp
+// cannot carry, a negative seed count or member TTL, and a missing primary
+// socket are errors naming the field, not a silent failure at some later
+// join or a panic.
+func TestNewIntroducerValidation(t *testing.T) {
+	sw := transport.NewSwitch(0)
+	defer sw.Close()
+	primary := sw.Attach()
+	defer primary.Close()
+	for _, c := range []struct {
+		cfg  IntroducerConfig
+		want string // in the error
+	}{
+		{IntroducerConfig{Primary: primary, MaxSeeds: MaxSeeds + 1}, "MaxSeeds 65"},
+		{IntroducerConfig{Primary: primary, MaxSeeds: -1}, "MaxSeeds -1"},
+		{IntroducerConfig{Primary: primary, MemberTTL: -time.Second}, "MemberTTL -1s"},
+		{IntroducerConfig{}, "Primary"},
+	} {
+		in, err := NewIntroducer(c.cfg)
+		if err == nil {
+			in.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: err = %v, want one naming %q", c.cfg, err, c.want)
+		}
+	}
+}
+
+// TestJoinAtSeedLimit pins that an introducer handing out the most seeds one
+// JoinResp carries keeps admitting joiners once it has more members than
+// that.
+func TestJoinAtSeedLimit(t *testing.T) {
+	sw := transport.NewSwitch(0)
+	defer sw.Close()
+	primary := sw.Attach()
+	defer primary.Close()
+	in, err := NewIntroducer(IntroducerConfig{Primary: primary, MaxSeeds: MaxSeeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	for i := 1; i <= MaxSeeds+6; i++ {
+		tr := sw.Attach()
+		defer tr.Close()
+		res, err := Join(tr, primary.LocalAddr(), ident.NodeID(i), fastJoin)
+		if err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+		if want := min(i-1, MaxSeeds); len(res.Seeds) != want {
+			t.Fatalf("join %d got %d seeds, want %d", i, len(res.Seeds), want)
+		}
+	}
+}
+
 // TestJoinOpensUsableHoles verifies the whole point: after two natted peers
 // join, the second can message the first directly even though both sit
 // behind port-restricted NATs.
@@ -290,7 +348,10 @@ func TestIntroducerWithoutAlternates(t *testing.T) {
 	defer sw.Close()
 	primary := sw.Attach()
 	defer primary.Close()
-	in := NewIntroducer(IntroducerConfig{Primary: primary})
+	in, err := NewIntroducer(IntroducerConfig{Primary: primary})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer in.Close()
 
 	tr, _ := sw.AttachNAT(ident.RestrictedCone, time.Minute)
@@ -310,7 +371,10 @@ func TestIntroducerCloseIdempotent(t *testing.T) {
 	defer sw.Close()
 	primary := sw.Attach()
 	defer primary.Close()
-	in := NewIntroducer(IntroducerConfig{Primary: primary})
+	in, err := NewIntroducer(IntroducerConfig{Primary: primary})
+	if err != nil {
+		t.Fatal(err)
+	}
 	in.Close()
 	in.Close()
 }

@@ -1,6 +1,8 @@
 package boot
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -19,11 +21,13 @@ type IntroducerConfig struct {
 	// AltIP is an optional socket on a different IP, used for the FC/RC
 	// filtering probe and symmetric-mapping detection.
 	AltIP transport.Transport
-	// MaxSeeds is the number of seeds handed to each joiner (default 8).
+	// MaxSeeds is the number of seeds handed to each joiner (default 8, at
+	// most the package's MaxSeeds, which one JoinResp can carry).
 	MaxSeeds int
 	// MemberTTL is how long a registered member stays eligible as a seed
 	// (default 90 s — the NAT hole lifetime, since the hole between the
 	// member and the introducer is what keeps PunchRequests deliverable).
+	// It must not be negative.
 	MemberTTL time.Duration
 }
 
@@ -47,10 +51,17 @@ type member struct {
 	lastSeen time.Time
 }
 
-// NewIntroducer starts the service's receive loops.
-func NewIntroducer(cfg IntroducerConfig) *Introducer {
+// NewIntroducer starts the service's receive loops. It refuses a config
+// whose joiners could not all be answered.
+func NewIntroducer(cfg IntroducerConfig) (*Introducer, error) {
 	if cfg.Primary == nil {
-		panic("boot: IntroducerConfig.Primary is required")
+		return nil, errors.New("boot: IntroducerConfig.Primary is required")
+	}
+	if cfg.MaxSeeds < 0 || cfg.MaxSeeds > MaxSeeds {
+		return nil, fmt.Errorf("boot: IntroducerConfig.MaxSeeds %d outside [0, %d]", cfg.MaxSeeds, MaxSeeds)
+	}
+	if cfg.MemberTTL < 0 {
+		return nil, fmt.Errorf("boot: IntroducerConfig.MemberTTL %v must not be negative", cfg.MemberTTL)
 	}
 	if cfg.MaxSeeds == 0 {
 		cfg.MaxSeeds = 8
@@ -69,7 +80,7 @@ func NewIntroducer(cfg IntroducerConfig) *Introducer {
 			go in.serve(tr)
 		}
 	}
-	return in
+	return in, nil
 }
 
 // Members returns the number of currently registered members.
