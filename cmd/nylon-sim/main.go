@@ -83,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer, notifyStop func(io.Writer, str
 		adv     = fs.String("adversary", "", "with -f, inject an adversary cohort: poison-view, lying-rvp, selective-drop, free-ride")
 		advPct  = fs.Float64("adversary-pct", 20, "percentage of peers assigned to the -adversary cohort")
 		advFrom = fs.Int("adversary-from", 0, "round at which the -adversary cohort activates")
-		verify  = fs.Bool("verify-samples", false, "with -f, cross-check every series sample against the legacy full-copy sweep and the health accumulators (slow; panics on divergence)")
 
 		// Execution shape: results are identical for any value.
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers (results are identical for any value)")
@@ -121,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer, notifyStop func(io.Writer, str
 	case *resume != "":
 		if f := cliutil.FirstSet(fs,
 			"n", "nat", "view", "rounds", "seed", "protocol", "selection", "merge",
-			"push", "mix", "churn-at", "churn", "every", "verify-samples",
+			"push", "mix", "churn-at", "churn", "every",
 			"trace", "trace-out", "trace-cap",
 			"flight", "flight-stall", "flight-stall-below", "flight-eclipse", "flight-cluster", "flight-leak"); f != "" {
 			return exit(2, fmt.Errorf("-%s cannot be combined with -resume: the snapshot fixes the experiment parameters", f))
@@ -130,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer, notifyStop func(io.Writer, str
 			return fatal(fmt.Errorf("-adversary with -resume needs -f: flag cohorts stack onto the branch scenario"))
 		}
 	case *file == "":
-		if f := cliutil.FirstSet(fs, "every", "adversary", "adversary-pct", "adversary-from", "verify-samples"); f != "" {
+		if f := cliutil.FirstSet(fs, "every", "adversary", "adversary-pct", "adversary-from"); f != "" {
 			return exit(2, fmt.Errorf("-%s needs -f scenario.json: it shapes the scenario run and its series report", f))
 		}
 	}
@@ -164,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer, notifyStop func(io.Writer, str
 	}
 
 	var hub *obs.Hub
-	if *httpAddr != "" || *metrics || *metricsJS != "" || *progress > 0 || *verify {
+	if *httpAddr != "" || *metrics || *metricsJS != "" || *progress > 0 {
 		hub = obs.NewHub()
 	}
 	if *httpAddr != "" {
@@ -214,7 +213,6 @@ func run(args []string, stdout, stderr io.Writer, notifyStop func(io.Writer, str
 			ChurnAtRound:  *churnAt,
 			ChurnFraction: *churnPct / 100,
 			Scenario:      sc,
-			VerifySamples: *verify,
 			Workers:       *workers,
 			Shards:        *shards,
 			Obs:           hub,

@@ -447,7 +447,6 @@ func normalizeForMatch(c Config) Config {
 	c.Flight = nil
 	c.Checkpoint = nil
 	c.TraceCapacity = 0
-	c.VerifySamples = false
 	return c
 }
 

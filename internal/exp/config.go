@@ -196,13 +196,6 @@ type Config struct {
 	// excluded from serialization.
 	Flight *obs.FlightSpec `json:"-"`
 
-	// VerifySamples re-derives every periodic series sample through the
-	// legacy full-copy EntriesInto sweep and cross-checks the zero-copy
-	// sampler and the incremental health accumulators against it, panicking
-	// on divergence. A debugging and CI cross-check: it restores the O(N)
-	// copying cost the sampler exists to avoid.
-	VerifySamples bool
-
 	// Checkpoint, when non-nil, arms crash-survivable checkpointing: the
 	// run serializes its complete state into Dir at round boundaries (see
 	// internal/snapshot and ResumeFile). Host wiring like Obs — a checkpointed

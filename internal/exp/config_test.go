@@ -137,7 +137,7 @@ func FuzzConfig(f *testing.F) {
 	for _, cfg := range []Config{
 		{N: 12, Rounds: 3, NATRatio: 0.7, Protocol: ProtoNylon, Selection: view.SelectRand,
 			Merge: view.MergeHealer, PushPull: true, EvictUnanswered: true, Shards: 4, Workers: 2,
-			SampleEveryRounds: 1, TraceCapacity: 64, VerifySamples: true, Scenario: &scenario.Scenario{
+			SampleEveryRounds: 1, TraceCapacity: 64, Scenario: &scenario.Scenario{
 				Churn: &scenario.Churn{JoinsPerRound: 1, LeavesPerRound: 1},
 				Link:  &scenario.Link{JitterMs: 80, Loss: 0.05},
 				Events: []scenario.Event{

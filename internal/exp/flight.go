@@ -41,13 +41,7 @@ func (st *runState) observeFlight(pt SamplePoint, series []SamplePoint) {
 	if f == nil {
 		return
 	}
-	o := obs.Observation{
-		Round:   pt.Round,
-		Alive:   pt.AlivePeers,
-		Cluster: pt.BiggestCluster,
-		Stale:   pt.StaleFraction,
-		Eclipse: pt.Eclipse,
-	}
+	o := obs.Observation{Round: pt.Round, Cluster: pt.BiggestCluster, Eclipse: pt.Eclipse}
 	if f.rec.Triggers().LeakCheck {
 		// At a barrier no shard is mid-event, so every pooled message is
 		// either queued or released and the books must balance.

@@ -14,16 +14,10 @@ import (
 // wireWorld builds cfg's world as Run does, ready to run from time zero.
 func wireWorld(t testing.TB, cfg Config) *runState {
 	t.Helper()
-	cfg = cfg.Defaults()
-	if err := cfg.validate(); err != nil {
+	st, err := newRun(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := newRunState(cfg)
-	st.build()
-	st.bootstrap()
-	st.schedule()
-	st.armGlobals(-1)
-	st.installCheckpoint(-1)
 	return st
 }
 
@@ -143,7 +137,8 @@ func TestSampleLeavesSameTables(t *testing.T) {
 // of several chunks that is no multiple of the chunk size, with churn killing
 // and joining peers on both sides of every chunk boundary, on one smaller
 // than a chunk, and with a fifth of the peers lying about their views.
-// VerifySamples cross-checks every sample against the serial reference walk.
+// The workers=1 run goes through runVerified, which cross-checks the walk at
+// every sample round against the serial reference sweep.
 // Run it under -race: the chunks of one walk share the world they read.
 func TestMeasurePlaneInvariance(t *testing.T) {
 	for _, leg := range []struct {
@@ -162,9 +157,8 @@ func TestMeasurePlaneInvariance(t *testing.T) {
 			cfg := ckTestConfig(leg.sc)
 			cfg.N, cfg.Rounds, cfg.Shards = leg.n, 24, 8
 			cfg.SampleEveryRounds = 4
-			cfg.VerifySamples = true
 			cfg.Workers = 1
-			want := runCorpus(t, cfg)
+			want := runVerified(t, cfg)
 			if len(want.Series) != 6 || want.AlivePeers == 0 {
 				t.Fatalf("fixture measured nothing: %d samples, %d alive", len(want.Series), want.AlivePeers)
 			}

@@ -12,9 +12,9 @@ import (
 // contract (DESIGN.md §9): attaching the full instrumentation stack — metrics
 // registry, health accumulators, kernel timing probe — must leave the Result
 // bit-identical to an uninstrumented run, at every worker and shard count,
-// quiescent and under the storm scenario. VerifySamples rides along on the
-// observed legs, so the zero-copy sampler and the incremental accumulators
-// are cross-checked against the legacy full sweep at every sample point.
+// quiescent and under the storm scenario. The observed legs run through
+// runVerified, so at every sample round the measurement walk is cross-checked
+// against the serial reference sweep and the accumulators against a recount.
 func TestObserverEffectInvariance(t *testing.T) {
 	storm, err := scenario.Load("../../examples/scenario-lab/storm.json")
 	if err != nil {
@@ -48,8 +48,7 @@ func TestObserverEffectInvariance(t *testing.T) {
 				cfg.Workers = shape.workers
 				cfg.Shards = shape.shards
 				cfg.Obs = obs.NewHub() // a hub observes exactly one run
-				cfg.VerifySamples = true
-				got := runCorpus(t, cfg)
+				got := runVerified(t, cfg)
 				if !reflect.DeepEqual(want, got) {
 					t.Errorf("metrics-on run diverged at workers=%d shards=%d:\noff: %+v\n on: %+v",
 						shape.workers, shape.shards, want, got)
@@ -66,15 +65,12 @@ func TestObserverEffectInvariance(t *testing.T) {
 }
 
 // TestHubHealthMatchesResult cross-checks the end-of-run accumulator state
-// against the Result's own final sample.
+// against the Result's own final sample, and the accumulators against a
+// recount at every sample round.
 func TestHubHealthMatchesResult(t *testing.T) {
 	cfg := corpusCfg()
 	cfg.Obs = obs.NewHub()
-	cfg.VerifySamples = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runVerified(t, cfg)
 	h := cfg.Obs.Health()
 	if got, want := h.Alive(), int64(res.AlivePeers); got != want {
 		t.Errorf("Health.Alive = %d, Result.AlivePeers = %d", got, want)

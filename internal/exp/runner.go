@@ -169,9 +169,18 @@ type runState struct {
 // is a pure function of (Config, Scenario, Seed): the worker count — and
 // even the shard count — change only how fast it finishes.
 func Run(cfg Config) (Result, error) {
+	st, err := newRun(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return st.runToHorizon()
+}
+
+// newRun validates cfg and wires its world, armed to run from time zero.
+func newRun(cfg Config) (*runState, error) {
 	cfg = cfg.Defaults()
 	if err := cfg.validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	st := newRunState(cfg)
 	st.build()
@@ -179,7 +188,7 @@ func Run(cfg Config) (Result, error) {
 	st.schedule()
 	st.armGlobals(-1)
 	st.installCheckpoint(-1)
-	return st.runToHorizon()
+	return st, nil
 }
 
 // runToHorizon runs a wired world to the end of its run and measures it.

@@ -23,12 +23,11 @@ type Edge struct {
 
 // DegreeSummary condenses a degree distribution.
 type DegreeSummary struct {
-	Min, Max int
-	Mean     float64
+	Mean float64
 	// StdDev is the population standard deviation.
 	StdDev float64
-	// P50, P90, P99 are percentiles of the distribution.
-	P50, P90, P99 int
+	// P50 and P99 are percentiles of the distribution.
+	P50, P99 int
 }
 
 // Dense is the reusable scratch of the overlay metrics over a population of
@@ -152,12 +151,9 @@ func summarize(vals []int) DegreeSummary {
 		return vals[i]
 	}
 	return DegreeSummary{
-		Min:    vals[0],
-		Max:    vals[len(vals)-1],
 		Mean:   mean,
 		StdDev: math.Sqrt(sq / float64(len(vals))),
 		P50:    pct(0.50),
-		P90:    pct(0.90),
 		P99:    pct(0.99),
 	}
 }

@@ -72,11 +72,8 @@ type FlightSpec struct {
 type Observation struct {
 	// Round is the shuffling round of the sample.
 	Round int
-	// Alive is the population and Cluster the biggest-cluster fraction.
-	Alive   int
+	// Cluster is the biggest-cluster fraction.
 	Cluster float64
-	// Stale is the stale view-entry fraction.
-	Stale float64
 	// Eclipse is the eclipsed fraction of honest peers (zero without
 	// adversaries).
 	Eclipse float64

@@ -2,8 +2,8 @@
 // goodness-of-fit test of uniformity used to assess the randomness of the
 // peer samples (the paper validates randomness with the diehard suite; this
 // test captures the property the peer-sampling literature actually relies
-// on: every peer is selected with equal probability), and the summaries,
-// means and quantiles of measured series.
+// on: every peer is selected with equal probability), and the means and
+// quantiles of measured series.
 package stats
 
 import (
@@ -60,50 +60,6 @@ func chiSquareCritical(dof, z float64) float64 {
 	// Wilson–Hilferty: chi2/dof ~ N(1-2/(9 dof), 2/(9 dof)) cubed.
 	t := 1 - 2/(9*dof) + z*math.Sqrt(2/(9*dof))
 	return dof * t * t * t
-}
-
-// Summary condenses a float series.
-type Summary struct {
-	N           int
-	Min, Max    float64
-	Mean        float64
-	StdDev      float64
-	P50, P90    float64
-	P99         float64
-	SampleTotal float64
-}
-
-// Summarize computes the summary of a series. Empty input returns the zero
-// Summary.
-func Summarize(series []float64) Summary {
-	if len(series) == 0 {
-		return Summary{}
-	}
-	s := make([]float64, len(series))
-	copy(s, series)
-	sort.Float64s(s)
-	var sum float64
-	for _, v := range s {
-		sum += v
-	}
-	mean := sum / float64(len(s))
-	var sq float64
-	for _, v := range s {
-		d := v - mean
-		sq += d * d
-	}
-	pct := func(p float64) float64 { return s[int(p*float64(len(s)-1))] }
-	return Summary{
-		N:           len(s),
-		Min:         s[0],
-		Max:         s[len(s)-1],
-		Mean:        mean,
-		StdDev:      math.Sqrt(sq / float64(len(s))),
-		P50:         pct(0.50),
-		P90:         pct(0.90),
-		P99:         pct(0.99),
-		SampleTotal: sum,
-	}
 }
 
 // Quantile returns the q-quantile of xs using linear interpolation between

@@ -51,19 +51,6 @@ func TestChiSquareUniformOKRejectsSkew(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Mean != 2.5 || s.SampleTotal != 10 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	if s.P50 != 2 {
-		t.Errorf("P50 = %v, want 2", s.P50)
-	}
-	if got := Summarize(nil); got != (Summary{}) {
-		t.Errorf("Summarize(nil) = %+v", got)
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) != 0")
