@@ -304,10 +304,13 @@ func (c Config) validate() error {
 		return fmt.Errorf("exp: LatencyMs, PeriodMs, HoleTimeoutMs and CacheSize must be positive (got %d, %d, %d, %d)",
 			c.LatencyMs, c.PeriodMs, c.HoleTimeoutMs, c.CacheSize)
 	}
-	// The last tick re-arms one period past the horizon Rounds×PeriodMs: a
-	// time that does not fit in int64 wraps and fires again forever.
-	if int64(c.Rounds) >= math.MaxInt64/c.PeriodMs {
-		return fmt.Errorf("exp: Rounds %d × PeriodMs %d puts the run's last tick past the int64 clock", c.Rounds, c.PeriodMs)
+	// The last tick re-arms one period past the horizon Rounds×PeriodMs, and
+	// a datagram sent at the horizon arrives up to LatencyMs plus the
+	// scenario's jitter later: a time that does not fit in int64 wraps, and
+	// the kernel fires it again forever or files it in its past.
+	if int64(c.Rounds) >= (math.MaxInt64-c.LatencyMs-scenario.MaxJitterMs)/c.PeriodMs {
+		return fmt.Errorf("exp: Rounds %d × PeriodMs %d + LatencyMs %d puts the run's last tick or datagram past the int64 clock",
+			c.Rounds, c.PeriodMs, c.LatencyMs)
 	}
 	// Negated so that NaN, which fails every comparison, is refused too.
 	for _, f := range []struct {

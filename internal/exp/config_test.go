@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -100,6 +101,7 @@ func TestNegativeTimingsRejected(t *testing.T) {
 		{"HoleTimeoutMs", func(c *Config) { c.HoleTimeoutMs = -1 }},
 		{"CacheSize", func(c *Config) { c.CacheSize = -1 }},
 		{"PeriodMsPastClock", func(c *Config) { c.PeriodMs = 3e18 }},
+		{"LatencyMsPastClock", func(c *Config) { c.LatencyMs = math.MaxInt64 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base

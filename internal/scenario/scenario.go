@@ -109,6 +109,11 @@ type Churn struct {
 	EndRound int `json:"end_round,omitempty"`
 }
 
+// MaxJitterMs bounds a link's jitter: one hour, past any delay a gossip
+// overlay could be studied under, and small enough that a datagram's arrival
+// time cannot wrap the int64 clock of a run that exp.Config admits.
+const MaxJitterMs = 3_600_000
+
 // Link perturbs individual datagram transmissions.
 type Link struct {
 	// JitterMs adds a uniformly-drawn extra one-way delay in [0, JitterMs]
@@ -317,8 +322,8 @@ func (a *Adversary) validate(rounds int) error {
 }
 
 func validateLink(jitterMs int64, loss float64) error {
-	if jitterMs < 0 {
-		return fmt.Errorf("scenario: jitter_ms %d is negative", jitterMs)
+	if jitterMs < 0 || jitterMs > MaxJitterMs {
+		return fmt.Errorf("scenario: jitter_ms %d outside [0,%d]", jitterMs, MaxJitterMs)
 	}
 	if loss < 0 || loss >= 1 || math.IsNaN(loss) {
 		return fmt.Errorf("scenario: loss %v outside [0,1)", loss)

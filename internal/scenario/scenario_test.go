@@ -26,6 +26,7 @@ func TestValidateAccepts(t *testing.T) {
 			{Round: 60, Kind: KindPartition, Fraction: 0.3, DurationRounds: 10},
 			{Round: 80, Kind: KindHeal},
 			{Round: 85, Kind: KindSetLink, JitterMs: i64(0), Loss: f64(0)},
+			{Round: 86, Kind: KindSetLink, JitterMs: i64(MaxJitterMs)},
 		},
 	}
 	if err := s.Validate(100); err != nil {
@@ -42,6 +43,11 @@ func TestValidateRejects(t *testing.T) {
 		{"loss-one", &Scenario{Link: &Link{Loss: 1.0}}, "loss"},
 		{"loss-above", &Scenario{Link: &Link{Loss: 1.5}}, "loss"},
 		{"negative-jitter", &Scenario{Link: &Link{JitterMs: -1}}, "jitter"},
+		// Past the cap the arrival time wrapped the int64 clock, and past
+		// int64 the jitter draw panicked in Int63n.
+		{"jitter-past-cap", &Scenario{Link: &Link{JitterMs: MaxJitterMs + 1}}, "jitter_ms 3600001"},
+		{"jitter-past-int64", &Scenario{Link: &Link{JitterMs: math.MaxInt64}}, "jitter_ms 9223372036854775807"},
+		{"set-link-jitter-past-int64", &Scenario{Events: []Event{{Round: 1, Kind: KindSetLink, JitterMs: i64(math.MaxInt64)}}}, "jitter_ms 9223372036854775807"},
 		{"negative-rate", &Scenario{Churn: &Churn{JoinsPerRound: -1}}, "rates"},
 		{"rate-saturates-poisson", &Scenario{Churn: &Churn{LeavesPerRound: 2000}}, "flash_crowd"},
 		{"churn-start-past-horizon", &Scenario{Churn: &Churn{JoinsPerRound: 1, StartRound: 100}}, "start_round"},
