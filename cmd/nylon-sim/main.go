@@ -133,6 +133,31 @@ func run(args []string, stdout, stderr io.Writer, notifyStop func(io.Writer, str
 			return exit(2, fmt.Errorf("-%s needs -f scenario.json: it shapes the scenario run and its series report", f))
 		}
 	}
+	// A flag that tunes another flag's feature does nothing without it, and
+	// a size of zero would be replaced by the library's default: both are
+	// refused rather than ignored.
+	for _, dep := range []struct {
+		needs string
+		armed bool
+		flags []string
+	}{
+		{"-trace or -trace-out", *traceOn || *traceOut != "", []string{"trace-cap"}},
+		{"-checkpoint or -resume", *ckDir != "" || *resume != "", []string{"checkpoint-every"}},
+		{"-flight", *flightDir != "", []string{"flight-stall", "flight-stall-below", "flight-eclipse", "flight-cluster", "flight-leak"}},
+		{"-adversary", *adv != "", []string{"adversary-pct", "adversary-from"}},
+	} {
+		if f := cliutil.FirstSet(fs, dep.flags...); f != "" && !dep.armed {
+			return exit(2, fmt.Errorf("-%s needs %s", f, dep.needs))
+		}
+	}
+	for _, c := range []struct {
+		flag   string
+		v, min int
+	}{{"n", *n, 1}, {"rounds", *rounds, 1}, {"view", *viewSize, 1}, {"trace-cap", *traceCap, 1}, {"every", *every, 0}} {
+		if c.v < c.min {
+			return exit(2, fmt.Errorf("-%s %d: must be at least %d", c.flag, c.v, c.min))
+		}
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

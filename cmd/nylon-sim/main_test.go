@@ -63,6 +63,44 @@ func TestResumeRejectsExperimentFlags(t *testing.T) {
 	}
 }
 
+// TestUsageErrors pins that a flag the run would ignore, or a size the library
+// would silently replace by its default, exits 2 naming the flag before
+// anything runs.
+func TestUsageErrors(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty.json")
+	if err := os.WriteFile(empty, []byte(`{}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	small := []string{"-n", "20", "-rounds", "2"}
+	for _, tc := range []struct {
+		args []string
+		want string // in stderr
+	}{
+		{[]string{"-n", "0", "-rounds", "2"}, "-n 0: must be at least 1"},
+		{[]string{"-n", "20", "-rounds", "0"}, "-rounds 0: must be at least 1"},
+		{append([]string{"-view", "0"}, small...), "-view 0: must be at least 1"},
+		{append([]string{"-trace", "-trace-cap", "-1"}, small...), "-trace-cap -1: must be at least 1"},
+		{append([]string{"-trace-cap", "64"}, small...), "-trace-cap needs -trace or -trace-out"},
+		{append([]string{"-checkpoint-every", "2"}, small...), "-checkpoint-every needs -checkpoint or -resume"},
+		{append([]string{"-flight-stall", "3"}, small...), "-flight-stall needs -flight"},
+		{append([]string{"-flight-leak"}, small...), "-flight-leak needs -flight"},
+		{append([]string{"-f", empty, "-adversary-pct", "30"}, small...), "-adversary-pct needs -adversary"},
+		{append([]string{"-f", empty, "-adversary-from", "1"}, small...), "-adversary-from needs -adversary"},
+		{append([]string{"-f", empty, "-every", "-3"}, small...), "-every -3: must be at least 0"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if status := run(tc.args, &stdout, &stderr, neverStop); status != 2 {
+			t.Errorf("%v: exit status %d, want 2", tc.args, status)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: stderr does not say %q:\n%s", tc.args, tc.want, &stderr)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: a rejected command line printed a report:\n%s", tc.args, &stdout)
+		}
+	}
+}
+
 // TestNaNFractionRejected pins that a NaN percentage is a config error (exit
 // 1, named), never a panic of the layer that would have sized a slice by it.
 func TestNaNFractionRejected(t *testing.T) {
