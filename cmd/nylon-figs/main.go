@@ -60,6 +60,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return exit(2, fmt.Errorf("unknown figure %q (have %s)", *fig, strings.Join(ids, ", ")))
 		}
 	}
+	// Zero would be replaced by the figure runner's default size.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"n", *n}, {"rounds", *rounds}} {
+		if f.v < 1 {
+			return exit(2, fmt.Errorf("-%s %d: must be at least 1", f.name, f.v))
+		}
+	}
 	if *seeds < 1 || *seeds > exp.MaxSeeds {
 		return exit(2, fmt.Errorf("-seeds %d: need 1 to %d seeds", *seeds, exp.MaxSeeds))
 	}

@@ -45,6 +45,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-fig", "a5", "-seeds", "0"}, "-seeds 0"},
 		{[]string{"-fig", "a5", "-n", "50", "-rounds", "10", "-seeds", "1000000000000"}, "-seeds 1000000000000: need 1 to 1000 seeds"},
 		{[]string{"-fig", "a5", "-workers", "-1"}, "-workers -1"},
+		{[]string{"-fig", "a5", "-n", "0", "-rounds", "10", "-seeds", "1"}, "-n 0: must be at least 1"},
+		{[]string{"-fig", "a5", "-n", "50", "-rounds", "0", "-seeds", "1"}, "-rounds 0: must be at least 1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if status := run(tc.args, &stdout, &stderr); status != 2 {

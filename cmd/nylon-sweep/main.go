@@ -53,9 +53,21 @@ func run(args []string, stdout, stderr io.Writer, notifyStop func(io.Writer, str
 		ckEvery  = fs.Int("checkpoint-every", 0, "checkpoint every running job's world every N rounds into <run dir>/snapshots/; an interrupted sweep then resumes each unfinished job mid-run instead of from round zero (0 = off)")
 	)
 	fs.Parse(args) // exits 2 on a malformed command line, before anything is open
-	fatal := func(err error) int {
+	exit := func(status int, err error) int {
 		fmt.Fprintln(stderr, "nylon-sweep:", err)
-		return 1
+		return status
+	}
+	fatal := func(err error) int { return exit(1, err) }
+	// Zero keeps the spec's value (one job per core for -workers, no
+	// checkpoints for -checkpoint-every); a negative count means nothing and
+	// is refused, not dropped.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"workers", *workers}, {"seeds", *seeds}, {"n", *n}, {"rounds", *rounds}, {"checkpoint-every", *ckEvery}} {
+		if f.v < 0 {
+			return exit(2, fmt.Errorf("-%s %d: must not be negative", f.name, f.v))
+		}
 	}
 	if *specPath == "" {
 		return fatal(fmt.Errorf("-spec sweep.json is required"))

@@ -125,6 +125,33 @@ func TestStoppedSweepClosesItsEndpoint(t *testing.T) {
 	}
 }
 
+// TestUsageErrors pins that a negative count exits 2 naming the flag, where it
+// used to be dropped for the spec's value, and writes no run directory.
+func TestUsageErrors(t *testing.T) {
+	spec := filepath.Join(labDir, "sweep.json")
+	for _, tc := range []struct {
+		flag, value string
+	}{
+		{"-workers", "-3"},
+		{"-seeds", "-1"},
+		{"-n", "-5"},
+		{"-rounds", "-1"},
+		{"-checkpoint-every", "-2"},
+	} {
+		out := filepath.Join(t.TempDir(), "run")
+		var stdout, stderr bytes.Buffer
+		if status := run(sweepArgs(spec, out, tc.flag, tc.value), &stdout, &stderr, neverStop); status != 2 {
+			t.Errorf("%s %s: exit status %d, want 2", tc.flag, tc.value, status)
+		}
+		if want := tc.flag + " " + tc.value + ": must not be negative"; !strings.Contains(stderr.String(), want) {
+			t.Errorf("%s %s: stderr does not say %q:\n%s", tc.flag, tc.value, want, &stderr)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%s %s: a refused sweep wrote %s (stat err %v)", tc.flag, tc.value, out, err)
+		}
+	}
+}
+
 // TestSeedsOverCap pins that a seed count past exp.MaxSeeds is refused before
 // the seed list is allocated: exit 1 with the count and the cap named, and no
 // run directory written.
