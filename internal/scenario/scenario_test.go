@@ -43,11 +43,11 @@ func TestValidateRejects(t *testing.T) {
 		{"loss-one", &Scenario{Link: &Link{Loss: 1.0}}, "loss"},
 		{"loss-above", &Scenario{Link: &Link{Loss: 1.5}}, "loss"},
 		{"negative-jitter", &Scenario{Link: &Link{JitterMs: -1}}, "jitter"},
-		// Past the cap the arrival time wrapped the int64 clock, and past
-		// int64 the jitter draw panicked in Int63n.
+		// Past the cap an arrival time could wrap the int64 clock; at the
+		// int64 maximum the jitter draw panicked in Int63n.
 		{"jitter-past-cap", &Scenario{Link: &Link{JitterMs: MaxJitterMs + 1}}, "jitter_ms 3600001"},
-		{"jitter-past-int64", &Scenario{Link: &Link{JitterMs: math.MaxInt64}}, "jitter_ms 9223372036854775807"},
-		{"set-link-jitter-past-int64", &Scenario{Events: []Event{{Round: 1, Kind: KindSetLink, JitterMs: i64(math.MaxInt64)}}}, "jitter_ms 9223372036854775807"},
+		{"jitter-int64-max", &Scenario{Link: &Link{JitterMs: math.MaxInt64}}, "jitter_ms 9223372036854775807"},
+		{"set-link-jitter-int64-max", &Scenario{Events: []Event{{Round: 1, Kind: KindSetLink, JitterMs: i64(math.MaxInt64)}}}, "jitter_ms 9223372036854775807"},
 		{"negative-rate", &Scenario{Churn: &Churn{JoinsPerRound: -1}}, "rates"},
 		{"rate-saturates-poisson", &Scenario{Churn: &Churn{LeavesPerRound: 2000}}, "flash_crowd"},
 		{"churn-start-past-horizon", &Scenario{Churn: &Churn{JoinsPerRound: 1, StartRound: 100}}, "start_round"},
