@@ -281,7 +281,7 @@ func TestNylonBootstrapInstallsRoutes(t *testing.T) {
 	n1 := NewNylon(ncfg(1, ident.PortRestrictedCone))
 	seed := nattedDesc(2, ident.RestrictedCone)
 	n1.Bootstrap(0, []view.Descriptor{seed, pubDesc(3)})
-	if !n1.Routes().Direct(seed.ID, 0) {
+	if rvp, ok := n1.Routes().Next(seed.ID, 0); !ok || rvp.ID != seed.ID {
 		t.Error("bootstrap did not install direct route to natted seed")
 	}
 	if n1.View().Len() != 2 {

@@ -117,7 +117,8 @@ type Config struct {
 	PeriodMs int64
 	// LatencyMs is the one-way message latency (paper: 50 ms).
 	LatencyMs int64
-	// HoleTimeoutMs is the NAT rule lifetime (paper: 90 s).
+	// HoleTimeoutMs is the NAT rule lifetime (paper: 90 s), at most 2³²−1:
+	// it bounds the route TTLs a shuffle carries as uint32s.
 	HoleTimeoutMs int64
 	// Rounds is the number of shuffling periods to simulate.
 	Rounds int
@@ -304,13 +305,19 @@ func (c Config) validate() error {
 		return fmt.Errorf("exp: LatencyMs, PeriodMs, HoleTimeoutMs and CacheSize must be positive (got %d, %d, %d, %d)",
 			c.LatencyMs, c.PeriodMs, c.HoleTimeoutMs, c.CacheSize)
 	}
+	// A route's TTL crosses the wire as a uint32 of milliseconds, and the hole
+	// timeout bounds it.
+	if c.HoleTimeoutMs > math.MaxUint32 {
+		return fmt.Errorf("exp: HoleTimeoutMs %d above %d, the longest route TTL a shuffle carries", c.HoleTimeoutMs, uint32(math.MaxUint32))
+	}
 	// The last tick re-arms one period past the horizon Rounds×PeriodMs, and
 	// a datagram sent at the horizon arrives up to LatencyMs plus the
-	// scenario's jitter later: a time that does not fit in int64 wraps, and
-	// the kernel fires it again forever or files it in its past.
-	if int64(c.Rounds) >= (math.MaxInt64-c.LatencyMs-scenario.MaxJitterMs)/c.PeriodMs {
-		return fmt.Errorf("exp: Rounds %d × PeriodMs %d + LatencyMs %d puts the run's last tick or datagram past the int64 clock",
-			c.Rounds, c.PeriodMs, c.LatencyMs)
+	// scenario's jitter later, where it sets expiries HoleTimeoutMs ahead: a
+	// time that does not fit in int64 wraps, and the kernel fires it again
+	// forever or files it in its past.
+	if int64(c.Rounds) >= (math.MaxInt64-c.LatencyMs-scenario.MaxJitterMs-c.HoleTimeoutMs)/c.PeriodMs {
+		return fmt.Errorf("exp: Rounds %d × PeriodMs %d + LatencyMs %d + HoleTimeoutMs %d puts the run's last tick, datagram or expiry past the int64 clock",
+			c.Rounds, c.PeriodMs, c.LatencyMs, c.HoleTimeoutMs)
 	}
 	// Negated so that NaN, which fails every comparison, is refused too.
 	for _, f := range []struct {

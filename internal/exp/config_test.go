@@ -102,6 +102,13 @@ func TestNegativeTimingsRejected(t *testing.T) {
 		{"CacheSize", func(c *Config) { c.CacheSize = -1 }},
 		{"PeriodMsPastClock", func(c *Config) { c.PeriodMs = 3e18 }},
 		{"LatencyMsPastClock", func(c *Config) { c.LatencyMs = math.MaxInt64 }},
+		{"HoleTimeoutMsPastWire", func(c *Config) { c.HoleTimeoutMs = math.MaxUint32 + 1 }},
+		// The tick and the datagram fit the clock; the expiry set a hole
+		// timeout after them does not.
+		{"HoleTimeoutMsPastClock", func(c *Config) {
+			c.LatencyMs, c.HoleTimeoutMs = 50, math.MaxUint32
+			c.PeriodMs = (math.MaxInt64 - 50 - scenario.MaxJitterMs) / int64(c.Rounds+1)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base

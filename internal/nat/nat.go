@@ -90,17 +90,23 @@ type session struct {
 // probe. When an insert would grow the table, expired rules are dropped
 // first and the table is sized for the survivors — so its footprint follows
 // the live rule count instead of growing monotonically with every remote the
-// session ever exchanged a datagram with.
+// session ever exchanged a datagram with. When the survivors fit the current
+// size, they are compacted in place: only a size change allocates.
 type filterTable struct {
 	slots []filterSlot
 	used  int
 	// floor is the smallest table size rehash will produce. Sessions whose
 	// class accumulates one rule per distinct remote (RC/PRC: the single
 	// long-lived session of a cone device) start at the steady-state size
-	// and skip the doubling chain; wildcard (FC, pinned) and per-destination
-	// (SYM) sessions hold a handful of rules and stay at the minimum.
+	// and skip the doubling chain; full-cone and symmetric sessions hold one
+	// rule (the wildcard, or the session's destination) and start at the
+	// smallest table that admits it.
 	floor uint16
 }
+
+// minFilterSlots is the smallest filter table: room for the one rule of a
+// full-cone or symmetric session under the 3/4 load bound.
+const minFilterSlots = 4
 
 // filterSlot is one cell: expire == 0 marks an empty slot (live rules
 // always expire at a positive time).
@@ -187,12 +193,13 @@ func (f *filterTable) rehash(now int64) {
 			live++
 		}
 	}
-	want := 16
-	if f.floor > 16 {
-		want = int(f.floor)
-	}
+	want := max(int(f.floor), minFilterSlots)
 	for 4*(live+1) > 3*want {
 		want *= 2
+	}
+	if want == len(f.slots) {
+		f.dropExpired(now)
+		return
 	}
 	old := f.slots
 	f.slots = make([]filterSlot, want)
@@ -208,6 +215,34 @@ func (f *filterTable) rehash(now int64) {
 				break
 			}
 		}
+	}
+}
+
+// dropExpired deletes, in place, every rule that expired before now, by
+// backward-shift deletion: each hole is refilled from the probe cluster after
+// it, so no tombstone is left behind. Rules only move back along their
+// cluster: one not yet examined lands on the cell being examined, which the
+// scan examines again, or on another cell ahead of the scan; the only rules
+// that land behind the scan come from a cluster's wrapped tail, which it has
+// already kept. So one forward pass drops every expired rule.
+func (f *filterTable) dropExpired(now int64) {
+	mask := len(f.slots) - 1
+	for i := 0; i <= mask; {
+		if s := f.slots[i]; s.expire == 0 || s.expire >= now {
+			i++
+			continue
+		}
+		j := i
+		for k := (j + 1) & mask; f.slots[k].expire != 0; k = (k + 1) & mask {
+			// The rule at k may fill the hole iff its home lies at or before
+			// the hole on the cyclic probe path ending at k.
+			if (k-f.hashSlot(f.slots[k].key))&mask >= (k-j)&mask {
+				f.slots[j] = f.slots[k]
+				j = k
+			}
+		}
+		f.slots[j] = filterSlot{}
+		f.used--
 	}
 }
 
@@ -301,14 +336,14 @@ func (d *Device) filterKey(remote ident.Endpoint) ident.Endpoint {
 // filterFloor returns the initial filter-table size for this device's
 // class: restricted and port-restricted cones keep one rule per distinct
 // remote on a single session, so they start at the observed steady-state
-// size; full-cone (one wildcard rule) and symmetric (per-destination
-// sessions with few rules each) stay at the minimum.
+// size; full-cone (one wildcard rule) and symmetric (one rule for the
+// session's destination) sessions start at the minimum.
 func (d *Device) filterFloor() uint16 {
 	switch d.class {
 	case ident.RestrictedCone, ident.PortRestrictedCone:
 		return 64
 	default:
-		return 16
+		return minFilterSlots
 	}
 }
 

@@ -1,6 +1,7 @@
 package nat
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/ident"
@@ -337,5 +338,127 @@ func TestSymmetricSessionSweep(t *testing.T) {
 	last := ident.Endpoint{IP: ident.IP(0x02000000 + 1999), Port: 1000}
 	if _, ok := d.PublicMapping(now, priv, last); !ok {
 		t.Error("most recent session lost by sweep")
+	}
+}
+
+// TestFilterTableMatchesReference drives filter tables and a map reference
+// through random set/refresh/get calls with advancing time, sized so that
+// the live rule count keeps reaching the load bound without outgrowing the
+// table: inserts keep compacting it in place. Every answer must match the
+// reference, and each explicit compaction must leave exactly the live rules,
+// with used counting them.
+func TestFilterTableMatchesReference(t *testing.T) {
+	for _, floor := range []uint16{minFilterSlots, 64} {
+		rng := rand.New(rand.NewSource(int64(floor)))
+		f := filterTable{floor: floor}
+		ref := map[uint64]int64{}
+		now := int64(1)
+		inPlace := 0
+		for step := 0; step < 200_000; step++ {
+			now += int64(rng.Intn(3))
+			// Keys cluster in a small space so probe chains collide and
+			// backward shifts cross the table's wrap point.
+			key := uint64(rng.Intn(300))
+			switch op := rng.Intn(10); {
+			case op < 5:
+				old, used := f.slots, f.used
+				exp := now + 1 + int64(rng.Intn(2*int(floor)))
+				f.set(key, exp, now)
+				ref[key] = exp
+				// set compacts when the insert would pass the load bound.
+				if len(old) > 0 && 4*(used+1) > 3*len(old) && &old[0] == &f.slots[0] {
+					inPlace++
+				}
+			case op < 8:
+				exp := now + 1 + int64(rng.Intn(2*int(floor)))
+				cur, ok := ref[key]
+				want := ok && cur >= now
+				if got := f.refresh(key, exp, now); got != want {
+					t.Fatalf("floor %d step %d: refresh(%d) = %v, reference %v", floor, step, key, got, want)
+				}
+				if want {
+					ref[key] = exp
+				}
+			case op < 9:
+				got, ok := f.get(key)
+				cur, refOK := ref[key]
+				// The table may still hold a rule that expired and was not
+				// yet compacted away; it must hold every live one.
+				if ok && (!refOK || got != cur) || !ok && refOK && cur >= now {
+					t.Fatalf("floor %d step %d: get(%d) = %d, %v; reference %d, %v", floor, step, key, got, ok, cur, refOK)
+				}
+			default:
+				f.compact(now)
+				for k, e := range ref {
+					if e < now {
+						delete(ref, k)
+					}
+				}
+				held := 0
+				for _, s := range f.slots {
+					if s.expire == 0 {
+						continue
+					}
+					held++
+					if e, ok := ref[s.key]; !ok || e != s.expire {
+						t.Fatalf("floor %d step %d: compacted table holds %d@%d, reference %d, %v", floor, step, s.key, s.expire, e, ok)
+					}
+				}
+				if held != len(ref) || f.used != len(ref) {
+					t.Fatalf("floor %d step %d: %d rules held, used %d, %d live", floor, step, held, f.used, len(ref))
+				}
+			}
+		}
+		if inPlace < 100 {
+			t.Errorf("floor %d: only %d in-place compactions: the workload does not reach the load bound", floor, inPlace)
+		}
+	}
+}
+
+// TestChurningSessionAllocatesNothing pins in-place compaction on the hot
+// path: a port-restricted session whose remotes keep changing at a constant
+// live count fills its table to the load bound again and again, and drops
+// the expired rules without a new table.
+func TestChurningSessionAllocatesNothing(t *testing.T) {
+	const ttl = 2000
+	d := NewDevice(ident.PortRestrictedCone, pubIP, ttl)
+	now := int64(0)
+	remote := 0
+	churn := func() {
+		for i := 0; i < 100; i++ {
+			remote++
+			d.Outbound(now, priv, ident.Endpoint{IP: ident.IP(0x02000000 + remote), Port: 1000})
+			now += 100 // ~20 live rules, against the 48 a 64-slot table holds
+		}
+	}
+	churn()
+	if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
+		t.Errorf("churning session allocates %.2f times per 100 datagrams, want 0", allocs)
+	}
+	if n := len(d.sessions[0].filters.slots); n != 64 {
+		t.Errorf("filter table holds %d slots, want the 64 floor", n)
+	}
+}
+
+// TestOneRuleSessionsStaySmall pins the table size of the classes whose
+// sessions hold one rule: the wildcard for full cone, the session's
+// destination for symmetric. However often the rule is refreshed, in either
+// direction, the table stays at the 4-slot minimum.
+func TestOneRuleSessionsStaySmall(t *testing.T) {
+	for _, c := range []ident.NATClass{ident.FullCone, ident.Symmetric} {
+		d := newDev(t, c)
+		for i := 0; i < 1000; i++ {
+			now := int64(i) * 1000
+			dst := []ident.Endpoint{rem1, rem2}[i%2]
+			pub := d.Outbound(now, priv, dst)
+			if _, ok := d.Inbound(now, dst, pub); !ok {
+				t.Fatalf("%v step %d: reply refused", c, i)
+			}
+		}
+		for i := range d.sessions {
+			if n := len(d.sessions[i].filters.slots); n > minFilterSlots {
+				t.Errorf("%v session %d holds %d filter slots, want at most %d", c, i, n, minFilterSlots)
+			}
+		}
 	}
 }

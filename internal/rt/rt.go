@@ -13,13 +13,14 @@
 // peer, a hundred-odd rows each, hundreds of thousands of tables):
 //
 //   - Rows live whole — destination ID, interned RVP handle, expiry — in
-//     fixed-size chunks, 24 bytes per row instead of the 40 a raw
-//     descriptor row costs. Row-major beats the parallel-column layout an
-//     earlier version used because the dominant access is a point access
-//     (find a destination, check its expiry, rewrite its RVP), which now
-//     touches one or two cache lines instead of three; the purge scan the
-//     columns favoured is paced down by the caller (see Purge) and runs
-//     sequentially either way.
+//     fixed-size chunks, 20 bytes per row instead of the 40 a raw
+//     descriptor row costs (the 64-bit fields are stored as 32-bit halves,
+//     so the row aligns to 4 and carries no padding). Row-major beats the
+//     parallel-column layout an earlier version used because the dominant
+//     access is a point access (find a destination, check its expiry,
+//     rewrite its RVP), which now touches one or two cache lines instead of
+//     three; the purge scan the columns favoured is paced down by the caller
+//     (see Purge) and runs sequentially either way.
 //     Chunks are never copied: growing the table allocates one more chunk,
 //     so the bytes ever allocated equal the high-water row count instead of
 //     the ~2× that slice doubling costs (the difference is measurable when
@@ -68,7 +69,8 @@ type slot = uint32
 // the fingerprint.
 const slotRowMask = 1<<24 - 1
 
-// rowChunkSize is the row-storage granularity: 64 rows (1.25 KB) per chunk.
+// rowChunkSize is the row-storage granularity: 64 rows (1 280 B, an exact
+// allocator size class) per chunk.
 // Two chunks cover the median Nylon table at the paper's parameters; small
 // tables (real nodes, tests) stay at one.
 const rowChunkSize = 64
@@ -77,12 +79,26 @@ const rowChunkSize = 64
 // growth bound, which covers most tables for a whole run.
 const initialSlots = 256
 
-// rtRow is one routing-table row: 24 bytes (the Handle pads to 8), at most
-// two cache lines, usually one.
+// rtRow is one routing-table row: 20 bytes, at most two cache lines, usually
+// one. The destination and the expiry are split into 32-bit halves so that
+// the row aligns to 4: as whole 64-bit fields they would pad it to 24 bytes
+// around the 4-byte Handle.
 type rtRow struct {
-	dest   ident.NodeID
-	expire int64
-	rvph   intern.Handle
+	destLo, destHi     uint32
+	expireLo, expireHi uint32
+	rvph               intern.Handle
+}
+
+func (r *rtRow) dest() ident.NodeID {
+	return ident.NodeID(uint64(r.destHi)<<32 | uint64(r.destLo))
+}
+
+func (r *rtRow) expire() int64 {
+	return int64(uint64(r.expireHi)<<32 | uint64(r.expireLo))
+}
+
+func (r *rtRow) setExpire(e int64) {
+	r.expireLo, r.expireHi = uint32(e), uint32(uint64(e)>>32)
 }
 
 // rowChunk is one block of rows.
@@ -127,11 +143,13 @@ func (t *Table) noteExpiry(e int64) {
 
 // rowAt returns row i; dest/rvpH/expire/setRow are its point accessors.
 func (t *Table) rowAt(i int) *rtRow       { return &t.rows[i/rowChunkSize].r[i%rowChunkSize] }
-func (t *Table) dest(i int) ident.NodeID  { return t.rowAt(i).dest }
+func (t *Table) dest(i int) ident.NodeID  { return t.rowAt(i).dest() }
 func (t *Table) rvpH(i int) intern.Handle { return t.rowAt(i).rvph }
-func (t *Table) expire(i int) int64       { return t.rowAt(i).expire }
+func (t *Table) expire(i int) int64       { return t.rowAt(i).expire() }
 func (t *Table) setRow(i int, d ident.NodeID, h intern.Handle, e int64) {
-	*t.rowAt(i) = rtRow{dest: d, expire: e, rvph: h}
+	r := t.rowAt(i)
+	*r = rtRow{destLo: uint32(d), destHi: uint32(uint64(d) >> 32), rvph: h}
+	r.setExpire(e)
 }
 
 // home returns the starting probe position of id in the current index.
@@ -302,11 +320,11 @@ func (t *Table) Set(dest ident.NodeID, rvp view.Descriptor, expireAt int64) {
 		// A direct route (RVP == dest) always beats an indirect one with
 		// the same or earlier expiry; otherwise keep the later expiry.
 		r := t.rowAt(i)
-		if r.expire > expireAt && !(rvp.ID == dest && t.in.At(r.rvph).ID != dest) {
+		if r.expire() > expireAt && !(rvp.ID == dest && t.in.At(r.rvph).ID != dest) {
 			return
 		}
 		r.rvph = t.in.Intern(rvp)
-		r.expire = expireAt
+		r.setExpire(expireAt)
 		t.noteExpiry(expireAt)
 		return
 	}
@@ -349,12 +367,6 @@ func (t *Table) Peek(dest ident.NodeID, now int64) (view.Descriptor, bool) {
 		return view.Descriptor{}, false
 	}
 	return t.in.At(t.rvpH(i)), true
-}
-
-// Direct reports whether a live direct route (open hole) to dest exists.
-func (t *Table) Direct(dest ident.NodeID, now int64) bool {
-	rvp, ok := t.Next(dest, now)
-	return ok && rvp.ID == dest
 }
 
 // TTL returns the remaining lifetime, in milliseconds, of the route to dest,
@@ -408,7 +420,7 @@ func (t *Table) Len() int { return t.nrows }
 func (t *Table) EachRow(fn func(dest ident.NodeID, rvp view.Descriptor, expireAt int64)) {
 	for i := 0; i < t.nrows; i++ {
 		r := t.rowAt(i)
-		fn(r.dest, t.in.At(r.rvph), r.expire)
+		fn(r.dest(), t.in.At(r.rvph), r.expire())
 	}
 }
 

@@ -1,9 +1,11 @@
 package rt
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/ident"
 	"repro/internal/view"
@@ -63,27 +65,23 @@ func TestDirectRoutePreferred(t *testing.T) {
 	tb.Set(5, d(3), 1000)
 	// A direct hole with an earlier expiry still replaces an indirect route.
 	tb.SetDirect(d(5), 500)
-	if !tb.Direct(5, 0) {
-		t.Error("SetDirect did not install direct route over fresher indirect one")
-	}
-	rvp, _ := tb.Next(5, 0)
-	if rvp.ID != 5 {
-		t.Errorf("Next = %v, want direct n5", rvp.ID)
+	if e, ok := tb.Get(5, 0); !ok || e.RVP.ID != 5 || e.ExpireAt != 500 {
+		t.Errorf("Get = %v, %v; SetDirect did not install direct route over fresher indirect one", e, ok)
 	}
 }
 
 func TestDirect(t *testing.T) {
 	tb := New(1)
 	tb.SetDirect(d(5), 100)
-	if !tb.Direct(5, 50) {
-		t.Error("Direct = false for open hole")
+	if rvp, ok := tb.Next(5, 50); !ok || rvp.ID != 5 {
+		t.Errorf("Next = %v, %v for open hole, want n5", rvp.ID, ok)
 	}
-	if tb.Direct(5, 101) {
-		t.Error("Direct = true after expiry")
+	if _, ok := tb.Next(5, 101); ok {
+		t.Error("open hole still routed after expiry")
 	}
 	tb.Set(6, d(3), 100)
-	if tb.Direct(6, 50) {
-		t.Error("Direct = true for indirect route")
+	if rvp, ok := tb.Next(6, 50); !ok || rvp.ID != 3 {
+		t.Errorf("Next = %v, %v for indirect route, want RVP n3", rvp.ID, ok)
 	}
 }
 
@@ -205,4 +203,65 @@ func TestPeekIsAPureRead(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRowPacked pins the row layout: the 64-bit fields stored as 32-bit
+// halves leave no padding, and a chunk of 64 rows fills its allocator size
+// class exactly. A field change that brings the padding back fails here.
+func TestRowPacked(t *testing.T) {
+	if got := unsafe.Sizeof(rtRow{}); got != 20 {
+		t.Errorf("rtRow is %d bytes, want 20", got)
+	}
+	if got := unsafe.Sizeof(rowChunk{}); got != 1280 {
+		t.Errorf("rowChunk is %d bytes, want 1280", got)
+	}
+}
+
+// TestExtremeValuesRoundTrip carries destinations and expiries whose high
+// halves are set, or whose sign bit is, through every accessor and through
+// an EachRow/LoadRow copy: splitting a field into halves must lose no bit.
+func TestExtremeValuesRoundTrip(t *testing.T) {
+	dests := []ident.NodeID{1<<63 | 1, math.MaxUint64}
+	expiries := []int64{math.MaxInt64, -1, math.MinInt64 + 1}
+	type row struct {
+		dest     ident.NodeID
+		rvp      view.Descriptor
+		expireAt int64
+	}
+	dump := func(tb *Table) (rows []row) {
+		tb.EachRow(func(dest ident.NodeID, rvp view.Descriptor, expireAt int64) {
+			rows = append(rows, row{dest, rvp, expireAt})
+		})
+		return rows
+	}
+	check := func(tb *Table, dest ident.NodeID, rvp view.Descriptor, e int64) {
+		t.Helper()
+		if got, ok := tb.Get(dest, e); !ok || got.RVP != rvp || got.ExpireAt != e {
+			t.Errorf("Get(%#x) = %v, %v; want RVP %v expiring at %d", uint64(dest), got, ok, rvp.ID, e)
+		}
+		if got := tb.TTL(dest, e-1); got != 1 {
+			t.Errorf("TTL(%#x) one before %d = %d, want 1", uint64(dest), e, got)
+		}
+	}
+	for _, dest := range dests {
+		for _, e := range expiries {
+			rvp := view.Descriptor{ID: math.MaxUint64 - dest + 2, Addr: ident.Endpoint{IP: math.MaxUint32, Port: math.MaxUint16}}
+			tb := New(1)
+			tb.Set(2, d(2), 0) // a neighbour row, so the copy keeps an order
+			tb.Set(dest, rvp, e)
+			check(tb, dest, rvp, e)
+			rows := dump(tb)
+			if len(rows) != 2 || rows[1] != (row{dest, rvp, e}) {
+				t.Fatalf("EachRow = %v, want the row {%#x %v %d} second", rows, uint64(dest), rvp.ID, e)
+			}
+			cp := New(1)
+			for _, r := range rows {
+				cp.LoadRow(r.dest, r.rvp, r.expireAt)
+			}
+			check(cp, dest, rvp, e)
+			if got := dump(cp); len(got) != len(rows) || got[0] != rows[0] || got[1] != rows[1] {
+				t.Errorf("LoadRow copy reads %v, want %v", got, rows)
+			}
+		}
+	}
 }

@@ -176,10 +176,10 @@ func TestNylonHolePunchEndToEnd(t *testing.T) {
 		t.Errorf("forward counts: n2=%d n3=%d, want 1/1", n2.Engine.Stats().Forwarded, n3.Engine.Stats().Forwarded)
 	}
 	// After the punch, n4 and n1 hold mutual direct routes.
-	if !e4.Routes().Direct(1, sched.Now()) {
+	if rvp, ok := e4.Routes().Next(1, sched.Now()); !ok || rvp.ID != 1 {
 		t.Error("n4 lacks direct route to n1 after punch")
 	}
-	if !e1.Routes().Direct(4, sched.Now()) {
+	if rvp, ok := e1.Routes().Next(4, sched.Now()); !ok || rvp.ID != 4 {
 		t.Error("n1 lacks direct route to n4 after punch")
 	}
 }

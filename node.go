@@ -3,6 +3,7 @@ package nylon
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -40,7 +41,8 @@ type Config struct {
 	// Period is the shuffling period. Default 5 s (paper §5). Durations
 	// must not be negative.
 	Period time.Duration
-	// HoleTimeout is the assumed NAT rule lifetime. Default 90 s.
+	// HoleTimeout is the assumed NAT rule lifetime. Default 90 s; at least
+	// 1 ms and at most 2³²−1 ms, the longest route TTL a shuffle carries.
 	HoleTimeout time.Duration
 	// LatencyBound is the assumed one-way latency upper bound used to
 	// discount relayed route TTLs. Default 500 ms.
@@ -137,6 +139,11 @@ func NewNode(cfg Config) (*Node, error) {
 		if d.v < 0 {
 			return nil, fmt.Errorf("nylon: Config.%s %v must not be negative", d.field, d.v)
 		}
+	}
+	// The engine counts the hole timeout in whole milliseconds, and a route
+	// TTL, which it bounds, crosses the wire as a uint32 of them.
+	if maxHole := time.Duration(math.MaxUint32) * time.Millisecond; cfg.HoleTimeout < time.Millisecond || cfg.HoleTimeout > maxHole {
+		return nil, fmt.Errorf("nylon: Config.HoleTimeout %v outside [1ms, %v]", cfg.HoleTimeout, maxHole)
 	}
 	n := &Node{
 		cfg:       cfg,

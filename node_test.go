@@ -66,6 +66,8 @@ func TestNodeConfigValidation(t *testing.T) {
 		{with(func(c *Config) { c.ViewSize = 1e9 }), "ViewSize 1000000000"},
 		{with(func(c *Config) { c.Period = -time.Second }), "Period -1s"},
 		{with(func(c *Config) { c.HoleTimeout = -time.Second }), "HoleTimeout -1s"},
+		{with(func(c *Config) { c.HoleTimeout = 500 * time.Microsecond }), "HoleTimeout 500µs"},
+		{with(func(c *Config) { c.HoleTimeout = (1 << 32) * time.Millisecond }), "HoleTimeout 1193h2m47.296s"},
 		{with(func(c *Config) { c.LatencyBound = -time.Millisecond }), "LatencyBound -1ms"},
 	}
 	for i, c := range cases {
