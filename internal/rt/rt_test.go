@@ -15,6 +15,21 @@ func d(id uint64) view.Descriptor {
 	return view.Descriptor{ID: ident.NodeID(id), Addr: ident.Endpoint{IP: ident.IP(id), Port: 1}}
 }
 
+// row is one row as EachRow reports it.
+type row struct {
+	dest     ident.NodeID
+	rvp      view.Descriptor
+	expireAt int64
+}
+
+// dump returns tb's rows in storage order.
+func dump(tb *Table) (rows []row) {
+	tb.EachRow(func(dest ident.NodeID, rvp view.Descriptor, expireAt int64) {
+		rows = append(rows, row{dest, rvp, expireAt})
+	})
+	return rows
+}
+
 func TestSetAndNext(t *testing.T) {
 	tb := New(1)
 	tb.Set(5, d(3), 100)
@@ -146,17 +161,6 @@ func TestTTLNeverNegative(t *testing.T) {
 // row it meets; and safe to call from many goroutines at once (run under
 // -race), which a find-memo write would not be.
 func TestPeekIsAPureRead(t *testing.T) {
-	type row struct {
-		dest     ident.NodeID
-		rvp      view.Descriptor
-		expireAt int64
-	}
-	dump := func(tb *Table) (rows []row) {
-		tb.EachRow(func(dest ident.NodeID, rvp view.Descriptor, expireAt int64) {
-			rows = append(rows, row{dest, rvp, expireAt})
-		})
-		return rows
-	}
 	build := func() *Table {
 		tb := New(1)
 		for id := uint64(2); id < 40; id++ {
@@ -223,17 +227,6 @@ func TestRowPacked(t *testing.T) {
 func TestExtremeValuesRoundTrip(t *testing.T) {
 	dests := []ident.NodeID{1<<63 | 1, math.MaxUint64}
 	expiries := []int64{math.MaxInt64, -1, math.MinInt64 + 1}
-	type row struct {
-		dest     ident.NodeID
-		rvp      view.Descriptor
-		expireAt int64
-	}
-	dump := func(tb *Table) (rows []row) {
-		tb.EachRow(func(dest ident.NodeID, rvp view.Descriptor, expireAt int64) {
-			rows = append(rows, row{dest, rvp, expireAt})
-		})
-		return rows
-	}
 	check := func(tb *Table, dest ident.NodeID, rvp view.Descriptor, e int64) {
 		t.Helper()
 		if got, ok := tb.Get(dest, e); !ok || got.RVP != rvp || got.ExpireAt != e {
