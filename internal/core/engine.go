@@ -46,6 +46,7 @@ import (
 
 	"repro/internal/ident"
 	"repro/internal/intern"
+	"repro/internal/rt"
 	"repro/internal/view"
 	"repro/internal/wire"
 )
@@ -60,10 +61,11 @@ import (
 // A nil Config.Shared gives the engine private instances, which is the right
 // default for real nodes and unit tests.
 type Shared struct {
-	// Intern is the descriptor intern table backing the Nylon routing
-	// tables of the shard: one stored copy per distinct descriptor instead
-	// of one per routing row.
-	Intern *intern.Descriptors
+	// Routes is the row storage of the shard's Nylon routing tables: the
+	// descriptor intern table (one stored copy per distinct descriptor
+	// instead of one per routing row) and the row chunks that tables hand
+	// back when they shrink and take again when they grow.
+	Routes *rt.Store
 	// View is the view-exchange working scratch.
 	View *view.Scratch
 	// Per-call scratch: the responder-side swapper buffer, the received
@@ -78,7 +80,7 @@ type Shared struct {
 // NewShared returns an empty Shared ready to hand to every engine of one
 // shard.
 func NewShared() *Shared {
-	return &Shared{Intern: &intern.Descriptors{}, View: &view.Scratch{}}
+	return &Shared{Routes: rt.NewStore(&intern.Descriptors{}), View: &view.Scratch{}}
 }
 
 // Send instructs the host to transmit one datagram to a transport endpoint.

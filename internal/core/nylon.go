@@ -53,7 +53,7 @@ func NewNylon(cfg Config) *Nylon {
 	if cfg.HoleTimeout <= 0 {
 		panic("core: Nylon requires a positive HoleTimeout")
 	}
-	return &Nylon{gossip: g, routes: rt.NewShared(cfg.Self.ID, g.sh.Intern)}
+	return &Nylon{gossip: g, routes: g.sh.Routes.NewTable(cfg.Self.ID)}
 }
 
 // Routes exposes the routing table for metrics and tests (read-only use).

@@ -138,10 +138,12 @@ func TestNegativeTimingsRejected(t *testing.T) {
 }
 
 // FuzzConfig drives Run with foreign JSON configs: whatever the bytes, Run
-// returns an error or a Result, never a panic. Worlds bigger than a fuzzer can
-// run many of a second (more than 16 peers or joiners per event, 3 rounds or
-// 64 shards, after defaults) are skipped, not clamped, so every input that
-// runs is exactly the config it says.
+// returns an error or a Result, never a panic. Every config goes through
+// validate first, at any size, and one it refuses must make Run fail. Worlds
+// validate accepts that are bigger than a fuzzer can run many of a second
+// (more than 16 peers or joiners per event, 3 rounds or 64 shards, after
+// defaults) are then skipped, not clamped, so every input that runs is
+// exactly the config it says.
 func FuzzConfig(f *testing.F) {
 	for _, cfg := range []Config{
 		{N: 12, Rounds: 3, NATRatio: 0.7, Protocol: ProtoNylon, Selection: view.SelectRand,
@@ -173,7 +175,15 @@ func FuzzConfig(f *testing.F) {
 		if json.Unmarshal(data, &cfg) != nil {
 			return
 		}
+		// validate sees every config, at any size: only the run that
+		// follows an accepted one is bounded by the fuzz budget.
 		d := cfg.Defaults()
+		if d.validate() != nil {
+			if _, err := Run(cfg); err == nil {
+				t.Fatal("Run accepted a config validate refuses")
+			}
+			return
+		}
 		if d.N > 16 || d.Rounds > 3 || d.Shards > 64 {
 			t.Skip("world too big to fuzz")
 		}

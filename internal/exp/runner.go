@@ -109,8 +109,9 @@ type runState struct {
 	// net holds the world, and the one roster: net.Peers()[i] is NodeID i+1
 	// (IDs are dense, so once build returns no element is nil).
 	net *simnet.Network
-	// seeds is seedPeer's scratch.
+	// seeds is seedPeer's scratch, and pool joinPool's.
 	seeds []view.Descriptor
+	pool  []*simnet.Peer
 
 	// engineSrcs[i] is peer index i's engine RNG source, held so a
 	// checkpoint can capture each engine's stream state (the engine itself
@@ -554,9 +555,11 @@ draw:
 
 // joinPool lists whom a peer joining mid-run may be seeded with: the alive
 // peers other than p — public preferred, exactly like the time-zero bootstrap.
+// The list is scratch, valid until the next call: joins run one at a time at
+// barriers, and seedPeer keeps no reference to it.
 func (st *runState) joinPool(p *simnet.Peer) []*simnet.Peer {
 	peers := st.net.Peers()
-	pool := make([]*simnet.Peer, 0, len(peers))
+	pool := st.pool[:0]
 	for _, publicOnly := range [...]bool{true, false} {
 		for _, q := range peers {
 			if q != p && q.Alive && (!publicOnly || q.Class == ident.Public) {
@@ -567,6 +570,7 @@ func (st *runState) joinPool(p *simnet.Peer) []*simnet.Peer {
 			break
 		}
 	}
+	st.pool = pool
 	return pool
 }
 

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/scenario"
@@ -175,6 +176,38 @@ func TestScenarioJoinsGrowPopulation(t *testing.T) {
 	}
 	if before != cfg.N || after != want {
 		t.Errorf("series population step %d -> %d, want %d -> %d", before, after, cfg.N, want)
+	}
+}
+
+// TestJoinPoolBytesFlat holds the seed pool of a mid-run join to scratch
+// reuse: listing the roster for one joiner must not allocate bytes in
+// proportion to the roster, or a flash crowd of k joiners into N peers costs
+// O(k·N) bytes. A 2 000-peer world may cost no more per join than a 200-peer
+// one.
+func TestJoinPoolBytesFlat(t *testing.T) {
+	perJoin := func(n int) float64 {
+		cfg := baseScenarioCfg()
+		cfg.N, cfg.Rounds = n, 2
+		st, err := newRun(cfg.Defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		joiner := st.net.Peers()[0]
+		if len(st.joinPool(joiner)) == 0 {
+			t.Fatalf("%d peers: empty join pool", n)
+		}
+		const joins = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < joins; i++ {
+			st.joinPool(joiner)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / joins
+	}
+	small, large := perJoin(200), perJoin(2000)
+	if large > small+64 {
+		t.Errorf("joinPool allocates %.0f B per join at 2 000 peers against %.0f B at 200", large, small)
 	}
 }
 

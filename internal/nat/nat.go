@@ -414,7 +414,9 @@ func (d *Device) Outbound(now int64, src, dst ident.Endpoint) ident.Endpoint {
 	}
 	s := &d.sessions[i]
 	s.lastUse = now
-	s.filters.set(packEP(d.filterKey(dst)), now+d.ruleTTL, now)
+	if !s.pinned { // a pinned session admits everyone: no rule to keep
+		s.filters.set(packEP(d.filterKey(dst)), now+d.ruleTTL, now)
+	}
 	return s.public
 }
 
@@ -440,9 +442,8 @@ func (d *Device) Inbound(now int64, from, to ident.Endpoint) (ident.Endpoint, bo
 	// probe decides and refreshes together (end state identical to the old
 	// admits-then-set pair; the rehash set might have triggered on the way
 	// is housekeeping a later insert performs instead).
-	if s.pinned {
+	if s.pinned { // admits everyone (see admits): no rule to refresh
 		s.lastUse = now
-		s.filters.set(packEP(d.filterKey(from)), now+d.ruleTTL, now)
 		return s.key.private, true
 	}
 	if !s.filters.refresh(packEP(d.filterKey(from)), now+d.ruleTTL, now) {
@@ -556,9 +557,7 @@ func (d *Device) State(c *snapshot.Codec) {
 		var fresh session // restoring, the session decodes into it and is adopted
 		var rules []filterSlot
 		s := &fresh
-		if c.Restoring() {
-			fresh.filters.floor = d.filterFloor()
-		} else {
+		if !c.Restoring() {
 			s = &d.sessions[i]
 			rules = make([]filterSlot, 0, s.filters.used)
 			for _, sl := range s.filters.slots {
@@ -573,6 +572,9 @@ func (d *Device) State(c *snapshot.Codec) {
 		s.public = c.Endpoint(s.public)
 		s.lastUse = c.I64(s.lastUse)
 		s.pinned = c.Bool(s.pinned)
+		if c.Restoring() && !s.pinned { // a pinned session keeps Pinhole's minimum table
+			s.filters.floor = d.filterFloor()
+		}
 		nRules := c.Count(len(rules), 8+8)
 		if c.Restoring() && c.Err() == nil && (s.public.IP != d.publicIP || s.public.Port < portBase) {
 			c.Fail("nat session with public endpoint %v outside device %v", s.public, d.publicIP)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ident"
+	"repro/internal/snapshot"
 )
 
 const ttl = 90_000 // 90 s, the paper's hole timeout
@@ -280,6 +281,35 @@ func TestPinholeOnSymmetric(t *testing.T) {
 	out := d.Outbound(0, priv, rem1)
 	if out == pub {
 		t.Error("symmetric outbound reused the pinhole mapping")
+	}
+}
+
+// TestPinholeKeepsNoRules holds a pinned session to the one wildcard rule
+// Pinhole installs: it admits everyone without reading its rules, so traffic
+// from and to 1 000 distinct remotes within the rule TTL must leave its
+// filter table at its 4-slot floor, not one rule per remote (which the
+// snapshot would also carry) — and a restore from that snapshot too.
+func TestPinholeKeepsNoRules(t *testing.T) {
+	for _, c := range []ident.NATClass{ident.RestrictedCone, ident.PortRestrictedCone, ident.Symmetric} {
+		d := newDev(t, c)
+		pub := d.Pinhole(priv)
+		for i := 0; i < 1000; i++ {
+			remote := ident.Endpoint{IP: ident.IP(0x02000000 + i), Port: uint16(1000 + i)}
+			if _, ok := d.Inbound(int64(i), remote, pub); !ok {
+				t.Fatalf("%v: pinhole rejected remote %d", c, i)
+			}
+			d.Outbound(int64(i), priv, remote)
+		}
+		var enc snapshot.Encoder
+		d.State(enc.Codec())
+		var restored Device
+		restored.State(snapshot.NewDecoder(enc.Bytes()).Codec())
+		for _, dev := range []*Device{d, &restored} {
+			s := &dev.sessions[dev.sessionByPublic(pub)]
+			if s.filters.used != 1 || len(s.filters.slots) != minFilterSlots {
+				t.Errorf("%v: pinned session holds %d rules in %d slots, want 1 in %d", c, s.filters.used, len(s.filters.slots), minFilterSlots)
+			}
+		}
 	}
 }
 

@@ -21,22 +21,33 @@
 //     rewrite its RVP), which now touches one or two cache lines instead of
 //     three; the purge scan the columns favoured is paced down by the caller
 //     (see Purge) and runs sequentially either way.
-//     Chunks are never copied: growing the table allocates one more chunk,
-//     so the bytes ever allocated equal the high-water row count instead of
-//     the ~2× that slice doubling costs (the difference is measurable when
-//     there is one table per simulated peer). RVP descriptors are resolved
-//     through an intern table (see package intern), normally shared by every
-//     table of a simulation shard: the same peer's descriptor is referenced
+//     Chunks are never copied, and they belong to the table's Store, not to
+//     the table: growing takes a chunk from the store's free list (or
+//     allocates one), and a removal that empties the trailing chunk hands it
+//     back. A table's row count follows its peer's shuffle traffic, up and
+//     down, so a chunk one table's purge frees is the next chunk another
+//     table of the shard grows into: the bytes allocated are the shard's
+//     high-water of live chunks, not the sum of every table's own
+//     high-water. RVP descriptors are resolved through the store's intern
+//     table (see package intern): the same peer's descriptor is referenced
 //     by thousands of routing rows, so sharing turns O(rows) descriptor
 //     storage into O(distinct peers).
 //   - The index is a small open-addressed hash of 4-byte cells (an 8-bit
 //     fingerprint over a 24-bit row index, see slot) with backward-shift
 //     deletion, so the steady delete/insert churn of per-tick purges leaves
-//     no tombstones behind and the table never rehashes except to grow.
+//     no tombstones behind and the table never rehashes except to grow. It
+//     grows only past 7/8 load. At that load the textbook linear-probing
+//     bounds put a hit at about 4.5 cells (18 bytes: one cache line, two
+//     when it straddles) and a miss at about 32 (128 bytes: two or three
+//     adjacent lines, read sequentially), and the fingerprint rejects a
+//     foreign cell without loading its row. The denser index thus costs a
+//     few cell compares, and keeps every table of up to 224 rows in its
+//     first 256-cell index.
 //
-// All operations are allocation-free once the table has reached its
-// high-water size; a generic map was measurably slower here (hashing
-// dominated) and a plain linear scan stopped winning past ~100 live routes.
+// All operations are allocation-free once the shard's store holds its
+// high-water of live chunks and each table its high-water index; a generic
+// map was measurably slower here (hashing dominated) and a plain linear scan
+// stopped winning past ~100 live routes.
 package rt
 
 import (
@@ -69,14 +80,13 @@ type slot = uint32
 // the fingerprint.
 const slotRowMask = 1<<24 - 1
 
-// rowChunkSize is the row-storage granularity: 64 rows (1 280 B, an exact
-// allocator size class) per chunk.
-// Two chunks cover the median Nylon table at the paper's parameters; small
-// tables (real nodes, tests) stay at one.
-const rowChunkSize = 64
+// rowChunkSize is the row-storage granularity: 32 rows (640 B, an exact
+// allocator size class) per chunk. A table holds at most one partly filled
+// chunk, so the finer grain is what lets its storage follow its live rows.
+const rowChunkSize = 32
 
-// initialSlots sizes a table's first index: holds up to ~170 rows at the 2/3
-// growth bound, which covers most tables for a whole run.
+// initialSlots sizes a table's first index: holds up to 224 rows at the 7/8
+// growth bound, which covers nearly every table for a whole run.
 const initialSlots = 256
 
 // rtRow is one routing-table row: 20 bytes, at most two cache lines, usually
@@ -106,14 +116,55 @@ type rowChunk struct {
 	r [rowChunkSize]rtRow
 }
 
+// Store is what the routing tables of one shard share: the descriptor intern
+// table their RVP handles resolve through, and the empty row chunks their
+// removals handed back. A chunk's identity is never observable — a table
+// reads only the rows it wrote — so which chunk a table grows into changes
+// no answer, row order or snapshot byte; it only decides whether growing
+// allocates. Every table of a store, and so the store itself, must be used
+// from one goroutine at a time (in the simulator, the shard's), except for
+// Peek, which touches neither the free list nor the intern table's writes.
+type Store struct {
+	in *intern.Descriptors
+	// free holds empty chunks; every row of a free chunk is zero.
+	free []*rowChunk
+}
+
+// NewStore returns a store over the given intern table. in must not be nil.
+func NewStore(in *intern.Descriptors) *Store {
+	if in == nil {
+		panic("rt: NewStore called with nil intern table")
+	}
+	return &Store{in: in}
+}
+
+// NewTable returns an empty routing table owned by the given peer, drawing
+// its row chunks from the store.
+func (s *Store) NewTable(self ident.NodeID) *Table {
+	return &Table{self: self, st: s, minExpire: noExpiry}
+}
+
+// chunk returns an empty chunk: the most recently freed one, or a new one.
+func (s *Store) chunk() *rowChunk {
+	if n := len(s.free); n > 0 {
+		c := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return c
+	}
+	return &rowChunk{}
+}
+
 // Table maps destinations to RVP entries. The zero Table is unusable;
-// construct with New or NewShared. Table is not safe for concurrent use.
+// construct with New, NewShared or Store.NewTable. Table is not safe for
+// concurrent use.
 type Table struct {
 	self ident.NodeID
-	in   *intern.Descriptors
-	// Chunked row storage: row i lives at rows[i/64] offset i%64. Deletion
+	st   *Store
+	// Chunked row storage: row i lives at rows[i/32] offset i%32. Deletion
 	// swaps with the last row, so order is arbitrary. nrows is the live row
-	// count.
+	// count, and rows holds exactly the chunks that hold a live row:
+	// ceil(nrows/32) of them.
 	rows  []*rowChunk
 	nrows int
 	// Backward-shift deletion keeps it tombstone-free, so its load is
@@ -163,32 +214,28 @@ func fpBits(id ident.NodeID) slot {
 	return slot(fpOf(id)) &^ slotRowMask
 }
 
-// appendRow adds a row at index nrows, allocating a chunk when the last one
-// is full.
+// appendRow adds a row at index nrows, taking a chunk from the store when the
+// last one is full.
 func (t *Table) appendRow(d ident.NodeID, h intern.Handle, e int64) {
 	if t.nrows == len(t.rows)*rowChunkSize {
-		t.rows = append(t.rows, &rowChunk{})
+		t.rows = append(t.rows, t.st.chunk())
 	}
 	t.nrows++
 	t.setRow(t.nrows-1, d, h, e)
 }
 
 // New returns an empty routing table owned by the given peer, with a private
-// descriptor intern table.
+// store and descriptor intern table.
 func New(self ident.NodeID) *Table {
 	return NewShared(self, &intern.Descriptors{})
 }
 
-// NewShared is New with a caller-owned descriptor intern table, shared by
-// every routing table whose operations are serialized on one goroutine (the
-// engines of one simulation shard). Sharing changes nothing observable — the
+// NewShared is New with a caller-owned descriptor intern table, in a private
+// store around it. Sharing the intern table changes nothing observable — the
 // equivalence test pins it — only where the descriptor bytes live. in must
 // not be nil.
 func NewShared(self ident.NodeID, in *intern.Descriptors) *Table {
-	if in == nil {
-		panic("rt: NewShared called with nil intern table")
-	}
-	return &Table{self: self, in: in, minExpire: noExpiry}
+	return NewStore(in).NewTable(self)
 }
 
 // fpOf returns the index fingerprint of a destination ID: Fibonacci hashing,
@@ -233,9 +280,9 @@ func (t *Table) slotOf(i int) int {
 }
 
 // insert adds dest's row index to the index, growing first if the load would
-// exceed 2/3.
+// exceed 7/8.
 func (t *Table) insert(dest ident.NodeID, row int) {
-	if 3*(t.nrows+1) > 2*len(t.slots) {
+	if 8*(t.nrows+1) > 7*len(t.slots) {
 		t.grow()
 	}
 	mask := len(t.slots) - 1
@@ -247,11 +294,11 @@ func (t *Table) insert(dest ident.NodeID, row int) {
 	}
 }
 
-// grow re-indexes every row into a slot array sized to keep the load below
-// 2/3 with room to spare.
+// grow re-indexes every row into a slot array sized to keep the load at or
+// below 7/8 after the coming insert.
 func (t *Table) grow() {
 	want := initialSlots
-	for 3*(t.nrows+1) > 2*want {
+	for 8*(t.nrows+1) > 7*want {
 		want *= 2
 	}
 	t.slots = make([]slot, want)
@@ -291,6 +338,8 @@ func (t *Table) deleteSlot(j int) {
 }
 
 // removeAt deletes row i by swapping in the last row and fixing the index.
+// The vacated last row is zeroed; when it was the only row of the trailing
+// chunk, that chunk — now all zero — goes back to the store.
 func (t *Table) removeAt(i int) {
 	t.deleteSlot(t.slotOf(i))
 	last := t.nrows - 1
@@ -303,6 +352,12 @@ func (t *Table) removeAt(i int) {
 	}
 	t.setRow(last, 0, 0, 0)
 	t.nrows = last
+	if last%rowChunkSize == 0 {
+		k := len(t.rows) - 1
+		t.st.free = append(t.st.free, t.rows[k])
+		t.rows[k] = nil
+		t.rows = t.rows[:k]
+	}
 	if last == 0 {
 		t.minExpire = noExpiry
 	}
@@ -320,16 +375,16 @@ func (t *Table) Set(dest ident.NodeID, rvp view.Descriptor, expireAt int64) {
 		// A direct route (RVP == dest) always beats an indirect one with
 		// the same or earlier expiry; otherwise keep the later expiry.
 		r := t.rowAt(i)
-		if r.expire() > expireAt && !(rvp.ID == dest && t.in.At(r.rvph).ID != dest) {
+		if r.expire() > expireAt && !(rvp.ID == dest && t.st.in.At(r.rvph).ID != dest) {
 			return
 		}
-		r.rvph = t.in.Intern(rvp)
+		r.rvph = t.st.in.Intern(rvp)
 		r.setExpire(expireAt)
 		t.noteExpiry(expireAt)
 		return
 	}
 	t.insert(dest, t.nrows)
-	t.appendRow(dest, t.in.Intern(rvp), expireAt)
+	t.appendRow(dest, t.st.in.Intern(rvp), expireAt)
 	t.noteExpiry(expireAt)
 }
 
@@ -352,7 +407,7 @@ func (t *Table) Next(dest ident.NodeID, now int64) (view.Descriptor, bool) {
 		t.removeAt(i)
 		return view.Descriptor{}, false
 	}
-	return t.in.At(t.rvpH(i)), true
+	return t.st.in.At(t.rvpH(i)), true
 }
 
 // Peek is Next for observers: the same answer, with the table left exactly as
@@ -366,7 +421,7 @@ func (t *Table) Peek(dest ident.NodeID, now int64) (view.Descriptor, bool) {
 	if i < 0 || t.expire(i) < now {
 		return view.Descriptor{}, false
 	}
-	return t.in.At(t.rvpH(i)), true
+	return t.st.in.At(t.rvpH(i)), true
 }
 
 // TTL returns the remaining lifetime, in milliseconds, of the route to dest,
@@ -420,7 +475,7 @@ func (t *Table) Len() int { return t.nrows }
 func (t *Table) EachRow(fn func(dest ident.NodeID, rvp view.Descriptor, expireAt int64)) {
 	for i := 0; i < t.nrows; i++ {
 		r := t.rowAt(i)
-		fn(r.dest(), t.in.At(r.rvph), r.expire())
+		fn(r.dest(), t.st.in.At(r.rvph), r.expire())
 	}
 }
 
@@ -431,7 +486,7 @@ func (t *Table) EachRow(fn func(dest ident.NodeID, rvp view.Descriptor, expireAt
 // own intern table, since handles do not survive serialization.
 func (t *Table) LoadRow(dest ident.NodeID, rvp view.Descriptor, expireAt int64) {
 	t.insert(dest, t.nrows)
-	t.appendRow(dest, t.in.Intern(rvp), expireAt)
+	t.appendRow(dest, t.st.in.Intern(rvp), expireAt)
 	t.noteExpiry(expireAt)
 }
 
@@ -453,7 +508,7 @@ func (t *Table) Get(dest ident.NodeID, now int64) (Entry, bool) {
 	if i < 0 || t.expire(i) < now {
 		return Entry{}, false
 	}
-	return Entry{RVP: t.in.At(t.rvpH(i)), ExpireAt: t.expire(i)}, true
+	return Entry{RVP: t.st.in.At(t.rvpH(i)), ExpireAt: t.expire(i)}, true
 }
 
 // String implements fmt.Stringer.
@@ -466,7 +521,7 @@ func (t *Table) String() string {
 	}
 	sort.Slice(order, func(a, b int) bool { return t.dest(order[a]) < t.dest(order[b]) })
 	for _, i := range order {
-		fmt.Fprintf(&b, " %v->%v@%d", t.dest(i), t.in.At(t.rvpH(i)).ID, t.expire(i))
+		fmt.Fprintf(&b, " %v->%v@%d", t.dest(i), t.st.in.At(t.rvpH(i)).ID, t.expire(i))
 	}
 	return b.String()
 }

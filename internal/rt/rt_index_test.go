@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/ident"
-	"repro/internal/intern"
 	"repro/internal/view"
 )
 
@@ -118,63 +117,6 @@ func TestSetSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Set/Purge allocates %.1f times, want 0", allocs)
-	}
-}
-
-// TestSharedInternEquivalence drives the same random workload through two
-// sets of tables: one sharing a single intern table (the per-shard layout of
-// the simulator), one with private interns — requiring identical observable
-// behaviour. Interning changes where descriptor bytes live, never what any
-// call returns.
-func TestSharedInternEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var in intern.Descriptors
-	const nTables = 8
-	shared := make([]*Table, nTables)
-	private := make([]*Table, nTables)
-	for i := range shared {
-		shared[i] = NewShared(ident.NodeID(i+1), &in)
-		private[i] = New(ident.NodeID(i + 1))
-	}
-	rvpFor := func(id uint64) view.Descriptor {
-		return view.Descriptor{
-			ID:    ident.NodeID(id),
-			Addr:  ident.Endpoint{IP: ident.IP(id), Port: uint16(id % 7)},
-			Class: ident.NATClass(id % 5),
-			Age:   uint32(id % 3),
-		}
-	}
-	now := int64(0)
-	for step := 0; step < 100_000; step++ {
-		i := rng.Intn(nTables)
-		switch op := rng.Intn(10); {
-		case op < 5:
-			dest := ident.NodeID(rng.Intn(300))
-			rvp := rvpFor(uint64(rng.Intn(300)))
-			exp := now + int64(rng.Intn(2000)-200)
-			shared[i].Set(dest, rvp, exp)
-			private[i].Set(dest, rvp, exp)
-		case op < 8:
-			dest := ident.NodeID(rng.Intn(300))
-			gs, oks := shared[i].Next(dest, now)
-			gp, okp := private[i].Next(dest, now)
-			if oks != okp || gs != gp {
-				t.Fatalf("step %d table %d: Next(%v) = %v,%v vs %v,%v", step, i, dest, gs, oks, gp, okp)
-			}
-		case op < 9:
-			shared[i].Purge(now)
-			private[i].Purge(now)
-			if shared[i].Len() != private[i].Len() {
-				t.Fatalf("step %d table %d: Len %d vs %d", step, i, shared[i].Len(), private[i].Len())
-			}
-		default:
-			now += int64(rng.Intn(300))
-		}
-	}
-	for i := range shared {
-		if shared[i].String() != private[i].String() {
-			t.Fatalf("table %d diverged:\n shared  %v\n private %v", i, shared[i], private[i])
-		}
 	}
 }
 

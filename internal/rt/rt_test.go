@@ -210,14 +210,14 @@ func TestPeekIsAPureRead(t *testing.T) {
 }
 
 // TestRowPacked pins the row layout: the 64-bit fields stored as 32-bit
-// halves leave no padding, and a chunk of 64 rows fills its allocator size
+// halves leave no padding, and a chunk of 32 rows fills its allocator size
 // class exactly. A field change that brings the padding back fails here.
 func TestRowPacked(t *testing.T) {
 	if got := unsafe.Sizeof(rtRow{}); got != 20 {
 		t.Errorf("rtRow is %d bytes, want 20", got)
 	}
-	if got := unsafe.Sizeof(rowChunk{}); got != 1280 {
-		t.Errorf("rowChunk is %d bytes, want 1280", got)
+	if got := unsafe.Sizeof(rowChunk{}); got != 640 {
+		t.Errorf("rowChunk is %d bytes, want 640", got)
 	}
 }
 

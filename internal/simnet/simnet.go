@@ -33,6 +33,7 @@ import (
 	"repro/internal/ident"
 	"repro/internal/intern"
 	"repro/internal/nat"
+	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/view"
@@ -345,7 +346,7 @@ func NewSharded(kern *sim.ShardedScheduler, latencyMs int64) *Network {
 		sh.idx = i
 		sh.sched = kern.Shard(i)
 		sh.shared = core.NewShared()
-		sh.shared.Intern = intern.NewLayered(n.baseIntern)
+		sh.shared.Routes = rt.NewStore(intern.NewLayered(n.baseIntern))
 		sh.pool = &wire.Pool{}
 		sh.out = make([][]jitEntry, len(n.shards))
 		i := i
