@@ -175,8 +175,6 @@ func FuzzConfig(f *testing.F) {
 		if json.Unmarshal(data, &cfg) != nil {
 			return
 		}
-		// validate sees every config, at any size: only the run that
-		// follows an accepted one is bounded by the fuzz budget.
 		d := cfg.Defaults()
 		if d.validate() != nil {
 			if _, err := Run(cfg); err == nil {
