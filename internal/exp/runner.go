@@ -2,6 +2,7 @@ package exp
 
 import (
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -199,10 +200,23 @@ func (st *runState) runToHorizon() (Result, error) {
 	return st.finish(end)
 }
 
+// collectFromN is the initial population from which a run collects the heap
+// before it wires its world (see newRunState). Below it a world is a few MB,
+// and a collection's fixed cost is a noticeable share of the run.
+const collectFromN = 4096
+
 // newRunState wires the kernel, the network and the observability surface of
 // one run. It performs no world construction: the fresh path follows with
 // build/bootstrap/schedule, the resume path with a snapshot restore.
 func newRunState(cfg Config) *runState {
+	if cfg.N >= collectFromN {
+		// A previous run's world is garbage by now, but the collector paces
+		// by the heap it last marked: that whole world. Without a collection
+		// here this world is built on top of the dead one, so back-to-back
+		// runs peak at up to two worlds resident, by an amount that depends
+		// on where the previous run's last cycle happened to fall.
+		runtime.GC()
+	}
 	if cfg.Flight != nil {
 		// Flight bundles freeze health and kernel snapshots and are fed by
 		// the periodic health samples: arm both when the host didn't.
