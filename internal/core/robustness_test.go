@@ -73,7 +73,6 @@ func stormEngine(t *testing.T, build func(seed int64, pool *wire.Pool) Engine) {
 		eng := build(seed, pool)
 		selfID := eng.Self().ID
 		now := int64(0)
-		var entries []view.Descriptor
 		for step := 0; step < 200; step++ {
 			var outs []Send
 			if rng.Intn(5) == 0 {
@@ -96,8 +95,8 @@ func stormEngine(t *testing.T, build func(seed int64, pool *wire.Pool) Engine) {
 			if err := eng.View().Validate(); err != nil {
 				t.Fatalf("seed %d: view corrupt after step %d: %v", seed, step, err)
 			}
-			entries = eng.View().EntriesInto(entries)
-			for _, d := range entries {
+			for v, i := eng.View(), 0; i < v.Len(); i++ {
+				d := v.At(i)
 				if d.ID == 0 || d.ID == selfID {
 					t.Fatalf("seed %d: view accepted descriptor %d (self %d) at step %d", seed, d.ID, selfID, step)
 				}

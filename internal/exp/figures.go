@@ -80,25 +80,23 @@ type Part struct {
 }
 
 // Figures is the paper's evaluation plus this repository's ablations, in
-// presentation order. The claim in each entry's comment is what the paper
-// reports for that figure; DESIGN.md §3 indexes them.
+// presentation order. Each entry's comment says what the figure plots; what
+// the paper claims of it is stated once, as rows of the claims registry
+// (claims_test.go), which DESIGN.md §3 indexes.
 var Figures = []Figure{
-	// Figure 2: the six NAT-oblivious configurations lose their biggest
-	// cluster as NATs spread and partition toward 100% PRC NATs; the paper's
-	// x-axis starts at 40%.
+	// Figure 2: the biggest cluster of the six NAT-oblivious configurations
+	// as PRC NATs spread; the paper's x-axis starts at 40%.
 	{ID: "2", Title: "Fig. 2 — biggest cluster (%) vs NAT%", Key: "nat%",
 		Axis: natPcts(40, 100), Split: byViewSize, Columns: fig2Columns},
-	// Figure 3: stale references of the (push/pull, rand, healer) baseline
-	// grow with the NAT percentage, per view size.
+	// Figure 3: stale references of the (push/pull, rand, healer) baseline,
+	// per view size.
 	{ID: "3", Title: "Fig. 3 — stale references (%) vs NAT%", Key: "nat%",
 		Axis: natPcts(0, 100), Columns: perViewSize(baseline, stalePct)},
-	// Figure 4: natted peers are under-represented among the usable
-	// references — ≈10% despite 40% natted.
+	// Figure 4: the natted share of the baseline's usable references.
 	{ID: "4", Title: "Fig. 4 — non-stale natted references (%) vs NAT%", Key: "nat%",
 		Axis: natPcts(0, 100), Columns: perViewSize(baseline, nattedPct)},
-	// §5 "Correctness": under Nylon no partition and no stale references at
-	// any NAT percentage, and sampling randomness comparable to the NAT-free
-	// baseline.
+	// §5 "Correctness": Nylon's biggest cluster, stale references, natted
+	// share, sampling randomness and shuffle completion.
 	{ID: "c", Title: "§5 Correctness — Nylon: partitions, stale refs, randomness", Key: "nat%",
 		Axis: natPcts(0, 100), Columns: columns(
 			Column{"cluster%", nylon(15), clusterPct},
@@ -106,25 +104,25 @@ var Figures = []Figure{
 			Column{"natted-nonstale%", nylon(15), nattedPct},
 			Column{"chi2/dof", nylon(15), chiSquare},
 			Column{"completion%", nylon(15), completionPct})},
-	// Figure 7: bytes per second sent+received per peer stay < 350 B/s under
-	// Nylon, a modest overhead over the (push/pull, rand, healer) reference.
+	// Figure 7: bytes per second sent+received per peer under Nylon and the
+	// (push/pull, rand, healer) reference.
 	{ID: "7", Title: "Fig. 7 — bytes/s per peer vs NAT%", Key: "nat%",
 		Axis: natPcts(0, 100), Columns: columns(
 			Column{"nylon", nylon(15), bytesAll},
 			Column{"reference", engine(ProtoGeneric, DefaultMix), bytesAll})},
-	// Figure 8: public and natted peers carry loads within 10–20% of each
-	// other under Nylon. Both populations must exist.
+	// Figure 8: the load of public and of natted peers under Nylon. Both
+	// populations must exist.
 	{ID: "8", Title: "Fig. 8 — bytes/s public vs natted peers (Nylon)", Key: "nat%",
 		Axis: natPcts(1, 99), Columns: columns(
 			Column{"public", nylon(15), bytesPublic},
 			Column{"natted", nylon(15), bytesNatted})},
-	// Figure 9: the average RVP chain toward a natted destination stays
-	// below 4 RVPs, per view size. At 0% there is nobody to punch toward.
+	// Figure 9: the average RVP chain toward a natted destination, per view
+	// size. At 0% there is nobody to punch toward.
 	{ID: "9", Title: "Fig. 9 — average number of RVPs vs NAT%", Key: "nat%",
 		Axis: natPcts(1, 100), Columns: perViewSize(nylon, chainLen)},
-	// Figure 10: no partition after massive churn. The paper removes the
-	// peers after 500 shuffles and measures 1500 shuffles later; the same
-	// 1:3 split is applied to the configured round budget.
+	// Figure 10: Nylon's biggest cluster after a mass departure. The paper
+	// removes the peers after 500 shuffles and measures 1500 shuffles later;
+	// the same 1:3 split is applied to the configured round budget.
 	{ID: "10", Title: "Fig. 10 — biggest cluster (%) after massive churn", Key: "departed%",
 		Axis: fixed(50, 60, 70, 75, 80), Columns: columns(
 			Column{"40% NATs", departing(40, true), clusterPct},
@@ -132,51 +130,48 @@ var Figures = []Figure{
 			Column{"60% NATs", departing(60, true), clusterPct},
 			Column{"70% NATs", departing(70, true), clusterPct},
 			Column{"80% NATs", departing(80, true), clusterPct})},
-	// Ablation A1: the fixed-public-RVP strawman of §4 piles the relaying
-	// load on the public peers; Nylon spreads it.
+	// Ablation A1: public and natted load under Nylon and under §4's
+	// fixed-public-RVP strawman.
 	{ID: "a1", Title: "A1 — load balance: Nylon vs static public RVPs (bytes/s)", Key: "nat%",
 		Axis: natPcts(1, 99), Columns: columns(
 			Column{"nylon-public", nylon(15), bytesPublic},
 			Column{"nylon-natted", nylon(15), bytesNatted},
 			Column{"static-public", engine(ProtoStaticRVP, DefaultMix), bytesPublic},
 			Column{"static-natted", engine(ProtoStaticRVP, DefaultMix), bytesNatted})},
-	// Ablation A2: the ARRG-style reachable cache sits between the baseline
-	// and Nylon — §1's "cannot ensure that the network will remain
-	// connected".
+	// Ablation A2: biggest cluster and stale references of Nylon and of an
+	// ARRG-style reachable-peer cache under PRC NATs.
 	{ID: "a2", Title: "A2 — Nylon vs ARRG cache: cluster% and stale%", Key: "nat%",
 		Axis: natPcts(0, 100), Columns: columns(
 			Column{"nylon-cluster", nylon(15), clusterPct},
 			Column{"arrg-cluster", engine(ProtoARRG, prcOnly), clusterPct},
 			Column{"nylon-stale", nylon(15), stalePct},
 			Column{"arrg-stale", engine(ProtoARRG, prcOnly), stalePct})},
-	// Ablation A3: shorter NAT rule lifetimes shrink the window in which
-	// relayed route TTLs stay valid, degrading Nylon's completion rate.
+	// Ablation A3: Nylon at 80% NATs as the NAT rule lifetime varies; it
+	// bounds how long relayed route TTLs stay valid.
 	{ID: "a3", Title: "A3 — Nylon sensitivity to the hole timeout (80% NATs)", Key: "timeout_s",
 		Axis: fixed(15, 30, 60, 90, 180), Columns: columns(
 			Column{"cluster%", holeTimeout, clusterPct},
 			Column{"stale%", holeTimeout, stalePct},
 			Column{"completion%", holeTimeout, completionPct},
 			Column{"chain", holeTimeout, chainLen})},
-	// Ablation A4: push-only propagation "consistently exhibits
-	// significantly worse performances" than push/pull.
+	// Ablation A4: push-only against push/pull propagation in the baseline.
 	{ID: "a4", Title: "A4 — push vs push/pull baseline (PRC NATs): cluster% and sampling chi2/dof", Key: "nat%",
 		Axis: natPcts(0, 100), Columns: columns(
 			Column{"pushpull-cluster", baseline(15), clusterPct},
 			Column{"push-cluster", generic(view.SelectRand, view.MergeHealer, false, 15), clusterPct},
 			Column{"pushpull-chi2", baseline(15), chiSquare},
 			Column{"push-chi2", generic(view.SelectRand, view.MergeHealer, false, 15), chiSquare})},
-	// Ablation A5: without no-reply eviction the overlay does not recover
-	// from 80% departures (60% NATs); with it, it does.
+	// Ablation A5: recovery from 80% departures (60% NATs) without and with
+	// no-reply eviction.
 	{ID: "a5", Title: "A5 — no-reply eviction vs churn recovery (80% departures, 60% NATs)", Key: "evict",
 		Axis: fixed(0, 1), Label: func(x int) string { return [...]string{"off", "on"}[x] },
 		Columns: columns(
 			Column{"cluster%", eviction, clusterPct},
 			Column{"stale%", eviction, stalePct},
 			Column{"completion%", eviction, completionPct})},
-	// Ablation A6: how much NAT-PMP / UPnP deployment — the alternative the
-	// paper's related work dismisses for coverage and security reasons —
-	// would rescue the NAT-oblivious baseline at 80% PRC NATs, when Nylon
-	// needs none.
+	// Ablation A6: the NAT-oblivious baseline at 80% PRC NATs as NAT-PMP /
+	// UPnP deployment grows — the alternative the paper's related work
+	// dismisses for coverage and security reasons.
 	{ID: "a6", Title: "A6 — baseline rescue by UPnP deployment (80% PRC NATs)", Key: "upnp%",
 		Axis: fixed(0, 25, 50, 75, 100), Columns: columns(
 			Column{"cluster%", upnp, clusterPct},

@@ -102,7 +102,9 @@ func TestPlanCounts(t *testing.T) {
 }
 
 // TestDesignIndexesEveryFigure keeps DESIGN.md §3 — the one place a figure is
-// described outside the table — from drifting: every ID has its row.
+// described outside the table — from drifting: every ID has its row, every
+// figure has at least one claims row, and the figure's DESIGN row names each
+// claims row that reads it.
 func TestDesignIndexesEveryFigure(t *testing.T) {
 	design, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
@@ -110,8 +112,23 @@ func TestDesignIndexesEveryFigure(t *testing.T) {
 	}
 	for _, f := range Figures {
 		row := fmt.Sprintf("| %s | %s | `BenchmarkFigures/%s` |", f.ID, f.Title, f.ID)
-		if !strings.Contains(string(design), row) {
+		_, line, found := strings.Cut(string(design), row)
+		if !found {
 			t.Errorf("DESIGN.md §3 has no row starting %q", row)
+		}
+		line, _, _ = strings.Cut(line, "\n")
+		named := 0
+		for _, c := range claims {
+			if c.cell.fig != f.ID {
+				continue
+			}
+			named++
+			if !strings.Contains(line, "`"+c.name+"`") {
+				t.Errorf("DESIGN.md §3's row for figure %s does not name claim %s", f.ID, c.name)
+			}
+		}
+		if named == 0 {
+			t.Errorf("figure %s has no row in the claims registry", f.ID)
 		}
 	}
 }

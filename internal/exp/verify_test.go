@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/ident"
-	"repro/internal/view"
 )
 
 // runVerified runs cfg as Run does and, at the first barrier of every sample
@@ -96,24 +95,22 @@ func (st *runState) verifyAccumulators() {
 }
 
 // overlaySnapshot walks every alive peer's view once, serially, and returns
-// the usable edge set plus the stale fraction, copying entries out through
-// EntriesInto. The final measurement and the periodic series use the chunked,
-// zero-copy walkOverlay, for which this remains the independently coded
-// reference (runVerified). Exact staleness depends on the viewing
+// the usable edge set plus the stale fraction. The final measurement and the
+// periodic series use the chunked walkOverlay, for which this remains the
+// independently coded reference (runVerified). Exact staleness depends on the viewing
 // peer (NAT admission, RVP chain walks — see DESIGN.md §9), so neither walk
 // can move into the incremental accumulators; what could, did.
 func (st *runState) overlaySnapshot(now int64) (aliveIDs []ident.NodeID, edges []graph.Edge, staleFraction float64) {
 	var stale, total float64
 	aliveIDs = make([]ident.NodeID, 0, st.net.PeerCount())
 	edges = make([]graph.Edge, 0, st.net.PeerCount()*st.cfg.ViewSize)
-	var entries []view.Descriptor
 	for _, p := range st.net.Peers() {
 		if !p.Alive {
 			continue
 		}
 		aliveIDs = append(aliveIDs, p.ID)
-		entries = p.Engine.View().EntriesInto(entries)
-		for _, d := range entries {
+		for v, i := p.Engine.View(), 0; i < v.Len(); i++ {
+			d := v.At(i)
 			total++
 			if st.usableEdge(now, p, d) {
 				edges = append(edges, graph.Edge{From: p.ID, To: d.ID})

@@ -11,8 +11,8 @@ import (
 // occupancy per shard, a per-peer indegree tally, alive/dead population
 // counts, and dead-reference totals. View-mutation hooks (view.Observer)
 // feed it from the shard goroutines, so the periodic series and the live
-// endpoint no longer need full-network EntriesInto sweeps to know how full
-// and how stale-leaning views are.
+// endpoint need no full-network sweep of the views to know how full and
+// how stale-leaning they are.
 //
 // Concurrency: hooks fire mid-window on shard goroutines and only touch the
 // firing shard's padded occupancy slot plus target-indexed atomics, so

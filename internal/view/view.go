@@ -184,24 +184,15 @@ func (v *View) Len() int { return len(v.entries) }
 
 // At returns the i-th entry without copying the view. Indices are stable
 // only until the next mutation; pair with Len for zero-copy iteration where
-// EntriesInto's copy would be measurable (the simulator's samplers).
+// a copy would be measurable (the simulator's samplers).
 func (v *View) At(i int) Descriptor { return v.entries[i] }
 
 // Entries returns a copy of the current entries. Callers may mutate the
-// returned slice freely. Hot paths should prefer EntriesInto with a reused
-// buffer.
+// returned slice freely. Hot paths should iterate with Len and At instead.
 func (v *View) Entries() []Descriptor {
 	out := make([]Descriptor, len(v.entries))
 	copy(out, v.entries)
 	return out
-}
-
-// EntriesInto overwrites buf (truncated to length zero) with a copy of the
-// current entries and returns the extended slice. With a buffer of sufficient
-// capacity the call performs no allocation; the returned slice is the
-// caller's to mutate and is valid until its next reuse.
-func (v *View) EntriesInto(buf []Descriptor) []Descriptor {
-	return append(buf[:0], v.entries...)
 }
 
 // Contains reports whether the view holds a descriptor for the given peer.

@@ -278,25 +278,3 @@ func TestSharedScratchEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestEntriesInto pins the overwrite semantics and allocation-free reuse of
-// the buffered snapshot API.
-func TestEntriesInto(t *testing.T) {
-	v := buildView(15, []uint16{2, 3, 4, 5, 6}, 11)
-	buf := v.EntriesInto(nil)
-	if !sameDescs(buf, v.Entries()) {
-		t.Fatalf("EntriesInto = %v, want %v", buf, v.Entries())
-	}
-	// Reuse overwrites, even from a longer previous snapshot.
-	v.Remove(2)
-	buf = v.EntriesInto(buf)
-	if !sameDescs(buf, v.Entries()) {
-		t.Fatalf("reused EntriesInto = %v, want %v", buf, v.Entries())
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = v.EntriesInto(buf)
-	})
-	if allocs != 0 {
-		t.Errorf("EntriesInto with warm buffer allocates %.1f times, want 0", allocs)
-	}
-}
