@@ -2,6 +2,7 @@ package exp
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -57,13 +58,59 @@ var claims = []claim{
 	{"a4-push-chi2-0", `§3: push "consistently exhibits significantly worse performances"`, 90, at("a4", "push-chi2", "0"), ">", 1, at("a4", "pushpull-chi2", "0"), false},
 }
 
-// TestPaperClaims resolves every cell through its figure's plan, runs each
+// TestPaperClaims checks every row of the registry and logs the verdict
+// table.
+func TestPaperClaims(t *testing.T) { checkClaims(t) }
+
+// The tests below check the claims the paper's headline results rest on,
+// each through its registry rows; the rows hold the cells and thresholds.
+
+func TestNylonPreservesSamplingUnderNATs(t *testing.T) {
+	checkClaims(t, "c-connected-80", "c-fresh-80", "c-natted-share-80", "c-completion-80", "9-chain-80")
+}
+
+func TestBaselineDegradesUnderNATs(t *testing.T) {
+	checkClaims(t, "3-stale-80", "4-natted-share-80", "a6-baseline-completion-80")
+}
+
+func TestBaselinePartitionsAtFullNAT(t *testing.T) {
+	checkClaims(t, "2-partitions-100", "c-connected-100")
+}
+
+func TestNylonChurnResilience(t *testing.T) { checkClaims(t, "10-connected-50") }
+
+func TestNylonRandomnessComparableToNATFree(t *testing.T) {
+	checkClaims(t, "c-random-80", "a4-baseline-random-80")
+}
+
+func TestARRGBetterThanGenericWorseThanNylon(t *testing.T) {
+	checkClaims(t, "a2-arrg-completion-90", "a2-arrg-natted-90")
+}
+
+func TestStaticRVPLoadImbalance(t *testing.T) {
+	checkClaims(t, "a1-static-imbalance-80", "8-balance-80")
+}
+
+// checkClaims checks the named rows of the registry, or every row when
+// none is named. It resolves each cell through its figure's plan, runs each
 // distinct Config.Defaults() point once through the figure runner's run
 // phase, and reports each row's value, threshold and verdict. A row fails
 // outright when a cell it reads is NaN, when the cell it multiplies is ≤ 0,
 // or when a value under a constant upper bound is ≤ 0: each is a run that
 // measured nothing, which the comparison alone would let through.
-func TestPaperClaims(t *testing.T) {
+func checkClaims(t *testing.T, names ...string) {
+	t.Helper()
+	rows := claims
+	if len(names) > 0 {
+		rows = nil
+		for _, name := range names {
+			i := slices.IndexFunc(claims, func(c claim) bool { return c.name == name })
+			if i < 0 {
+				t.Fatalf("no claim row %q", name)
+			}
+			rows = append(rows, claims[i])
+		}
+	}
 	index := make(map[Config]int)
 	var points []Config
 	resolve := func(rounds int, c cell) (int, func(Result) float64) {
@@ -95,7 +142,7 @@ func TestPaperClaims(t *testing.T) {
 		t.Fatalf("no figure cell %s/%s/%s", c.fig, c.col, c.row)
 		return 0, nil
 	}
-	for _, c := range claims {
+	for _, c := range rows {
 		resolve(c.rounds, c.cell)
 		if c.against.fig != "" {
 			resolve(c.rounds, c.against)
@@ -111,7 +158,7 @@ func TestPaperClaims(t *testing.T) {
 		}
 		return metric(meanResult(results))
 	}
-	for _, c := range claims {
+	for _, c := range rows {
 		v, ref := value(c.rounds, c.cell), 1.0
 		if c.against.fig != "" {
 			ref = value(c.rounds, c.against)
