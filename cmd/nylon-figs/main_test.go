@@ -43,7 +43,7 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-fig", "5"}, `unknown figure "5" (have 2, 3, 4, c, 7, 8, 9, 10, a1, a2, a3, a4, a5, a6)`},
 		{[]string{"-fig", "a5", "-seeds", "0"}, "-seeds 0"},
-		{[]string{"-fig", "a5", "-n", "50", "-rounds", "10", "-seeds", "1000000000000"}, "-seeds 1000000000000: need 1 to 1000 seeds"},
+		{[]string{"-fig", "a5", "-n", "50", "-rounds", "10", "-seeds", "2000"}, "-seeds 2000: need 1 to 1000 seeds"},
 		{[]string{"-fig", "a5", "-workers", "-1"}, "-workers -1"},
 		{[]string{"-fig", "a5", "-n", "0", "-rounds", "10", "-seeds", "1"}, "-n 0: must be at least 1"},
 		{[]string{"-fig", "a5", "-n", "50", "-rounds", "0", "-seeds", "1"}, "-rounds 0: must be at least 1"},

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -121,6 +122,9 @@ func TestNaNFractionRejected(t *testing.T) {
 // int64 clock is a config error (exit 1, naming the field), not "0 events"
 // reported as a success.
 func TestHorizonPastClockRejected(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("a 32-bit -rounds cannot pass the int64 clock at the 5 s period")
+	}
 	var stdout, stderr bytes.Buffer
 	status := run([]string{"-n", "20", "-rounds", "3000000000000000"}, &stdout, &stderr, neverStop)
 	if status != 1 {
@@ -153,10 +157,10 @@ func TestStaticRVPWithoutPublicPeerRejected(t *testing.T) {
 
 // TestFlashCrowdPastCapRejected pins that a scenario whose flash crowd would
 // take the population past the cap is a config error (exit 1, naming the
-// event), not a run that tries to attach a trillion peers.
+// event), not a run that tries to attach two billion peers.
 func TestFlashCrowdPastCapRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flash.json")
-	if err := os.WriteFile(path, []byte(`{"events":[{"round":1,"kind":"flash_crowd","count":1000000000000}]}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"events":[{"round":1,"kind":"flash_crowd","count":2000000000}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
@@ -164,7 +168,7 @@ func TestFlashCrowdPastCapRejected(t *testing.T) {
 	if status != 1 {
 		t.Errorf("exit status %d, want 1", status)
 	}
-	if !strings.Contains(stderr.String(), "scenario event 0 (round 1 flash_crowd of 1000000000000 peers)") {
+	if !strings.Contains(stderr.String(), "scenario event 0 (round 1 flash_crowd of 2000000000 peers)") {
 		t.Errorf("stderr does not name the event:\n%s", &stderr)
 	}
 	if stdout.Len() != 0 {

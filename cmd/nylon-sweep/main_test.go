@@ -157,12 +157,12 @@ func TestUsageErrors(t *testing.T) {
 // run directory written.
 func TestSeedsOverCap(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "run")
-	args := []string{"-spec", filepath.Join(labDir, "sweep.json"), "-seeds", "1000000000000", "-out", out}
+	args := []string{"-spec", filepath.Join(labDir, "sweep.json"), "-seeds", "2000", "-out", out}
 	var stdout, stderr bytes.Buffer
 	if status := run(args, &stdout, &stderr, neverStop); status != 1 {
 		t.Fatalf("exit status %d, want 1; stderr:\n%s", status, &stderr)
 	}
-	if !strings.Contains(stderr.String(), "seeds 1000000000000 exceeds the cap of 1000") {
+	if !strings.Contains(stderr.String(), "seeds 2000 exceeds the cap of 1000") {
 		t.Errorf("stderr does not name the count and the cap:\n%s", &stderr)
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -105,16 +106,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 // load reads a trace file: a flight bundle (single JSON document carrying
 // the schema marker) or a raw JSON-lines event stream.
 func load(path string) ([]trace.Event, *obs.Bundle, error) {
-	if b, err := obs.ReadBundle(path); err == nil {
+	b, bundleErr := obs.ReadBundle(path)
+	if bundleErr == nil {
 		return b.Trace, b, nil
-	} else if os.IsNotExist(err) {
-		return nil, nil, err
+	}
+	if os.IsNotExist(bundleErr) {
+		return nil, nil, bundleErr
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
+	// A document carrying the schema marker is a bundle whatever else it
+	// holds: read as JSON lines, it would be one event of zeros.
+	var marker struct {
+		Schema *string `json:"schema"`
+	}
+	if json.NewDecoder(f).Decode(&marker) == nil && marker.Schema != nil {
+		return nil, nil, bundleErr
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, nil, err
+	}
 	events, err := trace.ReadJSONL(f)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: not a flight bundle and not a JSON-lines trace: %w", path, err)

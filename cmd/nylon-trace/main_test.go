@@ -41,22 +41,43 @@ func TestGoldenOutput(t *testing.T) {
 }
 
 // TestBadFileRejected pins that a file that is neither a bundle nor a
-// JSON-lines trace is an error (exit 1, naming the file), not a crash.
+// JSON-lines trace is an error (exit 1, naming the file), not a crash, and so
+// is a bundle the reader refuses (a foreign schema here): read as JSON lines
+// instead, it was one zero event and exit 0.
 func TestBadFileRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "garbage.trace")
-	if err := os.WriteFile(path, []byte("not a trace\n"), 0o644); err != nil {
+	data, err := os.ReadFile(bundle)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var stdout, stderr bytes.Buffer
-	if status := run([]string{"-summary", path}, &stdout, &stderr); status != 1 {
-		t.Errorf("exit status %d, want 1", status)
+	dir := t.TempDir()
+	for name, content := range map[string][]byte{
+		"garbage.trace": []byte("not a trace\n"),
+		"v0.json":       schemaV0(t, data),
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if status := run([]string{"-summary", path}, &stdout, &stderr); status != 1 {
+			t.Errorf("%s: exit status %d, want 1", name, status)
+		}
+		if !strings.Contains(stderr.String(), path) {
+			t.Errorf("%s: stderr does not name the file:\n%s", name, &stderr)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: a rejected file printed output:\n%s", name, &stdout)
+		}
 	}
-	if !strings.Contains(stderr.String(), path) {
-		t.Errorf("stderr does not name the file:\n%s", &stderr)
+}
+
+// schemaV0 rewrites a bundle's schema marker to one the reader refuses.
+func schemaV0(t testing.TB, data []byte) []byte {
+	out := bytes.Replace(data, []byte(`"`+obs.BundleSchema+`"`), []byte(`"nylon-bundle/v0"`), 1)
+	if bytes.Equal(out, data) {
+		t.Fatal("the bundle carries no schema marker to rewrite")
 	}
-	if stdout.Len() != 0 {
-		t.Errorf("a rejected file printed output:\n%s", &stdout)
-	}
+	return out
 }
 
 // TestShardCountBounded pins that a shard count past what a run can have,
@@ -67,7 +88,7 @@ func TestShardCountBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged := bytes.Replace(data, []byte(`"shards": 8,`), []byte(`"shards": 1000000000000000,`), 1)
+	forged := bytes.Replace(data, []byte(`"shards": 8,`), []byte(`"shards": 5000,`), 1)
 	if bytes.Equal(forged, data) {
 		t.Fatal("the bundle carries no run shard count to rewrite")
 	}
@@ -77,13 +98,13 @@ func TestShardCountBounded(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-summary", path},
-		{"-summary", "-shards", "1000000000000000", bundle},
+		{"-summary", "-shards", "5000", bundle},
 	} {
 		var stdout, stderr bytes.Buffer
 		if status := run(args, &stdout, &stderr); status != 1 {
 			t.Errorf("%v: exit status %d, want 1", args, status)
 		}
-		if !strings.Contains(stderr.String(), "shard count 1000000000000000 outside [1,4096]") {
+		if !strings.Contains(stderr.String(), "shard count 5000 outside [1,4096]") {
 			t.Errorf("%v: stderr does not name the shard count:\n%s", args, &stderr)
 		}
 	}
@@ -106,6 +127,7 @@ func FuzzTraceFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(data)
+	f.Add(schemaV0(f, data))
 	f.Add([]byte(`{"at":50,"actor":1,"seq":1,"sub":0,"op":1,"kind":1,"hop":0,"src":1,"dst":2,"oseq":1,"path":0,"from":{"IP":16777217,"Port":1024},"to":{"IP":16777218,"Port":1024},"size":62}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "input")

@@ -435,26 +435,12 @@ type ResumeOptions struct {
 	Config *Config
 }
 
-// normalizeForMatch zeroes every Config field two runs may disagree on while
-// still being resumable from one another's snapshots: execution shape
-// (throughput knobs), the scenario (branching), and host wiring that never
-// reaches the simulation.
-func normalizeForMatch(c Config) Config {
-	c.Workers = 0
-	c.Shards = 0
-	c.Scenario = nil
-	c.Obs = nil
-	c.Flight = nil
-	c.Checkpoint = nil
-	c.TraceCapacity = 0
-	return c
-}
-
-// configsMatch compares two configs after defaulting (Run defaults before
-// storing, callers may hand a sparse config) and normalization.
+// configsMatch reports whether two configs share one Identity once the
+// scenario, which a resume may branch onto, is set aside.
 func configsMatch(a, b Config) bool {
-	aj, errA := json.Marshal(normalizeForMatch(a.Defaults()))
-	bj, errB := json.Marshal(normalizeForMatch(b.Defaults()))
+	a.Scenario, b.Scenario = nil, nil
+	aj, errA := a.Identity()
+	bj, errB := b.Identity()
 	return errA == nil && errB == nil && string(aj) == string(bj)
 }
 

@@ -6,6 +6,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -261,6 +262,17 @@ func (c Config) Defaults() Config {
 	// reference configuration is (rand, healer, push/pull), which callers
 	// set explicitly.
 	return c
+}
+
+// Identity is the canonical JSON of the experiment point c names: every
+// serialised field after Defaults, with the execution shape (Workers,
+// Shards) and the observation (TraceCapacity) cleared, for results are
+// invariant under all three. Equal identities ⇒ bit-identical results; the
+// sweep's job cache keys on it and resuming a snapshot checks it.
+func (c Config) Identity() ([]byte, error) {
+	c = c.Defaults()
+	c.Workers, c.Shards, c.TraceCapacity = 0, 0, 0
+	return json.Marshal(c)
 }
 
 // DefaultFlightTraceCapacity is the per-shard trace ring capacity a

@@ -22,8 +22,8 @@ import (
 //   - the repository benchmark's result digests (bench/workload_sim.go hashes
 //     json.Marshal of the whole Result, Cfg included), which gate every perf
 //     PR against its parent;
-//   - the sweep's content-addressed job cache keys and resume guard
-//     (configsMatch compares marshalled Configs);
+//   - the sweep's content-addressed job cache keys and the resume guard,
+//     both Config.Identity, a marshalled Config;
 //   - the Config embedded in every snapshot and flight bundle, which an older
 //     file must still decode into.
 //

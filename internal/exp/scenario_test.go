@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -298,7 +299,7 @@ func TestPartitionLifetimes(t *testing.T) {
 func TestGatewayFailureHugeGroupSize(t *testing.T) {
 	cfg := Config{N: 20, Rounds: 3, NATRatio: 0.8, Protocol: ProtoNylon, Seed: 1}
 	cfg.Scenario = &scenario.Scenario{
-		GatewayGroupSize: 9223372036854775797,
+		GatewayGroupSize: math.MaxInt - 10,
 		Events:           []scenario.Event{{Round: 1, Kind: scenario.KindGatewayFailure, Groups: 1}},
 	}
 	res, err := Run(cfg)

@@ -157,7 +157,7 @@ func TestReaderStreamsWriterFiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shape.write(w.Encoder())
+			shape.write(&w.enc)
 			if err := w.Commit(); err != nil {
 				t.Fatal(err)
 			}

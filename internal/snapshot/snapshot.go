@@ -160,10 +160,6 @@ func create(path string, open func(dir, pattern string) (tempFile, error)) (*Wri
 	return w, nil
 }
 
-// Encoder returns the encoder the payload is written through. It is valid
-// until Commit.
-func (w *Writer) Encoder() *Encoder { return &w.enc }
-
 // Commit flushes the buffered tail, appends the checksum, patches the payload
 // length into the header, closes the temp file and renames it to the final
 // path. On any error — of this call or an earlier chunk — nothing appears

@@ -77,8 +77,8 @@ func TestWriterMatchesEncode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shape.write(w.Encoder())
-			if got := w.Encoder().Len(); got != mem.Len() {
+			shape.write(&w.enc)
+			if got := w.enc.Len(); got != mem.Len() {
 				t.Errorf("streaming Len = %d, in-memory Len = %d", got, mem.Len())
 			}
 			if err := w.Commit(); err != nil {
@@ -211,7 +211,7 @@ func TestWriterFailuresLeaveNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shape(w.Encoder())
+		shape(&w.enc)
 		if err := w.Commit(); !errors.Is(err, errInjected) {
 			t.Fatalf("Commit = %v, want the injected failure", err)
 		}
@@ -239,7 +239,7 @@ func TestWriterFailuresLeaveNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shape(w.Encoder())
+		shape(&w.enc)
 		if err := w.Commit(); err == nil {
 			t.Fatal("Commit succeeded in renaming over a non-empty directory")
 		}
@@ -267,5 +267,5 @@ func TestStreamingEncoderBytesPanics(t *testing.T) {
 			t.Error("Bytes on a streaming Encoder did not panic")
 		}
 	}()
-	w.Encoder().Bytes()
+	w.enc.Bytes()
 }

@@ -48,8 +48,7 @@ type JobResult struct {
 
 	// Adversary block, filled only when the job's scenario declares
 	// adversary cohorts. Every field is omitempty so the cached JSON of
-	// honest runs stays byte-identical to the pre-adversary format (and so
-	// do their keys — see jobKey.Adversaries).
+	// honest runs stays byte-identical to the pre-adversary format.
 	HasAdversaries     bool    `json:"has_adversaries,omitempty"`
 	Adversaries        int     `json:"adversaries,omitempty"`
 	Colluders          int     `json:"colluders,omitempty"`

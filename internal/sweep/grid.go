@@ -18,10 +18,10 @@ type Job struct {
 	// Cfg is the resolved configuration (Seed and Scenario attached;
 	// Workers/Shards left to Execute, which results are invariant to).
 	Cfg exp.Config
-	// Key is the hex SHA-256 of the job descriptor: every result-affecting
-	// configuration field, the scenario file's content hash, and the seed.
-	// Equal keys ⇒ bit-identical results, which is what makes the result
-	// cache safe to reuse across runs and spec edits.
+	// Key is the hex SHA-256 of keyVersion and Cfg's exp.Config.Identity:
+	// every result-affecting configuration field, the parsed scenario and
+	// the seed. Equal keys ⇒ bit-identical results, which is what makes the
+	// result cache safe to reuse across runs and spec edits.
 	Key string
 }
 
@@ -39,73 +39,19 @@ type Grid struct {
 	Jobs     []Job
 }
 
-// jobKey is the canonical descriptor hashed into Job.Key. Field order is
-// fixed by the struct; bump Version when the meaning of any field changes so
-// stale cached results are orphaned rather than misread.
-type jobKey struct {
-	Version      int     `json:"v"`
-	ScenarioHash string  `json:"scenario"`
-	Seed         int64   `json:"seed"`
-	N            int     `json:"n"`
-	Rounds       int     `json:"rounds"`
-	ViewSize     int     `json:"view_size"`
-	NATRatio     float64 `json:"nat_ratio"`
-	MixRC        float64 `json:"mix_rc"`
-	MixPRC       float64 `json:"mix_prc"`
-	MixSYM       float64 `json:"mix_sym"`
-	Protocol     string  `json:"protocol"`
-	Selection    string  `json:"selection"`
-	Merge        string  `json:"merge"`
-	PushPull     bool    `json:"push_pull"`
-	PeriodMs     int64   `json:"period_ms"`
-	LatencyMs    int64   `json:"latency_ms"`
-	HoleTimeout  int64   `json:"hole_timeout_ms"`
-	CacheSize    int     `json:"cache_size"`
-	Evict        bool    `json:"evict_unanswered"`
-	UPnP         float64 `json:"upnp_fraction"`
-	SampleEvery  int     `json:"sample_every"`
-	// Adversaries is the canonical JSON of the variant-injected adversary
-	// specs. Scenario-file adversaries are already covered by ScenarioHash;
-	// omitempty keeps every pre-adversary job key byte-identical, so
-	// existing caches stay valid.
-	Adversaries string `json:"adversaries,omitempty"`
-}
+// keyVersion is the current job-key format: bump it when the meaning of the
+// identity changes, so stale cached results are orphaned rather than misread.
+const keyVersion = 2
 
-// keyVersion is the current job-descriptor format.
-const keyVersion = 1
-
-// keyOf computes the content address of one job. cfg must already carry its
-// defaults so that implicit and explicit parameter choices hash equally.
-func keyOf(cfg exp.Config, scenarioHash string, seed int64, adversaries string) string {
-	desc := jobKey{
-		Adversaries:  adversaries,
-		Version:      keyVersion,
-		ScenarioHash: scenarioHash,
-		Seed:         seed,
-		N:            cfg.N,
-		Rounds:       cfg.Rounds,
-		ViewSize:     cfg.ViewSize,
-		NATRatio:     cfg.NATRatio,
-		MixRC:        cfg.Mix.RC,
-		MixPRC:       cfg.Mix.PRC,
-		MixSYM:       cfg.Mix.SYM,
-		Protocol:     cfg.Protocol.String(),
-		Selection:    cfg.Selection.String(),
-		Merge:        cfg.Merge.String(),
-		PushPull:     cfg.PushPull,
-		PeriodMs:     cfg.PeriodMs,
-		LatencyMs:    cfg.LatencyMs,
-		HoleTimeout:  cfg.HoleTimeoutMs,
-		CacheSize:    cfg.CacheSize,
-		Evict:        cfg.EvictUnanswered,
-		UPnP:         cfg.UPnPFraction,
-		SampleEvery:  cfg.SampleEveryRounds,
-	}
-	data, err := json.Marshal(desc)
+// keyOf computes the content address of one job: the hex SHA-256 of
+// keyVersion and exp's identity of the job's configuration, which holds the
+// seed and the scenario with any variant-injected cohorts.
+func keyOf(cfg exp.Config) (string, error) {
+	id, err := cfg.Identity()
 	if err != nil {
-		panic(fmt.Sprintf("sweep: marshal job key: %v", err)) // plain struct, cannot fail
+		return "", err
 	}
-	return hashHex(data)
+	return hashHex(append([]byte(fmt.Sprintf("v%d\n", keyVersion)), id...)), nil
 }
 
 // Expand loads the corpus and expands the spec into the deterministic job
@@ -125,12 +71,10 @@ func Expand(spec *Spec, baseDir string) (*Grid, error) {
 	g := &Grid{Spec: spec, Scenarios: entries, Seeds: seeds}
 	g.Jobs = make([]Job, 0, len(entries)*len(spec.Variants)*len(seeds))
 
-	// One resolved config per variant, shared across the corpus. A variant
-	// injecting adversaries also carries their canonical JSON, which joins
-	// the job key (the scenario file hash cannot see injected cohorts).
+	// One resolved config per variant, shared across the corpus, and the
+	// adversary cohorts the variant injects into every scenario.
 	cfgs := make([]exp.Config, len(spec.Variants))
 	advs := make([][]scenario.Adversary, len(spec.Variants))
-	advKeys := make([]string, len(spec.Variants))
 	for i, v := range spec.Variants {
 		merged := v.Overrides.merge(spec.Base)
 		cfg, err := merged.resolve()
@@ -138,18 +82,10 @@ func Expand(spec *Spec, baseDir string) (*Grid, error) {
 			return nil, fmt.Errorf("sweep: variant %q: %w", v.Name, err)
 		}
 		cfgs[i] = cfg.Defaults()
-		if len(merged.Adversaries) > 0 {
-			advs[i] = merged.Adversaries
-			data, err := json.Marshal(merged.Adversaries)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: variant %q: marshal adversaries: %w", v.Name, err)
-			}
-			advKeys[i] = string(data)
-		}
+		advs[i] = merged.Adversaries
 	}
 
 	for _, ent := range entries {
-		scenarioHash := hashHex(ent.Raw)
 		for i, v := range spec.Variants {
 			cfg := cfgs[i]
 			cfg.Scenario = ent.Scenario
@@ -169,12 +105,16 @@ func Expand(spec *Spec, baseDir string) (*Grid, error) {
 			for _, seed := range seeds {
 				jobCfg := cfg
 				jobCfg.Seed = seed
+				key, err := keyOf(jobCfg)
+				if err != nil {
+					return nil, fmt.Errorf("sweep: cell (%s, %s): %w", ent.Name, v.Name, err)
+				}
 				g.Jobs = append(g.Jobs, Job{
 					Scenario: ent.Name,
 					Variant:  v.Name,
 					Seed:     seed,
 					Cfg:      jobCfg,
-					Key:      keyOf(jobCfg, scenarioHash, seed, advKeys[i]),
+					Key:      key,
 				})
 			}
 		}

@@ -39,13 +39,108 @@ func (a *Artifact) hasAdversary() bool {
 	return false
 }
 
-// bandP50 reads an optional band's median (0 when absent — a mixed grid can
-// hold honest and adversary cells side by side).
-func bandP50(b *Band) float64 {
+// bandOr reads an optional band, all zero when absent — a mixed grid can
+// hold honest and adversary cells side by side.
+func bandOr(b *Band) Band {
 	if b == nil {
-		return 0
+		return Band{}
 	}
-	return b.P50
+	return *b
+}
+
+// column is one metric of a report, stated once for its CSV and its text
+// table: the CSV writes every column under csv, the text table the columns
+// that carry a heading, as a percentage when pct. Adversary columns render
+// only where the renderer's gate lets adversaries in.
+type column[T any] struct {
+	csv, text string
+	pct, adv  bool
+	val       func(T) float64
+}
+
+// summaryColumns are the per-cell summary's metrics, in report order.
+var summaryColumns = []column[*Cell]{
+	{csv: "final_cluster_p10", text: "final%p10", pct: true, val: func(c *Cell) float64 { return c.FinalCluster.P10 }},
+	{csv: "final_cluster_p50", text: "final%p50", pct: true, val: func(c *Cell) float64 { return c.FinalCluster.P50 }},
+	{csv: "final_cluster_p90", text: "final%p90", pct: true, val: func(c *Cell) float64 { return c.FinalCluster.P90 }},
+	{csv: "worst_cluster_p10", val: func(c *Cell) float64 { return c.WorstCluster.P10 }},
+	{csv: "worst_cluster_p50", text: "worst%p50", pct: true, val: func(c *Cell) float64 { return c.WorstCluster.P50 }},
+	{csv: "worst_cluster_p90", val: func(c *Cell) float64 { return c.WorstCluster.P90 }},
+	{csv: "final_stale_p50", text: "stale%p50", pct: true, val: func(c *Cell) float64 { return c.FinalStaleP50 }},
+	{csv: "completion_p50", val: func(c *Cell) float64 { return c.CompletionP50 }},
+	{csv: "recovered_fraction", text: "recov%", pct: true, val: func(c *Cell) float64 { return c.RecoveredFraction }},
+	{csv: "recovery_rounds_p10", val: func(c *Cell) float64 { return c.RecoveryRounds.P10 }},
+	{csv: "recovery_rounds_p50", text: "recov-rounds-p50", val: func(c *Cell) float64 { return c.RecoveryRounds.P50 }},
+	{csv: "recovery_rounds_p90", val: func(c *Cell) float64 { return c.RecoveryRounds.P90 }},
+	{csv: "eclipse_p10", adv: true, val: func(c *Cell) float64 { return bandOr(c.Eclipse).P10 }},
+	{csv: "eclipse_p50", text: "eclipse%p50", pct: true, adv: true, val: func(c *Cell) float64 { return bandOr(c.Eclipse).P50 }},
+	{csv: "eclipse_p90", adv: true, val: func(c *Cell) float64 { return bandOr(c.Eclipse).P90 }},
+	{csv: "colluder_share_p50", text: "colluder%p50", pct: true, adv: true, val: func(c *Cell) float64 { return bandOr(c.ColluderShare).P50 }},
+	{csv: "honest_cluster_p10", adv: true, val: func(c *Cell) float64 { return bandOr(c.HonestCluster).P10 }},
+	{csv: "honest_cluster_p50", text: "honest%p50", pct: true, adv: true, val: func(c *Cell) float64 { return bandOr(c.HonestCluster).P50 }},
+	{csv: "honest_cluster_p90", adv: true, val: func(c *Cell) float64 { return bandOr(c.HonestCluster).P90 }},
+}
+
+// bandColumns are the per-round band's metrics, in report order.
+var bandColumns = []column[*BandPoint]{
+	{csv: "cluster_p10", text: "p10", pct: true, val: func(p *BandPoint) float64 { return p.Cluster.P10 }},
+	{csv: "cluster_p50", text: "p50", pct: true, val: func(p *BandPoint) float64 { return p.Cluster.P50 }},
+	{csv: "cluster_p90", text: "p90", pct: true, val: func(p *BandPoint) float64 { return p.Cluster.P90 }},
+	{csv: "stale_p50", text: "stale%p50", pct: true, val: func(p *BandPoint) float64 { return p.StaleP50 }},
+	{csv: "alive_p50", text: "alive-p50", val: func(p *BandPoint) float64 { return p.AliveP50 }},
+	{csv: "eclipse_p10", adv: true, val: func(p *BandPoint) float64 { return bandOr(p.Eclipse).P10 }},
+	{csv: "eclipse_p50", text: "eclipse%p50", pct: true, adv: true, val: func(p *BandPoint) float64 { return bandOr(p.Eclipse).P50 }},
+	{csv: "eclipse_p90", text: "eclipse%p90", pct: true, adv: true, val: func(p *BandPoint) float64 { return bandOr(p.Eclipse).P90 }},
+}
+
+// shown picks the columns one rendering writes: adversary columns only when
+// adv, and for the text table only the columns with a heading.
+func shown[T any](cols []column[T], adv, text bool) []column[T] {
+	var out []column[T]
+	for _, col := range cols {
+		if (adv || !col.adv) && (!text || col.text != "") {
+			out = append(out, col)
+		}
+	}
+	return out
+}
+
+// textTable starts a text table whose first column heads the row labels.
+func textTable[T any](title, label string, cols []column[T]) exp.Table {
+	t := exp.Table{Title: title, Columns: []string{label}}
+	for _, col := range cols {
+		t.Columns = append(t.Columns, col.text)
+	}
+	return t
+}
+
+// textRow renders x as one text row under cols.
+func textRow[T any](label string, cols []column[T], x T) exp.Row {
+	row := exp.Row{Label: label, Values: make([]float64, len(cols))}
+	for i, col := range cols {
+		row.Values[i] = col.val(x)
+		if col.pct {
+			row.Values[i] *= 100
+		}
+	}
+	return row
+}
+
+// csvHeader writes the header line: the key columns, then cols.
+func csvHeader[T any](b *strings.Builder, keys string, cols []column[T]) {
+	b.WriteString(keys)
+	for _, col := range cols {
+		b.WriteString("," + col.csv)
+	}
+	b.WriteByte('\n')
+}
+
+// csvRow finishes a row whose key columns are written: cols' values of x.
+func csvRow[T any](b *strings.Builder, cols []column[T], x T) {
+	for _, col := range cols {
+		fmt.Fprintf(b, ",%g", col.val(x))
+	}
+	b.WriteByte('\n')
 }
 
 // GridTables renders the cross-variant recovery grid: one table per metric,
@@ -66,9 +161,9 @@ func (a *Artifact) GridTables() []exp.Table {
 			title string
 			value func(*Cell) float64
 		}{
-			{"sweep — eclipse probability (%) p50", func(c *Cell) float64 { return bandP50(c.Eclipse) * 100 }},
-			{"sweep — colluder indegree share (%) p50", func(c *Cell) float64 { return bandP50(c.ColluderShare) * 100 }},
-			{"sweep — honest-subgraph cluster (%) p50", func(c *Cell) float64 { return bandP50(c.HonestCluster) * 100 }},
+			{"sweep — eclipse probability (%) p50", func(c *Cell) float64 { return bandOr(c.Eclipse).P50 * 100 }},
+			{"sweep — colluder indegree share (%) p50", func(c *Cell) float64 { return bandOr(c.ColluderShare).P50 * 100 }},
+			{"sweep — honest-subgraph cluster (%) p50", func(c *Cell) float64 { return bandOr(c.HonestCluster).P50 * 100 }},
 		}...)
 	}
 	tables := make([]exp.Table, 0, len(metrics))
@@ -89,30 +184,12 @@ func (a *Artifact) GridTables() []exp.Table {
 // SummaryTables renders one per-scenario table with the quantile bands:
 // variants as rows, the cell summary statistics as columns.
 func (a *Artifact) SummaryTables() []exp.Table {
+	cols := shown(summaryColumns, a.hasAdversary(), true)
 	tables := make([]exp.Table, 0, len(a.Scenarios))
-	adv := a.hasAdversary()
 	for _, sc := range a.Scenarios {
-		cols := []string{"variant",
-			"final%p10", "final%p50", "final%p90",
-			"worst%p50", "stale%p50", "recov%", "recov-rounds-p50"}
-		if adv {
-			cols = append(cols, "eclipse%p50", "colluder%p50", "honest%p50")
-		}
-		t := exp.Table{
-			Title:   fmt.Sprintf("scenario %q — per-variant summary over %d seeds", sc, len(a.Seeds)),
-			Columns: cols,
-		}
+		t := textTable(fmt.Sprintf("scenario %q — per-variant summary over %d seeds", sc, len(a.Seeds)), "variant", cols)
 		for _, v := range a.Variants {
-			c := a.cell(sc, v)
-			vals := []float64{
-				c.FinalCluster.P10 * 100, c.FinalCluster.P50 * 100, c.FinalCluster.P90 * 100,
-				c.WorstCluster.P50 * 100, c.FinalStaleP50 * 100,
-				c.RecoveredFraction * 100, c.RecoveryRounds.P50,
-			}
-			if adv {
-				vals = append(vals, bandP50(c.Eclipse)*100, bandP50(c.ColluderShare)*100, bandP50(c.HonestCluster)*100)
-			}
-			t.Rows = append(t.Rows, exp.Row{Label: v, Values: vals})
+			t.Rows = append(t.Rows, textRow(v, cols, a.cell(sc, v)))
 		}
 		tables = append(tables, t)
 	}
@@ -120,32 +197,17 @@ func (a *Artifact) SummaryTables() []exp.Table {
 }
 
 // BandTables renders each cell's per-round quantile band as a table
-// (round, cluster p10/p50/p90, stale p50, alive p50).
+// (round, cluster p10/p50/p90, stale p50, alive p50), with the eclipse band
+// for a cell that ran adversaries.
 func (a *Artifact) BandTables() []exp.Table {
 	tables := make([]exp.Table, 0, len(a.Cells))
 	for i := range a.Cells {
 		c := &a.Cells[i]
-		cols := []string{"round", "p10", "p50", "p90", "stale%p50", "alive-p50"}
-		if c.Eclipse != nil {
-			cols = append(cols, "eclipse%p50", "eclipse%p90")
-		}
-		t := exp.Table{
-			Title:   fmt.Sprintf("band (%s, %s) — biggest cluster (%%) per round", c.Scenario, c.Variant),
-			Columns: cols,
-		}
-		for _, pt := range c.Series {
-			vals := []float64{
-				pt.Cluster.P10 * 100, pt.Cluster.P50 * 100, pt.Cluster.P90 * 100,
-				pt.StaleP50 * 100, pt.AliveP50,
-			}
-			if c.Eclipse != nil {
-				var p50, p90 float64
-				if pt.Eclipse != nil {
-					p50, p90 = pt.Eclipse.P50*100, pt.Eclipse.P90*100
-				}
-				vals = append(vals, p50, p90)
-			}
-			t.Rows = append(t.Rows, exp.Row{Label: fmt.Sprintf("%d", pt.Round), Values: vals})
+		cols := shown(bandColumns, c.Eclipse != nil, true)
+		t := textTable(fmt.Sprintf("band (%s, %s) — biggest cluster (%%) per round", c.Scenario, c.Variant), "round", cols)
+		for j := range c.Series {
+			pt := &c.Series[j]
+			t.Rows = append(t.Rows, textRow(fmt.Sprintf("%d", pt.Round), cols, pt))
 		}
 		tables = append(tables, t)
 	}
@@ -175,35 +237,13 @@ func (a *Artifact) Text() string {
 // columns appear only when the sweep ran with adversaries, so honest sweeps
 // keep producing byte-identical CSVs.
 func (a *Artifact) SummaryCSV() string {
-	adv := a.hasAdversary()
+	cols := shown(summaryColumns, a.hasAdversary(), false)
 	var b strings.Builder
-	b.WriteString("scenario,variant,seeds,final_cluster_p10,final_cluster_p50,final_cluster_p90," +
-		"worst_cluster_p10,worst_cluster_p50,worst_cluster_p90,final_stale_p50,completion_p50," +
-		"recovered_fraction,recovery_rounds_p10,recovery_rounds_p50,recovery_rounds_p90")
-	if adv {
-		b.WriteString(",eclipse_p10,eclipse_p50,eclipse_p90,colluder_share_p50,honest_cluster_p10,honest_cluster_p50,honest_cluster_p90")
-	}
-	b.WriteByte('\n')
+	csvHeader(&b, "scenario,variant,seeds", cols)
 	for i := range a.Cells {
 		c := &a.Cells[i]
-		fmt.Fprintf(&b, "%s,%s,%d,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g",
-			c.Scenario, c.Variant, len(c.Seeds),
-			c.FinalCluster.P10, c.FinalCluster.P50, c.FinalCluster.P90,
-			c.WorstCluster.P10, c.WorstCluster.P50, c.WorstCluster.P90,
-			c.FinalStaleP50, c.CompletionP50,
-			c.RecoveredFraction, c.RecoveryRounds.P10, c.RecoveryRounds.P50, c.RecoveryRounds.P90)
-		if adv {
-			var e, h Band
-			if c.Eclipse != nil {
-				e = *c.Eclipse
-			}
-			if c.HonestCluster != nil {
-				h = *c.HonestCluster
-			}
-			fmt.Fprintf(&b, ",%g,%g,%g,%g,%g,%g,%g",
-				e.P10, e.P50, e.P90, bandP50(c.ColluderShare), h.P10, h.P50, h.P90)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%s,%s,%d", c.Scenario, c.Variant, len(c.Seeds))
+		csvRow(&b, cols, c)
 	}
 	return b.String()
 }
@@ -211,27 +251,14 @@ func (a *Artifact) SummaryCSV() string {
 // BandsCSV renders one row per (cell, round) with the per-round band,
 // gaining eclipse columns only for adversary sweeps.
 func (a *Artifact) BandsCSV() string {
-	adv := a.hasAdversary()
+	cols := shown(bandColumns, a.hasAdversary(), false)
 	var b strings.Builder
-	b.WriteString("scenario,variant,round,cluster_p10,cluster_p50,cluster_p90,stale_p50,alive_p50")
-	if adv {
-		b.WriteString(",eclipse_p10,eclipse_p50,eclipse_p90")
-	}
-	b.WriteByte('\n')
+	csvHeader(&b, "scenario,variant,round", cols)
 	for i := range a.Cells {
 		c := &a.Cells[i]
-		for _, pt := range c.Series {
-			fmt.Fprintf(&b, "%s,%s,%d,%g,%g,%g,%g,%g",
-				c.Scenario, c.Variant, pt.Round,
-				pt.Cluster.P10, pt.Cluster.P50, pt.Cluster.P90, pt.StaleP50, pt.AliveP50)
-			if adv {
-				var e Band
-				if pt.Eclipse != nil {
-					e = *pt.Eclipse
-				}
-				fmt.Fprintf(&b, ",%g,%g,%g", e.P10, e.P50, e.P90)
-			}
-			b.WriteByte('\n')
+		for j := range c.Series {
+			fmt.Fprintf(&b, "%s,%s,%d", c.Scenario, c.Variant, c.Series[j].Round)
+			csvRow(&b, cols, &c.Series[j])
 		}
 	}
 	return b.String()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -149,6 +150,65 @@ func TestKeySensitivity(t *testing.T) {
 		if baseAgain.Jobs[i].Variant == "generic" && !same {
 			t.Errorf("job %d (generic) key changed by an unrelated variant edit", i)
 		}
+	}
+}
+
+// TestKeyCoversEveryConfigField moves each exp.Config field in turn, by
+// reflection so a field added later is covered without a line here, and
+// pins which ones move the job key: every field that reaches the
+// simulation does, the execution shape (Workers, Shards), the observation
+// (TraceCapacity) and the unserialised host wiring do not.
+func TestKeyCoversEveryConfigField(t *testing.T) {
+	g, err := Expand(testSpec(), testCorpus(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := g.Jobs[0].Cfg
+	baseKey, err := keyOf(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if baseKey != g.Jobs[0].Key {
+		t.Fatalf("keyOf(job.Cfg) = %s, job.Key = %s", baseKey, g.Jobs[0].Key)
+	}
+	invariant := map[string]bool{"Workers": true, "Shards": true, "TraceCapacity": true}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		cfg := base
+		perturb(t, f.Name, reflect.ValueOf(&cfg).Elem().Field(i))
+		key, err := keyOf(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		keep := invariant[f.Name] || f.Tag.Get("json") == "-"
+		if moved := key != baseKey; moved == keep {
+			t.Errorf("%s: key moved = %v, want %v", f.Name, moved, !keep)
+		}
+	}
+}
+
+// perturb changes v to another value of its type that Defaults keeps.
+func perturb(t *testing.T, name string, v reflect.Value) {
+	switch {
+	case v.CanInt():
+		v.SetInt(v.Int() + 1)
+	case v.CanUint():
+		v.SetUint(v.Uint() + 1)
+	case v.CanFloat():
+		v.SetFloat(v.Float() + 0.125)
+	case v.Kind() == reflect.Bool:
+		v.SetBool(!v.Bool())
+	case v.Kind() == reflect.Struct:
+		perturb(t, name, v.Field(0))
+	case v.Kind() == reflect.Pointer:
+		if v.IsNil() {
+			v.Set(reflect.New(v.Type().Elem()))
+		} else {
+			v.SetZero()
+		}
+	default:
+		t.Fatalf("%s: no perturbation for kind %v", name, v.Kind())
 	}
 }
 
@@ -301,8 +361,8 @@ func TestSpecValidation(t *testing.T) {
 		{"duplicate seed", `{"scenarios":["*.json"],"seed_list":[1,1],"variants":[{"name":"a"}]}`, ""},
 		{"unknown field", `{"scenarios":["*.json"],"seeds":1,"variants":[{"name":"a"}],"typo":1}`, ""},
 		{"bad protocol", `{"scenarios":["*.json"],"seeds":1,"variants":[{"name":"a","protocol":"nope"}]}`, ""},
-		{"seeds over cap", `{"scenarios":["*.json"],"seeds":1000000000000,"variants":[{"name":"a"}]}`,
-			"seeds 1000000000000 exceeds the cap of 1000"},
+		{"seeds over cap", `{"scenarios":["*.json"],"seeds":2000,"variants":[{"name":"a"}]}`,
+			"seeds 2000 exceeds the cap of 1000"},
 		{"seed_list over cap", `{"scenarios":["*.json"],"seed_list":[` + longList + `],"variants":[{"name":"a"}]}`,
 			"seed_list of 1001 seeds exceeds the cap of 1000"},
 	}
