@@ -20,6 +20,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/cliutil"
 	"repro/internal/exp"
 	"repro/internal/obs"
 )
@@ -79,12 +80,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *http != "" {
 		hub := obs.NewHub()
 		hub.EnsureRegistry()
-		srv, err := obs.Serve(*http, hub)
+		srv, err := cliutil.ServeOps(stderr, *http, hub)
 		if err != nil {
 			return exit(1, err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(stderr, "ops endpoint listening on http://%s\n", srv.Addr)
 	}
 
 	params := exp.Params{N: *n, Rounds: *rounds, Seeds: exp.SeedList(*seeds), Workers: *workers}

@@ -25,6 +25,7 @@ import (
 
 	nylon "repro"
 	"repro/internal/boot"
+	"repro/internal/cliutil"
 	"repro/internal/obs"
 )
 
@@ -90,12 +91,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *httpAddr != "" {
 		hub := obs.NewHub()
 		gMembers = hub.EnsureRegistry().Gauge("nylon_introducer_members", "currently registered members")
-		srv, err := obs.Serve(*httpAddr, hub)
+		srv, err := cliutil.ServeOps(stderr, *httpAddr, hub)
 		if err != nil {
 			return exit(1, err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(stderr, "ops endpoint listening on http://%s\n", srv.Addr)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	nylon "repro"
+	"repro/internal/cliutil"
 	"repro/internal/obs"
 )
 
@@ -118,12 +119,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		gCompleted = reg.Gauge("nylon_node_shuffles_completed", "shuffles that completed")
 		gPunches = reg.Gauge("nylon_node_hole_punches_completed", "NAT hole punches completed")
 		gView = reg.Gauge("nylon_node_view_size", "current partial view size")
-		srv, err := obs.Serve(*httpAddr, hub)
+		srv, err := cliutil.ServeOps(stderr, *httpAddr, hub)
 		if err != nil {
 			return exit(1, err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(stderr, "ops endpoint listening on http://%s\n", srv.Addr)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -192,12 +192,11 @@ func run(args []string, stdout, stderr io.Writer, notifyStop func(io.Writer, str
 		hub = obs.NewHub()
 	}
 	if *httpAddr != "" {
-		srv, err := obs.Serve(*httpAddr, hub)
+		srv, err := cliutil.ServeOps(stderr, *httpAddr, hub)
 		if err != nil {
 			return fatal(err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(stderr, "ops endpoint listening on http://%s\n", srv.Addr)
 	}
 	if *progress > 0 {
 		stop := obs.StartProgress(stderr, hub, *progress)

@@ -128,12 +128,11 @@ func run(args []string, stdout, stderr io.Writer, notifyStop func(io.Writer, str
 	}
 	if *httpAddr != "" {
 		opts.Obs = obs.NewHub()
-		srv, err := obs.Serve(*httpAddr, opts.Obs)
+		srv, err := cliutil.ServeOps(stderr, *httpAddr, opts.Obs)
 		if err != nil {
 			return fatal(err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(stderr, "ops endpoint listening on http://%s\n", srv.Addr)
 	}
 	start := time.Now()
 	results, stats, err := sweep.Execute(grid, dir, opts)

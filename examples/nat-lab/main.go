@@ -35,6 +35,7 @@ func main() {
 	}
 
 	fmt.Println("\n== live verification over the in-memory switch ==")
+	fmt.Printf("%-18s %-22s %-16s %s\n", "src -> dst", "table's method", "engine (*)", "result")
 	for _, src := range classes {
 		for _, dst := range classes {
 			ok := tryExchange(src, dst)
@@ -42,9 +43,17 @@ func main() {
 			if !ok {
 				status = "FAILED"
 			}
-			fmt.Printf("%-7s -> %-7s via %-22s %s\n", src, dst, traversal.Decide(src, dst), status)
+			fmt.Printf("%-7s -> %-7s %-22s %-16s %s\n", src, dst, traversal.Decide(src, dst), engineNote[[2]nylon.NATClass{src, dst}], status)
 		}
 	}
+	fmt.Println("\n(*) the technique Nylon.Tick uses where it is not the table's (core.TestRelayConditions)")
+}
+
+// engineNote marks the pairs whose exchange Nylon.Tick opens with another
+// technique than the table's, and names that technique.
+var engineNote = map[[2]nylon.NATClass]string{
+	{nylon.Public, nylon.Symmetric}:         "* " + traversal.HolePunch.String(),
+	{nylon.Symmetric, nylon.RestrictedCone}: "* " + traversal.Relay.String(),
 }
 
 // tryExchange wires rendez-vous -> src -> dst so that src knows dst only

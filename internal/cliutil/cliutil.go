@@ -1,8 +1,9 @@
-// Package cliutil holds the shutdown plumbing the nylon commands share: one
-// context-cancellation path that both operator signals (SIGINT/SIGTERM) and
-// programmatic stop conditions feed, so "wind down cleanly" means the same
-// thing everywhere — a simulation checkpoints at its next round barrier, a
-// sweep stops dequeuing jobs and lets the in-flight ones checkpoint.
+// Package cliutil holds the plumbing the nylon commands share: the ops
+// endpoint's start, and one context-cancellation path that both operator
+// signals (SIGINT/SIGTERM) and programmatic stop conditions feed, so "wind
+// down cleanly" means the same thing everywhere — a simulation checkpoints at
+// its next round barrier, a sweep stops dequeuing jobs and lets the in-flight
+// ones checkpoint.
 package cliutil
 
 import (
@@ -13,6 +14,8 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+
+	"repro/internal/obs"
 )
 
 // FirstSet returns the first of the named flags that was set on fs's command
@@ -28,6 +31,17 @@ func FirstSet(fs *flag.FlagSet, names ...string) string {
 		}
 	}
 	return ""
+}
+
+// ServeOps starts the hub's ops endpoint on addr and announces the bound
+// address on w as "ops endpoint listening on http://ADDR", the line
+// scripts/ops_smoke.sh waits for.
+func ServeOps(w io.Writer, addr string, hub *obs.Hub) (*obs.Server, error) {
+	srv, err := obs.Serve(addr, hub)
+	if err == nil {
+		fmt.Fprintf(w, "ops endpoint listening on http://%s\n", srv.Addr)
+	}
+	return srv, err
 }
 
 // NotifyStop returns a context cancelled by the first SIGINT or SIGTERM, and

@@ -85,7 +85,7 @@ func (st *runState) captureBundle(trig obs.Trigger, series []SamplePoint) (strin
 			Workers:  st.cfg.Workers,
 			Config:   cfgJSON,
 		},
-		Health: obs.SnapshotHealth(st.health),
+		Health: obs.HealthValues(st.health),
 		Series: seriesJSON,
 	}
 	if st.cfg.Scenario != nil {

@@ -69,7 +69,7 @@ func TestFlightRecorderBundle(t *testing.T) {
 	if len(b.Trace) == 0 {
 		t.Error("bundle carries no trace tail")
 	}
-	if b.Health == nil || b.Health.AlivePeers == 0 {
+	if alive, _ := b.Health["alive_peers"].(float64); alive == 0 {
 		t.Errorf("bundle health snapshot empty: %+v", b.Health)
 	}
 	if b.Kernel == nil || b.Kernel.Events == 0 || len(b.Kernel.WindowSamples) == 0 {

@@ -161,36 +161,6 @@ type RunDescriptor struct {
 	Config   json.RawMessage `json:"config,omitempty"`
 }
 
-// HealthSnapshot is the overlay-health accumulators frozen at capture time.
-type HealthSnapshot struct {
-	AlivePeers   int64 `json:"alive_peers"`
-	TotalPeers   int64 `json:"total_peers"`
-	ViewEntries  int64 `json:"view_entries"`
-	AliveEntries int64 `json:"view_entries_alive"`
-	DeadEntries  int64 `json:"dead_entries"`
-	DeadRefs     int64 `json:"dead_refs"`
-	IndegreeMax  int   `json:"indegree_max"`
-	Isolated     int   `json:"isolated_peers"`
-}
-
-// SnapshotHealth freezes the health accumulators (nil in, nil out).
-func SnapshotHealth(h *Health) *HealthSnapshot {
-	if h == nil {
-		return nil
-	}
-	maxDeg, isolated := h.IndegreeStats()
-	return &HealthSnapshot{
-		AlivePeers:   h.Alive(),
-		TotalPeers:   h.Total(),
-		ViewEntries:  h.Entries(),
-		AliveEntries: h.AliveEntries(),
-		DeadEntries:  h.DeadEntries(),
-		DeadRefs:     h.DeadRefs(),
-		IndegreeMax:  maxDeg,
-		Isolated:     isolated,
-	}
-}
-
 // KernelSnapshot is the kernel timing probe frozen at capture time:
 // aggregates plus the recent per-window phase samples (the kernel swimlane
 // of the Chrome export).
@@ -221,15 +191,16 @@ func SnapshotKernel(t *sim.Timing) *KernelSnapshot {
 }
 
 // Bundle is one forensic capture: the trigger that fired, the run it fired
-// in, and the frozen evidence — merged trace tail, health and kernel
-// snapshots, drop counters, and the health series up to the trigger. Series
-// is an opaque document (the host's sample type) for the same reason as
+// in, and the frozen evidence — merged trace tail, the health accumulators
+// as /debug/vars shows them (HealthValues), a kernel snapshot, drop
+// counters, and the health series up to the trigger. Series is an opaque
+// document (the host's sample type) for the same reason as
 // RunDescriptor.Config.
 type Bundle struct {
 	Schema  string            `json:"schema"`
 	Trigger Trigger           `json:"trigger"`
 	Run     RunDescriptor     `json:"run"`
-	Health  *HealthSnapshot   `json:"health,omitempty"`
+	Health  map[string]any    `json:"health,omitempty"`
 	Kernel  *KernelSnapshot   `json:"kernel,omitempty"`
 	Drops   map[string]uint64 `json:"drops,omitempty"`
 	Series  json.RawMessage   `json:"series,omitempty"`

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -20,7 +21,6 @@ import (
 // health accumulators), so scraping a run in flight never perturbs it.
 type Server struct {
 	Addr string // the bound address, resolved from the requested one (":0" works)
-	ln   net.Listener
 	srv  *http.Server
 }
 
@@ -32,7 +32,6 @@ func Serve(addr string, hub *Hub) (*Server, error) {
 	}
 	s := &Server{
 		Addr: ln.Addr().String(),
-		ln:   ln,
 		srv:  &http.Server{Handler: NewMux(hub)},
 	}
 	go func() { _ = s.srv.Serve(ln) }()
@@ -52,9 +51,7 @@ func NewMux(hub *Hub) *http.ServeMux {
 	})
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(MetricsJSON(hub))
+		_ = WriteMetricsJSON(w, hub)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "ok\n")
@@ -114,106 +111,118 @@ func writeTraceTail(w http.ResponseWriter, r *http.Request, hub *Hub) {
 	})
 }
 
+// fact is one synthesized value of the ops surface: a Prometheus series and
+// a /debug/vars key over one value kept in its Go type, so both renderings
+// print it alike. A []any value is per shard: {shard="i"} series in
+// Prometheus, an array in JSON.
+type fact struct {
+	prom, key, help, kind string
+	value                 any
+}
+
+// section is one source of synthesized facts, named as its /debug/vars
+// section.
+type section struct {
+	name  string
+	facts []fact
+}
+
+// sections lists the hub's synthesized sources in /metrics order: the kernel
+// probe and the health accumulators once bound, and the process always.
+func sections(hub *Hub) []section {
+	var out []section
+	if t := hub.Timing(); t != nil {
+		out = append(out, section{"kernel", kernelFacts(t)})
+	}
+	if h := hub.Health(); h != nil {
+		out = append(out, section{"health", healthFacts(h)})
+	}
+	return append(out, section{"process", processFacts(hub)})
+}
+
+func kernelFacts(t *sim.Timing) []fact {
+	shardExec := make([]any, t.Shards())
+	shardEvents := make([]any, t.Shards())
+	for i := range shardExec {
+		shardExec[i] = float64(t.ShardExecNs(i)) / 1e9
+		shardEvents[i] = t.ShardEvents(i)
+	}
+	return []fact{
+		{"nylon_kernel_events_total", "events_processed", "events processed as of the latest barrier", "counter", t.Events()},
+		{"nylon_kernel_exec_seconds_total", "exec_seconds", "shard execute-phase wall time (summed across shards)", "counter", float64(t.ExecNs()) / 1e9},
+		{"nylon_kernel_barrier_seconds_total", "barrier_seconds", "single-threaded barrier wall time", "counter", float64(t.BarrierNs()) / 1e9},
+		{"nylon_kernel_windows_total", "windows", "lookahead windows executed", "counter", t.Windows()},
+		{"nylon_kernel_pending_events", "pending_events", "kernel queue depth at the latest barrier", "gauge", t.PendingEvents()},
+		{"nylon_kernel_virtual_time_ms", "virtual_time_ms", "virtual clock at the latest barrier", "gauge", t.VirtualMs()},
+		{"nylon_kernel_shard_exec_seconds_total", "shard_exec_seconds", "per-shard execute-phase wall time", "counter", shardExec},
+		{"nylon_kernel_shard_events_total", "shard_events", "per-shard events executed", "counter", shardEvents},
+	}
+}
+
+func healthFacts(h *Health) []fact {
+	maxDeg, isolated := h.IndegreeStats()
+	return []fact{
+		{"nylon_health_alive_peers", "alive_peers", "alive peer population", "gauge", h.Alive()},
+		{"nylon_health_total_peers", "total_peers", "total peers ever attached", "gauge", h.Total()},
+		{"nylon_health_view_entries", "view_entries", "view occupancy across all views (dead views freeze)", "gauge", h.Entries()},
+		{"nylon_health_view_entries_alive", "view_entries_alive", "view occupancy of alive peers' views", "gauge", h.AliveEntries()},
+		{"nylon_health_dead_entries", "dead_entries", "view entries frozen inside departed peers' views", "gauge", h.DeadEntries()},
+		{"nylon_health_dead_refs", "dead_refs", "view entries referencing departed peers", "gauge", h.DeadRefs()},
+		{"nylon_health_indegree_max", "indegree_max", "maximum indegree across peers", "gauge", maxDeg},
+		{"nylon_health_isolated_peers", "isolated_peers", "alive peers no view references", "gauge", isolated},
+	}
+}
+
+func processFacts(hub *Hub) []fact {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return []fact{
+		{"nylon_heap_alloc_bytes", "heap_alloc_bytes", "process heap in use", "gauge", ms.HeapAlloc},
+		{"nylon_goroutines", "goroutines", "live goroutines", "gauge", runtime.NumGoroutine()},
+		{"nylon_uptime_seconds", "uptime_seconds", "seconds since the hub was created", "gauge", hub.Uptime().Seconds()},
+	}
+}
+
+// values maps each fact's /debug/vars key to its value.
+func values(facts []fact) map[string]any {
+	out := make(map[string]any, len(facts))
+	for _, f := range facts {
+		out[f.key] = f.value
+	}
+	return out
+}
+
+// HealthValues returns the health accumulators as the /debug/vars health
+// section: the health object of a flight bundle.
+func HealthValues(h *Health) map[string]any { return values(healthFacts(h)) }
+
 // writePrometheus emits the registry's series followed by the synthesized
-// kernel, health, and process series.
+// ones.
 func writePrometheus(w io.Writer, hub *Hub) {
 	if reg := hub.Registry(); reg != nil {
 		reg.WritePrometheus(w)
 	}
-	if t := hub.Timing(); t != nil {
-		promHeader(w, "nylon_kernel_events_total", "events processed as of the latest barrier", "counter")
-		fmt.Fprintf(w, "nylon_kernel_events_total %d\n", t.Events())
-		promHeader(w, "nylon_kernel_exec_seconds_total", "shard execute-phase wall time (summed across shards)", "counter")
-		fmt.Fprintf(w, "nylon_kernel_exec_seconds_total %g\n", float64(t.ExecNs())/1e9)
-		promHeader(w, "nylon_kernel_barrier_seconds_total", "single-threaded barrier wall time", "counter")
-		fmt.Fprintf(w, "nylon_kernel_barrier_seconds_total %g\n", float64(t.BarrierNs())/1e9)
-		promHeader(w, "nylon_kernel_windows_total", "lookahead windows executed", "counter")
-		fmt.Fprintf(w, "nylon_kernel_windows_total %d\n", t.Windows())
-		promHeader(w, "nylon_kernel_pending_events", "kernel queue depth at the latest barrier", "gauge")
-		fmt.Fprintf(w, "nylon_kernel_pending_events %d\n", t.PendingEvents())
-		promHeader(w, "nylon_kernel_virtual_time_ms", "virtual clock at the latest barrier", "gauge")
-		fmt.Fprintf(w, "nylon_kernel_virtual_time_ms %d\n", t.VirtualMs())
-		promHeader(w, "nylon_kernel_shard_exec_seconds_total", "per-shard execute-phase wall time", "counter")
-		for i := 0; i < t.Shards(); i++ {
-			fmt.Fprintf(w, "nylon_kernel_shard_exec_seconds_total{shard=\"%d\"} %g\n", i, float64(t.ShardExecNs(i))/1e9)
-		}
-		promHeader(w, "nylon_kernel_shard_events_total", "per-shard events executed", "counter")
-		for i := 0; i < t.Shards(); i++ {
-			fmt.Fprintf(w, "nylon_kernel_shard_events_total{shard=\"%d\"} %d\n", i, t.ShardEvents(i))
+	for _, s := range sections(hub) {
+		for _, f := range s.facts {
+			promHeader(w, f.prom, f.help, f.kind)
+			perShard, ok := f.value.([]any)
+			if !ok {
+				fmt.Fprintf(w, "%s %v\n", f.prom, f.value)
+			}
+			for i, v := range perShard {
+				fmt.Fprintf(w, "%s{shard=\"%d\"} %v\n", f.prom, i, v)
+			}
 		}
 	}
-	if h := hub.Health(); h != nil {
-		maxDeg, isolated := h.IndegreeStats()
-		promHeader(w, "nylon_health_alive_peers", "alive peer population", "gauge")
-		fmt.Fprintf(w, "nylon_health_alive_peers %d\n", h.Alive())
-		promHeader(w, "nylon_health_total_peers", "total peers ever attached", "gauge")
-		fmt.Fprintf(w, "nylon_health_total_peers %d\n", h.Total())
-		promHeader(w, "nylon_health_view_entries", "view occupancy across all views (dead views freeze)", "gauge")
-		fmt.Fprintf(w, "nylon_health_view_entries %d\n", h.Entries())
-		promHeader(w, "nylon_health_view_entries_alive", "view occupancy of alive peers' views", "gauge")
-		fmt.Fprintf(w, "nylon_health_view_entries_alive %d\n", h.AliveEntries())
-		promHeader(w, "nylon_health_dead_refs", "view entries referencing departed peers", "gauge")
-		fmt.Fprintf(w, "nylon_health_dead_refs %d\n", h.DeadRefs())
-		promHeader(w, "nylon_health_indegree_max", "maximum indegree across peers", "gauge")
-		fmt.Fprintf(w, "nylon_health_indegree_max %d\n", maxDeg)
-		promHeader(w, "nylon_health_isolated_peers", "alive peers no view references", "gauge")
-		fmt.Fprintf(w, "nylon_health_isolated_peers %d\n", isolated)
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	promHeader(w, "nylon_heap_alloc_bytes", "process heap in use", "gauge")
-	fmt.Fprintf(w, "nylon_heap_alloc_bytes %d\n", ms.HeapAlloc)
-	promHeader(w, "nylon_goroutines", "live goroutines", "gauge")
-	fmt.Fprintf(w, "nylon_goroutines %d\n", runtime.NumGoroutine())
-	promHeader(w, "nylon_uptime_seconds", "seconds since the hub was created", "gauge")
-	fmt.Fprintf(w, "nylon_uptime_seconds %g\n", hub.Uptime().Seconds())
 }
 
-// WriteMetricsJSON writes the full metrics document (see MetricsJSON) to w,
-// indented — the -metrics-json dump of the CLIs.
+// WriteMetricsJSON writes the /debug/vars document to w, indented (also the
+// -metrics-json dump of the CLIs): registry values, the run section, and one
+// section per synthesized source.
 func WriteMetricsJSON(w io.Writer, hub *Hub) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(MetricsJSON(hub))
-}
-
-// MetricsJSON assembles the /debug/vars document: registry values plus the
-// kernel, health, run, and process sections.
-func MetricsJSON(hub *Hub) map[string]any {
 	doc := map[string]any{}
 	if reg := hub.Registry(); reg != nil {
 		doc["metrics"] = reg.JSONValues()
-	}
-	if t := hub.Timing(); t != nil {
-		shardExec := make([]float64, t.Shards())
-		shardEvents := make([]uint64, t.Shards())
-		for i := 0; i < t.Shards(); i++ {
-			shardExec[i] = float64(t.ShardExecNs(i)) / 1e9
-			shardEvents[i] = t.ShardEvents(i)
-		}
-		doc["kernel"] = map[string]any{
-			"events_processed":   t.Events(),
-			"exec_seconds":       float64(t.ExecNs()) / 1e9,
-			"barrier_seconds":    float64(t.BarrierNs()) / 1e9,
-			"windows":            t.Windows(),
-			"pending_events":     t.PendingEvents(),
-			"virtual_time_ms":    t.VirtualMs(),
-			"shard_exec_seconds": shardExec,
-			"shard_events":       shardEvents,
-		}
-	}
-	if h := hub.Health(); h != nil {
-		maxDeg, isolated := h.IndegreeStats()
-		doc["health"] = map[string]any{
-			"alive_peers":        h.Alive(),
-			"total_peers":        h.Total(),
-			"view_entries":       h.Entries(),
-			"view_entries_alive": h.AliveEntries(),
-			"dead_entries":       h.DeadEntries(),
-			"dead_refs":          h.DeadRefs(),
-			"indegree_max":       maxDeg,
-			"isolated_peers":     isolated,
-		}
 	}
 	if info := hub.Info(); info.Shards > 0 {
 		doc["run"] = map[string]any{
@@ -224,12 +233,10 @@ func MetricsJSON(hub *Hub) map[string]any {
 			"period_ms": info.PeriodMs,
 		}
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	doc["process"] = map[string]any{
-		"heap_alloc_bytes": ms.HeapAlloc,
-		"goroutines":       runtime.NumGoroutine(),
-		"uptime_seconds":   hub.Uptime().Seconds(),
+	for _, s := range sections(hub) {
+		doc[s.name] = values(s.facts)
 	}
-	return doc
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
 }

@@ -184,6 +184,9 @@ nylon_health_view_entries 1
 # HELP nylon_health_view_entries_alive view occupancy of alive peers' views
 # TYPE nylon_health_view_entries_alive gauge
 nylon_health_view_entries_alive 1
+# HELP nylon_health_dead_entries view entries frozen inside departed peers' views
+# TYPE nylon_health_dead_entries gauge
+nylon_health_dead_entries 0
 # HELP nylon_health_dead_refs view entries referencing departed peers
 # TYPE nylon_health_dead_refs gauge
 nylon_health_dead_refs 0

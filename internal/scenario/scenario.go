@@ -340,11 +340,11 @@ func (e *Event) validate(rounds int) error {
 		if e.Count <= 0 && e.Fraction <= 0 {
 			return fmt.Errorf("needs count > 0 or fraction > 0")
 		}
-		if e.Count < 0 || e.Fraction < 0 || e.Fraction > 10 {
+		if e.Count < 0 || !(e.Fraction >= 0 && e.Fraction <= 10) {
 			return fmt.Errorf("implausible size (count %d, fraction %v)", e.Count, e.Fraction)
 		}
 	case KindMassLeave:
-		if e.Fraction <= 0 || e.Fraction >= 1 {
+		if !(e.Fraction > 0 && e.Fraction < 1) {
 			return fmt.Errorf("fraction %v outside (0,1)", e.Fraction)
 		}
 	case KindGatewayFailure:
@@ -355,19 +355,19 @@ func (e *Event) validate(rounds int) error {
 		if e.NATRatio == nil && e.Mix == nil {
 			return fmt.Errorf("needs nat_ratio and/or mix")
 		}
-		if e.NATRatio != nil && (*e.NATRatio < 0 || *e.NATRatio > 1) {
+		if e.NATRatio != nil && !(*e.NATRatio >= 0 && *e.NATRatio <= 1) {
 			return fmt.Errorf("nat_ratio %v outside [0,1]", *e.NATRatio)
 		}
 		if m := e.Mix; m != nil {
 			if m.RC < 0 || m.PRC < 0 || m.SYM < 0 {
 				return fmt.Errorf("mix has negative fraction (%+v)", *m)
 			}
-			if sum := m.RC + m.PRC + m.SYM; sum < 0.999 || sum > 1.001 {
+			if sum := m.RC + m.PRC + m.SYM; !(sum >= 0.999 && sum <= 1.001) {
 				return fmt.Errorf("mix fractions sum to %v, want 1", sum)
 			}
 		}
 	case KindPartition:
-		if e.Fraction <= 0 || e.Fraction >= 1 {
+		if !(e.Fraction > 0 && e.Fraction < 1) {
 			return fmt.Errorf("fraction %v outside (0,1)", e.Fraction)
 		}
 		if e.DurationRounds < 0 {

@@ -62,6 +62,13 @@ func TestValidateRejects(t *testing.T) {
 		{"shift-empty", &Scenario{Events: []Event{{Round: 1, Kind: KindNATShift}}}, "nat_ratio"},
 		{"shift-bad-mix", &Scenario{Events: []Event{{Round: 1, Kind: KindNATShift, Mix: &Mix{RC: 1, PRC: 1}}}}, "sum"},
 		{"set-link-lossy", &Scenario{Events: []Event{{Round: 1, Kind: KindSetLink, Loss: f64(1)}}}, "loss"},
+		// NaN fails every ordered comparison, so only negated range checks
+		// reject it; a NaN that passed made the config unmarshalable.
+		{"flash-crowd-nan", &Scenario{Events: []Event{{Round: 1, Kind: KindFlashCrowd, Fraction: math.NaN()}}}, "fraction NaN"},
+		{"mass-leave-nan", &Scenario{Events: []Event{{Round: 1, Kind: KindMassLeave, Fraction: math.NaN()}}}, "fraction NaN"},
+		{"partition-nan", &Scenario{Events: []Event{{Round: 1, Kind: KindPartition, Fraction: math.NaN()}}}, "fraction NaN"},
+		{"shift-nan-ratio", &Scenario{Events: []Event{{Round: 1, Kind: KindNATShift, NATRatio: f64(math.NaN())}}}, "nat_ratio NaN"},
+		{"shift-nan-mix", &Scenario{Events: []Event{{Round: 1, Kind: KindNATShift, Mix: &Mix{RC: math.NaN(), PRC: 0.5, SYM: 0.5}}}}, "sum to NaN"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

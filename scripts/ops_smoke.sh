@@ -56,6 +56,7 @@ for series in \
   nylon_kernel_windows_total \
   nylon_health_alive_peers \
   nylon_health_view_entries \
+  nylon_health_dead_entries \
   nylon_net_datagrams_sent_total \
   nylon_heap_alloc_bytes \
 ; do
@@ -67,7 +68,9 @@ done
 
 # The health endpoint and the JSON dump must answer too.
 [ "$(scrape /healthz)" = "ok" ] || { echo "ops_smoke: /healthz did not answer ok" >&2; fail=1; }
-scrape /debug/vars | grep -q '"kernel"' || { echo "ops_smoke: /debug/vars missing kernel section" >&2; fail=1; }
+vars="$(scrape /debug/vars)" || { echo "ops_smoke: /debug/vars did not answer" >&2; fail=1; vars=""; }
+printf '%s' "$vars" | grep -q '"kernel"' || { echo "ops_smoke: /debug/vars missing kernel section" >&2; fail=1; }
+printf '%s' "$vars" | grep -q '"health"' || { echo "ops_smoke: /debug/vars missing health section" >&2; fail=1; }
 
 # /debug/trace must serve a bounded JSON tail through the live barrier tap.
 tracebody="$(scrape '/debug/trace?n=16')" || { echo "ops_smoke: /debug/trace did not answer" >&2; fail=1; tracebody=""; }
