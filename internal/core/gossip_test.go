@@ -99,7 +99,10 @@ func TestWarmReceiveMallocsNothing(t *testing.T) {
 
 // The engines embed the shared core by value and add only their own fields:
 // these four sizes are the simulator's alloc_bytes_per_peer, so a field that
-// creeps into the core shows here before it shows in a 10k-peer run.
+// creeps into the core shows here before it shows in a 10k-peer run. Nylon
+// holds its 80-byte routing table inline: 384 B fills the allocator's
+// 384-byte size class, where a 312-byte record and a separate 80-byte table
+// took 320 + 80.
 func TestEngineSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are stated for 64-bit words")
@@ -108,7 +111,7 @@ func TestEngineSizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"Nylon", unsafe.Sizeof(Nylon{}), 312},
+		{"Nylon", unsafe.Sizeof(Nylon{}), 384},
 		{"Generic", unsafe.Sizeof(Generic{}), 272},
 		{"ARRG", unsafe.Sizeof(ARRG{}), 304},
 		{"StaticRVP", unsafe.Sizeof(StaticRVP{}), 336},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/ident"
+	"repro/internal/prefetch"
 	"repro/internal/rt"
 	"repro/internal/view"
 	"repro/internal/wire"
@@ -31,7 +32,9 @@ import (
 // "every hop can route the message onward" — actually true.
 type Nylon struct {
 	gossip
-	routes *rt.Table
+	// routes is held inline, so the header its index probes start from
+	// sits in the engine record itself (see Prefetch).
+	routes rt.Table
 	// pending holds the hole punches started this period.
 	pending punches
 	// tick counts Tick calls, driving the thinned purge cadence below.
@@ -53,11 +56,24 @@ func NewNylon(cfg Config) *Nylon {
 	if cfg.HoleTimeout <= 0 {
 		panic("core: Nylon requires a positive HoleTimeout")
 	}
-	return &Nylon{gossip: g, routes: g.sh.Routes.NewTable(cfg.Self.ID)}
+	return &Nylon{gossip: g, routes: g.sh.Routes.MakeTable(cfg.Self.ID)}
 }
 
 // Routes exposes the routing table for metrics and tests (read-only use).
-func (n *Nylon) Routes() *rt.Table { return n.routes }
+func (n *Nylon) Routes() *rt.Table { return &n.routes }
+
+// Prefetch hints the state a coming Receive of a datagram from via touches
+// first. With a nil via it hints the line of the engine record that holds
+// the routing table's header; otherwise it reads that header and hints the
+// index cell Receive's first route write, SetDirect(via), starts probing
+// at. It never writes.
+func (n *Nylon) Prefetch(via ident.NodeID) {
+	if via.IsNil() {
+		prefetch.Line(&n.routes)
+		return
+	}
+	n.routes.Prefetch(via)
+}
 
 // Bootstrap seeds the view and installs direct routes to the seeds, modelling
 // the join handshake performed through an introducer. The host must install

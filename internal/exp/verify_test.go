@@ -5,8 +5,11 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/adversary"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ident"
+	"repro/internal/view"
 )
 
 // runVerified runs cfg as Run does and, at the first barrier of every sample
@@ -54,6 +57,34 @@ func (st *runState) verifySample(now int64, w *overlayWalk) {
 			len(w.ids), len(refIDs), len(w.edges), len(refEdges), stale, refStale))
 	}
 	st.verifyAccumulators()
+	st.verifyStructure()
+}
+
+// verifyStructure checks that every peer's state is well formed at the
+// barrier: each view passes View.Validate, and each Nylon routing table's
+// index agrees with its rows, read through the public API only — Peek finds
+// every row EachRow visits, at the row's own expiry and with its RVP, and
+// Len counts exactly the rows visited. It panics on the first violation.
+func (st *runState) verifyStructure() {
+	for _, p := range st.net.Peers() {
+		if err := p.Engine.View().Validate(); err != nil {
+			panic(fmt.Sprintf("exp: peer %v: %v", p.ID, err))
+		}
+		eng, ok := adversary.Unwrap(p.Engine).(*core.Nylon)
+		if !ok {
+			continue
+		}
+		t, rows := eng.Routes(), 0
+		t.EachRow(func(dest ident.NodeID, rvp view.Descriptor, expireAt int64) {
+			rows++
+			if got, ok := t.Peek(dest, expireAt); !ok || got != rvp {
+				panic(fmt.Sprintf("exp: peer %v: route row %v via %v expiring %d reads %v, %v through the index", p.ID, dest, rvp.ID, expireAt, got.ID, ok))
+			}
+		})
+		if t.Len() != rows {
+			panic(fmt.Sprintf("exp: peer %v: routing table Len %d, %d rows visited", p.ID, t.Len(), rows))
+		}
+	}
 }
 
 // verifyAccumulators recounts the health accumulators from scratch — every

@@ -57,6 +57,7 @@ import (
 
 	"repro/internal/ident"
 	"repro/internal/intern"
+	"repro/internal/prefetch"
 	"repro/internal/view"
 )
 
@@ -138,10 +139,11 @@ func NewStore(in *intern.Descriptors) *Store {
 	return &Store{in: in}
 }
 
-// NewTable returns an empty routing table owned by the given peer, drawing
-// its row chunks from the store.
-func (s *Store) NewTable(self ident.NodeID) *Table {
-	return &Table{self: self, st: s, minExpire: noExpiry}
+// MakeTable returns an empty routing table owned by the given peer, drawing
+// its row chunks from the store. The table is a value so that its owner can
+// hold it inline; it must not be copied once used.
+func (s *Store) MakeTable(self ident.NodeID) Table {
+	return Table{self: self, st: s, minExpire: noExpiry}
 }
 
 // chunk returns an empty chunk: the most recently freed one, or a new one.
@@ -156,20 +158,22 @@ func (s *Store) chunk() *rowChunk {
 }
 
 // Table maps destinations to RVP entries. The zero Table is unusable;
-// construct with New, NewShared or Store.NewTable. Table is not safe for
+// construct with New, NewShared or Store.MakeTable. Table is not safe for
 // concurrent use.
 type Table struct {
-	self ident.NodeID
-	st   *Store
+	// slots is the open-addressed index (see slot). Backward-shift deletion
+	// keeps it tombstone-free, so its load is always exactly
+	// nrows/len(slots). It leads the struct, so a hint of the table's own
+	// address warms the header Prefetch reads.
+	slots []slot
+	self  ident.NodeID
+	st    *Store
 	// Chunked row storage: row i lives at rows[i/32] offset i%32. Deletion
 	// swaps with the last row, so order is arbitrary. nrows is the live row
 	// count, and rows holds exactly the chunks that hold a live row:
 	// ceil(nrows/32) of them.
 	rows  []*rowChunk
 	nrows int
-	// Backward-shift deletion keeps it tombstone-free, so its load is
-	// always exactly nrows/len(slots).
-	slots []slot
 	// minExpire is a conservative lower bound on the earliest expiry of any
 	// row (maxInt64 when empty): installs lower it, removals and refreshes
 	// only raise the true minimum and leave it untouched. Purge skips its
@@ -235,7 +239,8 @@ func New(self ident.NodeID) *Table {
 // equivalence test pins it — only where the descriptor bytes live. in must
 // not be nil.
 func NewShared(self ident.NodeID, in *intern.Descriptors) *Table {
-	return NewStore(in).NewTable(self)
+	t := NewStore(in).MakeTable(self)
+	return &t
 }
 
 // fpOf returns the index fingerprint of a destination ID: Fibonacci hashing,
@@ -263,6 +268,14 @@ func (t *Table) find(dest ident.NodeID) int {
 				return row - 1
 			}
 		}
+	}
+}
+
+// Prefetch hints the index cell where a find of dest starts. It reads the
+// slots header and nothing else, and writes nothing.
+func (t *Table) Prefetch(dest ident.NodeID) {
+	if len(t.slots) > 0 {
+		prefetch.Line(&t.slots[t.home(dest)])
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // chunk rather than allocate, so a shard's row bytes follow its live rows.
 func TestStoreReusesChunks(t *testing.T) {
 	st := NewStore(&intern.Descriptors{})
-	a, b := st.NewTable(1), st.NewTable(2)
+	ta, tb := st.MakeTable(1), st.MakeTable(2)
+	a, b := &ta, &tb
 	rvp := d(7)
 	const forever = int64(1) << 62
 	// Each table keeps one permanent chunk of rows; the second chunk's rows
@@ -61,7 +62,8 @@ func TestPooledStoreEquivalence(t *testing.T) {
 	pooled := make([]*Table, nTables)
 	private := make([]*Table, nTables)
 	for i := range pooled {
-		pooled[i] = st.NewTable(ident.NodeID(i + 1))
+		tb := st.MakeTable(ident.NodeID(i + 1))
+		pooled[i] = &tb
 		private[i] = New(ident.NodeID(i + 1))
 	}
 	sameRows := func(step, i int) []row {
@@ -116,7 +118,8 @@ func TestPooledStoreEquivalence(t *testing.T) {
 			// A checkpoint round trip: each side replays its rows into a
 			// fresh table of its own kind, as a restore does.
 			rows := sameRows(step, i)
-			p, q := st.NewTable(ident.NodeID(i+1)), New(ident.NodeID(i+1))
+			tb := st.MakeTable(ident.NodeID(i + 1))
+			p, q := &tb, New(ident.NodeID(i+1))
 			for _, r := range rows {
 				p.LoadRow(r.dest, r.rvp, r.expireAt)
 				q.LoadRow(r.dest, r.rvp, r.expireAt)

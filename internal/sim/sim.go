@@ -108,6 +108,8 @@ type Scheduler struct {
 // streams (the simulated network's in-flight datagrams) reuse it so the
 // grow/wrap logic lives in one place. The zero Ring is ready to use.
 type Ring[T any] struct {
+	// buf's length is zero or a power of two, so a position wraps with a
+	// mask instead of a division.
 	buf     []T
 	head, n int
 }
@@ -115,21 +117,30 @@ type Ring[T any] struct {
 // Len returns the number of queued elements.
 func (q *Ring[T]) Len() int { return q.n }
 
+// at returns the i-th queued element's slot, 0 being the head.
+func (q *Ring[T]) at(i int) *T { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
 // At returns a pointer to the i-th queued element (0 is the head) without
-// removing it. Checkpoint capture iterates the ring with it; the pointer is
-// valid until the next Push.
-func (q *Ring[T]) At(i int) *T { return &q.buf[(q.head+i)%len(q.buf)] }
+// removing it. It panics unless 0 ≤ i < Len(). Checkpoint capture iterates
+// the ring with it and the network's delivery look-ahead reads the next few
+// elements; the pointer is valid until the next Push.
+func (q *Ring[T]) At(i int) *T {
+	if uint(i) >= uint(q.n) {
+		panic("sim: At index out of range")
+	}
+	return q.at(i)
+}
 
 // Push appends e at the tail.
 func (q *Ring[T]) Push(e T) {
 	if q.n == len(q.buf) {
 		grown := make([]T, max(16, 2*len(q.buf)))
 		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)%len(q.buf)]
+			grown[i] = *q.at(i)
 		}
 		q.buf, q.head = grown, 0
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = e
+	*q.at(q.n) = e
 	q.n++
 }
 
@@ -142,7 +153,7 @@ func (q *Ring[T]) Pop() T {
 	e := q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return e
 }
@@ -157,9 +168,7 @@ func (q *Ring[T]) Peek() *T {
 }
 
 // tail returns a pointer to the most recently pushed element.
-func (q *Ring[T]) tail() *T {
-	return &q.buf[(q.head+q.n-1)%len(q.buf)]
-}
+func (q *Ring[T]) tail() *T { return q.at(q.n - 1) }
 
 // SetLaneFn installs the callback shared by all lane events. It must be set
 // (once) before the first LaneAtKey call; hosts use a method value bound to

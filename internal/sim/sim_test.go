@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -168,4 +169,46 @@ func TestTickWithoutFnPanics(t *testing.T) {
 	}()
 	var s Scheduler
 	s.TickAtKey(1, 1, 1)
+}
+
+// TestRingAt pins At's contract: across a wrap it reads the queued elements
+// in FIFO order, and any index outside [0, Len()) panics with a sim: message
+// like Pop and Peek do — including every index of an empty ring, whose buffer
+// has no length to wrap by.
+func TestRingAt(t *testing.T) {
+	var q Ring[int]
+	for i := 0; i < 16; i++ {
+		q.Push(i)
+	}
+	for i := 0; i < 10; i++ {
+		q.Pop()
+	}
+	for i := 16; i < 24; i++ { // wraps: the tail passes the buffer's end
+		q.Push(i)
+	}
+	for i := 0; i < q.Len(); i++ {
+		if got := *q.At(i); got != 10+i {
+			t.Fatalf("At(%d) = %d, want %d", i, got, 10+i)
+		}
+	}
+	var empty Ring[int]
+	for _, tc := range []struct {
+		name string
+		q    *Ring[int]
+		i    int
+	}{
+		{"negative", &q, -1},
+		{"at Len", &q, q.Len()},
+		{"past the buffer", &q, 16},
+		{"empty ring", &empty, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "sim: ") {
+					t.Fatalf("At(%d) on a ring of %d: recovered %q, want a sim: panic", tc.i, tc.q.Len(), msg)
+				}
+			}()
+			tc.q.At(tc.i)
+		})
+	}
 }

@@ -39,9 +39,13 @@ func sinkFactory() (EngineFactory, *[]*sinkEngine) {
 	}, engines
 }
 
-func ping(net *Network, from, to *Peer) {
+func ping(net *Network, from, to *Peer) { datagram(net, from, to, wire.KindPing) }
+
+// datagram sends one message of the given kind from one peer to another's
+// advertised endpoint.
+func datagram(net *Network, from, to *Peer, kind wire.Kind) {
 	msg := net.ShardPool(from.Shard).Get()
-	msg.Kind = wire.KindPing
+	msg.Kind = kind
 	msg.Src, msg.Dst, msg.Via = from.Descriptor(), to.Descriptor(), from.Descriptor()
 	net.Send(from, core.Send{To: to.Addr, ToID: to.ID, Msg: msg})
 }
@@ -187,43 +191,101 @@ func (p delayPolicy) Transmit(int64, ident.NodeID, ident.Endpoint, ident.Endpoin
 // policy and no active partition allocates zero. A policy that delays every
 // datagram past the release horizon costs nothing either: once the held list
 // and the barrier's sort scratch have grown, holding a datagram across
-// barriers allocates nothing.
+// barriers allocates nothing. Nor does the delivery look-ahead, which the
+// burst case drives through every stage and every kind of destination.
 func TestQuiescentSendZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		delay int64
+		// world attaches the case's peers. It returns one round's sends and
+		// the check of every delivery and drop count after the given number
+		// of rounds.
+		world func(net *Network) (send func(), check func(t *testing.T, rounds int))
 	}{
-		{"no policy", 0},
-		{"jittered", 75},
+		{"no policy", 0, pingWorld},
+		{"jittered", 75, pingWorld},
+		{"look-ahead burst", 0, burstWorld},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sched, net := newNet()
-			factory, engines := sinkFactory()
-			a := net.AddPeer(1, ident.Public, holeTimeout, func(d view.Descriptor) core.Engine { return factory(d) })
-			b := net.AddPeer(2, ident.Public, holeTimeout, func(d view.Descriptor) core.Engine { return factory(d) })
+			send, check := tc.world(net)
 			if tc.delay > 0 {
 				net.SetLinkPolicy(delayPolicy(tc.delay))
 			}
 
 			// Warm the inflight ring, the held list and the scheduler lane.
 			for i := 0; i < 64; i++ {
-				ping(net, a, b)
+				send()
 			}
 			sched.RunUntil(sched.Now() + 1000)
 
 			allocs := testing.AllocsPerRun(1000, func() {
-				ping(net, a, b)
+				send()
 				sched.RunUntil(sched.Now() + latency + tc.delay)
 			})
-			// The ping's wire message round-trips through the pool, so the
-			// whole cycle must be allocation-free.
+			// The wire messages round-trip through the pool, so the whole
+			// cycle must be allocation-free.
 			if allocs > 0 {
 				t.Errorf("send+deliver allocates %.1f per round, want 0", allocs)
 			}
-			if got, want := (*engines)[1].received, 64+1001; got != want {
-				t.Errorf("delivered %d datagrams, want %d", got, want)
-			}
+			check(t, 64+1001)
 		})
+	}
+}
+
+// pingWorld pings one public peer from another, one datagram a round.
+func pingWorld(net *Network) (func(), func(*testing.T, int)) {
+	factory, engines := sinkFactory()
+	a := net.AddPeer(1, ident.Public, holeTimeout, factory)
+	b := net.AddPeer(2, ident.Public, holeTimeout, factory)
+	return func() { ping(net, a, b) }, func(t *testing.T, rounds int) {
+		if got := (*engines)[1].received; got != rounds {
+			t.Errorf("delivered %d datagrams, want %d", got, rounds)
+		}
+	}
+}
+
+// burstWorld releases a burst of 12 datagrams into one window each round,
+// interleaved over every kind of destination the delivery look-ahead meets,
+// so each of its stages runs on each kind: natted Nylon peers (NAT device
+// and engine hints), a public Nylon peer (no device), a dead one, a natted
+// one whose NAT refuses the sender, and a natted peer whose engine has no
+// Prefetch. The Nylon peers get PONGs no punch awaits, so they install the
+// sender's route and answer nothing.
+func burstWorld(net *Network) (func(), func(*testing.T, int)) {
+	sink, _ := sinkFactory()
+	nylon := nylonFactory(1)
+	src := net.AddPeer(1, ident.Public, holeTimeout, sink)
+	dsts := []*Peer{
+		net.AddPeer(2, ident.RestrictedCone, holeTimeout, nylon),
+		net.AddPeer(3, ident.PortRestrictedCone, holeTimeout, nylon),
+		net.AddPeer(4, ident.Public, holeTimeout, nylon),
+		net.AddPeer(5, ident.Public, holeTimeout, nylon),             // dead
+		net.AddPeer(6, ident.PortRestrictedCone, holeTimeout, nylon), // no hole
+		net.AddPeer(7, ident.RestrictedCone, holeTimeout, sink),
+	}
+	const perRound = 2 // datagrams to each destination per round
+	net.InstallHole(src, dsts[0])
+	net.InstallHole(src, dsts[1])
+	net.InstallHole(src, dsts[5])
+	net.Kill(5)
+	send := func() {
+		for r := 0; r < perRound; r++ {
+			for _, p := range dsts {
+				datagram(net, src, p, wire.KindPong)
+			}
+		}
+	}
+	return send, func(t *testing.T, rounds int) {
+		k := uint64(perRound * rounds)
+		for i, want := range []uint64{k, k, k, 0, 0, k} {
+			if got := dsts[i].MsgsRecv; got != want {
+				t.Errorf("peer %v (%v) received %d datagrams, want %d", dsts[i].ID, dsts[i].Class, got, want)
+			}
+		}
+		if got, want := net.Drops(), (DropStats{DeadPeer: k, NATFiltered: k}); got != want {
+			t.Errorf("drops %+v, want %+v", got, want)
+		}
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 	"repro/internal/ident"
 	"repro/internal/intern"
 	"repro/internal/nat"
+	"repro/internal/prefetch"
 	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -673,15 +674,70 @@ func (n *Network) flush() {
 // batch event, amortizing dispatch, while every
 // datagram still advances the clock and the processed count individually and
 // any interleaved heap event ends the batch exactly where per-datagram
-// execution would have run it.
+// execution would have run it. Before each delivery, lookAhead hints the
+// state of the datagrams queued behind it.
 func (n *Network) deliverNext(i int) {
 	sh := &n.shards[i]
 	for {
 		d := sh.inflight.Pop()
+		n.lookAhead(&sh.inflight)
 		n.deliver(i, d.srcEP, d.to, d.msg, d.size)
 		sh.pool.Put(d.msg)
 		if !sh.sched.LaneContinue() {
 			return
+		}
+	}
+}
+
+// The look-ahead's stages, as positions in the ring behind the datagram
+// being delivered (DESIGN.md §10.5). Each stage reads only lines that the
+// stage one position further ahead hinted one delivery earlier.
+const (
+	hintPeer   = 3 // the message header and the destination Peer
+	hintDevice = 2 // the destination's NAT device and engine record
+	hintRoute  = 1 // the engine's route index cell for the sender
+)
+
+// prefetcher is an engine that hints the state its coming Receive touches
+// first: with a nil via its own record, with via the route index cell of
+// the transport sender (core.Nylon.Prefetch).
+type prefetcher interface {
+	Prefetch(via ident.NodeID)
+}
+
+// lookAhead issues the cache hints for the datagrams queued behind the one
+// about to be delivered. A hint never writes, so no delivery, trace or
+// snapshot byte depends on it; a stage whose position is past the queue's
+// end is skipped.
+func (n *Network) lookAhead(q *sim.Ring[delivery]) {
+	queued := q.Len()
+	if queued >= hintPeer {
+		d := q.At(hintPeer - 1)
+		prefetch.Line(d.msg)
+		if p, ok := n.OwnerOfIP(d.to.IP); ok {
+			// A Peer spans up to three lines; resolve and deliver read
+			// all of them.
+			prefetch.Line(p)
+			prefetch.Line(&p.Alive)
+			prefetch.Line(&p.MsgsRecv)
+		}
+	}
+	if queued >= hintDevice {
+		if p, ok := n.OwnerOfIP(q.At(hintDevice - 1).to.IP); ok {
+			if p.Device != nil {
+				prefetch.Line(p.Device)
+			}
+			if e, ok := p.Engine.(prefetcher); ok {
+				e.Prefetch(ident.Nil)
+			}
+		}
+	}
+	if queued >= hintRoute {
+		d := q.At(hintRoute - 1)
+		if p, ok := n.OwnerOfIP(d.to.IP); ok {
+			if e, ok := p.Engine.(prefetcher); ok {
+				e.Prefetch(d.msg.Via.ID)
+			}
 		}
 	}
 }
