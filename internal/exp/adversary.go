@@ -190,16 +190,17 @@ func ratio(a, b int) float64 {
 	return float64(a) / float64(b)
 }
 
-// measureAdversary fills the Result's adversary block: view penetration,
+// measureAdversary fills the Result's adversary block: view penetration
+// (eclipse and colluder share as the walk's sample pt states them),
 // indegree concentration, and the honest-only partition resistance over the
 // already-walked usable edges.
-func (st *runState) measureAdversary(res *Result, w *overlayWalk) {
+func (st *runState) measureAdversary(res *Result, w *overlayWalk, pt SamplePoint) {
 	a, s := st.adv, &w.sums
 	res.Adversary.AdversaryCount = a.count
 	res.Adversary.ColluderCount = a.colluders.Len()
-	res.Adversary.EclipseFraction = ratio(s.eclipsed, s.honest)
+	res.Adversary.EclipseFraction = pt.Eclipse
 	res.Adversary.ColluderViewFraction = ratio(s.withColluder, s.honest)
-	res.Adversary.ColluderIndegreeShare = ratio(s.colluderEntries, s.honestEntries)
+	res.Adversary.ColluderIndegreeShare = pt.ColluderShare
 	k := a.colluders.Len()
 	if k == 0 {
 		k = a.count

@@ -495,7 +495,7 @@ func restoreWorld(c *snapshot.Codec, opt ResumeOptions) (*runState, error) {
 	cfg.Checkpoint = opt.Checkpoint
 	cfg.Obs = opt.Obs
 	cfg = cfg.Defaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if resumeT < 0 || resumeT > int64(cfg.Rounds)*cfg.PeriodMs {

@@ -299,7 +299,11 @@ func (c Config) traceCapacity() int {
 // natted returns how many of the N peers a fresh run puts behind NATs.
 func (c Config) natted() int { return int(c.NATRatio*float64(c.N) + 0.5) }
 
-func (c Config) validate() error {
+// Validate reports whether c, after Defaults, names a point Run accepts:
+// the one check Run and ResumeFile apply before wiring a world, and that a
+// host can apply before any simulation starts.
+func (c Config) Validate() error {
+	c = c.Defaults()
 	if c.N <= 0 || c.Rounds <= 0 {
 		return fmt.Errorf("exp: N and Rounds must be positive (got %d, %d)", c.N, c.Rounds)
 	}

@@ -176,9 +176,9 @@ func FuzzConfig(f *testing.F) {
 			return
 		}
 		d := cfg.Defaults()
-		if d.validate() != nil {
+		if d.Validate() != nil {
 			if _, err := Run(cfg); err == nil {
-				t.Fatal("Run accepted a config validate refuses")
+				t.Fatal("Run accepted a config Validate refuses")
 			}
 			return
 		}

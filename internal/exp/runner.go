@@ -181,7 +181,7 @@ func Run(cfg Config) (Result, error) {
 // newRun validates cfg and wires its world, armed to run from time zero.
 func newRun(cfg Config) (*runState, error) {
 	cfg = cfg.Defaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	st := newRunState(cfg)
@@ -759,15 +759,16 @@ func (st *runState) nylonUsable(now int64, q *simnet.Peer, d view.Descriptor) bo
 func (st *runState) measure(end int64, warmupBytes []uint64) Result {
 	res := Result{Cfg: st.cfg, Drops: st.net.Drops()}
 	w := st.walkOverlay(st.kern.Now(), warmupBytes)
+	pt := st.sample(st.cfg.Rounds, w)
 	sums := &w.sums
-	alive, total := len(w.ids), st.net.PeerCount()
+	alive, total := pt.AlivePeers, st.net.PeerCount()
 	seconds := float64(end-st.measureAfter) / 1000
 
 	res.AlivePeers = alive
 	res.TotalPeers = total
-	res.StaleFraction = w.staleFraction()
+	res.StaleFraction = pt.StaleFraction
 	res.NattedNonStale = stats.Mean(w.natted)
-	res.BiggestCluster = w.biggestCluster(total)
+	res.BiggestCluster = pt.BiggestCluster
 	if seconds > 0 && alive > 0 {
 		res.BytesPerSecAll = float64(sums.bytesPublic+sums.bytesNatted) / seconds / float64(alive)
 		if sums.alivePublic > 0 {
@@ -786,7 +787,7 @@ func (st *runState) measure(end int64, warmupBytes []uint64) Result {
 	}
 
 	if st.adv != nil {
-		st.measureAdversary(&res, w)
+		st.measureAdversary(&res, w, pt)
 		res.Adversary.RelayDenied = sums.relayDenied
 		res.Adversary.AdversaryDrops = sums.advDrops
 		res.Adversary.HopLimitDrops = sums.hopLimitDrops

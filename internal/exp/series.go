@@ -66,6 +66,25 @@ func recoveryFrom(series []SamplePoint) Recovery {
 	return r
 }
 
+// sample states the health numbers of walk w, taken at round r: the one
+// place the series and the final measure read them from.
+func (st *runState) sample(r int, w *overlayWalk) SamplePoint {
+	pt := SamplePoint{
+		Round:          r,
+		BiggestCluster: w.biggestCluster(st.net.PeerCount()),
+		StaleFraction:  w.staleFraction(),
+		AlivePeers:     len(w.ids),
+	}
+	if st.scn != nil {
+		pt.Joins, pt.Leaves = st.scn.stats.Joins, st.scn.stats.Leaves
+	}
+	if st.adv != nil {
+		pt.Eclipse = ratio(w.sums.eclipsed, w.sums.honest)
+		pt.ColluderShare = ratio(w.sums.colluderEntries, w.sums.honestEntries)
+	}
+	return pt
+}
+
 // scheduleSeries arms periodic snapshots every SampleEveryRounds rounds (as
 // global barrier events: a snapshot walks every shard's peers) into
 // st.series. Only rounds strictly after the given time are armed: resumed
@@ -84,20 +103,7 @@ func (st *runState) scheduleSeries(after int64) {
 			continue
 		}
 		st.kern.Global().At(int64(r)*st.cfg.PeriodMs, func() {
-			w := st.walkOverlay(st.now(), nil)
-			pt := SamplePoint{
-				Round:          r,
-				BiggestCluster: w.biggestCluster(st.net.PeerCount()),
-				StaleFraction:  w.staleFraction(),
-				AlivePeers:     len(w.ids),
-			}
-			if st.scn != nil {
-				pt.Joins, pt.Leaves = st.scn.stats.Joins, st.scn.stats.Leaves
-			}
-			if st.adv != nil {
-				pt.Eclipse = ratio(w.sums.eclipsed, w.sums.honest)
-				pt.ColluderShare = ratio(w.sums.colluderEntries, w.sums.honestEntries)
-			}
+			pt := st.sample(r, st.walkOverlay(st.now(), nil))
 			*series = append(*series, pt)
 			if st.cfg.Obs != nil {
 				st.cfg.Obs.PublishSample(r, pt.AlivePeers, pt.BiggestCluster, pt.StaleFraction)

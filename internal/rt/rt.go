@@ -158,7 +158,7 @@ func (s *Store) chunk() *rowChunk {
 }
 
 // Table maps destinations to RVP entries. The zero Table is unusable;
-// construct with New, NewShared or Store.MakeTable. Table is not safe for
+// construct with NewShared or Store.MakeTable. Table is not safe for
 // concurrent use.
 type Table struct {
 	// slots is the open-addressed index (see slot). Backward-shift deletion
@@ -228,16 +228,10 @@ func (t *Table) appendRow(d ident.NodeID, h intern.Handle, e int64) {
 	t.setRow(t.nrows-1, d, h, e)
 }
 
-// New returns an empty routing table owned by the given peer, with a private
-// store and descriptor intern table.
-func New(self ident.NodeID) *Table {
-	return NewShared(self, &intern.Descriptors{})
-}
-
-// NewShared is New with a caller-owned descriptor intern table, in a private
-// store around it. Sharing the intern table changes nothing observable — the
-// equivalence test pins it — only where the descriptor bytes live. in must
-// not be nil.
+// NewShared returns an empty routing table owned by the given peer, in a
+// private store around the caller's descriptor intern table. Sharing the
+// intern table changes nothing observable — the equivalence test pins it —
+// only where the descriptor bytes live. in must not be nil.
 func NewShared(self ident.NodeID, in *intern.Descriptors) *Table {
 	t := NewStore(in).MakeTable(self)
 	return &t

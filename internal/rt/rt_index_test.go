@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ident"
+	"repro/internal/intern"
 	"repro/internal/view"
 )
 
@@ -53,7 +54,7 @@ func (r *refTable) purge(now int64) {
 // requires identical observable behaviour throughout.
 func TestIndexMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tb := New(1)
+	tb := NewShared(1, &intern.Descriptors{})
 	ref := &refTable{self: 1, entries: map[ident.NodeID]Entry{}}
 	rvpFor := func(id uint64) view.Descriptor {
 		return view.Descriptor{ID: ident.NodeID(id), Addr: ident.Endpoint{IP: ident.IP(id)}}
@@ -104,7 +105,7 @@ func TestIndexMatchesReference(t *testing.T) {
 // TestSetSteadyStateAllocs locks in that refreshing existing routes and
 // purging allocate nothing.
 func TestSetSteadyStateAllocs(t *testing.T) {
-	tb := New(1)
+	tb := NewShared(1, &intern.Descriptors{})
 	rvp := view.Descriptor{ID: 7, Addr: ident.Endpoint{IP: 7}}
 	for id := uint64(2); id < 200; id++ {
 		tb.Set(ident.NodeID(id), rvp, 1000)
@@ -126,7 +127,7 @@ func TestSetSteadyStateAllocs(t *testing.T) {
 // expire/reinstall cycles: long probe chains and backward-shift deletion in
 // clustered clusters must stay exact.
 func TestIndexAdversarialIDs(t *testing.T) {
-	tb := New(1)
+	tb := NewShared(1, &intern.Descriptors{})
 	ref := &refTable{self: 1, entries: map[ident.NodeID]Entry{}}
 	// Brute-force IDs whose fingerprints land in one home slot of the
 	// initial table.

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"repro/internal/ident"
+	"repro/internal/intern"
 	"repro/internal/view"
 )
 
@@ -31,7 +32,7 @@ func dump(tb *Table) (rows []row) {
 }
 
 func TestSetAndNext(t *testing.T) {
-	tb := New(1)
+	tb := NewShared(1, &intern.Descriptors{})
 	tb.Set(5, d(3), 100)
 	rvp, ok := tb.Next(5, 50)
 	if !ok || rvp.ID != 3 {
@@ -51,7 +52,7 @@ func TestSetAndNext(t *testing.T) {
 }
 
 func TestSetIgnoresSelfAndNil(t *testing.T) {
-	tb := New(1)
+	tb := NewShared(1, &intern.Descriptors{})
 	tb.Set(1, d(3), 100)
 	tb.Set(0, d(3), 100)
 	tb.Set(5, view.Descriptor{}, 100)
@@ -61,7 +62,7 @@ func TestSetIgnoresSelfAndNil(t *testing.T) {
 }
 
 func TestSetKeepsFresherRoute(t *testing.T) {
-	tb := New(1)
+	tb := NewShared(1, &intern.Descriptors{})
 	tb.Set(5, d(3), 200)
 	tb.Set(5, d(4), 100) // staler: ignored
 	rvp, _ := tb.Next(5, 0)
@@ -76,7 +77,7 @@ func TestSetKeepsFresherRoute(t *testing.T) {
 }
 
 func TestDirectRoutePreferred(t *testing.T) {
-	tb := New(1)
+	tb := NewShared(1, &intern.Descriptors{})
 	tb.Set(5, d(3), 1000)
 	// A direct hole with an earlier expiry still replaces an indirect route.
 	tb.SetDirect(d(5), 500)
@@ -86,7 +87,7 @@ func TestDirectRoutePreferred(t *testing.T) {
 }
 
 func TestDirect(t *testing.T) {
-	tb := New(1)
+	tb := NewShared(1, &intern.Descriptors{})
 	tb.SetDirect(d(5), 100)
 	if rvp, ok := tb.Next(5, 50); !ok || rvp.ID != 5 {
 		t.Errorf("Next = %v, %v for open hole, want n5", rvp.ID, ok)
@@ -101,7 +102,7 @@ func TestDirect(t *testing.T) {
 }
 
 func TestTTL(t *testing.T) {
-	tb := New(1)
+	tb := NewShared(1, &intern.Descriptors{})
 	tb.Set(5, d(3), 150)
 	if got := tb.TTL(5, 50); got != 100 {
 		t.Errorf("TTL = %d, want 100", got)
@@ -115,7 +116,7 @@ func TestTTL(t *testing.T) {
 }
 
 func TestPurge(t *testing.T) {
-	tb := New(1)
+	tb := NewShared(1, &intern.Descriptors{})
 	tb.Set(5, d(3), 100)
 	tb.Set(6, d(3), 300)
 	tb.Purge(200)
@@ -128,7 +129,7 @@ func TestPurge(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	tb := New(1)
+	tb := NewShared(1, &intern.Descriptors{})
 	tb.Set(5, d(3), 100)
 	if tb.String() == "" {
 		t.Error("String() empty")
@@ -140,7 +141,7 @@ func TestString(t *testing.T) {
 func TestTTLNeverNegative(t *testing.T) {
 	f := func(expireRaw uint32, nowRaw uint32) bool {
 		expire, now := int64(expireRaw), int64(nowRaw)
-		tb := New(1)
+		tb := NewShared(1, &intern.Descriptors{})
 		tb.Set(5, d(3), expire)
 		ttl := tb.TTL(5, now)
 		if ttl < 0 {
@@ -162,7 +163,7 @@ func TestTTLNeverNegative(t *testing.T) {
 // -race), which a find-memo write would not be.
 func TestPeekIsAPureRead(t *testing.T) {
 	build := func() *Table {
-		tb := New(1)
+		tb := NewShared(1, &intern.Descriptors{})
 		for id := uint64(2); id < 40; id++ {
 			tb.Set(ident.NodeID(id), d(id+100), int64(id)*10) // expires at 20..390
 		}
@@ -239,7 +240,7 @@ func TestExtremeValuesRoundTrip(t *testing.T) {
 	for _, dest := range dests {
 		for _, e := range expiries {
 			rvp := view.Descriptor{ID: math.MaxUint64 - dest + 2, Addr: ident.Endpoint{IP: math.MaxUint32, Port: math.MaxUint16}}
-			tb := New(1)
+			tb := NewShared(1, &intern.Descriptors{})
 			tb.Set(2, d(2), 0) // a neighbour row, so the copy keeps an order
 			tb.Set(dest, rvp, e)
 			check(tb, dest, rvp, e)
@@ -247,7 +248,7 @@ func TestExtremeValuesRoundTrip(t *testing.T) {
 			if len(rows) != 2 || rows[1] != (row{dest, rvp, e}) {
 				t.Fatalf("EachRow = %v, want the row {%#x %v %d} second", rows, uint64(dest), rvp.ID, e)
 			}
-			cp := New(1)
+			cp := NewShared(1, &intern.Descriptors{})
 			for _, r := range rows {
 				cp.LoadRow(r.dest, r.rvp, r.expireAt)
 			}

@@ -64,7 +64,7 @@ func TestPooledStoreEquivalence(t *testing.T) {
 	for i := range pooled {
 		tb := st.MakeTable(ident.NodeID(i + 1))
 		pooled[i] = &tb
-		private[i] = New(ident.NodeID(i + 1))
+		private[i] = NewShared(ident.NodeID(i+1), &intern.Descriptors{})
 	}
 	sameRows := func(step, i int) []row {
 		t.Helper()
@@ -119,7 +119,7 @@ func TestPooledStoreEquivalence(t *testing.T) {
 			// fresh table of its own kind, as a restore does.
 			rows := sameRows(step, i)
 			tb := st.MakeTable(ident.NodeID(i + 1))
-			p, q := &tb, New(ident.NodeID(i+1))
+			p, q := &tb, NewShared(ident.NodeID(i+1), &intern.Descriptors{})
 			for _, r := range rows {
 				p.LoadRow(r.dest, r.rvp, r.expireAt)
 				q.LoadRow(r.dest, r.rvp, r.expireAt)
@@ -173,7 +173,7 @@ func checkIndex(t *testing.T, tb *Table) {
 func TestIndexAtSevenEighthsLoad(t *testing.T) {
 	const cells, maxRows = initialSlots, initialSlots * 7 / 8
 	rng := rand.New(rand.NewSource(17))
-	tb := New(1)
+	tb := NewShared(1, &intern.Descriptors{})
 	ref := map[ident.NodeID]bool{}
 	var live []ident.NodeID
 	add := func() {
@@ -243,7 +243,7 @@ var findSink int
 func BenchmarkFind(b *testing.B) {
 	const rows = 200
 	rng := rand.New(rand.NewSource(19))
-	tb := New(1)
+	tb := NewShared(1, &intern.Descriptors{})
 	ids := make([]ident.NodeID, 2*rows)
 	for i, v := range rng.Perm(100_000)[:len(ids)] {
 		ids[i] = ident.NodeID(v + 2)

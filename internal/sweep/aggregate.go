@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/exp"
 	"repro/internal/stats"
 )
 
@@ -97,7 +98,7 @@ type Artifact struct {
 
 // Aggregate folds the grid's results (in grid order, as returned by
 // Execute) into per-cell summaries and per-round bands.
-func Aggregate(g *Grid, results []*JobResult) (*Artifact, error) {
+func Aggregate(g *Grid, results []*exp.Result) (*Artifact, error) {
 	if len(results) != len(g.Jobs) {
 		return nil, fmt.Errorf("sweep: %d results for %d jobs", len(results), len(g.Jobs))
 	}
@@ -109,23 +110,23 @@ func Aggregate(g *Grid, results []*JobResult) (*Artifact, error) {
 		Seeds:     g.Seeds,
 	}
 	nSeeds := len(g.Seeds)
-	k := 0
-	for _, sc := range art.Scenarios {
-		for _, v := range art.Variants {
-			cellResults := results[k : k+nSeeds]
-			k += nSeeds
-			cell, err := aggregateCell(sc, v, g.Seeds, cellResults)
-			if err != nil {
-				return nil, err
-			}
-			art.Cells = append(art.Cells, cell)
+	for k := 0; k < len(g.Jobs); k += nSeeds {
+		cell, err := aggregateCell(g.Jobs[k:k+nSeeds], g.Seeds, results[k:k+nSeeds])
+		if err != nil {
+			return nil, err
 		}
+		art.Cells = append(art.Cells, cell)
 	}
 	return art, nil
 }
 
-func aggregateCell(scenarioName, variant string, seeds []int64, results []*JobResult) (Cell, error) {
+// aggregateCell folds one cell's jobs, one per seed, and their results. The
+// cell ran adversaries when its configuration declares cohorts; every seed of
+// a cell shares that configuration.
+func aggregateCell(jobs []Job, seeds []int64, results []*exp.Result) (Cell, error) {
+	scenarioName, variant := jobs[0].Scenario, jobs[0].Variant
 	cell := Cell{Scenario: scenarioName, Variant: variant, Seeds: seeds}
+	hasAdv := len(jobs[0].Cfg.Scenario.AdversaryList()) > 0
 	var (
 		finals, worsts, stales, completions []float64
 		recoveryRounds                      []float64
@@ -135,52 +136,50 @@ func aggregateCell(scenarioName, variant string, seeds []int64, results []*JobRe
 	staleRuns := make([][]float64, len(results))
 	aliveRuns := make([][]float64, len(results))
 	var rounds []int
-	hasAdv := false
 	var eclipses, shares, honests []float64
 	eclipseRuns := make([][]float64, len(results))
-	for i, jr := range results {
-		if jr == nil {
+	for i, res := range results {
+		if res == nil {
 			return Cell{}, fmt.Errorf("sweep: cell (%s, %s) missing result for seed %d", scenarioName, variant, seeds[i])
 		}
-		finals = append(finals, jr.BiggestCluster)
-		worsts = append(worsts, jr.WorstCluster)
-		stales = append(stales, jr.StaleFraction)
-		completions = append(completions, jr.CompletionRate)
-		if jr.RecoveredRound >= 0 {
+		finals = append(finals, res.BiggestCluster)
+		worsts = append(worsts, res.Recovery.WorstCluster)
+		stales = append(stales, res.StaleFraction)
+		completions = append(completions, res.CompletionRate)
+		if res.Recovery.RecoveredRound >= 0 {
 			recovered++
-			recoveryRounds = append(recoveryRounds, float64(jr.RecoveredRound-jr.WorstRound))
+			recoveryRounds = append(recoveryRounds, float64(res.Recovery.RecoveredRound-res.Recovery.WorstRound))
 		}
 		// Series alignment: every seed of a cell runs the same config, so
 		// the sampled rounds must agree; a mismatch means the cache holds
 		// results from a different spec and must not be averaged silently.
 		if i == 0 {
-			rounds = make([]int, len(jr.Series))
-			for j, pt := range jr.Series {
+			rounds = make([]int, len(res.Series))
+			for j, pt := range res.Series {
 				rounds[j] = pt.Round
 			}
-		} else if len(jr.Series) != len(rounds) {
+		} else if len(res.Series) != len(rounds) {
 			return Cell{}, fmt.Errorf("sweep: cell (%s, %s): seed %d sampled %d rounds, seed %d sampled %d",
-				scenarioName, variant, seeds[0], len(rounds), seeds[i], len(jr.Series))
+				scenarioName, variant, seeds[0], len(rounds), seeds[i], len(res.Series))
 		}
-		clusterRuns[i] = make([]float64, len(jr.Series))
-		staleRuns[i] = make([]float64, len(jr.Series))
-		aliveRuns[i] = make([]float64, len(jr.Series))
-		eclipseRuns[i] = make([]float64, len(jr.Series))
-		for j, pt := range jr.Series {
+		clusterRuns[i] = make([]float64, len(res.Series))
+		staleRuns[i] = make([]float64, len(res.Series))
+		aliveRuns[i] = make([]float64, len(res.Series))
+		eclipseRuns[i] = make([]float64, len(res.Series))
+		for j, pt := range res.Series {
 			if pt.Round != rounds[j] {
 				return Cell{}, fmt.Errorf("sweep: cell (%s, %s): seed %d sampled round %d where seed %d sampled %d",
 					scenarioName, variant, seeds[i], pt.Round, seeds[0], rounds[j])
 			}
-			clusterRuns[i][j] = pt.Cluster
-			staleRuns[i][j] = pt.Stale
-			aliveRuns[i][j] = float64(pt.Alive)
+			clusterRuns[i][j] = pt.BiggestCluster
+			staleRuns[i][j] = pt.StaleFraction
+			aliveRuns[i][j] = float64(pt.AlivePeers)
 			eclipseRuns[i][j] = pt.Eclipse
 		}
-		if jr.HasAdversaries {
-			hasAdv = true
-			eclipses = append(eclipses, jr.FinalEclipse)
-			shares = append(shares, jr.FinalColluderShare)
-			honests = append(honests, jr.HonestCluster)
+		if hasAdv {
+			eclipses = append(eclipses, res.Adversary.EclipseFraction)
+			shares = append(shares, res.Adversary.ColluderIndegreeShare)
+			honests = append(honests, res.Adversary.HonestCluster)
 		}
 	}
 	cell.FinalCluster = bandOf(finals)

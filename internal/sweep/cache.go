@@ -11,56 +11,15 @@ import (
 	"repro/internal/exp"
 )
 
-// JobResult is the cached outcome of one job: the slice of exp.Result a
-// sweep aggregates, in a stable JSON shape. One file per job lives under
+// entry is the file form of one cached result: the job's key, exp's Result
+// as exp serialises it, and a checksum. One file per job lives under
 // <run dir>/results/<key>.json; because the file is named by the job's
 // content address, a restarted sweep can trust any file it finds.
-type JobResult struct {
-	Key      string `json:"key"`
-	Scenario string `json:"scenario"`
-	Variant  string `json:"variant"`
-	Seed     int64  `json:"seed"`
+type entry struct {
+	Key    string      `json:"key"`
+	Result *exp.Result `json:"result"`
 
-	// End-of-run health (fractions in [0,1]).
-	BiggestCluster float64 `json:"biggest_cluster"`
-	StaleFraction  float64 `json:"stale_fraction"`
-	CompletionRate float64 `json:"completion_rate"`
-	AlivePeers     int     `json:"alive_peers"`
-	TotalPeers     int     `json:"total_peers"`
-
-	// Scenario bookkeeping.
-	Joins           uint64 `json:"joins"`
-	Leaves          uint64 `json:"leaves"`
-	GatewayFailures uint64 `json:"gateway_failures"`
-	PartitionRounds int    `json:"partition_rounds"`
-
-	// Recovery curve condensed from the series.
-	WorstCluster   float64 `json:"worst_cluster"`
-	WorstRound     int     `json:"worst_round"`
-	RecoveredRound int     `json:"recovered_round"`
-
-	// Series is the periodic health series the per-round bands aggregate.
-	Series []SeriesPoint `json:"series"`
-
-	// EventsProcessed pins the run's determinism contract into the cache:
-	// re-running the job must reproduce it exactly.
-	EventsProcessed uint64 `json:"events_processed"`
-
-	// Adversary block, filled only when the job's scenario declares
-	// adversary cohorts. Every field is omitempty so the cached JSON of
-	// honest runs stays byte-identical to the pre-adversary format.
-	HasAdversaries     bool    `json:"has_adversaries,omitempty"`
-	Adversaries        int     `json:"adversaries,omitempty"`
-	Colluders          int     `json:"colluders,omitempty"`
-	FinalEclipse       float64 `json:"final_eclipse,omitempty"`
-	FinalColluderView  float64 `json:"final_colluder_view,omitempty"`
-	FinalColluderShare float64 `json:"final_colluder_share,omitempty"`
-	TopKShare          float64 `json:"topk_share,omitempty"`
-	HonestCluster      float64 `json:"honest_cluster,omitempty"`
-	RelayDenied        uint64  `json:"relay_denied,omitempty"`
-	AdversaryDrops     uint64  `json:"adversary_drops,omitempty"`
-
-	// Sum is the hex SHA-256 of the result's compact JSON with Sum itself
+	// Sum is the hex SHA-256 of the entry's compact JSON with Sum itself
 	// empty. The content address in the file name authenticates which job a
 	// file answers for; Sum authenticates the answer — a bit flipped at rest
 	// (or a result written by a buggy build that then crashed) turns into a
@@ -68,72 +27,15 @@ type JobResult struct {
 	Sum string `json:"sum,omitempty"`
 }
 
-// checksum computes the Sum value of jr: the hex SHA-256 of its compact JSON
+// checksum computes the Sum value of e: the hex SHA-256 of its compact JSON
 // form with the Sum field empty, so the stored value never hashes itself.
-func (jr *JobResult) checksum() string {
-	saved := jr.Sum
-	jr.Sum = ""
-	data, err := json.Marshal(jr)
-	jr.Sum = saved
+func (e entry) checksum() (string, error) {
+	e.Sum = ""
+	data, err := json.Marshal(e)
 	if err != nil {
-		panic(fmt.Sprintf("sweep: marshal result: %v", err)) // plain struct, cannot fail
+		return "", fmt.Errorf("sweep: marshal result: %w", err)
 	}
-	return hashHex(data)
-}
-
-// SeriesPoint is one sampled round in the cached series. The adversary pair
-// is omitempty for the same byte-identity reason as JobResult's block.
-type SeriesPoint struct {
-	Round         int     `json:"round"`
-	Alive         int     `json:"alive"`
-	Cluster       float64 `json:"cluster"`
-	Stale         float64 `json:"stale"`
-	Eclipse       float64 `json:"eclipse,omitempty"`
-	ColluderShare float64 `json:"colluder_share,omitempty"`
-}
-
-// resultOf condenses a run's Result into the cacheable JobResult.
-func resultOf(job Job, res exp.Result) *JobResult {
-	jr := &JobResult{
-		Key:             job.Key,
-		Scenario:        job.Scenario,
-		Variant:         job.Variant,
-		Seed:            job.Seed,
-		BiggestCluster:  res.BiggestCluster,
-		StaleFraction:   res.StaleFraction,
-		CompletionRate:  res.CompletionRate,
-		AlivePeers:      res.AlivePeers,
-		TotalPeers:      res.TotalPeers,
-		Joins:           res.Scenario.Joins,
-		Leaves:          res.Scenario.Leaves,
-		GatewayFailures: res.Scenario.GatewayFailures,
-		PartitionRounds: res.Scenario.PartitionRounds,
-		WorstCluster:    res.Recovery.WorstCluster,
-		WorstRound:      res.Recovery.WorstRound,
-		RecoveredRound:  res.Recovery.RecoveredRound,
-		Series:          make([]SeriesPoint, len(res.Series)),
-		EventsProcessed: res.EventsProcessed,
-	}
-	for i, pt := range res.Series {
-		jr.Series[i] = SeriesPoint{Round: pt.Round, Alive: pt.AlivePeers, Cluster: pt.BiggestCluster, Stale: pt.StaleFraction}
-	}
-	if len(job.Cfg.Scenario.AdversaryList()) > 0 {
-		jr.HasAdversaries = true
-		jr.Adversaries = res.Adversary.AdversaryCount
-		jr.Colluders = res.Adversary.ColluderCount
-		jr.FinalEclipse = res.Adversary.EclipseFraction
-		jr.FinalColluderView = res.Adversary.ColluderViewFraction
-		jr.FinalColluderShare = res.Adversary.ColluderIndegreeShare
-		jr.TopKShare = res.Adversary.TopKIndegreeShare
-		jr.HonestCluster = res.Adversary.HonestCluster
-		jr.RelayDenied = res.Adversary.RelayDenied
-		jr.AdversaryDrops = res.Adversary.AdversaryDrops
-		for i, pt := range res.Series {
-			jr.Series[i].Eclipse = pt.Eclipse
-			jr.Series[i].ColluderShare = pt.ColluderShare
-		}
-	}
-	return jr
+	return hashHex(data), nil
 }
 
 // Cache is the content-addressed result store of one run directory.
@@ -167,36 +69,41 @@ func (c *Cache) path(key string) string {
 // file missing its checksum (pre-checksum cache format) and a file whose
 // checksum disagrees with its content are all treated as misses and
 // recomputed, never trusted.
-func (c *Cache) Load(key string) (*JobResult, bool) {
+func (c *Cache) Load(key string) (*exp.Result, bool) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return nil, false
 	}
-	var jr JobResult
-	if err := json.Unmarshal(data, &jr); err != nil || jr.Key != key {
+	var e entry
+	if err := json.Unmarshal(data, &e); err != nil || e.Key != key {
 		return nil, false
 	}
-	if jr.Sum == "" {
+	if e.Sum == "" {
 		c.logf("sweep: cached result %s has no checksum (old format?), recomputing", key)
 		return nil, false
 	}
-	if sum := jr.checksum(); sum != jr.Sum {
-		c.logf("sweep: cached result %s fails its checksum (stored %.12s…, computed %.12s…), recomputing", key, jr.Sum, sum)
+	if sum, _ := e.checksum(); sum != e.Sum {
+		c.logf("sweep: cached result %s fails its checksum (stored %.12s…, computed %.12s…), recomputing", key, e.Sum, sum)
 		return nil, false
 	}
-	return &jr, true
+	return e.Result, true
 }
 
-// Store persists one result atomically (write-temp + rename), so a kill
-// mid-write leaves a miss, not a corrupt hit. The result's Sum is (re)stamped
-// here: what hits the disk always verifies.
-func (c *Cache) Store(jr *JobResult) error {
-	jr.Sum = jr.checksum()
-	data, err := json.MarshalIndent(jr, "", "  ")
+// Store persists key's result atomically (write-temp + rename), so a kill
+// mid-write leaves a miss, not a corrupt hit. What hits the disk always
+// verifies: the checksum is stamped here.
+func (c *Cache) Store(key string, res *exp.Result) error {
+	e := entry{Key: key, Result: res}
+	sum, err := e.checksum()
+	if err != nil {
+		return err
+	}
+	e.Sum = sum
+	data, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {
 		return fmt.Errorf("sweep: marshal result: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Join(c.dir, "results"), "."+jr.Key+".tmp*")
+	tmp, err := os.CreateTemp(filepath.Join(c.dir, "results"), "."+key+".tmp*")
 	if err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
@@ -209,7 +116,7 @@ func (c *Cache) Store(jr *JobResult) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("sweep: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), c.path(jr.Key)); err != nil {
+	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("sweep: %w", err)
 	}

@@ -40,8 +40,9 @@ type Grid struct {
 }
 
 // keyVersion is the current job-key format: bump it when the meaning of the
-// identity changes, so stale cached results are orphaned rather than misread.
-const keyVersion = 2
+// identity or the shape of a results file changes, so stale cached results
+// are orphaned rather than misread.
+const keyVersion = 3
 
 // keyOf computes the content address of one job: the hex SHA-256 of
 // keyVersion and exp's identity of the job's configuration, which holds the
@@ -55,9 +56,9 @@ func keyOf(cfg exp.Config) (string, error) {
 }
 
 // Expand loads the corpus and expands the spec into the deterministic job
-// grid. Every job's configuration is validated here — a scenario event past
-// a variant's horizon, say, fails fast with the cell named, before any
-// simulation runs.
+// grid. Every cell's configuration passes exp's own validator here — a
+// scenario event past a variant's horizon or a NAT share above 100%, say,
+// fails fast with the cell named, before any simulation runs.
 func Expand(spec *Spec, baseDir string) (*Grid, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -99,7 +100,7 @@ func Expand(spec *Spec, baseDir string) (*Grid, error) {
 				sc.Adversaries = advs[i]
 				cfg.Scenario = &sc
 			}
-			if err := cfg.Scenario.Validate(cfg.Rounds); err != nil {
+			if err := cfg.Validate(); err != nil {
 				return nil, fmt.Errorf("sweep: cell (%s, %s): %w", ent.Name, v.Name, err)
 			}
 			for _, seed := range seeds {

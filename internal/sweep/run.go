@@ -70,11 +70,11 @@ func (s Stats) String() string {
 var ErrStopped = errors.New("sweep: stopped before completing the grid")
 
 // Execute runs every job of the grid, reusing the run directory's
-// content-addressed cache, and returns the results in grid order. A job
-// found in the cache is not re-run; a job executed is persisted before it
-// counts as done, so killing the process at any point loses at most the
+// content-addressed cache, and returns each job's exp.Result in grid order.
+// A job found in the cache is not re-run; a job executed is persisted before
+// it counts as done, so killing the process at any point loses at most the
 // jobs in flight and a rerun completes the remainder without recomputing.
-func Execute(g *Grid, dir string, opts Options) ([]*JobResult, Stats, error) {
+func Execute(g *Grid, dir string, opts Options) ([]*exp.Result, Stats, error) {
 	cache, err := OpenCache(dir)
 	if err != nil {
 		return nil, Stats{}, err
@@ -85,13 +85,13 @@ func Execute(g *Grid, dir string, opts Options) ([]*JobResult, Stats, error) {
 		ctx = context.Background()
 	}
 	stats := Stats{Total: len(g.Jobs)}
-	results := make([]*JobResult, len(g.Jobs))
+	results := make([]*exp.Result, len(g.Jobs))
 
 	// Resolve cache hits first, so the progress log reflects real work.
 	var missing []int
 	for i, job := range g.Jobs {
-		if jr, ok := cache.Load(job.Key); ok {
-			results[i] = jr
+		if res, ok := cache.Load(job.Key); ok {
+			results[i] = res
 			stats.Cached++
 		} else {
 			missing = append(missing, i)
@@ -167,14 +167,13 @@ func Execute(g *Grid, dir string, opts Options) ([]*JobResult, Stats, error) {
 			fail(fmt.Errorf("sweep: job (%s, %s, seed %d): %w", job.Scenario, job.Variant, job.Seed, err))
 			return
 		}
-		jr := resultOf(job, res)
-		if err := cache.Store(jr); err != nil {
+		if err := cache.Store(job.Key, &res); err != nil {
 			fail(err)
 			return
 		}
 		cache.DropSnapshots(job.Key)
 		mu.Lock()
-		results[i] = jr
+		results[i] = &res
 		stats.Ran++
 		if resumed {
 			stats.Resumed++
@@ -198,7 +197,7 @@ func Execute(g *Grid, dir string, opts Options) ([]*JobResult, Stats, error) {
 				verb = "resumed"
 			}
 			fmt.Fprintf(opts.Log, "%s (%s, %s, seed %d) → cluster %.1f%% [%d/%d, %.2f jobs/s, eta %s]\n",
-				verb, job.Scenario, job.Variant, job.Seed, jr.BiggestCluster*100,
+				verb, job.Scenario, job.Variant, job.Seed, res.BiggestCluster*100,
 				done, tracker.Total(), rate, eta)
 		}
 	})

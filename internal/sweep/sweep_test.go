@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -318,8 +319,7 @@ func TestCacheIgnoresCorruptFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr := &JobResult{Key: "k1", Scenario: "s", Variant: "v", Seed: 1, BiggestCluster: 0.5}
-	if err := cache.Store(jr); err != nil {
+	if err := cache.Store("k1", &exp.Result{BiggestCluster: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := cache.Load("k1")
@@ -350,32 +350,55 @@ func TestSpecValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		json string
-		want string // in the error, when set
+		want string // in the error
 	}{
-		{"no scenarios", `{"variants":[{"name":"a"}],"seeds":1}`, ""},
-		{"no variants", `{"scenarios":["*.json"],"seeds":1}`, ""},
-		{"no seeds", `{"scenarios":["*.json"],"variants":[{"name":"a"}]}`, ""},
-		{"negative seeds", `{"scenarios":["*.json"],"seeds":-1,"variants":[{"name":"a"}]}`, ""},
-		{"unnamed variant", `{"scenarios":["*.json"],"seeds":1,"variants":[{}]}`, ""},
-		{"duplicate variant", `{"scenarios":["*.json"],"seeds":1,"variants":[{"name":"a"},{"name":"a"}]}`, ""},
-		{"duplicate seed", `{"scenarios":["*.json"],"seed_list":[1,1],"variants":[{"name":"a"}]}`, ""},
-		{"unknown field", `{"scenarios":["*.json"],"seeds":1,"variants":[{"name":"a"}],"typo":1}`, ""},
-		{"bad protocol", `{"scenarios":["*.json"],"seeds":1,"variants":[{"name":"a","protocol":"nope"}]}`, ""},
+		{"no scenarios", `{"variants":[{"name":"a"}],"seeds":1}`, "spec has no scenario patterns"},
+		{"no variants", `{"scenarios":["*.json"],"seeds":1}`, "spec has no variants"},
+		{"no seeds", `{"scenarios":["*.json"],"variants":[{"name":"a"}]}`, "needs seeds > 0 or a non-empty seed_list"},
+		{"negative seeds", `{"scenarios":["*.json"],"seeds":-1,"variants":[{"name":"a"}]}`, "seeds -1 is negative"},
+		{"unnamed variant", `{"scenarios":["*.json"],"seeds":1,"variants":[{}]}`, "variant 0 has no name"},
+		{"duplicate variant", `{"scenarios":["*.json"],"seeds":1,"variants":[{"name":"a"},{"name":"a"}]}`, `duplicate variant name "a"`},
+		{"duplicate seed", `{"scenarios":["*.json"],"seed_list":[1,1],"variants":[{"name":"a"}]}`, "duplicate seed 1 in seed_list"},
+		{"unknown field", `{"scenarios":["*.json"],"seeds":1,"variants":[{"name":"a"}],"typo":1}`, `unknown field "typo"`},
+		{"bad protocol", `{"scenarios":["*.json"],"seeds":1,"variants":[{"name":"a","protocol":"nope"}]}`, `variant "a": exp: unknown protocol "nope"`},
 		{"seeds over cap", `{"scenarios":["*.json"],"seeds":2000,"variants":[{"name":"a"}]}`,
 			"seeds 2000 exceeds the cap of 1000"},
 		{"seed_list over cap", `{"scenarios":["*.json"],"seed_list":[` + longList + `],"variants":[{"name":"a"}]}`,
 			"seed_list of 1001 seeds exceeds the cap of 1000"},
+		// Cells exp's validator refuses, each beside a valid cell that
+		// would run first if expansion let them through.
+		{"nat over 100%", `{"scenarios":["*.json"],"seeds":1,"base":{"n":20,"rounds":4},"variants":[{"name":"ok"},{"name":"bad","nat_pct":150}]}`,
+			"cell (calm, bad): exp: NATRatio 1.5 outside [0,1]"},
+		{"static-rvp without a public peer", `{"scenarios":["*.json"],"seeds":1,"base":{"n":20,"rounds":4},"variants":[{"name":"ok"},{"name":"bad","protocol":"static-rvp","nat_pct":100}]}`,
+			"cell (calm, bad): exp: protocol static-rvp needs a public peer"},
+	}
+	corpus := t.TempDir()
+	if err := os.WriteFile(filepath.Join(corpus, "calm.json"), []byte(`{"name":"calm"}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range cases {
-		spec, err := ParseSpec([]byte(c.json))
-		if err == nil {
-			// Protocol names are resolved at expansion.
-			if _, err = Expand(spec, t.TempDir()); err == nil {
-				t.Errorf("%s: accepted", c.name)
+		run := t.TempDir()
+		err := func() error {
+			spec, err := ParseSpec([]byte(c.json))
+			if err != nil {
+				return err
 			}
-		}
-		if err != nil && !strings.Contains(err.Error(), c.want) {
+			// Protocol names and every cell's configuration are checked at
+			// expansion; a cell that slips through fails once its job runs.
+			g, err := Expand(spec, corpus)
+			if err != nil {
+				return err
+			}
+			_, _, err = Execute(g, run, Options{Workers: 1})
+			return err
+		}()
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not say %q", c.name, err, c.want)
+		}
+		if written, _ := os.ReadDir(filepath.Join(run, "results")); len(written) != 0 {
+			t.Errorf("%s: %d results written before the spec was refused", c.name, len(written))
 		}
 	}
 	// The cap itself is accepted.
@@ -577,12 +600,17 @@ func TestCacheChecksum(t *testing.T) {
 	var log bytes.Buffer
 	cache.Log = &log
 
-	jr := &JobResult{Key: "k1", Scenario: "s", Variant: "v", Seed: 1, BiggestCluster: 0.5}
-	if err := cache.Store(jr); err != nil {
+	if err := cache.Store("k1", &exp.Result{BiggestCluster: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	if jr.Sum == "" {
-		t.Fatal("Store left the checksum unstamped")
+	path := filepath.Join(run, "results", "k1.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored entry
+	if err := json.Unmarshal(data, &stored); err != nil || stored.Sum == "" {
+		t.Fatalf("Store left the checksum unstamped (%v)", err)
 	}
 	if _, ok := cache.Load("k1"); !ok {
 		t.Fatal("freshly stored result fails its own checksum")
@@ -590,12 +618,7 @@ func TestCacheChecksum(t *testing.T) {
 
 	// Valid JSON, correct key, silently altered payload: the classic
 	// bit-rot/wrong-build case the key alone cannot catch.
-	path := filepath.Join(run, "results", "k1.json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := bytes.Replace(data, []byte(`"biggest_cluster": 0.5`), []byte(`"biggest_cluster": 0.9`), 1)
+	tampered := bytes.Replace(data, []byte(`"BiggestCluster": 0.5`), []byte(`"BiggestCluster": 0.9`), 1)
 	if bytes.Equal(tampered, data) {
 		t.Fatal("tamper target not found in stored JSON")
 	}
@@ -620,6 +643,43 @@ func TestCacheChecksum(t *testing.T) {
 	}
 	if !strings.Contains(log.String(), "no checksum") {
 		t.Errorf("checksum-less miss not logged: %q", log.String())
+	}
+}
+
+// TestCacheRoundTripsResult stores a real job's exp.Result, adversary block
+// and series included, and loads it back equal field for field: the cache
+// keeps exp's record of a run, not a digest of it.
+func TestCacheRoundTripsResult(t *testing.T) {
+	g, err := Expand(advTestSpec(), testCorpus(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := g.Jobs[len(g.Jobs)-1]
+	if len(job.Cfg.Scenario.AdversaryList()) == 0 {
+		t.Fatalf("job (%s, %s) runs no adversaries", job.Scenario, job.Variant)
+	}
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := runJob(context.Background(), cache, job, Options{CheckpointEveryRounds: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Adversary.AdversaryCount == 0 || len(res.Series) == 0 {
+		t.Fatalf("job ran %d adversaries and sampled %d rounds", res.Adversary.AdversaryCount, len(res.Series))
+	}
+	// Host wiring is not part of the record (json:"-").
+	res.Cfg.Checkpoint = nil
+	if err := cache.Store(job.Key, &res); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := cache.Load(job.Key)
+	if !ok {
+		t.Fatal("stored result not found")
+	}
+	if !reflect.DeepEqual(got, &res) {
+		t.Errorf("loaded result differs from the stored one:\n%+v\n---\n%+v", got, &res)
 	}
 }
 
